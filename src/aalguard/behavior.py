@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .facts import format_number
+
 IDLE_ACTIVITY = "none"
 
 EVENT_HEADER = ["timestamp", "user", "location", "activity"]
@@ -113,7 +115,10 @@ def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
 
     Consecutive events in the same room contribute nothing.
     """
-    stream = _user_stream(events, user)
+    return _moves(_user_stream(events, user))
+
+
+def _moves(stream: List[SensorEvent]) -> Dict[Tuple[str, str], List[float]]:
     out: Dict[Tuple[str, str], List[float]] = {}
     for before, after in zip(stream, stream[1:]):
         if before.location != after.location:
@@ -127,7 +132,10 @@ def holding_time(events, user: str) -> Dict[str, List[float]]:
 
     A single-event run has duration zero; idle (``none``) never counts.
     """
-    stream = _user_stream(events, user)
+    return _holds(_user_stream(events, user))
+
+
+def _holds(stream: List[SensorEvent]) -> Dict[str, List[float]]:
     out: Dict[str, List[float]] = {}
     current: Optional[str] = None
     start = last = 0
@@ -149,12 +157,13 @@ def holding_time(events, user: str) -> Dict[str, List[float]]:
 
 def extract_features(events, user: str) -> FeatureVector:
     """Per-key mean of the moving and holding duration lists."""
+    stream = _user_stream(events, user)
     fv = FeatureVector()
-    for (src, dst), durations in moving_time(events, user).items():
+    for (src, dst), durations in _moves(stream).items():
         key = move_key(src, dst)
         fv.entries[key] = sum(durations) / len(durations)
         fv.support[key] = len(durations)
-    for activity, durations in holding_time(events, user).items():
+    for activity, durations in _holds(stream).items():
         key = hold_key(activity)
         fv.entries[key] = sum(durations) / len(durations)
         fv.support[key] = len(durations)
@@ -261,18 +270,12 @@ def users_in(events) -> List[str]:
 # Model checkpoint: `class <id> n=<n>` then indented `  <key> = <value>` lines.
 # ---------------------------------------------------------------------------
 
-def _format_value(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
 def save_model(model: BehaviorModel) -> str:
     lines = []
     for cls in model.classes:
         lines.append(f"class {cls.id} n={cls.n}")
         for key in sorted(cls.centroid.entries):
-            lines.append(f"  {key} = {_format_value(cls.centroid.entries[key])}")
+            lines.append(f"  {key} = {format_number(cls.centroid.entries[key])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import socketserver
 import sys
 import threading
@@ -238,9 +239,17 @@ class ServeState:
 
 
 def _features_from_message(msg: dict) -> behavior.FeatureVector:
+    features = msg.get("features") or {}
+    if not isinstance(features, dict):
+        raise ValueError("features must be a JSON object")
     fv = behavior.FeatureVector()
-    for key, value in (msg.get("features") or {}).items():
-        fv.entries[str(key)] = float(value)
+    for key, value in features.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"feature {key!r} is not a number")
+        number = float(value)  # an int beyond float range: OverflowError
+        if not math.isfinite(number):
+            raise ValueError(f"feature {key!r} is not finite")
+        fv.entries[str(key)] = number
         fv.support[str(key)] = 1
     return fv
 
@@ -296,7 +305,7 @@ def handle_message(state: ServeState, line: str) -> dict:
     except KeyError as err:
         return {"ok": False, "error": f"missing field: {err.args[0]!r}"}
     except (FactError, RuleSyntaxError, query.QueryError, pdp.PdpError,
-            ValueError) as err:
+            ValueError, TypeError, OverflowError) as err:
         return {"ok": False, "error": str(err)}
 
 

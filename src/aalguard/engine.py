@@ -101,13 +101,14 @@ def _join(store: FactStore, body, pivot: int, delta_keys: set):
 
     Atoms before the pivot match pre-delta facts only and atoms after it
     match everything; across all pivots this covers each new combination
-    exactly once.
+    exactly once.  Each atom reads only the store's index bucket for its
+    most selective bound argument.
     """
     results = [({}, ())]
     for j, atom in enumerate(body):
         next_results = []
         for binding, premises in results:
-            for fact in store.facts_for(atom.predicate):
+            for fact in store.candidates(atom.predicate, atom.terms, binding):
                 key = fact.key()
                 if j < pivot and key in delta_keys:
                     continue

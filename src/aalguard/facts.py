@@ -2,9 +2,9 @@
 
 Facts are ground predicates over one to three constant terms, e.g.
 ``HasCapability(u1, "hearing")``.  The store keeps one copy of each fact,
-indexes by predicate, tracks where inferred facts came from, and reads and
-writes a flat text format (one fact per line, trailing period, ``#``
-comments).
+indexes it by predicate and by each argument, tracks where inferred facts
+came from, and reads and writes a flat text format (one fact per line,
+trailing period, ``#`` comments).
 
 Two interoperability rules shape equality here: predicate names compare
 case-insensitively (the source rule corpus spells the same relation several
@@ -98,11 +98,14 @@ class Constant:
             raise FactError(f"number constant must be finite, got {value!r}")
         return cls(NUMBER, value)
 
-    def key(self) -> tuple:
+    def __post_init__(self) -> None:
         # Strings and symbols compare by text alone; numbers stay separate.
-        if self.kind == NUMBER:
-            return (NUMBER, self.value)
-        return ("text", self.value)
+        key = (NUMBER, self.value) if self.kind == NUMBER else ("text", self.value)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def key(self) -> tuple:
+        return self._key
 
     def text(self) -> str:
         """The plain value without quoting."""
@@ -118,10 +121,10 @@ class Constant:
         return self.text()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Constant) and self.key() == other.key()
+        return isinstance(other, Constant) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Constant({self.render()})"
@@ -188,19 +191,22 @@ class Fact:
         object.__setattr__(self, "args", args)
         if self.origin not in (ASSERTED, INFERRED):
             raise FactError(f"unknown origin: {self.origin!r}")
+        key = (self.predicate.lower(), tuple(a._key for a in args))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def key(self) -> tuple:
-        return (self.predicate.lower(), tuple(a.key() for a in self.args))
+        return self._key
 
     def render(self) -> str:
         return f"{self.predicate}({', '.join(a.render() for a in self.args)})"
 
     def __eq__(self, other: object) -> bool:
         # Origin-insensitive: the same ground atom is the same fact.
-        return isinstance(other, Fact) and self.key() == other.key()
+        return isinstance(other, Fact) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Fact({self.render()})"
@@ -219,7 +225,7 @@ def unify_against_fact(predicate: str, terms, fact: Fact, binding: dict):
     Returns the extended binding dict, or None if the fact does not match.
     Repeated variables must bind to equal constants.
     """
-    if fact.predicate.lower() != predicate.lower():
+    if fact.key()[0] != predicate.lower():
         return None
     if len(fact.args) != len(terms):
         return None
@@ -248,7 +254,13 @@ class Justification:
 
 
 class FactStore:
-    """Set of ground facts with a predicate index and provenance records.
+    """Set of ground facts with predicate and argument indexes.
+
+    Besides the predicate index, every fact is filed under
+    ``(predicate, position, argument key)`` for each of its arguments, so a
+    pattern with a bound argument reads only the facts that share it.  Both
+    indexes keep insertion order, so a lookup yields its facts in the order
+    a scan of :meth:`facts_for` would.
 
     Single-writer, multiple-reader contract: callers serialize mutations;
     readers that need a stable view take a :meth:`snapshot` first.
@@ -259,6 +271,8 @@ class FactStore:
     def __init__(self, vocabulary: Iterable[str] = DEFAULT_VOCABULARY):
         self._facts: dict = {}          # key -> Fact, insertion ordered
         self._index: dict = {}          # predicate lower -> dict key -> Fact
+        self._by_arg: dict = {}         # (predicate lower, position, arg key)
+        #                                 -> dict key -> Fact
         self._canon: dict = {}          # predicate lower -> first-seen spelling
         self._justifications: dict = {}  # key -> Justification
         for name in vocabulary:
@@ -282,12 +296,47 @@ class FactStore:
     def facts_for(self, predicate: str) -> tuple:
         return tuple(self._index.get(predicate.lower(), {}).values())
 
+    def candidates(self, predicate: str, terms, binding: dict) -> tuple:
+        """Stored facts that may match the atom ``(predicate, terms)``.
+
+        An argument is bound when its term is a constant or a variable that
+        ``binding`` already binds; the result is the smallest index bucket
+        among the bound arguments, or the predicate bucket when none is
+        bound.  Callers still unify each candidate against the atom.
+        """
+        predicate = predicate.lower()
+        best = None
+        for position, term in enumerate(terms):
+            if isinstance(term, Variable):
+                term = binding.get(term.name)
+                if term is None:
+                    continue
+            elif not isinstance(term, Constant):
+                raise FactError(
+                    f"pattern term is neither Variable nor Constant: {term!r}")
+            bucket = self._by_arg.get((predicate, position, term.key()))
+            if bucket is None:
+                return ()
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        if best is None:
+            best = self._index.get(predicate, {})
+        return tuple(best.values())
+
     def get(self, predicate: str, args) -> Optional[Fact]:
         probe = Fact(predicate, tuple(coerce_constant(a) for a in args))
         return self._facts.get(probe.key())
 
     def holds(self, predicate: str, *values: object) -> bool:
         return self.get(predicate, values) is not None
+
+    def _file(self, key: tuple, fact: Fact) -> None:
+        """Store ``fact`` under ``key`` in the fact table and every index."""
+        predicate, arg_keys = key
+        self._facts[key] = fact
+        self._index.setdefault(predicate, {})[key] = fact
+        for position, arg_key in enumerate(arg_keys):
+            self._by_arg.setdefault((predicate, position, arg_key), {})[key] = fact
 
     def assert_fact(self, fact: Fact) -> bool:
         """Insert a fact; returns True iff it was not already present.
@@ -303,14 +352,12 @@ class FactStore:
         existing = self._facts.get(key)
         if existing is not None:
             if existing.origin == INFERRED and fact.origin == ASSERTED:
-                upgraded = Fact(existing.predicate, existing.args,
-                                origin=ASSERTED, rule_id=None)
-                self._facts[key] = upgraded
-                self._index[fact.predicate.lower()][key] = upgraded
+                # Replacing a dict value keeps its place in every index.
+                self._file(key, Fact(existing.predicate, existing.args,
+                                     origin=ASSERTED, rule_id=None))
                 self._justifications.pop(key, None)
             return False
-        self._facts[key] = fact
-        self._index.setdefault(fact.predicate.lower(), {})[key] = fact
+        self._file(key, fact)
         return True
 
     def retract_fact(self, predicate: str, args) -> bool:
@@ -327,11 +374,15 @@ class FactStore:
         if key not in self._facts:
             return False
         del self._facts[key]
-        bucket = self._index.get(predicate.lower())
-        if bucket is not None:
-            bucket.pop(key, None)
+        predicate, arg_keys = key
+        slots = [(self._index, predicate)]
+        slots += [(self._by_arg, (predicate, position, arg_key))
+                  for position, arg_key in enumerate(arg_keys)]
+        for index, slot in slots:
+            bucket = index[slot]
+            del bucket[key]
             if not bucket:
-                del self._index[predicate.lower()]
+                del index[slot]
         self._justifications.pop(key, None)
         return True
 
@@ -347,7 +398,7 @@ class FactStore:
         if not 1 <= len(terms) <= MAX_ARITY:
             raise ArityError(f"pattern arity {len(terms)} outside 1..{MAX_ARITY}")
         results = []
-        for fact in self.facts_for(pattern.predicate):
+        for fact in self.candidates(pattern.predicate, terms, {}):
             binding = unify_against_fact(pattern.predicate, terms, fact, {})
             if binding is not None:
                 results.append(binding)
@@ -366,6 +417,8 @@ class FactStore:
         clone = FactStore(vocabulary=())
         clone._facts = dict(self._facts)
         clone._index = {p: dict(bucket) for p, bucket in self._index.items()}
+        clone._by_arg = {slot: dict(bucket)
+                         for slot, bucket in self._by_arg.items()}
         clone._canon = dict(self._canon)
         clone._justifications = dict(self._justifications)
         return clone

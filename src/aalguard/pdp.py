@@ -346,7 +346,7 @@ def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
 
     verified, reason = _verify_credential(mean, req.credential,
                                           credentials.get(req.user))
-    if verified and trust < trust_threshold:
+    if verified and not trust >= trust_threshold:  # NaN fails closed
         verified = False
         reason = f"trust {trust:.3f} below threshold {trust_threshold}"
     answer = "yes" if verified else "no"

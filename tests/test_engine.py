@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aalguard import engine
 from aalguard.engine import (
     FactNotFoundError,
     InvalidRuleError,
@@ -12,7 +13,8 @@ from aalguard.engine import (
     render_derivation,
 )
 from aalguard.facts import Constant, Fact, FactStore, ground
-from aalguard.rules import parse_rule, parse_ruleset
+from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
+from aalguard.scenarios import load_fixture_rules
 
 from oracles import naive_fixpoint, random_instance, store_keys
 
@@ -98,6 +100,63 @@ def test_fixpoint_matches_naive_oracle():
             store.assert_fact(fact)
         infer_fixpoint(store, rules)
         assert store_keys(store) == naive_fixpoint(_fact_tuples(facts), rules)
+
+
+def _twin(term, rng):
+    """A term the store must treat as equal: quoted-string twin of a symbol."""
+    if isinstance(term, Constant) and term.kind == "symbol" and rng.random() < 0.4:
+        return Constant.string(term.value)
+    return term
+
+
+def _recase(predicate, rng):
+    return rng.choice([predicate, predicate.upper(), predicate.lower(),
+                       predicate.swapcase()])
+
+
+def test_fixpoint_matches_naive_oracle_under_twins_and_recasing():
+    rng = random.Random(105)
+    for _ in range(60):
+        facts, rules = random_instance(rng)
+        store = FactStore(vocabulary=())
+        for fact in facts:
+            store.assert_fact(Fact(_recase(fact.predicate, rng),
+                                   tuple(_twin(a, rng) for a in fact.args)))
+        variant = [
+            Rule(body=[Atom(_recase(a.predicate, rng),
+                            tuple(_twin(t, rng) for t in a.terms))
+                       for a in rule.body],
+                 head=[Atom(_recase(a.predicate, rng), a.terms)
+                       for a in rule.head],
+                 id=rule.id)
+            for rule in rules]
+        infer_fixpoint(store, variant)
+        assert store_keys(store) == naive_fixpoint(_fact_tuples(facts), rules)
+
+
+def test_fixture_fixpoint_reads_few_facts_per_resident(monkeypatch):
+    residents = 400
+    capabilities = ("hearing", "visual", "cognitive", "physical", "no")
+    store = FactStore()
+    for i in range(residents):
+        user = f"r{i:04d}"
+        store.assert_fact(ground("HasCapability", user,
+                                 Constant.string(capabilities[i % 5])))
+        store.assert_fact(ground("HasRecognizedBehavior", user,
+                                 ("class1", "class2")[i % 2]))
+    calls = []
+    unify = engine.unify_against_fact
+
+    def counted(*args):
+        calls.append(1)
+        return unify(*args)
+
+    monkeypatch.setattr(engine, "unify_against_fact", counted)
+    report = infer_fixpoint(store, load_fixture_rules())
+    # Every tenth resident lands in each of the three groups, plus the two
+    # shared authentication means.
+    assert len(report.derived) == 3 * residents // 10 + 2
+    assert len(calls) < 20 * residents
 
 
 def test_fixpoint_idempotent():

@@ -190,6 +190,69 @@ def test_match_sound_and_complete_on_random_stores():
 
 
 # ---------------------------------------------------------------------------
+# Argument index against a scan of the predicate bucket
+# ---------------------------------------------------------------------------
+
+def _lookup(facts, predicate, terms, binding):
+    rows = []
+    for fact in facts:
+        extended = unify_against_fact(predicate, terms, fact, binding)
+        if extended is not None:
+            rows.append((fact.key(), fact.origin, extended))
+    return rows
+
+
+def test_index_agrees_with_scan_across_edits_and_snapshots():
+    rng = random.Random(20261018)
+    constants = [sym("k0"), sym("k1"), Constant.string("k1"),
+                 Constant.string("k 2"), Constant.number(3)]
+    predicates = ["P", "p", "Q", "R"]
+    variables = [Variable(name) for name in "xyz"]
+
+    def random_fact():
+        return Fact(rng.choice(predicates),
+                    tuple(rng.choice(constants) for _ in range(rng.randint(1, 3))),
+                    origin=rng.choice(["asserted", "inferred"]))
+
+    for _ in range(60):
+        stores = [FactStore()]
+        models = [{}]  # per store: key -> origin, in insertion order
+        for _ in range(rng.randint(1, 40)):
+            i = rng.randrange(len(stores))
+            store, model = stores[i], models[i]
+            op = rng.random()
+            if op < 0.6:
+                fact = random_fact()
+                store.assert_fact(fact)
+                if model.get(fact.key()) != "asserted":
+                    model[fact.key()] = fact.origin
+            elif op < 0.85:
+                fact = random_fact()
+                store.retract_fact(fact.predicate, fact.args)
+                model.pop(fact.key(), None)
+            else:
+                stores.append(store.snapshot())
+                models.append(dict(model))
+        for store, model in zip(stores, models):
+            assert [(f.key(), f.origin) for f in store] == list(model.items())
+            for _ in range(5):
+                predicate = rng.choice(predicates)
+                terms = tuple(rng.choice(variables) if rng.random() < 0.5
+                              else rng.choice(constants)
+                              for _ in range(rng.randint(1, 3)))
+                binding = {v.name: rng.choice(constants) for v in variables
+                           if rng.random() < 0.3}
+                assert (_lookup(store.candidates(predicate, terms, binding),
+                                predicate, terms, binding)
+                        == _lookup(store.facts_for(predicate),
+                                   predicate, terms, binding))
+                atom = Atom(predicate, terms)
+                assert store.match(atom) == [
+                    row[2] for row in _lookup(store.facts_for(predicate),
+                                              predicate, terms, {})]
+
+
+# ---------------------------------------------------------------------------
 # Fact file format
 # ---------------------------------------------------------------------------
 

@@ -106,6 +106,17 @@ def test_low_trust_blocks_even_with_correct_password():
     assert store.holds("Authenticated", "u1", "no")
 
 
+def test_nan_trust_fails_closed():
+    store = FactStore()
+    store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
+    nan = FeatureVector({"hold:cooking": float("nan")}, {"hold:cooking": 1})
+    result = authenticate(
+        AuthnRequest("u1", Credential("password", "open-sesame"), nan),
+        store, RULES, seed_model(), make_credentials())
+    assert result.authenticated == "no"
+    assert "trust" in result.reason
+
+
 def test_tag_user_authenticates_via_tag_mean():
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u2", Constant.string("physical")))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 SCENARIO_REQUESTS = [
     {"op": "authorize", "user": "u1", "service": "ReadAlert",
      "device": "VisualAid", "context": {"time": "10.00"}},
@@ -66,6 +68,28 @@ def test_alzheimer_deny_carries_emergency_obligation():
     assert response["effect"] == "deny"
     assert response["obligations"] == ["signal-emergency"]
     assert response["priority"] == 3
+
+
+BAD_INPUT_MESSAGES = [
+    {"op": "authn", "user": "u1", "password": "door-chime-7",
+     "features": {"k": "nan"}},
+    {"op": "authn", "user": "u1", "password": "door-chime-7",
+     "features": {"a": None}},
+    {"op": "authorize", "user": "u1", "service": "ReadAlert", "context": [1]},
+    {"op": "authn", "user": "u1", "password": "door-chime-7",
+     "features": {"k": 10 ** 400}},
+]
+
+
+@pytest.mark.parametrize("message", BAD_INPUT_MESSAGES)
+def test_bad_input_fails_closed_and_keeps_serving(message):
+    lines = [json.dumps(message), json.dumps({"op": "ping"})]
+    responses = [json.loads(line) for line in serve_stdin(lines)]
+    assert len(responses) == 2
+    assert responses[0].get("authenticated") != "yes"
+    for response in responses:
+        json.dumps(response, allow_nan=False)
+    assert responses[1] == {"ok": True}
 
 
 def test_tcp_socket_mode(tmp_path):
