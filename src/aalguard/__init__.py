@@ -32,11 +32,8 @@ from .facts import (
     Fact,
     FactStore,
     Variable,
-    assert_fact,
     ground,
     load_facts,
-    match_pattern,
-    retract_fact,
     save_facts,
 )
 from .pdp import (
@@ -51,7 +48,6 @@ from .pdp import (
     assign_group,
     detect_anomaly,
     flag_anomaly,
-    record_audit,
     select_auth_mean,
 )
 from .query import ConjunctiveQuery, eval_query, parse_query

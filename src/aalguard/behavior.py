@@ -81,8 +81,8 @@ class BehaviorModel:
         ids = [c.id for c in self.classes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate class ids: {ids}")
-        if self.distance_floor <= 0:
-            raise ValueError("distance_floor must be positive")
+        if not 0 < self.distance_floor < math.inf:  # NaN fails too
+            raise ValueError("distance_floor must be finite and positive")
 
     def get(self, class_id: str) -> BehaviorClass:
         for cls in self.classes:
@@ -305,7 +305,9 @@ def load_model(text: str,
             try:
                 parsed = float(value.strip())
             except ValueError:
-                raise ModelFormatError(f"bad value in {line!r}", lineno) from None
+                parsed = math.nan
+            if not math.isfinite(parsed):
+                raise ModelFormatError(f"bad value in {line!r}", lineno)
             key = key.strip()
             current.centroid.entries[key] = parsed
             current.centroid.support[key] = max(current.n, 1)

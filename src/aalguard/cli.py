@@ -8,8 +8,8 @@ error, 2 I/O error.
 
 Serve mode reads one JSON request per line from standard input
 (``--listen -``) or a TCP socket (``--listen host:port``) and answers one
-JSON response per line, in order; a malformed message yields an error
-response and the loop continues.
+JSON response per line, in order; a malformed message or a line over
+``MAX_LINE_BYTES`` yields an error response and the loop continues.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .rules import RuleSyntaxError, load_ruleset_file
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+MAX_LINE_BYTES = 1 << 20  # longest serve request line, newline excluded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,13 +268,18 @@ def handle_message(state: ServeState, line: str) -> dict:
         if op == "ping":
             return {"ok": True}
         if op == "authn":
+            credential = None
+            if msg.get("password") is not None:
+                credential = pdp.Credential("password", msg["password"])
+            elif msg.get("tag") is not None:
+                credential = pdp.Credential("tag", msg["tag"])
+            request = pdp.AuthnRequest(user=str(msg["user"]),
+                                       credential=credential,
+                                       features=_features_from_message(msg))
             with state.lock:
-                result = query.authn_query(
-                    state.store, str(msg["user"]),
-                    _features_from_message(msg),
-                    rules=state.rules, model=state.model,
-                    credentials=state.credentials,
-                    password=msg.get("password"), tag=msg.get("tag"),
+                result = pdp.authenticate(
+                    request, state.store, state.rules, state.model,
+                    state.credentials,
                     trust_threshold=state.config.trust_threshold,
                     default_mean=state.config.default_auth_mean,
                     audit_log=state.audit_log)
@@ -281,11 +288,13 @@ def handle_message(state: ServeState, line: str) -> dict:
                     "class": result.behavior_class,
                     **({"reason": result.reason} if result.reason else {})}
         if op == "authorize":
+            request = pdp.AuthzRequest(
+                user=str(msg["user"]), service=str(msg["service"]),
+                device=msg.get("device"),
+                context=dict(msg.get("context") or {}))
             with state.lock:
-                decision = query.authz_query(
-                    state.store, str(msg["user"]), str(msg["service"]),
-                    device=msg.get("device"), context=msg.get("context") or {},
-                    rules=state.rules,
+                decision = pdp.authorize(
+                    request, state.store, state.rules,
                     priority_table=state.config.priority_table,
                     audit_log=state.audit_log)
             return {"ok": True, "effect": decision.effect,
@@ -307,6 +316,30 @@ def handle_message(state: ServeState, line: str) -> dict:
     except (FactError, RuleSyntaxError, query.QueryError, pdp.PdpError,
             ValueError, TypeError, OverflowError) as err:
         return {"ok": False, "error": str(err)}
+
+
+def _serve_lines(state: ServeState, rfile, wfile) -> None:
+    """Answer each request line of the binary stream ``rfile`` on ``wfile``.
+
+    A line longer than ``MAX_LINE_BYTES`` is skipped in bounded reads and
+    answered with an error, so one endless line cannot exhaust memory.
+    """
+    while True:
+        raw = rfile.readline(MAX_LINE_BYTES + 1)
+        if not raw:
+            return
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            while raw and not raw.endswith(b"\n"):
+                raw = rfile.readline(MAX_LINE_BYTES)
+            response = {"ok": False,
+                        "error": f"line longer than {MAX_LINE_BYTES} bytes"}
+        else:
+            line = raw.decode("utf-8", errors="replace").strip()
+            if not line:
+                continue
+            response = handle_message(state, line)
+        wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        wfile.flush()
 
 
 def cmd_serve(args, config: Config) -> int:
@@ -334,13 +367,7 @@ def cmd_serve(args, config: Config) -> int:
                               state.credentials, audit_log=None, config=config)
 
     if args.listen == "-":
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            response = handle_message(state, line)
-            sys.stdout.write(json.dumps(response) + "\n")
-            sys.stdout.flush()
+        _serve_lines(state, sys.stdin.buffer, sys.stdout.buffer)
         return EXIT_OK
 
     host, _, port = args.listen.rpartition(":")
@@ -350,16 +377,7 @@ def cmd_serve(args, config: Config) -> int:
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            while True:
-                raw = self.rfile.readline()
-                if not raw:
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response = handle_message(state, line)
-                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                self.wfile.flush()
+            _serve_lines(state, self.rfile, self.wfile)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True

@@ -7,6 +7,7 @@ flags.  Priority-table entries use dotted keys (``priority.cognitive=3``).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -46,8 +47,8 @@ class Config:
             raise ConfigError("trust_threshold must be in [0, 1]")
         if not 0.0 <= self.anomaly_threshold <= 1.0:
             raise ConfigError("anomaly_threshold must be in [0, 1]")
-        if self.distance_floor <= 0:
-            raise ConfigError("distance_floor must be positive")
+        if not 0 < self.distance_floor < math.inf:  # NaN fails too
+            raise ConfigError("distance_floor must be finite and positive")
         for capability, priority in self.priority_table.items():
             if priority < 0:
                 raise ConfigError(

@@ -424,18 +424,6 @@ class FactStore:
         return clone
 
 
-def assert_fact(store: FactStore, fact: Fact) -> bool:
-    return store.assert_fact(fact)
-
-
-def retract_fact(store: FactStore, predicate: str, args) -> bool:
-    return store.retract_fact(predicate, args)
-
-
-def match_pattern(store: FactStore, pattern) -> list:
-    return store.match(pattern)
-
-
 # ---------------------------------------------------------------------------
 # Fact file format: one fact per line, `Predicate(arg, ...).`, `#` comments.
 # ---------------------------------------------------------------------------

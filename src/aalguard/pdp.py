@@ -215,12 +215,6 @@ class AuditLog:
             return [parse_entry(line) for line in fh.read().splitlines() if line]
 
 
-def record_audit(log: AuditLog, kind: str, subject: str, outcome: str,
-                 detail: str = "") -> int:
-    """Append one entry; returns the sequence number it received."""
-    return log.append(kind, subject, outcome, detail).seq
-
-
 # ---------------------------------------------------------------------------
 # Credentials: lines `user:kind:record`; passwords stored as salt$sha256.
 # ---------------------------------------------------------------------------

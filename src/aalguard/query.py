@@ -5,9 +5,6 @@ The query language is a small SELECT-only subset:
 with an optional ``LIMIT n``.  Evaluation joins the where-atoms left to
 right; results are a set of rows projected to the selected variables, sorted
 lexicographically so LIMIT is deterministic.
-
-The two composite query kinds, authentication and authorization, delegate to
-the decision point so one wire message maps to one operation.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from . import pdp
 from .facts import Constant, FactStore, Variable
 from .rules import (
     CARET, EOF, IDENT, LBRACE, NUM, RBRACE, VAR,
@@ -130,31 +126,3 @@ def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant
         ordered = ordered[:q.limit]
     return ordered
 
-
-# ---------------------------------------------------------------------------
-# Composite queries: one wire message, one decision-point operation.
-# ---------------------------------------------------------------------------
-
-def authn_query(store, user, features, *, rules, model, credentials,
-                password: Optional[str] = None, tag: Optional[str] = None,
-                trust_threshold: float = pdp.DEFAULT_TRUST_THRESHOLD,
-                default_mean: str = pdp.DEFAULT_AUTH_MEAN,
-                audit_log=None) -> pdp.AuthnResult:
-    credential = None
-    if password is not None:
-        credential = pdp.Credential("password", password)
-    elif tag is not None:
-        credential = pdp.Credential("tag", tag)
-    request = pdp.AuthnRequest(user=user, credential=credential,
-                               features=features)
-    return pdp.authenticate(request, store, rules, model, credentials,
-                            trust_threshold=trust_threshold,
-                            default_mean=default_mean, audit_log=audit_log)
-
-
-def authz_query(store, user, service, device=None, context=None, *,
-                rules, priority_table=None, audit_log=None) -> pdp.Decision:
-    request = pdp.AuthzRequest(user=user, service=service, device=device,
-                               context=dict(context or {}))
-    return pdp.authorize(request, store, rules,
-                         priority_table=priority_table, audit_log=audit_log)

@@ -82,10 +82,6 @@ def load_fixture_rules() -> list:
                          + "\n" + fixture_text("rules", "assistive_actions.swl"))
 
 
-def load_core_rules() -> list:
-    return parse_ruleset(fixture_text("rules", "policy_core.swl"))
-
-
 def load_fixture_model(distance_floor: float) -> behavior.BehaviorModel:
     return behavior.load_model(fixture_text("model_seed.txt"),
                                distance_floor=distance_floor)
@@ -120,24 +116,17 @@ def _recent_events(name: str) -> list:
     return _scenario_events(name)
 
 
-def run_scenario(name: str, audit_path=None,
-                 config: Optional[Config] = None) -> ScenarioRun:
-    """Run one named scenario end to end against the packaged fixtures."""
-    if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario: {name!r}")
+def _admit(name: str, store: FactStore, rules, model, credentials,
+           config: Config, audit_log) -> Tuple[pdp.AuthnResult, bool]:
+    """Take one fixture resident through the pipeline up to authorization.
+
+    Loads the resident's profile facts into ``store``, authenticates them
+    from their fixture stream, assigns groups and runs the anomaly check on
+    the recent stream against the class authentication recognized.
+    """
     fixture = SCENARIOS[name]
-    config = config or Config()
-
-    store = load_facts(fixture_text("scenarios", name, "facts.kb"))
-    rules = load_fixture_rules()
-    model = load_fixture_model(config.distance_floor)
-    credentials = load_fixture_credentials()
-    audit_log = pdp.AuditLog(audit_path, truncate=True) if audit_path \
-        else pdp.AuditLog()
-
-    events = _scenario_events(name)
-    features = behavior.extract_features(events, fixture.user)
-
+    load_facts(fixture_text("scenarios", name, "facts.kb"), store)
+    features = behavior.extract_features(_scenario_events(name), fixture.user)
     authn = pdp.authenticate(
         pdp.AuthnRequest(user=fixture.user,
                          credential=FIXTURE_SECRETS.get(fixture.user),
@@ -146,14 +135,31 @@ def run_scenario(name: str, audit_path=None,
         trust_threshold=config.trust_threshold,
         default_mean=config.default_auth_mean,
         audit_log=audit_log)
-
     pdp.assign_group(store, rules)
-    groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
-
     recent = behavior.extract_features(_recent_events(name), fixture.user)
     flagged = pdp.flag_anomaly(store, model, fixture.user, authn.behavior_class,
                                recent, threshold=config.anomaly_threshold,
                                audit_log=audit_log)
+    return authn, flagged
+
+
+def run_scenario(name: str, audit_path=None,
+                 config: Optional[Config] = None) -> ScenarioRun:
+    """Run one named scenario end to end against the packaged fixtures."""
+    if name not in SCENARIOS:
+        raise KeyError(f"unknown scenario: {name!r}")
+    fixture = SCENARIOS[name]
+    config = config or Config()
+
+    store = FactStore()
+    rules = load_fixture_rules()
+    model = load_fixture_model(config.distance_floor)
+    credentials = load_fixture_credentials()
+    audit_log = pdp.AuditLog(audit_path, truncate=True) if audit_path \
+        else pdp.AuditLog()
+    authn, flagged = _admit(name, store, rules, model, credentials, config,
+                            audit_log)
+    groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
 
     decision = pdp.authorize(
         pdp.AuthzRequest(user=fixture.user, service=fixture.service,
@@ -197,32 +203,10 @@ def prime_store(store: FactStore, rules, model, credentials, audit_log=None,
                 config: Optional[Config] = None) -> None:
     """Warm a shared store with the three fixture residents.
 
-    Loads each scenario's profile facts, authenticates every resident from
-    their fixture stream, assigns groups, and runs the anomaly check on the
-    recent stream, so a serving process can answer the scenario authorization
-    requests straight away.
+    Admits each resident in turn (profile facts, authentication, groups and
+    the anomaly check), so a serving process can answer the scenario
+    authorization requests straight away.
     """
     config = config or Config()
     for name in SCENARIO_NAMES:
-        load_facts(fixture_text("scenarios", name, "facts.kb"), store)
-    for name in SCENARIO_NAMES:
-        fixture = SCENARIOS[name]
-        events = _scenario_events(name)
-        features = behavior.extract_features(events, fixture.user)
-        pdp.authenticate(
-            pdp.AuthnRequest(user=fixture.user,
-                             credential=FIXTURE_SECRETS.get(fixture.user),
-                             features=features),
-            store, rules, model, credentials,
-            trust_threshold=config.trust_threshold,
-            default_mean=config.default_auth_mean,
-            audit_log=audit_log)
-    pdp.assign_group(store, rules)
-    for name in SCENARIO_NAMES:
-        fixture = SCENARIOS[name]
-        recent = behavior.extract_features(_recent_events(name), fixture.user)
-        class_id, _ = behavior.classify(
-            model, behavior.extract_features(_scenario_events(name), fixture.user))
-        pdp.flag_anomaly(store, model, fixture.user, class_id, recent,
-                         threshold=config.anomaly_threshold,
-                         audit_log=audit_log)
+        _admit(name, store, rules, model, credentials, config, audit_log)

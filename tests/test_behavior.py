@@ -10,6 +10,7 @@ from aalguard.behavior import (
     BehaviorModel,
     EventFormatError,
     FeatureVector,
+    ModelFormatError,
     OrderingError,
     SensorEvent,
     UnknownClassError,
@@ -339,6 +340,16 @@ def test_model_checkpoint_roundtrip():
     assert save_model(model) == text
     again = load_model(save_model(model))
     assert save_model(again) == text
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_model_rejects_non_finite_numbers(value):
+    # A NaN centroid value used to capture every user, with trust NaN.
+    text = f"class class1 n=1\n  hold:cooking={value}\nclass class2 n=1\n"
+    with pytest.raises(ModelFormatError):
+        load_model(text)
+    with pytest.raises(ValueError):
+        BehaviorModel(classes=[], distance_floor=float(value))
 
 
 def test_model_rejects_duplicate_class_ids():

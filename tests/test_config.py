@@ -42,6 +42,15 @@ def test_floor_must_be_positive():
         parse_config("distance_floor=0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_floor_must_be_finite(value):
+    # NaN made every trust NaN (no anomaly could flag); inf made trust 1.0.
+    with pytest.raises(ConfigError):
+        parse_config(f"distance_floor={value}\n")
+    with pytest.raises(ConfigError):
+        Config(distance_floor=float(value)).validate()
+
+
 def test_negative_priority_rejected():
     with pytest.raises(ConfigError):
         parse_config("priority.visual=-1\n")

@@ -9,11 +9,8 @@ from aalguard.facts import (
     FactParseError,
     FactStore,
     Variable,
-    assert_fact,
     ground,
     load_facts,
-    match_pattern,
-    retract_fact,
     save_facts,
     unify_against_fact,
 )
@@ -334,11 +331,10 @@ def test_unify_against_fact_rejects_wrong_arity():
 def test_functional_aliases_mirror_methods():
     store = FactStore()
     fact = ground("HasCapability", "u1", Constant.string("hearing"))
-    assert assert_fact(store, fact)
-    assert match_pattern(store, Atom("HasCapability",
-                                     (Variable("u"), Variable("c")))) \
+    assert store.assert_fact(fact)
+    assert store.match(Atom("HasCapability", (Variable("u"), Variable("c")))) \
         == [{"u": sym("u1"), "c": Constant.string("hearing")}]
-    assert retract_fact(store, fact.predicate, fact.args)
+    assert store.retract_fact(fact.predicate, fact.args)
     assert len(store) == 0
 
 

@@ -18,7 +18,6 @@ from aalguard.pdp import (
     hash_password,
     load_credentials,
     parse_entry,
-    record_audit,
     select_auth_mean,
     serialize_entry,
     verify_password,
@@ -319,22 +318,22 @@ def test_bad_time_format_rejected():
 
 def test_first_entry_gets_seq_one(tmp_path):
     log = AuditLog(tmp_path / "audit.log")
-    assert record_audit(log, "authn", "u1", "yes") == 1
+    assert log.append("authn", "u1", "yes").seq == 1
 
 
 def test_three_appends_sequence(tmp_path):
     log = AuditLog(tmp_path / "audit.log")
-    seqs = [record_audit(log, "authn", "u1", "yes"),
-            record_audit(log, "authz", "u1", "permit"),
-            record_audit(log, "anomaly", "u1", "flagged")]
+    seqs = [log.append("authn", "u1", "yes").seq,
+            log.append("authz", "u1", "permit").seq,
+            log.append("anomaly", "u1", "flagged").seq]
     assert seqs == [1, 2, 3]
 
 
 def test_log_reload_roundtrips_byte_identically(tmp_path):
     path = tmp_path / "audit.log"
     log = AuditLog(path)
-    record_audit(log, "authn", "u1", "yes", "mean=username/password")
-    record_audit(log, "authz", "u1", "permit", "detail with | pipe and \\ slash")
+    log.append("authn", "u1", "yes", "mean=username/password")
+    log.append("authz", "u1", "permit", "detail with | pipe and \\ slash")
     on_disk = path.read_text(encoding="utf-8")
     reloaded = AuditLog.load(path)
     assert "\n".join(serialize_entry(e) for e in reloaded) + "\n" == on_disk
@@ -343,9 +342,9 @@ def test_log_reload_roundtrips_byte_identically(tmp_path):
 
 def test_log_continues_sequence_across_reopen(tmp_path):
     path = tmp_path / "audit.log"
-    record_audit(AuditLog(path), "authn", "u1", "yes")
+    AuditLog(path).append("authn", "u1", "yes")
     log = AuditLog(path)
-    assert record_audit(log, "authz", "u1", "permit") == 2
+    assert log.append("authz", "u1", "permit").seq == 2
 
 
 def test_entry_roundtrip_with_newline_in_detail():

@@ -4,12 +4,11 @@ import pytest
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.facts import Constant, FactStore, Variable, ground
+from aalguard import pdp
 from aalguard.pdp import hash_password
 from aalguard.query import (
     ConjunctiveQuery,
     QueryError,
-    authn_query,
-    authz_query,
     eval_query,
     format_query,
     parse_query,
@@ -132,7 +131,7 @@ def test_duplicate_rows_collapse():
 
 
 # ---------------------------------------------------------------------------
-#-- composite queries delegate to the decision point
+#-- the wire's authn and authorize requests, as serve builds them for pdp
 # ---------------------------------------------------------------------------
 
 def _model():
@@ -144,10 +143,11 @@ def test_authn_query_delegates():
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
     credentials = {"u1": ("password", hash_password("pw", salt="ab"))}
-    result = authn_query(store, "u1",
-                         FeatureVector({"hold:cooking": 600.0}),
-                         rules=load_fixture_rules(), model=_model(),
-                         credentials=credentials, password="pw")
+    request = pdp.AuthnRequest(user="u1",
+                               credential=pdp.Credential("password", "pw"),
+                               features=FeatureVector({"hold:cooking": 600.0}))
+    result = pdp.authenticate(request, store, load_fixture_rules(), _model(),
+                              credentials)
     assert result.authenticated == "yes"
     assert store.holds("Authenticated", "u1", "yes")
 
@@ -156,6 +156,8 @@ def test_authz_query_delegates():
     store = FactStore()
     store.assert_fact(ground("Authenticated", "u3", "yes"))
     store.assert_fact(ground("BehaviorCapability", "u3", "Group3"))
-    decision = authz_query(store, "u3", "OpenDoor", context={"time": "00.00"},
-                           rules=load_fixture_rules())
+    decision = pdp.authorize(
+        pdp.AuthzRequest(user="u3", service="OpenDoor",
+                         context={"time": "00.00"}),
+        store, load_fixture_rules())
     assert decision.effect == "deny"

@@ -1,3 +1,6 @@
+from aalguard import behavior, scenarios
+from aalguard.config import Config
+from aalguard.facts import FactStore, save_facts
 from aalguard.pdp import AuditLog, serialize_entry
 from aalguard.scenarios import SCENARIO_NAMES, run_scenario
 
@@ -52,3 +55,48 @@ def test_scenario_audit_sequence_gap_free_and_reloadable(tmp_path):
     reloaded = AuditLog.load(path)
     assert "\n".join(serialize_entry(e) for e in reloaded) + "\n" == on_disk
     assert list(reloaded) == list(run.audit_log.entries())
+
+
+PRIMED_FACTS = sorted([
+    'HasCapability(u1, "hearing").',
+    'HasCapability(u2, "visual").',
+    'HasCapability(u3, "cognitive").',
+    'HasCapability(u3, "physical").',
+    "Authenticated(u1, yes).",
+    "HasRecognizedBehavior(u1, class1).",
+    "Authenticated(u2, yes).",
+    "HasRecognizedBehavior(u2, class2).",
+    "Authenticated(u3, yes).",
+    "HasRecognizedBehavior(u3, class2).",
+    "Authentication(tag-mean).  # inferred rule=auth-mean-tag",
+    "BehaviorCapability(u1, Group1).  # inferred rule=group1-assign",
+    "BehaviorCapability(u2, Group2).  # inferred rule=group2-assign",
+    "BehaviorCapability(u3, Group3).  # inferred rule=group3-assign",
+    "Obligation(u3, signal-emergency).",
+])
+
+
+def _primed_store():
+    store = FactStore()
+    scenarios.prime_store(store, scenarios.load_fixture_rules(),
+                          scenarios.load_fixture_model(Config().distance_floor),
+                          scenarios.load_fixture_credentials())
+    return store
+
+
+def test_primed_store_holds_the_fifteen_fixture_facts():
+    lines = save_facts(_primed_store()).splitlines()
+    assert sorted(line for line in lines if line.strip()) == PRIMED_FACTS
+
+
+def test_priming_extracts_features_twice_per_resident(monkeypatch):
+    calls = []
+    extract = behavior.extract_features
+
+    def counted(events, user):
+        calls.append(user)
+        return extract(events, user)
+
+    monkeypatch.setattr(behavior, "extract_features", counted)
+    _primed_store()
+    assert len(calls) == 2 * len(SCENARIO_NAMES)

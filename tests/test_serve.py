@@ -6,6 +6,10 @@ import time
 
 import pytest
 
+from aalguard import cli, pdp, scenarios
+from aalguard.config import Config
+from aalguard.facts import FactStore
+
 SCENARIO_REQUESTS = [
     {"op": "authorize", "user": "u1", "service": "ReadAlert",
      "device": "VisualAid", "context": {"time": "10.00"}},
@@ -90,6 +94,45 @@ def test_bad_input_fails_closed_and_keeps_serving(message):
     for response in responses:
         json.dumps(response, allow_nan=False)
     assert responses[1] == {"ok": True}
+
+
+def test_over_long_line_is_refused_and_serving_continues():
+    lines = [json.dumps({"op": "ping", "padding": "x" * (2 << 20)}),
+             json.dumps({"op": "ping"})]
+    responses = [json.loads(line) for line in serve_stdin(lines)]
+    assert len(responses) == 2
+    assert responses[0]["ok"] is False
+    assert "error" in responses[0]
+    assert responses[1] == {"ok": True}
+
+
+def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
+    # The benchmark's per-layer trace wraps these module attributes.
+    config = Config()
+    rules = scenarios.load_fixture_rules()
+    model = scenarios.load_fixture_model(config.distance_floor)
+    credentials = scenarios.load_fixture_credentials()
+    store = FactStore()
+    scenarios.prime_store(store, rules, model, credentials, config=config)
+    state = cli.ServeState(store, rules, model, credentials, config,
+                           pdp.AuditLog())
+    calls = {"authenticate": 0, "authorize": 0}
+
+    def counting(name):
+        wrapped = getattr(pdp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pdp, name, counting(name))
+    authn = cli.handle_message(state, json.dumps(
+        {"op": "authn", "user": "u1", "password": "door-chime-7"}))
+    authz = cli.handle_message(state, json.dumps(SCENARIO_REQUESTS[0]))
+    assert authn["ok"] is True and authz["ok"] is True
+    assert calls == {"authenticate": 1, "authorize": 1}
 
 
 def test_tcp_socket_mode(tmp_path):
