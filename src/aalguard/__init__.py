@@ -10,6 +10,7 @@ priority values.
 from .behavior import (
     BehaviorClass,
     BehaviorModel,
+    EventLog,
     FeatureVector,
     SensorEvent,
     classify,

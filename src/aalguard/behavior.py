@@ -15,7 +15,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .facts import format_number
 
@@ -28,6 +29,10 @@ DEFAULT_DISTANCE_FLOOR = 30.0  # seconds
 
 class OrderingError(ValueError):
     """A user's events are not sorted by timestamp."""
+
+
+class NonFiniteError(ValueError):
+    """A behavior distance came out NaN or infinite."""
 
 
 class EventFormatError(ValueError):
@@ -99,15 +104,58 @@ def hold_key(activity: str) -> str:
     return f"hold:{activity}"
 
 
-def _user_stream(events, user: str) -> List[SensorEvent]:
-    stream = [e for e in events if e.user == user]
-    previous = None
-    for event in stream:
-        if previous is not None and event.timestamp < previous.timestamp:
-            raise OrderingError(
-                f"{user}: timestamp {event.timestamp} after {previous.timestamp}")
-        previous = event
-    return stream
+class EventLog(tuple):
+    """Sensor events in file order, with each user's own stream beside them.
+
+    ``streams`` maps each user, in first-seen order, to that user's events in
+    order.  The log is a tuple, so its streams can never go stale.
+    ``EventLog(events)`` groups any iterable of events and raises
+    ``OrderingError`` when one user's timestamps go backwards.
+    """
+
+    streams: Mapping[str, Tuple[SensorEvent, ...]]
+
+    def __new__(cls, events: Iterable[SensorEvent] = ()) -> "EventLog":
+        events = list(events)
+        streams: Dict[str, List[SensorEvent]] = {}
+        for event in events:
+            if not _file_event(streams, event):
+                raise OrderingError(
+                    f"{event.user}: timestamp {event.timestamp} after "
+                    f"{streams[event.user][-1].timestamp}")
+        return cls._grouped(events, streams)
+
+    @classmethod
+    def _grouped(cls, events: List[SensorEvent],
+                 streams: Dict[str, List[SensorEvent]]) -> "EventLog":
+        log = tuple.__new__(cls, events)
+        for user, stream in streams.items():
+            streams[user] = tuple(stream)
+        log.streams = MappingProxyType(streams)
+        return log
+
+
+def _file_event(streams: Dict[str, List[SensorEvent]],
+                event: SensorEvent) -> bool:
+    """Append ``event`` to its user's stream; False if it goes back in time."""
+    stream = streams.get(event.user)
+    if stream is None:
+        streams[event.user] = [event]
+    elif event.timestamp < stream[-1].timestamp:
+        return False
+    else:
+        stream.append(event)
+    return True
+
+
+def _streams(events) -> Mapping[str, Tuple[SensorEvent, ...]]:
+    if not isinstance(events, EventLog):
+        events = EventLog(events)
+    return events.streams
+
+
+def _user_stream(events, user: str) -> Tuple[SensorEvent, ...]:
+    return _streams(events).get(user, ())
 
 
 def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
@@ -118,7 +166,7 @@ def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
     return _moves(_user_stream(events, user))
 
 
-def _moves(stream: List[SensorEvent]) -> Dict[Tuple[str, str], List[float]]:
+def _moves(stream: Sequence[SensorEvent]) -> Dict[Tuple[str, str], List[float]]:
     out: Dict[Tuple[str, str], List[float]] = {}
     for before, after in zip(stream, stream[1:]):
         if before.location != after.location:
@@ -135,7 +183,7 @@ def holding_time(events, user: str) -> Dict[str, List[float]]:
     return _holds(_user_stream(events, user))
 
 
-def _holds(stream: List[SensorEvent]) -> Dict[str, List[float]]:
+def _holds(stream: Sequence[SensorEvent]) -> Dict[str, List[float]]:
     out: Dict[str, List[float]] = {}
     current: Optional[str] = None
     start = last = 0
@@ -174,11 +222,16 @@ def distance(a: FeatureVector, b: FeatureVector) -> float:
     """Euclidean distance over the union of keys; absent keys count as zero.
 
     Keys are summed in sorted order so the result is bit-identical no matter
-    how the vectors' dicts were built.
+    how the vectors' dicts were built.  Raises ``NonFiniteError`` when the
+    result is not finite (a NaN or infinite entry, or a sum of squares beyond float
+    range), so no caller compares a NaN.
     """
     keys = sorted(set(a.entries) | set(b.entries))
-    return math.sqrt(sum(
+    d = math.sqrt(sum(
         (a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) ** 2 for k in keys))
+    if not math.isfinite(d):
+        raise NonFiniteError(f"distance is not finite ({d})")
+    return d
 
 
 def classify(model: BehaviorModel, fv: FeatureVector) -> Tuple[str, float]:
@@ -224,46 +277,43 @@ def trust_score(model: BehaviorModel, class_id: str, fv: FeatureVector) -> float
 # Event CSV: header `timestamp,user,location,activity`; rows per-user sorted.
 # ---------------------------------------------------------------------------
 
-def load_events(text: str) -> List[SensorEvent]:
+def load_events(text: str) -> EventLog:
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
+    header = next(reader, None)
+    if header is None:
         raise EventFormatError("missing header", 1)
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header]
     if header != EVENT_HEADER:
         raise EventFormatError(
             f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}", 1)
     events: List[SensorEvent] = []
-    last_seen: Dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or not any(cell.strip() for cell in row):
+    streams: Dict[str, List[SensorEvent]] = {}
+    for lineno, row in enumerate(reader, start=2):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
             continue
-        if len(row) != 4:
-            raise EventFormatError(f"expected 4 fields, got {len(row)}", lineno)
-        raw_ts, user, location, activity = (cell.strip() for cell in row)
+        if len(cells) != 4:
+            raise EventFormatError(f"expected 4 fields, got {len(cells)}", lineno)
+        raw_ts, user, location, activity = cells
         try:
             timestamp = int(raw_ts)
         except ValueError:
             raise EventFormatError(f"bad timestamp {raw_ts!r}", lineno) from None
-        if user in last_seen and timestamp < last_seen[user]:
+        event = SensorEvent(user, timestamp, location, activity)
+        if not _file_event(streams, event):
             raise EventFormatError(
                 f"events for {user} not sorted (timestamp {timestamp})", lineno)
-        last_seen[user] = timestamp
-        events.append(SensorEvent(user=user, timestamp=timestamp,
-                                  location=location, activity=activity))
-    return events
+        events.append(event)
+    return EventLog._grouped(events, streams)
 
 
-def load_events_file(path) -> List[SensorEvent]:
+def load_events_file(path) -> EventLog:
     with open(path, "r", encoding="utf-8") as fh:
         return load_events(fh.read())
 
 
 def users_in(events) -> List[str]:
-    seen: Dict[str, None] = {}
-    for event in events:
-        seen.setdefault(event.user, None)
-    return list(seen)
+    return list(_streams(events))
 
 
 # ---------------------------------------------------------------------------

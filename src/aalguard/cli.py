@@ -323,6 +323,7 @@ def _serve_lines(state: ServeState, rfile, wfile) -> None:
 
     A line longer than ``MAX_LINE_BYTES`` is skipped in bounded reads and
     answered with an error, so one endless line cannot exhaust memory.
+    Replies are strict JSON; one that is not encodable becomes an error.
     """
     while True:
         raw = rfile.readline(MAX_LINE_BYTES + 1)
@@ -338,7 +339,11 @@ def _serve_lines(state: ServeState, rfile, wfile) -> None:
             if not line:
                 continue
             response = handle_message(state, line)
-        wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        try:
+            reply = json.dumps(response, allow_nan=False)
+        except ValueError as err:  # NaN or infinity has no JSON form
+            reply = json.dumps({"ok": False, "error": f"bad reply: {err}"})
+        wfile.write((reply + "\n").encode("utf-8"))
         wfile.flush()
 
 

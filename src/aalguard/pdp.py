@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import math
 import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
-from .behavior import BehaviorModel, FeatureVector, classify, trust_score
+from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
+                       trust_score)
 from .engine import infer_fixpoint
 from .facts import Constant, Fact, FactStore, ground
 from .rules import Rule
@@ -93,7 +95,7 @@ class AuthnResult:
     authenticated: str       # yes | no
     mean_used: str
     trust: float
-    behavior_class: str
+    behavior_class: Optional[str]  # None for a non-finite vector
     reason: Optional[str] = None
 
 
@@ -328,12 +330,17 @@ def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
     Yes requires both gates: trust at or above the threshold and a verified
     credential under the selected mean.  The outcome is asserted into the
     store as ``Authenticated(user, yes|no)`` along with the recognized
-    behavior class; earlier outcomes for the same user are replaced.
+    behavior class; earlier outcomes for the same user are replaced.  A
+    vector at a non-finite distance has no class and fails the trust gate.
     """
-    behavior_class, _ = classify(model, req.features)
-    trust = trust_score(model, behavior_class, req.features)
+    try:
+        behavior_class, _ = classify(model, req.features)
+        trust = trust_score(model, behavior_class, req.features)
+    except NonFiniteError:  # no class and no trust
+        behavior_class, trust = None, math.nan
 
-    profile = [ground("HasRecognizedBehavior", req.user, behavior_class)]
+    profile = ([ground("HasRecognizedBehavior", req.user, behavior_class)]
+               if behavior_class is not None else [])
     for value in _capabilities_of(store, req.user):
         profile.append(ground("HasCapability", req.user, value))
     mean = _derive_auth_mean(profile, rules, default_mean)
@@ -348,7 +355,9 @@ def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
     _replace_user_facts(store, "Authenticated", req.user)
     _replace_user_facts(store, "HasRecognizedBehavior", req.user)
     store.assert_fact(ground("Authenticated", req.user, answer))
-    store.assert_fact(ground("HasRecognizedBehavior", req.user, behavior_class))
+    if behavior_class is not None:
+        store.assert_fact(
+            ground("HasRecognizedBehavior", req.user, behavior_class))
 
     if audit_log is not None:
         detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 
+from aalguard.behavior import OrderingError
 from aalguard.facts import Constant, Fact, Variable
 from aalguard.rules import Atom, Rule
 
@@ -155,3 +156,28 @@ def batch_mean(vectors):
     for fv in vectors:
         keys |= set(fv.entries)
     return {k: sum(fv.entries[k] for fv in vectors) / len(vectors) for k in keys}
+
+
+# ---------------------------------------------------------------------------
+# Event stream oracles
+# ---------------------------------------------------------------------------
+
+def scan_user_stream(events, user):
+    """One user's events by a scan of the whole log, checked for order."""
+    stream = [e for e in events if e.user == user]
+    previous = None
+    for event in stream:
+        if previous is not None and event.timestamp < previous.timestamp:
+            raise OrderingError(
+                f"{user}: timestamp {event.timestamp} after {previous.timestamp}")
+        previous = event
+    return stream
+
+
+def scan_users(events):
+    """Users in the order they first appear in the log."""
+    users = []
+    for event in events:
+        if event.user not in users:
+            users.append(event.user)
+    return users

@@ -3,8 +3,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aalguard
+from aalguard import behavior
 from aalguard.behavior import (
     BehaviorClass,
     BehaviorModel,
@@ -23,9 +25,10 @@ from aalguard.behavior import (
     save_model,
     trust_score,
     update_class,
+    users_in,
 )
 
-from oracles import batch_mean, brute_force_nearest
+from oracles import batch_mean, brute_force_nearest, scan_user_stream, scan_users
 
 FIXTURES = Path(aalguard.__file__).parent / "fixtures"
 
@@ -298,6 +301,18 @@ def test_trust_decreases_with_distance():
     assert scores[0] == 1.0
 
 
+@pytest.mark.parametrize("entries", [
+    {"hold:cooking": math.nan}, {"hold:cooking": math.inf},
+    {"hold:a": 1e154, "hold:b": 1e154}])  # squares sum beyond float range
+def test_non_finite_distance_is_rejected(entries):
+    model = two_class_model()
+    fv = FeatureVector(entries)
+    for score in (lambda: classify(model, fv),
+                  lambda: trust_score(model, "class1", fv)):
+        with pytest.raises(ValueError):
+            score()
+
+
 def test_trust_unknown_class_raises():
     with pytest.raises(UnknownClassError):
         trust_score(two_class_model(), "nope", FeatureVector())
@@ -331,6 +346,110 @@ def test_load_events_bad_timestamp_reports_line():
     with pytest.raises(EventFormatError) as err:
         load_events(text)
     assert err.value.line == 2
+
+
+HEADER = "timestamp,user,location,activity\n"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("100,u1,kitchen\n", 2, "expected 4 fields, got 3"),
+    ("100,u1,kitchen,none,extra\n", 2, "expected 4 fields, got 5"),
+    ("100,u1,kitchen,none\n,,,\n\n200,u1,bedroom\n", 5,
+     "expected 4 fields, got 3"),
+    ("100,u1,kitchen,none\n   \n1.5,u1,bedroom,none\n", 4,
+     "bad timestamp '1.5'"),
+    ("100,u1,kitchen,none\n50,u2,hall,none\n90,u1,bedroom,none\n", 4,
+     "events for u1 not sorted (timestamp 90)"),
+])
+def test_load_events_bad_row_reports_line(rows, line, message):
+    with pytest.raises(EventFormatError) as err:
+        load_events(HEADER + rows)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_load_events_skips_blank_rows_and_strips_cells(newline):
+    lines = [" timestamp , user,location,activity ",
+             " 100 , u1 , kitchen , cooking ", ",,,", "   ", "", " , , , ",
+             "160,u1,kitchen,cooking\t"]
+    events = load_events(newline.join(lines) + newline)
+    assert list(events) == [ev("u1", 100, "kitchen", "cooking"),
+                            ev("u1", 160, "kitchen", "cooking")]
+
+
+def test_disordered_in_process_stream_raises_among_other_users():
+    events = [ev("u1", 200, "kitchen"), ev("u2", 0, "hall"),
+              ev("u1", 100, "bedroom")]
+    for extract in (extract_features, moving_time, holding_time,
+                    scan_user_stream):
+        with pytest.raises(OrderingError):
+            extract(events, "u1")
+
+
+# ---------------------------------------------------------------------------
+# Per-user streams grouped at load against the scan oracle
+# ---------------------------------------------------------------------------
+
+USERS = ["u1", "u2", "u3", "u4"]
+ROOMS = ["kitchen", "bedroom", "bath"]
+ACTIVITIES = ["none", "cooking", "sleeping"]
+
+
+@st.composite
+def interleaved_logs(draw):
+    """Several users' events interleaved; each user's timestamps ascend."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(USERS), st.integers(0, 50), st.sampled_from(ROOMS),
+        st.sampled_from(ACTIVITIES)), max_size=60))
+    clock = {}
+    events = []
+    for user, step, room, activity in rows:
+        clock[user] = clock.get(user, 0) + step
+        events.append(ev(user, clock[user], room, activity))
+    return events
+
+
+def _csv(events):
+    return HEADER + "".join(f"{e.timestamp},{e.user},{e.location},{e.activity}\n"
+                            for e in events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interleaved_logs())
+def test_grouped_streams_match_the_scan_oracle(events):
+    loaded = load_events(_csv(events))
+    assert loaded == tuple(events)
+    for log in (loaded, events):
+        assert users_in(log) == scan_users(events)
+        for user in USERS:
+            own = scan_user_stream(events, user)
+            assert moving_time(log, user) == moving_time(own, user)
+            assert holding_time(log, user) == holding_time(own, user)
+            assert extract_features(log, user) == extract_features(own, user)
+
+
+@pytest.mark.parametrize("residents", [10, 40])
+def test_extraction_reads_each_event_a_bounded_number_of_times(
+        monkeypatch, residents):
+    # A scan of the whole log per resident reads every event once per
+    # resident; reading each user's own stream keeps the count per event
+    # independent of the number of residents.
+    reads = [0]
+
+    class CountingEvent(SensorEvent):
+        def __getattribute__(self, name):
+            reads[0] += 1
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(behavior, "SensorEvent", CountingEvent)
+    rows = [f"{t * 10},r{i},{ROOMS[(t + i) % 3]},{ACTIVITIES[t // 2 % 3]}\n"
+            for t in range(20) for i in range(residents)]
+    log = load_events(HEADER + "".join(rows))
+    reads[0] = 0
+    for user in users_in(log):
+        extract_features(log, user)
+    assert reads[0] <= 12 * len(log)
 
 
 def test_model_checkpoint_roundtrip():

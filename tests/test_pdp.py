@@ -384,6 +384,18 @@ def test_threshold_zero_never_flags():
     assert not detect_anomaly(seed_model(), "class2", far, 0.0)
 
 
+def test_nan_recent_vector_is_not_passed_as_normal():
+    # A NaN trust is never below the threshold, so it must raise instead.
+    store = group3_member()
+    log = AuditLog()
+    recent = FeatureVector({"move:bedroom->kitchen": float("nan")})
+    with pytest.raises(ValueError):
+        detect_anomaly(seed_model(), "class2", recent, 0.5)
+    with pytest.raises(ValueError):
+        flag_anomaly(store, seed_model(), "u3", "class2", recent, audit_log=log)
+    assert log.entries() == ()
+
+
 def test_flagged_cognitive_user_gets_emergency_obligation():
     store = group3_member()
     log = AuditLog()

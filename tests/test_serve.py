@@ -1,3 +1,4 @@
+import io
 import json
 import socket
 import subprocess
@@ -104,6 +105,29 @@ def test_over_long_line_is_refused_and_serving_continues():
     assert responses[0]["ok"] is False
     assert "error" in responses[0]
     assert responses[1] == {"ok": True}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_unencodable_reply_becomes_an_error_and_serving_continues(monkeypatch):
+    handle = cli.handle_message
+
+    def nan_reply(state, line):
+        if json.loads(line)["op"] == "authn":
+            return {"ok": True, "trust": float("nan")}
+        return handle(state, line)
+
+    monkeypatch.setattr(cli, "handle_message", nan_reply)
+    wfile = io.BytesIO()
+    cli._serve_lines(None, io.BytesIO(b'{"op": "authn"}\n{"op": "ping"}\n'),
+                     wfile)
+    replies = [json.loads(line, parse_constant=_reject_constant)
+               for line in wfile.getvalue().splitlines()]
+    assert len(replies) == 2
+    assert replies[0]["ok"] is False and "error" in replies[0]
+    assert replies[1] == {"ok": True}
 
 
 def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
