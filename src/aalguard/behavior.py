@@ -16,7 +16,8 @@ import io
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .facts import format_number
 
@@ -51,8 +52,14 @@ class ModelFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SensorEvent:
+class SensorEvent(NamedTuple):
+    """One sensor reading: who, when, in which room, doing what.
+
+    An immutable tuple read by attribute.  Being a tuple, it compares equal
+    to the plain tuple of its fields, ``(user, timestamp, location,
+    activity)``.
+    """
+
     user: str
     timestamp: int
     location: str
@@ -163,16 +170,7 @@ def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
 
     Consecutive events in the same room contribute nothing.
     """
-    return _moves(_user_stream(events, user))
-
-
-def _moves(stream: Sequence[SensorEvent]) -> Dict[Tuple[str, str], List[float]]:
-    out: Dict[Tuple[str, str], List[float]] = {}
-    for before, after in zip(stream, stream[1:]):
-        if before.location != after.location:
-            key = (before.location, after.location)
-            out.setdefault(key, []).append(float(after.timestamp - before.timestamp))
-    return out
+    return _durations(_user_stream(events, user))[0]
 
 
 def holding_time(events, user: str) -> Dict[str, List[float]]:
@@ -180,38 +178,48 @@ def holding_time(events, user: str) -> Dict[str, List[float]]:
 
     A single-event run has duration zero; idle (``none``) never counts.
     """
-    return _holds(_user_stream(events, user))
+    return _durations(_user_stream(events, user))[1]
 
 
-def _holds(stream: Sequence[SensorEvent]) -> Dict[str, List[float]]:
-    out: Dict[str, List[float]] = {}
-    current: Optional[str] = None
-    start = last = 0
+def _durations(stream: Sequence[SensorEvent]
+               ) -> Tuple[Dict[Tuple[str, str], List[float]],
+                          Dict[str, List[float]]]:
+    """Moving and holding durations of one user's stream, in one pass.
 
-    def close_run() -> None:
-        if current is not None and current != IDLE_ACTIVITY:
-            out.setdefault(current, []).append(float(last - start))
-
-    for event in stream:
-        if event.activity == current:
-            last = event.timestamp
-            continue
-        close_run()
-        current = event.activity
-        start = last = event.timestamp
-    close_run()
-    return out
+    Each list keeps its durations in stream order, so
+    ``sum(durations) / len(durations)`` is bit-identical to the mean of a
+    separate pass per feature.
+    """
+    moves: Dict[Tuple[str, str], List[float]] = {}
+    holds: Dict[str, List[float]] = {}
+    if not stream:
+        return moves, holds
+    _, start, room, current = stream[0]
+    last = start
+    for _, timestamp, location, activity in stream:
+        if location != room:
+            moves.setdefault((room, location), []).append(float(timestamp - last))
+            room = location
+        if activity != current:
+            if current != IDLE_ACTIVITY:
+                holds.setdefault(current, []).append(float(last - start))
+            current = activity
+            start = timestamp
+        last = timestamp
+    if current != IDLE_ACTIVITY:
+        holds.setdefault(current, []).append(float(last - start))
+    return moves, holds
 
 
 def extract_features(events, user: str) -> FeatureVector:
     """Per-key mean of the moving and holding duration lists."""
-    stream = _user_stream(events, user)
+    moves, holds = _durations(_user_stream(events, user))
     fv = FeatureVector()
-    for (src, dst), durations in _moves(stream).items():
+    for (src, dst), durations in moves.items():
         key = move_key(src, dst)
         fv.entries[key] = sum(durations) / len(durations)
         fv.support[key] = len(durations)
-    for activity, durations in _holds(stream).items():
+    for activity, durations in holds.items():
         key = hold_key(activity)
         fv.entries[key] = sum(durations) / len(durations)
         fv.support[key] = len(durations)
@@ -288,18 +296,28 @@ def load_events(text: str) -> EventLog:
             f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}", 1)
     events: List[SensorEvent] = []
     streams: Dict[str, List[SensorEvent]] = {}
+    shared: Dict[str, str] = {}  # one string object per distinct cell text
     for lineno, row in enumerate(reader, start=2):
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
-            continue
-        if len(cells) != 4:
+        if len(row) == 4:
+            raw_ts, user, location, activity = row
+            raw_ts = raw_ts.strip()
+            user = user.strip()
+            location = location.strip()
+            activity = activity.strip()
+            if not (raw_ts or user or location or activity):
+                continue
+        else:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
             raise EventFormatError(f"expected 4 fields, got {len(cells)}", lineno)
-        raw_ts, user, location, activity = cells
         try:
             timestamp = int(raw_ts)
         except ValueError:
             raise EventFormatError(f"bad timestamp {raw_ts!r}", lineno) from None
-        event = SensorEvent(user, timestamp, location, activity)
+        event = SensorEvent(shared.setdefault(user, user), timestamp,
+                            shared.setdefault(location, location),
+                            shared.setdefault(activity, activity))
         if not _file_event(streams, event):
             raise EventFormatError(
                 f"events for {user} not sorted (timestamp {timestamp})", lineno)

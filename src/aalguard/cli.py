@@ -261,7 +261,7 @@ def handle_message(state: ServeState, line: str) -> dict:
         msg = json.loads(line)
         if not isinstance(msg, dict):
             raise ValueError("message must be a JSON object")
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:  # RecursionError: deep nesting
         return {"ok": False, "error": f"bad message: {err}"}
     op = msg.get("op")
     try:

@@ -21,9 +21,10 @@ import hmac
 import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_score)
@@ -135,19 +136,23 @@ class AuditEntry:
     outcome: str
 
 
-def _escape_detail(detail: str) -> str:
-    return (detail.replace("\\", "\\\\").replace("|", "\\|")
-            .replace("\n", "\\n"))
+def _escape(text: str) -> str:
+    """Escape request text for one field: no separator, no line break."""
+    return (text.replace("\\", "\\\\").replace("|", "\\|")
+            .replace("\n", "\\n").replace("\r", "\\r"))
 
 
-def _unescape_detail(detail: str) -> str:
+_UNESCAPED = {"n": "\n", "r": "\r"}
+
+
+def _unescape(text: str) -> str:
     out = []
     i = 0
-    while i < len(detail):
-        ch = detail[i]
-        if ch == "\\" and i + 1 < len(detail):
-            nxt = detail[i + 1]
-            out.append("\n" if nxt == "n" else nxt)
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append(_UNESCAPED.get(nxt, nxt))
             i += 2
             continue
         out.append(ch)
@@ -155,40 +160,68 @@ def _unescape_detail(detail: str) -> str:
     return "".join(out)
 
 
+# seq|time|kind|subject|outcome|detail; subject and detail are escaped.
+_ENTRY_RE = re.compile(
+    r"(\d+)\|([^|]*)\|([^|]*)\|((?:[^|\\]|\\.)*)\|([^|]*)\|(.*)", re.DOTALL)
+
+
 def serialize_entry(entry: AuditEntry) -> str:
-    return "|".join([str(entry.seq), entry.time, entry.kind, entry.subject,
-                     entry.outcome, _escape_detail(entry.detail)])
+    return "|".join([str(entry.seq), entry.time, entry.kind,
+                     _escape(entry.subject), entry.outcome,
+                     _escape(entry.detail)])
 
 
 def parse_entry(line: str) -> AuditEntry:
-    parts = line.split("|", 5)
-    if len(parts) != 6:
+    match = _ENTRY_RE.fullmatch(line)
+    if match is None:
         raise AuditError(f"malformed audit line: {line!r}")
-    seq, time, kind, subject, outcome, detail = parts
-    return AuditEntry(seq=int(seq), time=time, kind=kind, subject=subject,
-                      detail=_unescape_detail(detail), outcome=outcome)
+    seq, time, kind, subject, outcome, detail = match.groups()
+    return AuditEntry(seq=int(seq), time=time, kind=kind,
+                      subject=_unescape(subject), detail=_unescape(detail),
+                      outcome=outcome)
+
+
+AUDIT_TAIL = 1024  # newest entries an AuditLog keeps in memory
+
+
+def _last_line(path) -> str:
+    """The last non-empty line of a file, read backwards from its end."""
+    with open(path, "rb") as fh:
+        pos = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while pos > 0 and b"\n" not in tail.rstrip(b"\n"):
+            step = min(pos, 4096)
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+    return tail.rstrip(b"\n").rpartition(b"\n")[2].decode("utf-8", "replace")
 
 
 class AuditLog:
     """Append-only accounting log, optionally backed by a file.
 
     Sequence numbers increase gap-free from 1 within a log; a log opened on
-    an existing file continues the sequence found there.
+    an existing file reads only its last line and continues that sequence.
+    Memory holds a counter and the newest ``AUDIT_TAIL`` entries appended
+    through this log; the file holds every entry (``AuditLog.load``).
     """
 
     def __init__(self, path=None, *, truncate: bool = False):
         self._path = path
-        self._entries: List[AuditEntry] = []
+        self._seq = 0
+        self._tail: Deque[AuditEntry] = deque(maxlen=AUDIT_TAIL)
         if path is not None:
             if truncate:
                 open(path, "w", encoding="utf-8").close()
             elif os.path.exists(path):
-                self._entries = list(self.load(path))
+                last = _last_line(path)
+                if last:
+                    self._seq = parse_entry(last).seq
 
     def append(self, kind: str, subject: str, outcome: str,
                detail: str = "") -> AuditEntry:
         entry = AuditEntry(
-            seq=len(self._entries) + 1,
+            seq=self._seq + 1,
             time=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             kind=kind,
             subject=subject,
@@ -201,11 +234,13 @@ class AuditLog:
                     fh.write(serialize_entry(entry) + "\n")
             except OSError as err:
                 raise AuditError(f"audit append failed: {err}") from err
-        self._entries.append(entry)
+        self._seq = entry.seq
+        self._tail.append(entry)
         return entry
 
     def entries(self) -> Tuple[AuditEntry, ...]:
-        return tuple(self._entries)
+        """The newest entries appended through this log, oldest first."""
+        return tuple(self._tail)
 
     @property
     def path(self):
@@ -214,7 +249,7 @@ class AuditLog:
     @staticmethod
     def load(path) -> List[AuditEntry]:
         with open(path, "r", encoding="utf-8") as fh:
-            return [parse_entry(line) for line in fh.read().splitlines() if line]
+            return [parse_entry(line) for line in fh.read().split("\n") if line]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ into the code paths under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 
-from aalguard.behavior import OrderingError
+from aalguard.behavior import EventFormatError, OrderingError
 from aalguard.facts import Constant, Fact, Variable
 from aalguard.rules import Atom, Rule
 
@@ -181,3 +183,42 @@ def scan_users(events):
         if event.user not in users:
             users.append(event.user)
     return users
+
+
+def reference_load_events(text):
+    """The row-list event CSV loader: field tuples in file order and streams.
+
+    Reads every row into a list of stripped cells, skips rows whose cells
+    are all blank, and raises ``EventFormatError`` with the message and line
+    the real loader promises.  Returns ``(rows, streams)``: the
+    ``(user, timestamp, location, activity)`` tuples, and a dict from each
+    user, in first-seen order, to that user's tuples.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise EventFormatError("missing header", 1)
+    header = [cell.strip() for cell in rows[0]]
+    expected = ["timestamp", "user", "location", "activity"]
+    if header != expected:
+        raise EventFormatError(
+            f"expected header {','.join(expected)}, got {','.join(header)}", 1)
+    out, streams = [], {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if len(cells) != 4:
+            raise EventFormatError(f"expected 4 fields, got {len(cells)}", lineno)
+        raw_ts, user, location, activity = cells
+        try:
+            timestamp = int(raw_ts)
+        except ValueError:
+            raise EventFormatError(f"bad timestamp {raw_ts!r}", lineno) from None
+        stream = streams.setdefault(user, [])
+        if stream and timestamp < stream[-1][1]:
+            raise EventFormatError(
+                f"events for {user} not sorted (timestamp {timestamp})", lineno)
+        row_tuple = (user, timestamp, location, activity)
+        stream.append(row_tuple)
+        out.append(row_tuple)
+    return out, streams

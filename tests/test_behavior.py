@@ -28,7 +28,8 @@ from aalguard.behavior import (
     users_in,
 )
 
-from oracles import batch_mean, brute_force_nearest, scan_user_stream, scan_users
+from oracles import (batch_mean, brute_force_nearest, reference_load_events,
+                     scan_user_stream, scan_users)
 
 FIXTURES = Path(aalguard.__file__).parent / "fixtures"
 
@@ -387,6 +388,89 @@ def test_disordered_in_process_stream_raises_among_other_users():
             extract(events, "u1")
 
 
+def test_sensor_event_is_an_immutable_tuple():
+    event = SensorEvent("u1", 100, "kitchen")
+    assert event == ev("u1", 100, "kitchen", "none") == ("u1", 100, "kitchen",
+                                                         "none")
+    assert (event.user, event.timestamp, event.location, event.activity) == event
+    with pytest.raises(AttributeError):
+        event.user = "u2"
+
+
+def test_loaded_events_share_one_string_per_distinct_cell_text():
+    rows = [f"{t}, u{t % 3} ,{ROOMS[t % 2]}, {ACTIVITIES[t % 3]}\n"
+            for t in range(30)]
+    events = load_events(HEADER + "".join(rows))
+    cells = [cell for e in events for cell in (e.user, e.location, e.activity)]
+    assert len({id(cell) for cell in cells}) == len(set(cells)) == 8
+
+
+# ---------------------------------------------------------------------------
+# Event loader against the row-list oracle
+# ---------------------------------------------------------------------------
+
+def _padded(draw, text):
+    # A quote opens a quoted cell only as a cell's first character.
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    return ("" if text.startswith('"') else draw(pad)) + text + draw(pad)
+
+
+@st.composite
+def event_csv_texts(draw):
+    """Event CSV text with padding, blank and sparse rows, quoted cells, bad rows."""
+    ordered, faults = draw(st.booleans()), draw(st.booleans())
+    kinds = ["event"] * 8 + ["sparse"] + (["short", "long", "timestamp"]
+                                          if faults else [])
+    clock = {}
+    lines = [_padded(draw, "timestamp") + "," + _padded(draw, "user") +
+             ",location," + _padded(draw, "activity")]
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "sparse":
+            lines.append(draw(st.sampled_from(["", ",,,", "   ", " , , , ",
+                                               ",,", ",,,,", ",,,cooking",
+                                               "5,,,"])))
+            continue
+        user = draw(st.sampled_from(USERS[:3]))
+        if ordered:
+            clock[user] = clock.get(user, 0) + draw(st.integers(0, 30))
+            raw_ts = str(clock[user])
+        else:
+            raw_ts = str(draw(st.integers(0, 60)))
+        if kind == "timestamp":
+            raw_ts = draw(st.sampled_from(["1.5", "x", "", "1e3", "0x10"]))
+        cells = [raw_ts, user,
+                 draw(st.sampled_from(ROOMS + ['" living room "', '"hall,east"'])),
+                 draw(st.sampled_from(ACTIVITIES + ['"tv, news"', '""', "  "]))]
+        if kind == "short":
+            del cells[draw(st.integers(0, 3))]
+        elif kind == "long":
+            cells.append(draw(st.sampled_from(["extra", "", '"a,b"'])))
+        lines.append(",".join(_padded(draw, cell) for cell in cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _outcome(load, text):
+    try:
+        return load(text), None
+    except EventFormatError as err:
+        return None, (type(err), str(err), err.line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_csv_texts())
+def test_loader_matches_the_row_list_oracle(text):
+    got, got_error = _outcome(load_events, text)
+    want, want_error = _outcome(reference_load_events, text)
+    assert got_error == want_error
+    if want is not None:
+        rows, streams = want
+        assert [tuple(event) for event in got] == rows
+        assert [(user, [tuple(e) for e in stream])
+                for user, stream in got.streams.items()] == list(streams.items())
+
+
 # ---------------------------------------------------------------------------
 # Per-user streams grouped at load against the scan oracle
 # ---------------------------------------------------------------------------
@@ -441,6 +525,10 @@ def test_extraction_reads_each_event_a_bounded_number_of_times(
         def __getattribute__(self, name):
             reads[0] += 1
             return super().__getattribute__(name)
+
+        def __iter__(self):  # unpacking reads every field
+            reads[0] += len(self)
+            return super().__iter__()
 
     monkeypatch.setattr(behavior, "SensorEvent", CountingEvent)
     rows = [f"{t * 10},r{i},{ROOMS[(t + i) % 3]},{ACTIVITIES[t // 2 % 3]}\n"

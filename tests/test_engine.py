@@ -159,6 +159,38 @@ def test_fixture_fixpoint_reads_few_facts_per_resident(monkeypatch):
     assert len(calls) < 20 * residents
 
 
+def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
+    # With one OpenDoor request and one device per resident, a decision
+    # rule whose atoms do not all name the requester joins every request
+    # once per Group3 resident, so the reads per resident grow with U.
+    capabilities = ("hearing", "visual", "cognitive", "physical", "no")
+    calls = []
+    unify = engine.unify_against_fact
+
+    def counted(*args):
+        calls.append(1)
+        return unify(*args)
+
+    monkeypatch.setattr(engine, "unify_against_fact", counted)
+    per_resident = []
+    for residents in (100, 400):
+        store = FactStore()
+        for i in range(residents):
+            user = f"r{i:04d}"
+            store.assert_fact(ground("HasCapability", user,
+                                     Constant.string(capabilities[i % 5])))
+            store.assert_fact(ground("HasRecognizedBehavior", user,
+                                     ("class1", "class2")[i % 2]))
+            store.assert_fact(ground("AskedService", user, "OpenDoor"))
+            store.assert_fact(ground("UsedDevice", user, "VisualAid"))
+        calls.clear()
+        infer_fixpoint(store, load_fixture_rules())
+        per_resident.append(len(calls) / residents)
+    # About 8 at both sizes; 18 and 48 with the draft's alzheimer-deny.
+    assert per_resident[1] <= per_resident[0] * 1.1
+    assert per_resident[1] < 20
+
+
 def test_fixpoint_idempotent():
     rng = random.Random(102)
     for _ in range(40):

@@ -5,6 +5,7 @@ import pytest
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.facts import Constant, FactStore, ground
 from aalguard.pdp import (
+    AuditError,
     AuditLog,
     AuthnRequest,
     AuthzRequest,
@@ -23,6 +24,8 @@ from aalguard.pdp import (
     verify_password,
 )
 from aalguard.rules import parse_ruleset
+from aalguard import pdp, scenarios
+from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
 
 RULES = load_fixture_rules()
@@ -203,6 +206,22 @@ def test_group3_open_door_at_midnight_denied():
     assert decision.priority == 3
 
 
+def test_midnight_deny_for_one_resident_does_not_leak_to_another():
+    config = Config()
+    store = FactStore()
+    scenarios.prime_store(store, RULES,
+                          scenarios.load_fixture_model(config.distance_floor),
+                          scenarios.load_fixture_credentials(), config=config)
+    u1_day = AuthzRequest("u1", "OpenDoor", context={"time": "10.00"})
+    before = authorize(u1_day, store, RULES)
+    u3_night = authorize(AuthzRequest("u3", "OpenDoor",
+                                      context={"time": "00.00"}), store, RULES)
+    after = authorize(u1_day, store, RULES)
+    assert u3_night.effect == "deny"
+    assert "alzheimer-deny" in u3_night.rationale
+    assert before.rationale == after.rationale == ["default-deny"]
+
+
 def test_group1_alert_permitted_with_visual_recommendation():
     store = FactStore()
     store.assert_fact(ground("Authenticated", "u1", "yes"))
@@ -345,6 +364,53 @@ def test_log_continues_sequence_across_reopen(tmp_path):
     AuditLog(path).append("authn", "u1", "yes")
     log = AuditLog(path)
     assert log.append("authz", "u1", "permit").seq == 2
+
+
+def test_memory_keeps_a_bounded_tail_and_the_file_every_entry(tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog(path)
+    total = pdp.AUDIT_TAIL + 10
+    for i in range(total):
+        log.append("authz", f"u{i}", "deny")
+    tail = log.entries()
+    assert len(tail) == pdp.AUDIT_TAIL
+    assert [e.seq for e in tail] == list(range(11, total + 1))
+    assert [e.seq for e in AuditLog.load(path)] == list(range(1, total + 1))
+
+
+def test_reopen_parses_only_the_last_line(tmp_path, monkeypatch):
+    path = tmp_path / "audit.log"
+    first = AuditLog(path)
+    for outcome in ("yes", "permit", "deny"):
+        first.append("authz", "u1", outcome, "x" * 5000)
+    parsed = []
+    parse = pdp.parse_entry
+    monkeypatch.setattr(pdp, "parse_entry",
+                        lambda line: parsed.append(line) or parse(line))
+    log = AuditLog(path)
+    assert len(parsed) == 1
+    assert log.append("authn", "u1", "yes").seq == 4
+
+
+@pytest.mark.parametrize("last", ["garbage", "x|t|authz|u1|deny|", "7|t|authz"])
+def test_reopen_on_a_malformed_last_line_raises(tmp_path, last):
+    path = tmp_path / "audit.log"
+    AuditLog(path).append("authn", "u1", "yes")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(last + "\n")
+    with pytest.raises(AuditError):
+        AuditLog(path)
+
+
+def test_request_text_in_subject_and_detail_stays_on_one_line(tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog(path)
+    odd = "a|b\\c\nd\re\u2028f"
+    written = [log.append("authz", odd, "deny", f"service={odd}"),
+               log.append("authn", "u1", "yes", odd)]
+    assert len(path.read_text(encoding="utf-8").split("\n")) == 3
+    assert AuditLog.load(path) == written
+    assert AuditLog(path).append("authn", "u1", "no").seq == 3
 
 
 def test_entry_roundtrip_with_newline_in_detail():

@@ -1,11 +1,13 @@
 import io
 import json
+import math
 import socket
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aalguard import cli, pdp, scenarios
 from aalguard.config import Config
@@ -130,16 +132,20 @@ def test_unencodable_reply_becomes_an_error_and_serving_continues(monkeypatch):
     assert replies[1] == {"ok": True}
 
 
-def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
-    # The benchmark's per-layer trace wraps these module attributes.
+def primed_state() -> cli.ServeState:
     config = Config()
     rules = scenarios.load_fixture_rules()
     model = scenarios.load_fixture_model(config.distance_floor)
     credentials = scenarios.load_fixture_credentials()
     store = FactStore()
     scenarios.prime_store(store, rules, model, credentials, config=config)
-    state = cli.ServeState(store, rules, model, credentials, config,
-                           pdp.AuditLog())
+    return cli.ServeState(store, rules, model, credentials, config,
+                          pdp.AuditLog())
+
+
+def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
+    # The benchmark's per-layer trace wraps these module attributes.
+    state = primed_state()
     calls = {"authenticate": 0, "authorize": 0}
 
     def counting(name):
@@ -157,6 +163,84 @@ def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
     authz = cli.handle_message(state, json.dumps(SCENARIO_REQUESTS[0]))
     assert authn["ok"] is True and authz["ok"] is True
     assert calls == {"authenticate": 1, "authorize": 1}
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed messages against a primed serving state
+# ---------------------------------------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=8)
+                | st.integers() | st.integers(10 ** 399, 10 ** 400)
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+FEATURE_KEYS = ["hold:cooking", "hold:watching_tv", "move:kitchen->livingroom"]
+FIELD_VALUES = {
+    "op": st.sampled_from(["ping", "authn", "authorize", "query", "stats",
+                           "PING", ""]),
+    "user": st.sampled_from(["u1", "u2", "u3", "nobody", "u1|x\nseq"]),
+    "password": st.sampled_from(["door-chime-7", "wrong", ""]),
+    "tag": st.sampled_from(["tag-u3-0042", "tag-u1"]),
+    "features": st.dictionaries(
+        st.sampled_from(FEATURE_KEYS),
+        st.floats(allow_nan=True, allow_infinity=True)
+        | st.integers(-10 ** 400, 10 ** 400),
+        max_size=3),
+    "service": st.sampled_from(["OpenDoor", "ReadAlert", "Read\rAlert|x\\n"]),
+    "device": st.sampled_from(["VisualAid", "AudioAid"]),
+    "context": st.dictionaries(
+        st.sampled_from(["time", "location", "activity", "weather"]),
+        st.sampled_from(["00.00", "10.00", "25.99", "corridor", "noon"]),
+        max_size=2),
+    "q": st.sampled_from(["SELECT ?u WHERE { BehaviorCapability(?u, Group3) }",
+                          "SELECT ?u WHERE {", "SELECT ?x WHERE { P(?u) }"]),
+}
+
+
+@st.composite
+def fuzz_lines(draw):
+    """A message line: known fields with fitting or arbitrary JSON values."""
+    message = {}
+    names = draw(st.lists(st.sampled_from([*FIELD_VALUES, "extra"]),
+                          unique=True, max_size=7))
+    for name in ["op", "user", *names]:
+        fitting = FIELD_VALUES.get(name)
+        arbitrary = fitting is None or draw(st.integers(0, 3)) == 0
+        message[name] = draw(JSON_VALUES if arbitrary else fitting)
+    shape = draw(st.sampled_from(["object", "object", "object", "value"]))
+    return json.dumps(message if shape == "object" else draw(JSON_VALUES))
+
+
+@pytest.fixture(scope="module")
+def fuzz_state():
+    return primed_state()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=fuzz_lines())
+@example(line="[" * 100000)
+@example(line='{"op": "authn", "user": "u1", "password": "door-chime-7", '
+              '"features": {"hold:cooking": NaN}}')
+@example(line='{"op": "authn", "user": "u3", "tag": "tag-u3-0042", '
+              '"features": {"hold:cooking": Infinity, "hold:x": -Infinity}}')
+@example(line='{"op": "authorize", "user": "u1", "service": "OpenDoor", '
+              '"context": {"time": {"deep": [1, [2, [3]]]}}}')
+def test_fuzzed_messages_get_a_reply_and_never_authenticate_on_bad_trust(
+        fuzz_state, tmp_path, line):
+    audit_path = tmp_path / "audit.log"
+    fuzz_state.audit_log = pdp.AuditLog(audit_path, truncate=True)
+    reply = cli.handle_message(fuzz_state, line)
+    assert isinstance(reply, dict)
+    assert type(reply["ok"]) is bool
+    if reply.get("authenticated") == "yes":
+        assert math.isfinite(reply["trust"])
+    assert cli.handle_message(fuzz_state, '{"op": "ping"}') == {"ok": True}
+    # Request text never breaks an audit line.
+    assert pdp.AuditLog.load(audit_path) == list(fuzz_state.audit_log.entries())
 
 
 def test_tcp_socket_mode(tmp_path):
