@@ -9,7 +9,8 @@ error, 2 I/O error.
 Serve mode reads one JSON request per line from standard input
 (``--listen -``) or a TCP socket (``--listen host:port``) and answers one
 JSON response per line, in order; a malformed message or a line over
-``MAX_LINE_BYTES`` yields an error response and the loop continues.
+``MAX_LINE_BYTES`` yields an error response and the loop continues.  A TCP
+connection past ``MAX_CONNECTIONS`` gets one error line and is closed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 MAX_LINE_BYTES = 1 << 20  # longest serve request line, newline excluded
+MAX_CONNECTIONS = 64      # TCP connections served at once
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,11 +230,16 @@ def cmd_scenario(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 class ServeState:
-    """Shared serving state; decision evaluation is single-writer."""
+    """Shared serving state; decision evaluation is single-writer.
+
+    The rules are compiled once here, into the policy ``authorize`` runs
+    and the authentication-mean table ``authenticate`` reads.
+    """
 
     def __init__(self, store, rules, model, credentials, config, audit_log):
         self.store = store
-        self.rules = rules
+        self.means = pdp.AuthMeans(rules)
+        self.policy = self.means.policy
         self.model = model
         self.credentials = credentials
         self.config = config
@@ -278,7 +285,7 @@ def handle_message(state: ServeState, line: str) -> dict:
                                        features=_features_from_message(msg))
             with state.lock:
                 result = pdp.authenticate(
-                    request, state.store, state.rules, state.model,
+                    request, state.store, state.means, state.model,
                     state.credentials,
                     trust_threshold=state.config.trust_threshold,
                     default_mean=state.config.default_auth_mean,
@@ -294,7 +301,7 @@ def handle_message(state: ServeState, line: str) -> dict:
                 context=dict(msg.get("context") or {}))
             with state.lock:
                 decision = pdp.authorize(
-                    request, state.store, state.rules,
+                    request, state.store, state.policy,
                     priority_table=state.config.priority_table,
                     audit_log=state.audit_log)
             return {"ok": True, "effect": decision.effect,
@@ -347,6 +354,45 @@ def _serve_lines(state: ServeState, rfile, wfile) -> None:
         wfile.flush()
 
 
+def make_server(state: ServeState, host: str,
+                port: int) -> socketserver.ThreadingTCPServer:
+    """A TCP server that answers each connection with ``_serve_lines``.
+
+    At most ``MAX_CONNECTIONS`` connections are served at once.  One past
+    the cap gets a single error line and is closed, without a thread; the
+    connections already held keep being served.
+    """
+    slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+    refusal = (json.dumps({"ok": False, "error": "too many connections "
+                           f"(limit {MAX_CONNECTIONS})"}) + "\n").encode("utf-8")
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            _serve_lines(state, self.rfile, self.wfile)
+
+    class Server(socketserver.ThreadingTCPServer):
+        allow_reuse_address = True
+        daemon_threads = True
+
+        def process_request(self, request, client_address):
+            if not slots.acquire(blocking=False):
+                try:
+                    request.sendall(refusal)
+                except OSError:
+                    pass
+                self.shutdown_request(request)
+                return
+            super().process_request(request, client_address)
+
+        def process_request_thread(self, request, client_address):
+            try:
+                super().process_request_thread(request, client_address)
+            finally:
+                slots.release()
+
+    return Server((host, port), Handler)
+
+
 def cmd_serve(args, config: Config) -> int:
     store = _load_store(args, config)
     rules = _load_rules(args, config)
@@ -368,7 +414,7 @@ def cmd_serve(args, config: Config) -> int:
     state = ServeState(store, rules, model, credentials, config, audit_log)
 
     if args.prime_scenarios:
-        scenarios.prime_store(state.store, state.rules, state.model,
+        scenarios.prime_store(state.store, state.means, state.model,
                               state.credentials, audit_log=None, config=config)
 
     if args.listen == "-":
@@ -380,15 +426,7 @@ def cmd_serve(args, config: Config) -> int:
         print(f"bad --listen address: {args.listen!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    class Handler(socketserver.StreamRequestHandler):
-        def handle(self):
-            _serve_lines(state, self.rfile, self.wfile)
-
-    class Server(socketserver.ThreadingTCPServer):
-        allow_reuse_address = True
-        daemon_threads = True
-
-    with Server((host, int(port)), Handler) as server:
+    with make_server(state, host, int(port)) as server:
         actual_host, actual_port = server.server_address[:2]
         print(f"listening on {actual_host}:{actual_port}", flush=True)
         try:

@@ -4,7 +4,9 @@ Evaluation is semi-naive: each pass only considers rule-body matches that
 touch at least one fact derived in the previous pass, so the engine scales
 with the volume of new facts rather than re-deriving everything.  The result
 set is exactly the least fixpoint a naive iterate-until-stable evaluation
-would reach; only the iteration count differs.
+would reach; only the iteration count differs.  Rules are compiled once
+into a :class:`Policy`, and a pass joins a rule through a body atom only
+when the delta holds a fact of that atom's predicate.
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
 and contradictory authentication outcomes) and derivation explanations built
@@ -14,7 +16,7 @@ from the justifications recorded while inferring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Union
 
 from .facts import (
     Constant,
@@ -73,13 +75,33 @@ class Derivation:
         return not self.premises
 
 
-def _check_rules(rules: Iterable[Rule]) -> None:
-    for rule in rules:
-        for violation in validate_rule(rule):
-            if violation.kind == "unsupported-builtin":
-                raise UnsupportedBuiltinError(violation.message)
-            raise InvalidRuleError(
-                f"rule {rule.id or format_rule(rule)}: {violation.message}")
+class Policy:
+    """A rule list compiled once for repeated evaluation.
+
+    Each rule is validated here, so a fixpoint over a policy pays no
+    validation.  The policy keeps each rule's id (``rule<n>`` when it has
+    none) and the lower-cased predicate of each body atom, which lets a
+    semi-naive pass skip the pivots that no delta fact can match.
+    """
+
+    def __init__(self, rules: Iterable[Rule]):
+        self.rules = tuple(rules)
+        for rule in self.rules:
+            for violation in validate_rule(rule):
+                if violation.kind == "unsupported-builtin":
+                    raise UnsupportedBuiltinError(violation.message)
+                raise InvalidRuleError(
+                    f"rule {rule.id or format_rule(rule)}: {violation.message}")
+        self.rule_ids = tuple(rule.id or f"rule{i + 1}"
+                              for i, rule in enumerate(self.rules))
+        self.body_predicates = tuple(
+            tuple(atom.predicate.lower() for atom in rule.body)
+            for rule in self.rules)
+
+    @classmethod
+    def of(cls, rules) -> "Policy":
+        """``rules`` itself when already compiled, else its compilation."""
+        return rules if isinstance(rules, cls) else cls(rules)
 
 
 def _instantiate(atom, binding: dict, rule_id: str) -> Fact:
@@ -124,27 +146,32 @@ def _join(store: FactStore, body, pivot: int, delta_keys: set):
     return results
 
 
-def infer_fixpoint(store: FactStore, rules: List[Rule]) -> InferenceReport:
+def infer_fixpoint(store: FactStore,
+                   rules: Union[Policy, Iterable[Rule]]) -> InferenceReport:
     """Materialize the least fixpoint of ``rules`` over ``store`` in place.
 
-    The engine takes the writer role for the duration of the call.  Rules
-    must be safe; rules naming reserved built-ins are rejected before any
-    firing.  Derived facts are recorded with the id of the rule that first
-    produced them, together with the premise facts, for later explanation.
+    ``rules`` is a :class:`Policy` or a rule list, which is compiled on the
+    call.  The engine takes the writer role for the duration of the call.
+    Rules must be safe; rules naming reserved built-ins are rejected before
+    any firing.  Derived facts are recorded with the id of the rule that
+    first produced them, together with the premise facts, for later
+    explanation.
     """
-    rules = list(rules)
-    _check_rules(rules)
-    rule_ids = [rule.id or f"rule{i + 1}" for i, rule in enumerate(rules)]
-    firings = {rid: 0 for rid in rule_ids}
+    policy = Policy.of(rules)
+    firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
 
     delta_keys = {fact.key() for fact in store}
     iterations = 0
     while True:
         iterations += 1
+        delta_predicates = {predicate for predicate, _ in delta_keys}
         pending: dict = {}  # key -> (fact, premises)
-        for rule, rule_id in zip(rules, rule_ids):
-            for pivot in range(len(rule.body)):
+        for rule, rule_id, predicates in zip(policy.rules, policy.rule_ids,
+                                             policy.body_predicates):
+            for pivot, predicate in enumerate(predicates):
+                if predicate not in delta_predicates:
+                    continue  # no delta fact can match the pivot atom
                 for binding, premises in _join(store, rule.body, pivot,
                                                delta_keys):
                     for head_atom in rule.head:

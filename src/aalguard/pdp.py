@@ -1,9 +1,10 @@
 """Security layer: authentication, authorization decisions and accounting.
 
 Authentication runs a pipeline: classify the requester's recent features
-against the behavior model, score trust, pick the authentication mean the
-policy rules prescribe for that capability/class combination, then verify
-the presented credential under that mean.  Authorization asserts the request
+against the behavior model, score trust, look up the authentication mean
+the policy rules prescribe for that capability/class combination (the mean
+rules are compiled to a table once per policy), then verify the presented
+credential under that mean.  Authorization asserts the request
 context into a working snapshot of the store, runs the rule engine, and
 combines every ``hasAccess`` / ``Obligation`` / ``Recommendation`` fact that
 names the user or one of their groups.
@@ -24,12 +25,13 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_score)
-from .engine import infer_fixpoint
-from .facts import Constant, Fact, FactStore, ground
+from .engine import InvalidRuleError, Policy, infer_fixpoint
+from .facts import (INFERRED, Constant, Fact, FactStore, Variable,
+                    coerce_constant, ground)
 from .rules import Rule
 
 PASSWORD_MEAN = "username/password"
@@ -293,39 +295,132 @@ def load_credentials_file(path) -> Dict[str, Tuple[str, str]]:
 # Authentication
 # ---------------------------------------------------------------------------
 
-def _derive_auth_mean(profile_facts: List[Fact], rules: List[Rule],
-                      default_mean: str) -> str:
+_PROFILE_PREDICATES = frozenset({"hasrecognizedbehavior", "hascapability"})
+
+
+class AuthMeans:
+    """The authentication-mean rules of a policy, compiled to a lookup.
+
+    A mean rule has the one head ``Authentication(<constant>)`` and a body
+    of ``HasRecognizedBehavior(?u, <class>)`` and
+    ``HasCapability(?u, <capability>)`` atoms.  For a class and a list of
+    capabilities the mean is that of the first mean rule, in rule order,
+    whose body holds, or the default when none does: the mean a fixpoint
+    over just those profile facts derives (:func:`select_auth_mean`).
+
+    A policy where that fixpoint could depend on more is refused with
+    :class:`InvalidRuleError` naming the rule: a rule with another
+    ``Authentication`` head, a mean rule of another shape, or a rule that
+    could fire on profile facts and derive a class, a capability or a mean.
+    """
+
+    def __init__(self, rules):
+        self.policy = Policy.of(rules)
+        self._rows = []  # (class keys, capability keys, mean), rule order
+        reachable = set(_PROFILE_PREDICATES)
+        fires = set()  # rules that may fire on profile facts alone
+        while True:
+            before = len(fires)
+            for i, predicates in enumerate(self.policy.body_predicates):
+                if i not in fires and reachable.issuperset(predicates):
+                    fires.add(i)
+                    reachable.update(atom.predicate.lower()
+                                     for atom in self.policy.rules[i].head)
+            if len(fires) == before:
+                break
+        for i, (rule, rule_id) in enumerate(zip(self.policy.rules,
+                                                self.policy.rule_ids)):
+            heads = {atom.predicate.lower() for atom in rule.head}
+            if "authentication" in heads:
+                self._rows.append(_mean_row(rule, rule_id))
+            elif i in fires and heads & _PROFILE_PREDICATES:
+                raise InvalidRuleError(
+                    f"rule {rule_id}: derives a behavior class or capability "
+                    "from profile facts, so the authentication mean is not "
+                    "a lookup")
+
+    @classmethod
+    def of(cls, rules) -> "AuthMeans":
+        """``rules`` itself when already compiled, else its compilation."""
+        return rules if isinstance(rules, cls) else cls(rules)
+
+    def select(self, behavior_class: Optional[str],
+               capabilities: List[Constant], default_mean: str) -> str:
+        classes = _class_keys(behavior_class)
+        held = {value.key() for value in capabilities}
+        for class_keys, capability_keys, mean in self._rows:
+            if class_keys <= classes and capability_keys <= held:
+                return mean
+        return default_mean
+
+
+def _class_keys(behavior_class: Optional[str]) -> set:
+    """The key of a recognized class as a set; empty for no class."""
+    if behavior_class is None:
+        return set()
+    return {coerce_constant(behavior_class).key()}
+
+
+def _mean_row(rule: Rule, rule_id: str) -> tuple:
+    """A mean rule as ``(class keys, capability keys, mean)``."""
+    head = rule.head[0]
+    if len(rule.head) != 1 or len(head.terms) != 1 \
+            or not isinstance(head.terms[0], Constant):
+        raise InvalidRuleError(
+            f"rule {rule_id}: an Authentication head must be the rule's only "
+            "head and name one constant mean")
+    required = {predicate: set() for predicate in _PROFILE_PREDICATES}
+    for atom in rule.body:
+        keys = required.get(atom.predicate.lower())
+        if keys is None or len(atom.terms) != 2 \
+                or not isinstance(atom.terms[0], Variable) \
+                or not isinstance(atom.terms[1], Constant):
+            raise InvalidRuleError(
+                f"rule {rule_id}: a mean rule's body atoms must be "
+                "HasRecognizedBehavior(?u, <class>) or "
+                "HasCapability(?u, <capability>)")
+        keys.add(atom.terms[1].key())
+    return (frozenset(required["hasrecognizedbehavior"]),
+            frozenset(required["hascapability"]), head.terms[0].text())
+
+
+def select_auth_mean(capabilities, behavior_class: Optional[str], rules,
+                     default_mean: str = DEFAULT_AUTH_MEAN) -> str:
+    """Authentication mean the rules prescribe for capabilities and a class.
+
+    ``capabilities`` is one capability or a list of them; a ``None`` class
+    stands for a vector that has none.  The rules run to fixpoint over these
+    profile facts alone: when several means derive, the first by rule order
+    wins, and when none does, the configured default applies.  This is the
+    reference :class:`AuthMeans` answers from a table.
+    """
+    if isinstance(capabilities, str):
+        capabilities = [capabilities]
+    subject = "candidate"
     scratch = FactStore()
-    for fact in profile_facts:
-        scratch.assert_fact(fact)
-    report = infer_fixpoint(scratch, rules)
-    for fact in report.derived:
+    if behavior_class is not None:
+        scratch.assert_fact(
+            ground("HasRecognizedBehavior", subject, behavior_class))
+    for value in capabilities:
+        scratch.assert_fact(ground("HasCapability", subject, value))
+    for fact in infer_fixpoint(scratch, rules).derived:
         if fact.predicate.lower() == "authentication" and len(fact.args) == 1:
             return fact.args[0].text()
     return default_mean
 
 
-def select_auth_mean(capability: str, behavior_class: str, rules: List[Rule],
-                     default_mean: str = DEFAULT_AUTH_MEAN) -> str:
-    """Authentication mean the rules prescribe for a capability and class.
+_VALUE = Variable("value")
 
-    Pure: same inputs, same mean.  When several means derive, the first by
-    rule order wins; when none does, the configured default applies.
-    """
-    subject = "candidate"
-    return _derive_auth_mean(
-        [ground("HasRecognizedBehavior", subject, behavior_class),
-         ground("HasCapability", subject, capability)],
-        rules, default_mean)
+
+def _facts_about(store: FactStore, predicate: str, user: str) -> tuple:
+    """The ``predicate`` facts whose first argument is ``user``, in store
+    order, read from the index bucket of that argument."""
+    return store.candidates(predicate, (Constant.symbol(user), _VALUE), {})
 
 
 def _capabilities_of(store: FactStore, user: str) -> List[Constant]:
-    user_constant = Constant.symbol(user)
-    values = []
-    for fact in store.facts_for("HasCapability"):
-        if len(fact.args) == 2 and fact.args[0] == user_constant:
-            values.append(fact.args[1])
-    return values
+    return [fact.args[1] for fact in _facts_about(store, "HasCapability", user)
+            if len(fact.args) == 2]
 
 
 def _verify_credential(mean: str, credential: Optional[Credential],
@@ -349,13 +444,19 @@ def _verify_credential(mean: str, credential: Optional[Credential],
 
 
 def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
+    for fact in _facts_about(store, predicate, user):
+        store.retract_fact(fact.predicate, fact.args)
+
+
+def _retract_inferred_about(store: FactStore, user: str) -> None:
     user_constant = Constant.symbol(user)
-    for fact in store.facts_for(predicate):
-        if fact.args and fact.args[0] == user_constant:
+    for fact in store.facts():
+        if fact.origin == INFERRED and user_constant in fact.args:
             store.retract_fact(fact.predicate, fact.args)
 
 
-def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
+def authenticate(req: AuthnRequest, store: FactStore,
+                 means: Union[AuthMeans, Policy, List[Rule]],
                  model: BehaviorModel, credentials: Dict[str, Tuple[str, str]],
                  *, trust_threshold: float = DEFAULT_TRUST_THRESHOLD,
                  default_mean: str = DEFAULT_AUTH_MEAN,
@@ -365,20 +466,22 @@ def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
     Yes requires both gates: trust at or above the threshold and a verified
     credential under the selected mean.  The outcome is asserted into the
     store as ``Authenticated(user, yes|no)`` along with the recognized
-    behavior class; earlier outcomes for the same user are replaced.  A
+    behavior class; earlier outcomes for the same user are replaced.  When
+    that changes or removes the user's class, every inferred fact naming
+    the user is retracted too, since it may rest on the old class.  A
     vector at a non-finite distance has no class and fails the trust gate.
+    ``means`` is the policy's :class:`AuthMeans`, or its rules, which are
+    compiled on the call.
     """
+    means = AuthMeans.of(means)
     try:
         behavior_class, _ = classify(model, req.features)
         trust = trust_score(model, behavior_class, req.features)
     except NonFiniteError:  # no class and no trust
         behavior_class, trust = None, math.nan
 
-    profile = ([ground("HasRecognizedBehavior", req.user, behavior_class)]
-               if behavior_class is not None else [])
-    for value in _capabilities_of(store, req.user):
-        profile.append(ground("HasCapability", req.user, value))
-    mean = _derive_auth_mean(profile, rules, default_mean)
+    mean = means.select(behavior_class, _capabilities_of(store, req.user),
+                        default_mean)
 
     verified, reason = _verify_credential(mean, req.credential,
                                           credentials.get(req.user))
@@ -387,6 +490,11 @@ def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
         reason = f"trust {trust:.3f} below threshold {trust_threshold}"
     answer = "yes" if verified else "no"
 
+    held = {fact.args[1].key() for fact in
+            _facts_about(store, "HasRecognizedBehavior", req.user)
+            if len(fact.args) == 2}
+    if held and held != _class_keys(behavior_class):
+        _retract_inferred_about(store, req.user)
     _replace_user_facts(store, "Authenticated", req.user)
     _replace_user_facts(store, "HasRecognizedBehavior", req.user)
     store.assert_fact(ground("Authenticated", req.user, answer))
@@ -407,7 +515,8 @@ def authenticate(req: AuthnRequest, store: FactStore, rules: List[Rule],
 # Group assignment and authorization
 # ---------------------------------------------------------------------------
 
-def assign_group(store: FactStore, rules: List[Rule]) -> List[Fact]:
+def assign_group(store: FactStore,
+                 rules: Union[Policy, List[Rule]]) -> List[Fact]:
     """Materialize the store and return the newly derived group memberships."""
     report = infer_fixpoint(store, rules)
     return [f for f in report.derived
@@ -415,12 +524,9 @@ def assign_group(store: FactStore, rules: List[Rule]) -> List[Fact]:
 
 
 def groups_of(store: FactStore, user: str) -> List[Constant]:
-    user_constant = Constant.symbol(user)
-    groups = []
-    for fact in store.facts_for("BehaviorCapability"):
-        if len(fact.args) == 2 and fact.args[0] == user_constant:
-            groups.append(fact.args[1])
-    return groups
+    return [fact.args[1]
+            for fact in _facts_about(store, "BehaviorCapability", user)
+            if len(fact.args) == 2]
 
 
 def _request_facts(req: AuthzRequest) -> List[Fact]:
@@ -477,7 +583,8 @@ def _collect(working: FactStore, subjects: set):
     return permits, denies, obligations, recommendations, rationale
 
 
-def authorize(req: AuthzRequest, store: FactStore, rules: List[Rule],
+def authorize(req: AuthzRequest, store: FactStore,
+              rules: Union[Policy, List[Rule]],
               *, priority_table: Optional[Dict[str, int]] = None,
               audit_log: Optional[AuditLog] = None) -> Decision:
     """Evaluate an access request against the policy rules.

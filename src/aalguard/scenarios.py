@@ -116,13 +116,15 @@ def _recent_events(name: str) -> list:
     return _scenario_events(name)
 
 
-def _admit(name: str, store: FactStore, rules, model, credentials,
-           config: Config, audit_log) -> Tuple[pdp.AuthnResult, bool]:
+def _admit(name: str, store: FactStore, means: pdp.AuthMeans, model,
+           credentials, config: Config,
+           audit_log) -> Tuple[pdp.AuthnResult, bool]:
     """Take one fixture resident through the pipeline up to authorization.
 
     Loads the resident's profile facts into ``store``, authenticates them
-    from their fixture stream, assigns groups and runs the anomaly check on
-    the recent stream against the class authentication recognized.
+    from their fixture stream, assigns groups under the compiled policy and
+    runs the anomaly check on the recent stream against the class
+    authentication recognized.
     """
     fixture = SCENARIOS[name]
     load_facts(fixture_text("scenarios", name, "facts.kb"), store)
@@ -131,11 +133,11 @@ def _admit(name: str, store: FactStore, rules, model, credentials,
         pdp.AuthnRequest(user=fixture.user,
                          credential=FIXTURE_SECRETS.get(fixture.user),
                          features=features),
-        store, rules, model, credentials,
+        store, means, model, credentials,
         trust_threshold=config.trust_threshold,
         default_mean=config.default_auth_mean,
         audit_log=audit_log)
-    pdp.assign_group(store, rules)
+    pdp.assign_group(store, means.policy)
     recent = behavior.extract_features(_recent_events(name), fixture.user)
     flagged = pdp.flag_anomaly(store, model, fixture.user, authn.behavior_class,
                                recent, threshold=config.anomaly_threshold,
@@ -152,19 +154,19 @@ def run_scenario(name: str, audit_path=None,
     config = config or Config()
 
     store = FactStore()
-    rules = load_fixture_rules()
+    means = pdp.AuthMeans(load_fixture_rules())
     model = load_fixture_model(config.distance_floor)
     credentials = load_fixture_credentials()
     audit_log = pdp.AuditLog(audit_path, truncate=True) if audit_path \
         else pdp.AuditLog()
-    authn, flagged = _admit(name, store, rules, model, credentials, config,
+    authn, flagged = _admit(name, store, means, model, credentials, config,
                             audit_log)
     groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
 
     decision = pdp.authorize(
         pdp.AuthzRequest(user=fixture.user, service=fixture.service,
                          device=fixture.device, context=dict(fixture.context)),
-        store, rules, priority_table=config.priority_table,
+        store, means.policy, priority_table=config.priority_table,
         audit_log=audit_log)
 
     checks = [
@@ -205,8 +207,10 @@ def prime_store(store: FactStore, rules, model, credentials, audit_log=None,
 
     Admits each resident in turn (profile facts, authentication, groups and
     the anomaly check), so a serving process can answer the scenario
-    authorization requests straight away.
+    authorization requests straight away.  ``rules`` is a rule list or a
+    compiled :class:`pdp.AuthMeans`.
     """
     config = config or Config()
+    means = pdp.AuthMeans.of(rules)
     for name in SCENARIO_NAMES:
-        _admit(name, store, rules, model, credentials, config, audit_log)
+        _admit(name, store, means, model, credentials, config, audit_log)

@@ -134,6 +134,75 @@ def test_fixpoint_matches_naive_oracle_under_twins_and_recasing():
         assert store_keys(store) == naive_fixpoint(_fact_tuples(facts), rules)
 
 
+def _run(facts, rules):
+    """Derived facts, iterations, firings and justifications of one run."""
+    store = FactStore()
+    for fact in facts:
+        store.assert_fact(fact)
+    report = infer_fixpoint(store, rules)
+    derived = [(f.render(), f.rule_id, f.origin) for f in report.derived]
+    justifications = [
+        (f.render(), store.justification(f).rule_id,
+         [p.render() for p in store.justification(f).premises])
+        for f in report.derived]
+    return (derived, report.iterations, report.rule_firings,
+            justifications), store
+
+
+def test_policy_and_rule_list_paths_agree_with_the_naive_oracle():
+    rng = random.Random(108)
+    for _ in range(200):
+        facts, rules = random_instance(rng)
+        compiled, compiled_store = _run(facts, engine.Policy(rules))
+        listed, listed_store = _run(facts, list(rules))
+        assert compiled == listed
+        assert store_keys(compiled_store) == store_keys(listed_store) \
+            == naive_fixpoint(_fact_tuples(facts), rules)
+
+
+def test_policy_keeps_rule_ids_and_lower_cased_body_predicates():
+    rules = parse_ruleset("A(?x) ^ hasB(?x) -> C(?x)\n\n"
+                          "@id: named\nC(?x) -> D(?x)")
+    policy = engine.Policy(rules)
+    assert policy.rule_ids == ("rule1", "named")
+    assert policy.body_predicates == (("a", "hasb"), ("c",))
+    assert engine.Policy.of(policy) is policy
+
+
+def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
+    rules = parse_ruleset("A(?x) -> B(?x)\n\nB(?x) ^ C(?x) -> D(?x)")
+    store = FactStore(vocabulary=())
+    store.assert_fact(ground("A", "c1"))
+    store.assert_fact(ground("C", "c1"))
+    joined = []
+    join = engine._join
+
+    def recording(store, body, pivot, delta_keys):
+        joined.append((body[pivot].predicate, pivot))
+        return join(store, body, pivot, delta_keys)
+    monkeypatch.setattr(engine, "_join", recording)
+    report = infer_fixpoint(store, rules)
+    assert [f.render() for f in report.derived] == ["B(c1)", "D(c1)"]
+    # Pass 1 has A and C facts in its delta, pass 2 only B, pass 3 only D.
+    assert joined == [("A", 0), ("C", 1), ("B", 0)]
+
+
+def test_compiled_policy_is_validated_once(monkeypatch):
+    calls = []
+    validate = engine.validate_rule
+
+    def counting(rule):
+        calls.append(rule)
+        return validate(rule)
+    monkeypatch.setattr(engine, "validate_rule", counting)
+    rules = load_fixture_rules()
+    policy = engine.Policy(rules)
+    assert len(calls) == len(rules)
+    infer_fixpoint(behavioral_store(), policy)
+    infer_fixpoint(behavioral_store(), policy)
+    assert len(calls) == len(rules)
+
+
 def test_fixture_fixpoint_reads_few_facts_per_resident(monkeypatch):
     residents = 400
     capabilities = ("hearing", "visual", "cognitive", "physical", "no")

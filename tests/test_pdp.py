@@ -3,7 +3,8 @@ import random
 import pytest
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
-from aalguard.facts import Constant, FactStore, ground
+from aalguard.engine import InvalidRuleError
+from aalguard.facts import Constant, Fact, FactStore, coerce_constant, ground
 from aalguard.pdp import (
     AuditError,
     AuditLog,
@@ -24,7 +25,7 @@ from aalguard.pdp import (
     verify_password,
 )
 from aalguard.rules import parse_ruleset
-from aalguard import pdp, scenarios
+from aalguard import engine, pdp, scenarios
 from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
 
@@ -74,6 +75,153 @@ def test_unmatched_combination_falls_back_to_default():
 def test_select_auth_mean_is_deterministic():
     for _ in range(5):
         assert select_auth_mean("physical", "class2", RULES) == "tag-mean"
+
+
+# Mean rules of every shape the table holds: class only, capability only,
+# two capabilities, a quoted twin of a bare constant, an unsatisfiable pair
+# of classes, and a later rule shadowed by an earlier one.
+MEAN_SHAPES = parse_ruleset("""
+@id: two-caps
+HasCapability(?u, visual) ^ HasCapability(?u, "physical") -> Authentication(badge)
+
+@id: class-only
+HasRecognizedBehavior(?u, class3) -> Authentication(face)
+
+@id: other-subjects
+HasRecognizedBehavior(?a, "class1") ^ HasCapability(?b, hearing) -> Authentication(voice)
+
+@id: never
+HasRecognizedBehavior(?u, class1) ^ HasRecognizedBehavior(?u, class2) -> Authentication(none)
+
+@id: cap-only
+HasCapability(?u, cognitive) -> Authentication(tag-mean)
+
+@id: shadowed
+HasCapability(?u, cognitive) ^ HasRecognizedBehavior(?u, class2) -> Authentication(pin)
+
+@id: group
+HasRecognizedBehavior(?u, class2) ^ HasCapability(?u, cognitive) -> BehaviorCapability(?u, Group3)
+""")
+
+
+def _profile_constants(rules, predicate):
+    values = []
+    for rule in rules:
+        for atom in rule.body:
+            if atom.predicate.lower() == predicate.lower():
+                text = atom.terms[1].text()
+                if text not in values:
+                    values.append(text)
+    return values
+
+
+@pytest.mark.parametrize("rules", [RULES, MEAN_SHAPES],
+                         ids=["fixture", "shapes"])
+def test_mean_table_matches_the_fixpoint_oracle(rules):
+    means = pdp.AuthMeans(rules)
+    classes = [*_profile_constants(rules, "HasRecognizedBehavior"),
+               "class9", None]
+    capabilities = [*_profile_constants(rules, "HasCapability"), "unknown"]
+    lists = [[]] + [[c] for c in capabilities] + [
+        [a, b] for a in capabilities for b in capabilities if a != b]
+    assert ["cognitive", "physical"] in lists  # u3's profile
+    for behavior_class in classes:
+        for held in lists:
+            for default in ("username/password", "badge"):
+                expected = select_auth_mean(held, behavior_class, rules,
+                                            default_mean=default)
+                constants = [coerce_constant(c) for c in held]
+                assert means.select(behavior_class, constants,
+                                    default) == expected, (behavior_class, held)
+
+
+@pytest.mark.parametrize("text, rule_id", [
+    ("@id: open\nHasCapability(?u, ?c) -> Authentication(x)", "open"),
+    ("@id: bound\nHasCapability(u1, no) -> Authentication(x)", "bound"),
+    ("@id: per-user\nHasCapability(?u, no) -> Authentication(?u)", "per-user"),
+    ("@id: two-heads\nHasCapability(?u, no) -> Authentication(x) ^ Seen(?u, x)",
+     "two-heads"),
+    ("@id: grouped\nBehaviorCapability(?u, Group1) -> Authentication(x)",
+     "grouped"),
+    ("@id: pair\nHasCapability(?u, no) -> Authentication(x, y)", "pair"),
+    ("@id: makes-class\nHasCapability(?u, no) -> HasRecognizedBehavior(?u, c1)",
+     "makes-class"),
+    ("HasCapability(?u, no) -> Flag(?u, on)\n\n"
+     "@id: chained\nFlag(?u, on) -> HasCapability(?u, visual)", "chained"),
+])
+def test_mean_table_refuses_a_policy_it_cannot_represent(text, rule_id):
+    with pytest.raises(InvalidRuleError, match=f"rule {rule_id}:"):
+        pdp.AuthMeans(parse_ruleset(text))
+
+
+def test_mean_table_accepts_class_rules_that_profile_facts_cannot_fire():
+    # behavior-class1 derives a class, but only from activity facts; so
+    # does a rule that also reads a capability.
+    assert any(rule.id == "behavior-class1" for rule in RULES)
+    rules = RULES + parse_ruleset(
+        "HasCapability(?u, no) ^ HasActivity(?u, cooking) "
+        "-> HasRecognizedBehavior(?u, class2)")
+    assert pdp.AuthMeans(rules).select("class1", [coerce_constant("no")],
+                                       "badge") == "username/password"
+
+
+def test_compiled_authn_runs_no_fixpoint_and_authorize_no_validation(
+        monkeypatch):
+    means = pdp.AuthMeans(RULES)
+    calls = {"infer_fixpoint": 0, "validate_rule": 0}
+
+    def counting(module, name):
+        wrapped = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    counting(pdp, "infer_fixpoint")
+    counting(engine, "validate_rule")
+    store = FactStore()
+    store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
+    result = authenticate(
+        AuthnRequest("u1", Credential("password", "open-sesame"),
+                     at_centroid("class1")),
+        store, means, seed_model(), make_credentials())
+    assert result.authenticated == "yes"
+    assert calls == {"infer_fixpoint": 0, "validate_rule": 0}
+    authorize(AuthzRequest("u1", "ReadAlert"), store, means.policy)
+    assert calls == {"infer_fixpoint": 1, "validate_rule": 0}
+    authorize(AuthzRequest("u1", "ReadAlert"), store, RULES)
+    assert calls == {"infer_fixpoint": 2, "validate_rule": len(RULES)}
+
+
+def _scan(store, predicate, user):
+    """The second arguments of ``predicate(user, _)`` by a full scan."""
+    return [fact.args[1] for fact in store.facts_for(predicate)
+            if len(fact.args) == 2 and fact.args[0].key() == (
+                Constant.symbol(user).key())]
+
+
+def test_per_user_lookups_read_the_index_in_scan_order():
+    rng = random.Random(7)
+    store = FactStore()
+    users = ["u1", "u2", "u3", "r10"]
+    for _ in range(200):
+        user = rng.choice(users)
+        subject = rng.choice([Constant.symbol(user), Constant.string(user)])
+        predicate = rng.choice(["HasCapability", "BehaviorCapability",
+                                "HasTime"])
+        value = Constant.string(rng.choice(["no", "visual", "Group1", "x"]))
+        args = rng.choice([(subject, value), (subject,),
+                           (subject, value, Constant.symbol("extra")),
+                           (value, subject)])
+        store.assert_fact(Fact(predicate, args))
+        if rng.random() < 0.2:
+            victim = rng.choice(store.facts())
+            store.retract_fact(victim.predicate, victim.args)
+    for user in users + ["nobody"]:
+        assert pdp._capabilities_of(store, user) == _scan(
+            store, "HasCapability", user)
+        assert pdp.groups_of(store, user) == _scan(
+            store, "BehaviorCapability", user)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -163,6 +164,104 @@ def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
     authz = cli.handle_message(state, json.dumps(SCENARIO_REQUESTS[0]))
     assert authn["ok"] is True and authz["ok"] is True
     assert calls == {"authenticate": 1, "authorize": 1}
+
+
+CLASS2_CENTROID = {"hold:cooking": 1200, "hold:watching_tv": 1800,
+                   "move:kitchen->livingroom": 60,
+                   "move:livingroom->kitchen": 60}
+
+
+def test_reclassification_drops_the_groups_of_the_old_class():
+    state = primed_state()
+    group_query = json.dumps(
+        {"op": "query", "q": "SELECT ?g WHERE { BehaviorCapability(u1, ?g) }"})
+    assert cli.handle_message(state, group_query)["rows"] == [{"g": "Group1"}]
+    authn = cli.handle_message(state, json.dumps(
+        {"op": "authn", "user": "u1", "password": "door-chime-7",
+         "features": CLASS2_CENTROID}))
+    assert authn["authenticated"] == "yes" and authn["class"] == "class2"
+    decision = cli.handle_message(state, json.dumps(SCENARIO_REQUESTS[0]))
+    assert decision["effect"] == "deny"
+    assert decision["rationale"] == ["default-deny"]
+    assert cli.handle_message(state, group_query)["rows"] == []
+    # Other residents keep what was derived for them.
+    assert pdp.groups_of(state.store, "u2")[0].text() == "Group2"
+
+
+def test_reauthentication_in_the_same_class_keeps_the_groups():
+    state = primed_state()
+    cli.handle_message(state, json.dumps(
+        {"op": "authn", "user": "u2", "password": "braille-lane-9",
+         "features": CLASS2_CENTROID}))
+    assert [g.text() for g in pdp.groups_of(state.store, "u2")] == ["Group2"]
+
+
+def test_serve_refuses_a_policy_whose_mean_is_not_a_lookup(tmp_path):
+    rules = tmp_path / "chained.swl"
+    rules.write_text("HasCapability(?u, no) -> Flag(?u, on)\n\n"
+                     "@id: chained\nFlag(?u, on) -> HasCapability(?u, visual)\n",
+                     encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "aalguard", "serve", "--listen", "-",
+         "--rules", str(rules)],
+        capture_output=True, text=True, input="", timeout=120)
+    assert result.returncode == cli.EXIT_VALIDATION
+    assert "rule chained:" in result.stderr
+
+
+def _read_line(conn) -> dict:
+    raw = b""
+    while not raw.endswith(b"\n"):
+        chunk = conn.recv(4096)
+        if not chunk:
+            break
+        raw += chunk
+    return json.loads(raw) if raw else None
+
+
+def test_connections_past_the_cap_are_refused_and_held_ones_served(
+        monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CONNECTIONS", 2)
+    server = cli.make_server(primed_state(), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    address = server.server_address[:2]
+    ping = (json.dumps({"op": "ping"}) + "\n").encode("utf-8")
+    held = []
+    try:
+        for _ in range(2):
+            conn = socket.create_connection(address, timeout=10)
+            held.append(conn)
+            conn.sendall(ping)
+            assert _read_line(conn) == {"ok": True}
+        with socket.create_connection(address, timeout=10) as extra:
+            refusal = _read_line(extra)
+            assert refusal["ok"] is False
+            assert "too many connections" in refusal["error"]
+            assert extra.recv(4096) == b""  # closed after the one line
+        for conn in held:
+            conn.sendall(ping)
+            assert _read_line(conn) == {"ok": True}
+        held.pop().close()
+        # The freed slot is released once its handler sees the close.
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                with socket.create_connection(address, timeout=10) as conn:
+                    conn.sendall(ping)
+                    if _read_line(conn) == {"ok": True}:
+                        break
+            except ConnectionResetError:  # refused before the ping was read
+                pass
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        for conn in held:
+            conn.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------------------
