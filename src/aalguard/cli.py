@@ -263,6 +263,29 @@ def _features_from_message(msg: dict) -> behavior.FeatureVector:
     return fv
 
 
+_STATUS_FIELDS = {"VmHWM": "vm_hwm_kb", "VmRSS": "vm_rss_kb"}
+
+
+def _memory_kb() -> dict:
+    """This process's peak and current resident set size in kB.
+
+    Read from ``/proc/self/status`` (``VmHWM``, ``VmRSS``); each is None
+    where that file does not exist.  ``ru_maxrss`` is not used: a process
+    started by vfork and exec inherits its parent's peak in it.
+    """
+    out = dict.fromkeys(_STATUS_FIELDS.values())
+    try:
+        with open("/proc/self/status", encoding="ascii",
+                  errors="replace") as fh:
+            for line in fh:
+                name, _, value = line.partition(":")
+                if name in _STATUS_FIELDS:
+                    out[_STATUS_FIELDS[name]] = int(value.split()[0])
+    except OSError:
+        pass
+    return out
+
+
 def handle_message(state: ServeState, line: str) -> dict:
     try:
         msg = json.loads(line)
@@ -312,11 +335,15 @@ def handle_message(state: ServeState, line: str) -> dict:
         if op == "query":
             parsed = query.parse_query(str(msg["q"]))
             with state.lock:
-                snapshot = state.store.snapshot()
-            rows = query.eval_query(snapshot, parsed)
+                rows = query.eval_query(state.store, parsed)
             return {"ok": True,
                     "rows": [{name: row[name].text() for name in parsed.select}
                              for row in rows]}
+        if op == "stats":
+            with state.lock:
+                facts, audit_seq = len(state.store), state.audit_log.seq
+            return {"ok": True, **_memory_kb(), "facts": facts,
+                    "audit_seq": audit_seq}
         return {"ok": False, "error": f"unknown op: {op!r}"}
     except KeyError as err:
         return {"ok": False, "error": f"missing field: {err.args[0]!r}"}
@@ -417,13 +444,20 @@ def cmd_serve(args, config: Config) -> int:
         scenarios.prime_store(state.store, state.means, state.model,
                               state.credentials, audit_log=None, config=config)
 
-    if args.listen == "-":
+    try:
+        return _listen(state, args.listen)
+    finally:
+        audit_log.close()
+
+
+def _listen(state: ServeState, listen: str) -> int:
+    if listen == "-":
         _serve_lines(state, sys.stdin.buffer, sys.stdout.buffer)
         return EXIT_OK
 
-    host, _, port = args.listen.rpartition(":")
+    host, _, port = listen.rpartition(":")
     if not host or not port.isdigit():
-        print(f"bad --listen address: {args.listen!r}", file=sys.stderr)
+        print(f"bad --listen address: {listen!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
     with make_server(state, host, int(port)) as server:

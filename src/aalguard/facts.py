@@ -168,6 +168,23 @@ def coerce_constant(value: object) -> Constant:
     return Constant.string(text)
 
 
+def fact_key(predicate: str, args: tuple) -> tuple:
+    """The identity of a fact: its lower-cased predicate and argument keys.
+
+    Checks the predicate name, the arity and the argument types as a
+    :class:`Fact` does, and raises what constructing one would, so a store
+    lookup can compute the key of raw values without building a probe fact.
+    """
+    if not SYMBOL_RE.fullmatch(predicate):
+        raise FactError(f"invalid predicate name: {predicate!r}")
+    if not 1 <= len(args) <= MAX_ARITY:
+        raise ArityError(f"{predicate}: arity {len(args)} outside 1..{MAX_ARITY}")
+    for a in args:
+        if not isinstance(a, Constant):
+            raise FactError(f"fact argument is not a Constant: {a!r}")
+    return (predicate.lower(), tuple(a._key for a in args))
+
+
 @dataclass(frozen=True, eq=False)
 class Fact:
     """A ground predicate over 1-3 constants, asserted or inferred."""
@@ -178,20 +195,11 @@ class Fact:
     rule_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not SYMBOL_RE.fullmatch(self.predicate):
-            raise FactError(f"invalid predicate name: {self.predicate!r}")
         args = tuple(self.args)
-        if not 1 <= len(args) <= MAX_ARITY:
-            raise ArityError(
-                f"{self.predicate}: arity {len(args)} outside 1..{MAX_ARITY}"
-            )
-        for a in args:
-            if not isinstance(a, Constant):
-                raise FactError(f"fact argument is not a Constant: {a!r}")
+        key = fact_key(self.predicate, args)
         object.__setattr__(self, "args", args)
         if self.origin not in (ASSERTED, INFERRED):
             raise FactError(f"unknown origin: {self.origin!r}")
-        key = (self.predicate.lower(), tuple(a._key for a in args))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -263,7 +271,8 @@ class FactStore:
     a scan of :meth:`facts_for` would.
 
     Single-writer, multiple-reader contract: callers serialize mutations;
-    readers that need a stable view take a :meth:`snapshot` first.
+    readers that need a stable view hold the lock that serializes them, or
+    take a :meth:`snapshot` first.
     Justifications recorded here are not truth-maintained across retraction;
     inference is re-run on a fresh snapshot instead.
     """
@@ -323,9 +332,27 @@ class FactStore:
             best = self._index.get(predicate, {})
         return tuple(best.values())
 
+    def facts_naming(self, value: Constant) -> tuple:
+        """The stored facts that hold ``value`` at any argument position.
+
+        Read from the argument index, one bucket per predicate and
+        position, so no fact that leaves ``value`` out is read.  The facts
+        come grouped by predicate, then position, each group in insertion
+        order.
+        """
+        key = value.key()
+        found: dict = {}
+        for predicate in self._index:
+            for position in range(MAX_ARITY):
+                bucket = self._by_arg.get((predicate, position, key))
+                if bucket is not None:
+                    found.update(bucket)
+        return tuple(found.values())
+
     def get(self, predicate: str, args) -> Optional[Fact]:
-        probe = Fact(predicate, tuple(coerce_constant(a) for a in args))
-        return self._facts.get(probe.key())
+        """The stored fact with this predicate and these raw values, if any."""
+        return self._facts.get(
+            fact_key(predicate, tuple(coerce_constant(a) for a in args)))
 
     def holds(self, predicate: str, *values: object) -> bool:
         return self.get(predicate, values) is not None
@@ -367,10 +394,9 @@ class FactStore:
         on a fresh snapshot when that matters.
         """
         try:
-            probe = Fact(predicate, tuple(coerce_constant(a) for a in args))
+            key = fact_key(predicate, tuple(coerce_constant(a) for a in args))
         except ArityError:
             return False
-        key = probe.key()
         if key not in self._facts:
             return False
         del self._facts[key]

@@ -206,10 +206,16 @@ class AuditLog:
     an existing file reads only its last line and continues that sequence.
     Memory holds a counter and the newest ``AUDIT_TAIL`` entries appended
     through this log; the file holds every entry (``AuditLog.load``).
+
+    The file is opened for appending at the first entry and stays open
+    until :meth:`close`; each entry is written as one line and flushed, so
+    the file reads the same as if it were opened for every entry, also
+    when several logs append to one path in turn.
     """
 
     def __init__(self, path=None, *, truncate: bool = False):
         self._path = path
+        self._file = None
         self._seq = 0
         self._tail: Deque[AuditEntry] = deque(maxlen=AUDIT_TAIL)
         if path is not None:
@@ -232,13 +238,30 @@ class AuditLog:
         )
         if self._path is not None:
             try:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(serialize_entry(entry) + "\n")
+                if self._file is None:
+                    self._file = open(self._path, "a", encoding="utf-8")
+                self._file.write(serialize_entry(entry) + "\n")
+                self._file.flush()
             except OSError as err:
+                try:  # drop the buffer, so a failed line is not written later
+                    self.close()
+                except OSError:
+                    pass
                 raise AuditError(f"audit append failed: {err}") from err
         self._seq = entry.seq
         self._tail.append(entry)
         return entry
+
+    def close(self) -> None:
+        """Close the file; a later append opens it again."""
+        file, self._file = self._file, None
+        if file is not None:
+            file.close()
+
+    @property
+    def seq(self) -> int:
+        """The sequence number of the newest entry; 0 before the first."""
+        return self._seq
 
     def entries(self) -> Tuple[AuditEntry, ...]:
         """The newest entries appended through this log, oldest first."""
@@ -449,9 +472,8 @@ def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
 
 
 def _retract_inferred_about(store: FactStore, user: str) -> None:
-    user_constant = Constant.symbol(user)
-    for fact in store.facts():
-        if fact.origin == INFERRED and user_constant in fact.args:
+    for fact in store.facts_naming(Constant.symbol(user)):
+        if fact.origin == INFERRED:
             store.retract_fact(fact.predicate, fact.args)
 
 

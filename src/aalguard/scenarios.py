@@ -159,15 +159,19 @@ def run_scenario(name: str, audit_path=None,
     credentials = load_fixture_credentials()
     audit_log = pdp.AuditLog(audit_path, truncate=True) if audit_path \
         else pdp.AuditLog()
-    authn, flagged = _admit(name, store, means, model, credentials, config,
-                            audit_log)
-    groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
+    try:
+        authn, flagged = _admit(name, store, means, model, credentials,
+                                config, audit_log)
+        groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
 
-    decision = pdp.authorize(
-        pdp.AuthzRequest(user=fixture.user, service=fixture.service,
-                         device=fixture.device, context=dict(fixture.context)),
-        store, means.policy, priority_table=config.priority_table,
-        audit_log=audit_log)
+        decision = pdp.authorize(
+            pdp.AuthzRequest(user=fixture.user, service=fixture.service,
+                             device=fixture.device,
+                             context=dict(fixture.context)),
+            store, means.policy, priority_table=config.priority_table,
+            audit_log=audit_log)
+    finally:
+        audit_log.close()
 
     checks = [
         ("authenticated", authn.authenticated == "yes"),

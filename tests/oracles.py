@@ -11,9 +11,11 @@ import csv
 import io
 import math
 import random
+import re
 
 from aalguard.behavior import EventFormatError, OrderingError
-from aalguard.facts import Constant, Fact, Variable
+from aalguard.facts import (ArityError, Constant, Fact, FactError, Variable,
+                            coerce_constant)
 from aalguard.rules import Atom, Rule
 
 
@@ -83,6 +85,44 @@ def _all_bindings(body, facts):
 
 def store_keys(store) -> set:
     return {fact.key() for fact in store}
+
+
+# ---------------------------------------------------------------------------
+# Fact lookups by a probe Fact
+# ---------------------------------------------------------------------------
+
+_PREDICATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_/.\-]*")
+
+
+def _probe_key(predicate, args):
+    """The key of a probe fact built from raw values; raises what it does.
+
+    The predicate name is checked here too, against its grammar, so the
+    reference does not rest only on the check it is compared with.
+    """
+    probe = Fact(predicate, tuple(coerce_constant(a) for a in args))
+    if not _PREDICATE_NAME.fullmatch(predicate):
+        raise FactError(f"invalid predicate name: {predicate!r}")
+    return probe.key()
+
+
+def reference_get(facts, predicate, args):
+    """``FactStore.get`` over ``facts``, a dict from key to stored fact."""
+    return facts.get(_probe_key(predicate, args))
+
+
+def reference_holds(facts, predicate, *values):
+    return reference_get(facts, predicate, values) is not None
+
+
+def reference_retract(facts, predicate, args):
+    """``FactStore.retract_fact`` on ``facts``: a probe of the wrong arity
+    is absent, any other invalid probe raises."""
+    try:
+        key = _probe_key(predicate, args)
+    except ArityError:
+        return False
+    return facts.pop(key, None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalguard.facts import (
     ArityError,
@@ -15,6 +16,8 @@ from aalguard.facts import (
     unify_against_fact,
 )
 from aalguard.rules import Atom
+
+from oracles import reference_get, reference_holds, reference_retract
 
 
 def sym(text):
@@ -247,6 +250,99 @@ def test_index_agrees_with_scan_across_edits_and_snapshots():
                 assert store.match(atom) == [
                     row[2] for row in _lookup(store.facts_for(predicate),
                                               predicate, terms, {})]
+
+
+# ---------------------------------------------------------------------------
+# Lookups by key against lookups by a probe Fact
+# ---------------------------------------------------------------------------
+
+KEYED_PREDICATES = ["P", "p", "Q", "k"]
+KEYED_CONSTANTS = [sym("k1"), Constant.string("k1"), Constant.string("k 2"),
+                   Constant.number(3), sym("yes")]
+# Raw probe values: twins of the constants above, and values no fact holds.
+PROBE_VALUES = KEYED_CONSTANTS + [
+    "k1", "k 2", "yes", True, False, 3, 3.0, "3", -0.5, float("nan"),
+    float("inf"), "", "u|1"]
+# Invalid names too; the Kelvin sign lower-cases to the stored "k".
+PROBE_PREDICATES = KEYED_PREDICATES + ["q", "K", "pP", "1P", "P Q", "\u212a"]
+
+
+def _spellings(value):
+    """Raw values and constants that name the same constant as ``value``."""
+    if value.kind == "number":
+        return [value, value.value, int(value.value)]
+    return [value, value.value, Constant.string(value.value)]
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except Exception as err:  # compared by type with the reference's
+        return ("raises", type(err))
+    if isinstance(result, Fact):
+        return ("fact", result.key(), result.origin, result.rule_id)
+    return ("value", result)
+
+
+@st.composite
+def keyed_probe(draw, stored):
+    """``(op, predicate, raw args)``: a stored fact respelled or random."""
+    op = draw(st.sampled_from(["get", "holds", "retract"]))
+    if stored and draw(st.booleans()):
+        fact = draw(st.sampled_from(stored))
+        predicate = draw(st.sampled_from(
+            [fact.predicate, fact.predicate.lower(), fact.predicate.upper()]))
+        args = tuple(draw(st.sampled_from(_spellings(a))) for a in fact.args)
+    else:
+        predicate = draw(st.sampled_from(PROBE_PREDICATES))
+        args = tuple(draw(st.lists(st.sampled_from(PROBE_VALUES),
+                                   max_size=4)))
+    return op, predicate, args
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored=st.lists(st.builds(
+    Fact, st.sampled_from(KEYED_PREDICATES),
+    st.lists(st.sampled_from(KEYED_CONSTANTS), min_size=1,
+             max_size=3).map(tuple),
+    origin=st.sampled_from(["asserted", "inferred"])), max_size=30),
+    data=st.data())
+def test_key_lookups_match_the_probe_fact_reference(stored, data):
+    store = FactStore(vocabulary=())
+    for fact in stored:
+        store.assert_fact(fact)
+    reference = {fact.key(): fact for fact in store}
+    for _ in range(data.draw(st.integers(0, 30))):
+        op, predicate, args = data.draw(keyed_probe(stored))
+        if op == "get":
+            got = _outcome(lambda: store.get(predicate, args))
+            want = _outcome(lambda: reference_get(reference, predicate, args))
+        elif op == "holds":
+            got = _outcome(lambda: store.holds(predicate, *args))
+            want = _outcome(
+                lambda: reference_holds(reference, predicate, *args))
+        else:
+            got = _outcome(lambda: store.retract_fact(predicate, args))
+            want = _outcome(
+                lambda: reference_retract(reference, predicate, args))
+        assert got == want, (op, predicate, args)
+    # The retracts left the table and both indexes in step with a scan.
+    assert [(f.key(), f.origin) for f in store] == \
+        [(f.key(), f.origin) for f in reference.values()]
+    variables = (Variable("x"), Variable("y"), Variable("z"))
+    for predicate in KEYED_PREDICATES:
+        for arity in (1, 2, 3):
+            for position in range(arity):
+                for value in KEYED_CONSTANTS:
+                    terms = variables[:position] + (value,) \
+                        + variables[position + 1:arity]
+                    assert (_lookup(store.candidates(predicate, terms, {}),
+                                    predicate, terms, {})
+                            == _lookup(store.facts_for(predicate),
+                                       predicate, terms, {}))
+    for value in KEYED_CONSTANTS:
+        assert sorted(f.key() for f in store.facts_naming(value)) == sorted(
+            f.key() for f in reference.values() if value in f.args)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,37 @@ def test_reauthentication_replaces_outcome():
     assert not store.holds("Authenticated", "u1", "no")
 
 
+def test_reclassification_reads_only_the_facts_that_name_the_user():
+    examined = []
+
+    class CountingFact(Fact):
+        def __getattribute__(self, name):
+            if name == "origin":
+                examined.append(vars(self).get("_key"))  # None while built
+            return object.__getattribute__(self, name)
+
+    def fact(predicate, *values, origin="asserted"):
+        return CountingFact(predicate, tuple(coerce_constant(v) for v in values),
+                            origin=origin)
+
+    store = FactStore()
+    for i in range(50):
+        store.assert_fact(fact("HasCapability", f"r{i}", Constant.string("no")))
+        store.assert_fact(fact("BehaviorCapability", f"r{i}", "Group1",
+                               origin="inferred"))
+    naming = [fact("HasCapability", "u1", Constant.string("no")),
+              fact("BehaviorCapability", "u1", "Group1", origin="inferred"),
+              fact("Obligation", "r3", "u1", origin="inferred")]
+    for f in naming:
+        store.assert_fact(f)
+    examined.clear()
+    pdp._retract_inferred_about(store, "u1")
+    assert sorted(examined) == sorted(f.key() for f in naming)
+    assert [f.key() for f in store.facts_naming(Constant.symbol("u1"))] \
+        == [naming[0].key()]
+    assert len(store) == 101
+
+
 def test_password_credential_requires_secret():
     with pytest.raises(PdpError):
         Credential("password", "")
@@ -486,6 +517,7 @@ def test_bad_time_format_rejected():
 def test_first_entry_gets_seq_one(tmp_path):
     log = AuditLog(tmp_path / "audit.log")
     assert log.append("authn", "u1", "yes").seq == 1
+    log.close()
 
 
 def test_three_appends_sequence(tmp_path):
@@ -493,6 +525,7 @@ def test_three_appends_sequence(tmp_path):
     seqs = [log.append("authn", "u1", "yes").seq,
             log.append("authz", "u1", "permit").seq,
             log.append("anomaly", "u1", "flagged").seq]
+    log.close()
     assert seqs == [1, 2, 3]
 
 
@@ -501,6 +534,7 @@ def test_log_reload_roundtrips_byte_identically(tmp_path):
     log = AuditLog(path)
     log.append("authn", "u1", "yes", "mean=username/password")
     log.append("authz", "u1", "permit", "detail with | pipe and \\ slash")
+    log.close()
     on_disk = path.read_text(encoding="utf-8")
     reloaded = AuditLog.load(path)
     assert "\n".join(serialize_entry(e) for e in reloaded) + "\n" == on_disk
@@ -509,9 +543,12 @@ def test_log_reload_roundtrips_byte_identically(tmp_path):
 
 def test_log_continues_sequence_across_reopen(tmp_path):
     path = tmp_path / "audit.log"
-    AuditLog(path).append("authn", "u1", "yes")
+    first = AuditLog(path)
+    first.append("authn", "u1", "yes")
+    first.close()
     log = AuditLog(path)
     assert log.append("authz", "u1", "permit").seq == 2
+    log.close()
 
 
 def test_memory_keeps_a_bounded_tail_and_the_file_every_entry(tmp_path):
@@ -520,6 +557,7 @@ def test_memory_keeps_a_bounded_tail_and_the_file_every_entry(tmp_path):
     total = pdp.AUDIT_TAIL + 10
     for i in range(total):
         log.append("authz", f"u{i}", "deny")
+    log.close()
     tail = log.entries()
     assert len(tail) == pdp.AUDIT_TAIL
     assert [e.seq for e in tail] == list(range(11, total + 1))
@@ -531,6 +569,7 @@ def test_reopen_parses_only_the_last_line(tmp_path, monkeypatch):
     first = AuditLog(path)
     for outcome in ("yes", "permit", "deny"):
         first.append("authz", "u1", outcome, "x" * 5000)
+    first.close()
     parsed = []
     parse = pdp.parse_entry
     monkeypatch.setattr(pdp, "parse_entry",
@@ -538,12 +577,15 @@ def test_reopen_parses_only_the_last_line(tmp_path, monkeypatch):
     log = AuditLog(path)
     assert len(parsed) == 1
     assert log.append("authn", "u1", "yes").seq == 4
+    log.close()
 
 
 @pytest.mark.parametrize("last", ["garbage", "x|t|authz|u1|deny|", "7|t|authz"])
 def test_reopen_on_a_malformed_last_line_raises(tmp_path, last):
     path = tmp_path / "audit.log"
-    AuditLog(path).append("authn", "u1", "yes")
+    log = AuditLog(path)
+    log.append("authn", "u1", "yes")
+    log.close()
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(last + "\n")
     with pytest.raises(AuditError):
@@ -556,9 +598,51 @@ def test_request_text_in_subject_and_detail_stays_on_one_line(tmp_path):
     odd = "a|b\\c\nd\re\u2028f"
     written = [log.append("authz", odd, "deny", f"service={odd}"),
                log.append("authn", "u1", "yes", odd)]
+    log.close()
     assert len(path.read_text(encoding="utf-8").split("\n")) == 3
     assert AuditLog.load(path) == written
-    assert AuditLog(path).append("authn", "u1", "no").seq == 3
+    reopened = AuditLog(path)
+    assert reopened.append("authn", "u1", "no").seq == 3
+    reopened.close()
+
+
+def _append_reopening(path, entries):
+    """Write entries as the log did before it kept its file open."""
+    for entry in entries:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(serialize_entry(entry) + "\n")
+
+
+def test_open_file_reads_as_one_opened_per_append(tmp_path):
+    path, reference = tmp_path / "audit.log", tmp_path / "reference.log"
+    first = AuditLog(path)
+    written = [first.append("authn", "u1", "yes", "mean=username/password"),
+               first.append("authz", "a|b\\c\nd\re\u00e9", "deny", "x" * 9000)]
+    second = AuditLog(path)  # a second log on the same path, in turn
+    for log, outcome in ((second, "permit"), (first, "deny"),
+                         (second, "flagged"), (first, "no")):
+        written.append(log.append("authz", "u2", outcome, f"detail {outcome}"))
+    _append_reopening(reference, written)
+    assert path.read_bytes() == reference.read_bytes()  # flushed per line
+    first.close()
+    second.close()
+    assert path.read_bytes() == reference.read_bytes()
+    assert [e.seq for e in written] == [1, 2, 3, 3, 4, 4]
+
+
+def test_reopening_continues_the_sequence_after_close(tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog(path)
+    log.append("authn", "u1", "yes")
+    log.close()
+    log.close()  # closing twice is harmless
+    reopened = AuditLog(path)
+    assert reopened.append("authz", "u1", "permit").seq == 2
+    reopened.close()
+    assert log.append("authz", "u1", "deny").seq == 2  # reopens on append
+    log.close()
+    assert [e.outcome for e in AuditLog.load(path)] == ["yes", "permit", "deny"]
+    assert AuditLog(path).seq == 2
 
 
 def test_entry_roundtrip_with_newline_in_detail():

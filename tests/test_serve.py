@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aalguard import cli, pdp, scenarios
 from aalguard.config import Config
-from aalguard.facts import FactStore
+from aalguard.facts import Fact, FactStore
 
 SCENARIO_REQUESTS = [
     {"op": "authorize", "user": "u1", "service": "ReadAlert",
@@ -166,6 +166,9 @@ def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
     assert calls == {"authenticate": 1, "authorize": 1}
 
 
+CLASS1_CENTROID = {"hold:cooking": 600, "hold:watching_tv": 1800,
+                   "move:kitchen->livingroom": 20,
+                   "move:livingroom->kitchen": 20}
 CLASS2_CENTROID = {"hold:cooking": 1200, "hold:watching_tv": 1800,
                    "move:kitchen->livingroom": 60,
                    "move:livingroom->kitchen": 60}
@@ -194,6 +197,106 @@ def test_reauthentication_in_the_same_class_keeps_the_groups():
         {"op": "authn", "user": "u2", "password": "braille-lane-9",
          "features": CLASS2_CENTROID}))
     assert [g.text() for g in pdp.groups_of(state.store, "u2")] == ["Group2"]
+
+
+def _transcript():
+    """A fixed serve day: every resident authenticates, then asks, queries
+    and authenticates again as the request history grows."""
+    users = {"u1": ("ReadAlert", "VisualAid",
+                    {"password": "door-chime-7", "features": CLASS1_CENTROID}),
+             "u2": ("ReadAlert", "AudioAid",
+                    {"password": "braille-lane-9",
+                     "features": CLASS2_CENTROID}),
+             "u3": ("OpenDoor", None,
+                    {"tag": "tag-u3-0042", "features": CLASS2_CENTROID})}
+    messages = [{"op": "authn", "user": user, **secret}
+                for user, (_, _, secret) in users.items()]
+    for minute in range(30):
+        user = ["u1", "u2", "u3"][minute % 3]
+        service, device, secret = users[user]
+        messages.append({"op": "authorize", "user": user, "service": service,
+                         "device": device,
+                         "context": {"time": f"{minute // 4:02d}.{minute:02d}",
+                                     "location": ["hall", "kitchen"][minute % 2]}})
+        if minute % 5 == 4:
+            messages.append({"op": "query",
+                             "q": "SELECT ?u ?s WHERE { AskedService(?u, ?s) }"})
+            messages.append({"op": "authn", "user": user, **secret})
+    return [json.dumps(m) for m in messages]
+
+
+def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
+        monkeypatch):
+    state = primed_state()
+    counts = {"facts": 0, "snapshots": 0}
+    post_init, snapshot = Fact.__post_init__, FactStore.snapshot
+
+    def counting_post_init(self):
+        counts["facts"] += 1
+        post_init(self)
+
+    def counting_snapshot(self):
+        counts["snapshots"] += 1
+        return snapshot(self)
+
+    monkeypatch.setattr(Fact, "__post_init__", counting_post_init)
+    monkeypatch.setattr(FactStore, "snapshot", counting_snapshot)
+    per_op = {}
+    for line in _transcript():
+        before = dict(counts)
+        reply = cli.handle_message(state, line)
+        assert reply["ok"] is True and reply.get("authenticated") != "no"
+        per_op.setdefault(json.loads(line)["op"], []).append(
+            {name: counts[name] - before[name] for name in counts})
+    assert len(per_op["authorize"]) == 30 and len(per_op["query"]) == 6
+    assert max(c["facts"] for c in per_op["authorize"]) <= 15
+    assert max(c["facts"] for c in per_op["authn"]) <= 2
+    assert [c["snapshots"] for c in per_op["query"]] == [0] * 6
+
+
+def test_stats_reports_the_servers_own_memory_and_sizes():
+    state = primed_state()
+    cli.handle_message(state, json.dumps(
+        {"op": "authn", "user": "u1", "password": "door-chime-7"}))
+    stats = cli.handle_message(state, '{"op": "stats"}')
+    assert stats["ok"] is True
+    for key in ("vm_hwm_kb", "vm_rss_kb", "facts", "audit_seq"):
+        assert type(stats[key]) is int and stats[key] > 0, key
+    assert stats["vm_hwm_kb"] >= stats["vm_rss_kb"]
+    assert stats["facts"] == len(state.store)
+    assert stats["audit_seq"] == state.audit_log.seq == 1
+    assert cli.handle_message(state, '{"op": "ping"}') == {"ok": True}
+
+
+def test_stats_answers_null_memory_without_proc(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    stats = cli.handle_message(primed_state(), '{"op": "stats"}')
+    assert stats["vm_hwm_kb"] is None and stats["vm_rss_kb"] is None
+    assert stats["facts"] > 0 and stats["audit_seq"] == 0
+
+
+def test_serve_closes_the_audit_log_on_exit(tmp_path, monkeypatch):
+    closed = []
+    close = pdp.AuditLog.close
+
+    def recording_close(self):
+        closed.append(self.path)
+        close(self)
+
+    monkeypatch.setattr(pdp.AuditLog, "close", recording_close)
+    path = str(tmp_path / "audit.log")
+    request = json.dumps({"op": "authn", "user": "u1",
+                          "password": "door-chime-7"}) + "\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(request.encode("utf-8"))))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+    assert cli.main(["serve", "--listen", "-", "--prime-scenarios",
+                     "--audit", path]) == cli.EXIT_OK
+    assert closed == [path]
+    assert [e.kind for e in pdp.AuditLog.load(path)] == ["authn"]
 
 
 def test_serve_refuses_a_policy_whose_mean_is_not_a_lookup(tmp_path):
@@ -331,6 +434,7 @@ def fuzz_state():
 def test_fuzzed_messages_get_a_reply_and_never_authenticate_on_bad_trust(
         fuzz_state, tmp_path, line):
     audit_path = tmp_path / "audit.log"
+    fuzz_state.audit_log.close()
     fuzz_state.audit_log = pdp.AuditLog(audit_path, truncate=True)
     reply = cli.handle_message(fuzz_state, line)
     assert isinstance(reply, dict)
