@@ -47,14 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="aal-guard",
         description="Context-aware access control for assisted living")
     parser.add_argument("--config", help="path to a key=value config file")
-    parser.add_argument("--trust-threshold", type=float, default=None,
-                        help="override trust_threshold")
-    parser.add_argument("--anomaly-threshold", type=float, default=None,
-                        help="override anomaly_threshold")
-    parser.add_argument("--distance-floor", type=float, default=None,
-                        help="override distance_floor")
-    parser.add_argument("--default-auth-mean", default=None,
-                        help="override default_auth_mean")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (e.g. priority.visual=2)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -482,13 +474,6 @@ COMMANDS = {
 
 
 def _apply_overrides(config: Config, args) -> Config:
-    for flag, key in (("trust_threshold", "trust_threshold"),
-                      ("anomaly_threshold", "anomaly_threshold"),
-                      ("distance_floor", "distance_floor"),
-                      ("default_auth_mean", "default_auth_mean")):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(config, key, value)
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:

@@ -1,8 +1,9 @@
 """Flat key=value configuration for the CLI and serving mode.
 
 Lookup order: explicit ``--config`` flag, the ``AALGUARD_CONFIG`` environment
-variable, then built-in defaults.  Individual keys can be overridden by CLI
-flags.  Priority-table entries use dotted keys (``priority.cognitive=3``).
+variable, then built-in defaults.  Individual keys can be overridden per
+invocation with ``--set KEY=VALUE``.  Priority-table entries use dotted keys
+(``priority.cognitive=3``).
 """
 
 from __future__ import annotations

@@ -118,13 +118,14 @@ def _instantiate(atom, binding: dict, rule_id: str) -> Fact:
     return Fact(atom.predicate, tuple(args), origin=INFERRED, rule_id=rule_id)
 
 
-def _join(store: FactStore, body, pivot: int, delta_keys: set):
+def join(store: FactStore, body, pivot: int, delta_keys: set):
     """Bindings for ``body`` where atom ``pivot`` matches a delta fact.
 
     Atoms before the pivot match pre-delta facts only and atoms after it
     match everything; across all pivots this covers each new combination
-    exactly once.  Each atom reads only the store's index bucket for its
-    most selective bound argument.
+    exactly once.  A pivot past the last atom with an empty delta joins the
+    whole body over every fact, as a query does.  Each atom reads only the
+    store's index bucket for its most selective bound argument.
     """
     results = [({}, ())]
     for j, atom in enumerate(body):
@@ -172,8 +173,8 @@ def infer_fixpoint(store: FactStore,
             for pivot, predicate in enumerate(predicates):
                 if predicate not in delta_predicates:
                     continue  # no delta fact can match the pivot atom
-                for binding, premises in _join(store, rule.body, pivot,
-                                               delta_keys):
+                for binding, premises in join(store, rule.body, pivot,
+                                              delta_keys):
                     for head_atom in rule.head:
                         new_fact = _instantiate(head_atom, binding, rule_id)
                         key = new_fact.key()

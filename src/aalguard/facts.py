@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/.\-]*\Z")
 VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z")
 
 MAX_ARITY = 3
 
@@ -459,6 +458,8 @@ _INFERRED_MARK = re.compile(r"inferred(?:\s+rule=(?P<rule>\S+))?\s*\Z")
 
 def split_comment(line: str) -> tuple:
     """Split a line at the first ``#`` that is outside a quoted string."""
+    if "#" not in line:
+        return line, None
     in_string = False
     i = 0
     while i < len(line):
@@ -477,104 +478,26 @@ def split_comment(line: str) -> tuple:
     return line, None
 
 
-class _LineScanner:
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
-        self.i = 0
-
-    def error(self, message: str) -> FactParseError:
-        return FactParseError(message, self.line)
-
-    def skip_ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def take_symbol(self) -> str:
-        start = self.i
-        while self.i < len(self.text) and (self.text[self.i].isalnum()
-                                           or self.text[self.i] in "_/.-"):
-            self.i += 1
-        return self.text[start:self.i]
-
-    def take_string(self) -> str:
-        # Caller consumed nothing; self.text[self.i] == '"'.
-        self.i += 1
-        out = []
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch == "\\":
-                if self.i + 1 >= len(self.text):
-                    raise self.error("dangling escape in string")
-                out.append(self.text[self.i + 1])
-                self.i += 2
-                continue
-            if ch == '"':
-                self.i += 1
-                return "".join(out)
-            out.append(ch)
-            self.i += 1
-        raise self.error("unterminated string")
-
-    def take_constant(self) -> Constant:
-        ch = self.peek()
-        if ch == '"':
-            return Constant.string(self.take_string())
-        if ch.isdigit() or (ch == "-" and self.i + 1 < len(self.text)
-                            and self.text[self.i + 1].isdigit()):
-            start = self.i
-            if ch == "-":
-                self.i += 1
-            while self.i < len(self.text) and (self.text[self.i].isdigit()
-                                               or self.text[self.i] in ".eE+-"):
-                self.i += 1
-            lexeme = self.text[start:self.i]
-            if not NUMBER_RE.fullmatch(lexeme):
-                raise self.error(f"invalid number: {lexeme!r}")
-            return Constant.number(float(lexeme))
-        if ch.isalpha() or ch == "_":
-            return Constant.symbol(self.take_symbol())
-        raise self.error(f"expected a constant, found {ch!r}"
-                         if ch else "expected a constant, found end of line")
+def _read_atom(text: str, line: int, require_period: bool) -> tuple:
+    """``(predicate, args)`` of one fact line, read by the rule parser."""
+    from .rules import DOT, EOF, RuleSyntaxError, _Parser, tokenize
+    try:
+        parser = _Parser(tokenize(text))
+        atom = parser.parse_atom()
+        if require_period or parser.peek().kind == DOT:
+            parser.expect(DOT)
+        parser.expect(EOF)
+    except (RuleSyntaxError, FactError) as err:
+        raise FactParseError(str(err), line) from None
+    for term in atom.terms:
+        if isinstance(term, Variable):
+            raise FactParseError(f"variable {term.render()} in a fact", line)
+    return atom.predicate, atom.terms
 
 
 def parse_fact(text: str, line: int = 1, *, require_period: bool = True) -> Fact:
     """Parse one ``Predicate(arg, ...)`` with optional trailing period."""
-    scanner = _LineScanner(text, line)
-    scanner.skip_ws()
-    if not (scanner.peek().isalpha() or scanner.peek() == "_"):
-        raise scanner.error("expected a predicate name")
-    predicate = scanner.take_symbol()
-    scanner.skip_ws()
-    if scanner.peek() != "(":
-        raise scanner.error(f"expected '(' after predicate {predicate!r}")
-    scanner.i += 1
-    args = []
-    while True:
-        scanner.skip_ws()
-        args.append(scanner.take_constant())
-        scanner.skip_ws()
-        if scanner.peek() == ",":
-            scanner.i += 1
-            continue
-        if scanner.peek() == ")":
-            scanner.i += 1
-            break
-        raise scanner.error("expected ',' or ')' in argument list")
-    scanner.skip_ws()
-    if scanner.peek() == ".":
-        scanner.i += 1
-    elif require_period:
-        raise scanner.error("missing trailing period")
-    scanner.skip_ws()
-    if scanner.i < len(scanner.text):
-        raise scanner.error(f"trailing input: {scanner.text[scanner.i:]!r}")
-    if len(args) > MAX_ARITY or not args:
-        raise scanner.error(f"{predicate}: arity {len(args)} outside 1..{MAX_ARITY}")
-    return Fact(predicate, tuple(args))
+    return Fact(*_read_atom(text, line, require_period))
 
 
 def load_facts(text: str, store: Optional[FactStore] = None) -> FactStore:
@@ -582,7 +505,8 @@ def load_facts(text: str, store: Optional[FactStore] = None) -> FactStore:
     store = store if store is not None else FactStore()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code, comment = split_comment(raw)
-        code = code.strip()
+        if not code.strip():
+            continue
         origin = ASSERTED
         rule_id = None
         if comment is not None:
@@ -590,11 +514,8 @@ def load_facts(text: str, store: Optional[FactStore] = None) -> FactStore:
             if marked:
                 origin = INFERRED
                 rule_id = marked.group("rule")
-        if not code:
-            continue
-        parsed = parse_fact(code, lineno)
-        store.assert_fact(Fact(parsed.predicate, parsed.args,
-                               origin=origin, rule_id=rule_id))
+        predicate, args = _read_atom(code, lineno, True)
+        store.assert_fact(Fact(predicate, args, origin=origin, rule_id=rule_id))
     return store
 
 

@@ -60,10 +60,16 @@ DENY = "deny"
 
 _TIME_RE = re.compile(r"\d\d\.\d\d\Z")
 
-# Context components asserted per request; the newest request replaces these
-# for the user in the evaluation snapshot (history stays in the live store).
-_CONTEXT_PREDICATES = ("AskedService", "UsedDevice", "HasContext", "HasTime",
-                      "HasLocation", "HasActivity", "HasEnvironment")
+# What a request asserts about its user, by the part of the request it
+# comes from; each context component is asserted under its own predicate and
+# again as HasContext.  The newest request replaces all of these for the
+# user in the evaluation snapshot (history stays in the live store).
+_REQUEST_PREDICATES = {"service": "AskedService", "device": "UsedDevice",
+                       "context": "HasContext", "time": "HasTime",
+                       "location": "HasLocation", "activity": "HasActivity",
+                       "environment": "HasEnvironment"}
+_CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
+                                                        "context"}
 
 
 class PdpError(ValueError):
@@ -438,7 +444,7 @@ _VALUE = Variable("value")
 def _facts_about(store: FactStore, predicate: str, user: str) -> tuple:
     """The ``predicate`` facts whose first argument is ``user``, in store
     order, read from the index bucket of that argument."""
-    return store.candidates(predicate, (Constant.symbol(user), _VALUE), {})
+    return store.candidates(predicate, (coerce_constant(user), _VALUE), {})
 
 
 def _capabilities_of(store: FactStore, user: str) -> List[Constant]:
@@ -472,7 +478,7 @@ def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
 
 
 def _retract_inferred_about(store: FactStore, user: str) -> None:
-    for fact in store.facts_naming(Constant.symbol(user)):
+    for fact in store.facts_naming(coerce_constant(user)):
         if fact.origin == INFERRED:
             store.retract_fact(fact.predicate, fact.args)
 
@@ -552,18 +558,15 @@ def groups_of(store: FactStore, user: str) -> List[Constant]:
 
 
 def _request_facts(req: AuthzRequest) -> List[Fact]:
-    facts = [ground("AskedService", req.user, req.service)]
+    facts = [ground(_REQUEST_PREDICATES["service"], req.user, req.service)]
     if req.device:
-        facts.append(ground("UsedDevice", req.user, req.device))
-    component_predicate = {"time": "HasTime", "location": "HasLocation",
-                           "activity": "HasActivity",
-                           "environment": "HasEnvironment"}
+        facts.append(ground(_REQUEST_PREDICATES["device"], req.user,
+                            req.device))
     for component, value in req.context.items():
-        predicate = component_predicate.get(component)
-        if predicate is None:
+        if component not in _CONTEXT_COMPONENTS:
             raise PdpError(f"unknown context component: {component!r}")
-        facts.append(ground(predicate, req.user, value))
-        facts.append(ground("HasContext", req.user, value))
+        facts.append(ground(_REQUEST_PREDICATES[component], req.user, value))
+        facts.append(ground(_REQUEST_PREDICATES["context"], req.user, value))
     return facts
 
 
@@ -629,13 +632,13 @@ def authorize(req: AuthzRequest, store: FactStore,
 
     request_facts = _request_facts(req)
     working = store.snapshot()
-    for predicate in _CONTEXT_PREDICATES:
+    for predicate in _REQUEST_PREDICATES.values():
         _replace_user_facts(working, predicate, req.user)
     for fact in request_facts:
         working.assert_fact(fact)
     infer_fixpoint(working, rules)
 
-    subjects = {Constant.symbol(req.user).key()}
+    subjects = {coerce_constant(req.user).key()}
     subjects.update(g.key() for g in groups_of(working, req.user))
     permits, denies, obligations, recommendations, rationale = _collect(
         working, subjects)

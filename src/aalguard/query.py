@@ -3,7 +3,8 @@
 The query language is a small SELECT-only subset:
 ``SELECT ?u WHERE { HasCapability(?u, "visual") ^ Authenticated(?u, yes) }``
 with an optional ``LIMIT n``.  Evaluation joins the where-atoms left to
-right; results are a set of rows projected to the selected variables, sorted
+right through the engine's indexed join (:func:`aalguard.engine.join`);
+results are a set of rows projected to the selected variables, sorted
 lexicographically so LIMIT is deterministic.
 """
 
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .facts import Constant, FactStore, Variable
+from .engine import join
+from .facts import Constant, FactStore
 from .rules import (
     CARET, EOF, IDENT, LBRACE, NUM, RBRACE, VAR,
     Atom, RuleSyntaxError, _Parser, tokenize,
@@ -81,16 +83,6 @@ def format_query(q: ConjunctiveQuery) -> str:
     return text
 
 
-def _substitute(atom: Atom, binding: Dict[str, Constant]) -> Atom:
-    terms = []
-    for term in atom.terms:
-        if isinstance(term, Variable) and term.name in binding:
-            terms.append(binding[term.name])
-        else:
-            terms.append(term)
-    return Atom(atom.predicate, tuple(terms))
-
-
 def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant]]:
     """Rows satisfying every where-atom, projected to the select variables.
 
@@ -104,20 +96,8 @@ def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant
         raise QueryError(
             f"select variable(s) not in WHERE: {', '.join('?' + v for v in missing)}")
 
-    bindings: List[Dict[str, Constant]] = [{}]
-    for atom in q.where:
-        extended: List[Dict[str, Constant]] = []
-        for binding in bindings:
-            for match in store.match(_substitute(atom, binding)):
-                merged = dict(binding)
-                merged.update(match)
-                extended.append(merged)
-        bindings = extended
-        if not bindings:
-            break
-
     rows: Dict[tuple, Dict[str, Constant]] = {}
-    for binding in bindings:
+    for binding, _ in join(store, q.where, len(q.where), set()):
         row = {name: binding[name] for name in q.select}
         rows.setdefault(tuple(row[name].key() for name in q.select), row)
     ordered = sorted(rows.values(),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .facts import (
     DEFAULT_VOCABULARY,
@@ -144,25 +144,47 @@ _PRETTY = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     offset: int
 
 
-def _scan_symbol(text: str, i: int) -> int:
-    # Greedy over the symbol charset, but never swallow the '-' of '->'.
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            break
-        if ch.isalnum() or ch in "_/.-":
-            i += 1
-            continue
-        break
-    return i
+_PUNCTUATION = {"^": CARET, "(": LPAREN, ")": RPAREN, "{": LBRACE,
+                "}": RBRACE, ",": COMMA, ".": DOT}
+
+# One alternative per token kind, named after it; whitespace and comments
+# match unnamed.  Symbols and ``?variables`` use the ASCII charsets of
+# ``facts.SYMBOL_RE`` and ``facts.VARIABLE_RE``; a symbol or label never
+# swallows the '-' of '->'.  In a string a backslash takes the next
+# character literally.
+_TOKEN = re.compile(r"""
+    \s+ | \#[^\n]*
+  | (?P<ARROW> -> | → )
+  | (?P<PUNCT> [\^(){},.] )
+  | (?P<NUM> -?\d+ (?:\.\d+)? (?:[eE][+-]?\d+)? )
+  | (?P<IDENT> [A-Za-z_][A-Za-z0-9_/.]* (?:-(?!>)[A-Za-z0-9_/.]*)* )
+  | \? (?P<VAR> [A-Za-z_][A-Za-z0-9_]* )
+  | " (?P<STRING> (?:[^"\\] | \\.)* ) "
+  | @id: [ \t]* (?P<ATID> (?:[A-Za-z0-9_/.] | -(?!>))+ )
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _scan_error(text: str, i: int) -> RuleSyntaxError:
+    """Why no token starts at offset ``i``."""
+    if text.startswith("@id:", i):
+        j = i + 4
+        while j < len(text) and text[j] in " \t":
+            j += 1
+        return RuleSyntaxError("missing label after '@id:'", j,
+                               expected=("identifier",))
+    if text[i] == "?":
+        return RuleSyntaxError("missing variable name after '?'", i,
+                               expected=("identifier",))
+    if text[i] == '"':
+        return RuleSyntaxError("unterminated string", i)
+    return RuleSyntaxError(f"unexpected character {text[i]!r}", i)
 
 
 def tokenize(text: str) -> list:
@@ -170,98 +192,18 @@ def tokenize(text: str) -> list:
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("@id:", i):
-            j = i + 4
-            while j < n and text[j] in " \t":
-                j += 1
-            k = _scan_symbol(text, j)
-            if k == j:
-                raise RuleSyntaxError("missing label after '@id:'", j,
-                                      expected=("identifier",))
-            tokens.append(Token(ATID, text[j:k], i))
-            i = k
-            continue
-        if ch == "^":
-            tokens.append(Token(CARET, ch, i))
-            i += 1
-            continue
-        if ch == "→":
-            tokens.append(Token(ARROW, ch, i))
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token(ARROW, "->", i))
-            i += 2
-            continue
-        if ch == "(":
-            tokens.append(Token(LPAREN, ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(RPAREN, ch, i))
-            i += 1
-            continue
-        if ch == "{":
-            tokens.append(Token(LBRACE, ch, i))
-            i += 1
-            continue
-        if ch == "}":
-            tokens.append(Token(RBRACE, ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(COMMA, ch, i))
-            i += 1
-            continue
-        if ch == ".":
-            tokens.append(Token(DOT, ch, i))
-            i += 1
-            continue
-        if ch == "?":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise RuleSyntaxError("missing variable name after '?'", i,
-                                      expected=("identifier",))
-            tokens.append(Token(VAR, text[i + 1:j], i))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                    continue
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise RuleSyntaxError("unterminated string", i)
-            tokens.append(Token(STRING, "".join(out), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            m = re.match(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", text[i:])
-            lexeme = m.group(0)
-            tokens.append(Token(NUM, lexeme, i))
-            i += len(lexeme)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = _scan_symbol(text, i)
-            tokens.append(Token(IDENT, text[i:j], i))
-            i = j
-            continue
-        raise RuleSyntaxError(f"unexpected character {ch!r}", i)
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise _scan_error(text, i)
+        kind = m.lastgroup
+        if kind is not None:
+            value = m.group(kind)
+            if kind == "PUNCT":
+                kind = _PUNCTUATION[value]
+            elif kind == STRING and "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            tokens.append(Token(kind, value, i))
+        i = m.end()
     tokens.append(Token(EOF, "", n))
     return tokens
 

@@ -92,3 +92,24 @@ def test_scenario_all_pass_and_deterministic():
 def test_unknown_scenario_is_usage_error():
     result = run_cli("scenario", "nonsense")
     assert result.returncode == 2
+
+
+def test_set_overrides_the_trust_threshold():
+    # Trust 0.23: below the default threshold of 0.5, above 0.2.
+    message = ('{"op": "authn", "user": "u1", "password": "door-chime-7", '
+               '"features": {"hold:cooking": 700, "hold:watching_tv": 1800, '
+               '"move:kitchen->livingroom": 20, "move:livingroom->kitchen": 20}}\n')
+    serve = ("serve", "--listen", "-", "--prime-scenarios")
+    default = run_cli(*serve, input_text=message)
+    lowered = run_cli("--set", "trust_threshold=0.2", *serve, input_text=message)
+    assert default.returncode == lowered.returncode == 0
+    assert '"authenticated": "no"' in default.stdout
+    assert "below threshold 0.5" in default.stdout
+    assert '"authenticated": "yes"' in lowered.stdout
+
+
+def test_set_with_a_non_numeric_threshold_exits_one():
+    result = run_cli("--set", "trust_threshold=high", "scenario", "deaf")
+    assert result.returncode == 1
+    assert "error" in result.stderr
+    assert "scenario" not in result.stdout

@@ -175,12 +175,12 @@ def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
     store.assert_fact(ground("A", "c1"))
     store.assert_fact(ground("C", "c1"))
     joined = []
-    join = engine._join
+    join = engine.join
 
     def recording(store, body, pivot, delta_keys):
         joined.append((body[pivot].predicate, pivot))
         return join(store, body, pivot, delta_keys)
-    monkeypatch.setattr(engine, "_join", recording)
+    monkeypatch.setattr(engine, "join", recording)
     report = infer_fixpoint(store, rules)
     assert [f.render() for f in report.derived] == ["B(c1)", "D(c1)"]
     # Pass 1 has A and C facts in its delta, pass 2 only B, pass 3 only D.

@@ -359,6 +359,21 @@ def test_load_malformed_line_reports_line_number():
     with pytest.raises(FactParseError) as err:
         load_facts('HasCapability(u1, "x").\nHasCapability(u1\n')
     assert err.value.line == 2
+    # Names are ASCII: a non-ASCII letter is a syntax error on its line.
+    for text in ("P(a).\nP(é).", "P(a).\nPé(a).", "P(a).\nP(a, ?é)."):
+        with pytest.raises(FactParseError) as err:
+            load_facts(text)
+        assert err.value.line == 2
+
+
+def test_fact_lines_read_like_rule_atoms():
+    store = load_facts('has Access (u1, permit).\nHasTime ( u1 , 10.5 ) .\n')
+    assert store.holds("hasAccess", "u1", "permit")
+    assert store.holds("HasTime", "u1", 10.5)
+    for text in ("P(?x).", "P(a) -> Q(a).", "P(a)", "P(a) Q."):
+        with pytest.raises(FactParseError) as err:
+            load_facts(f"P(b).\n{text}")
+        assert err.value.line == 2
 
 
 def test_duplicate_lines_collapse_silently():
@@ -384,6 +399,41 @@ def test_save_load_roundtrip_preserves_fact_set():
     assert inferred.rule_id == "behavior-class1"
     # canonical text is a fixpoint of save/load
     assert save_facts(load_facts(saved)) == saved
+
+
+_ROUND_TRIP_PREDICATES = ["HasCapability", "hascapability", "HASCAPABILITY",
+                          "Trust_Value", "trust_value", "p.q/r-s"]
+_ROUND_TRIP_CONSTANTS = st.one_of(
+    st.sampled_from(["u1", "class2", "a/b", "tag-mean", "x.y", "_k"]).map(sym),
+    st.text(alphabet='ab \\"#,.()', max_size=8).map(Constant.string),
+    st.integers(-10 ** 6, 10 ** 6).map(Constant.number),
+    st.floats(allow_nan=False, allow_infinity=False).map(Constant.number),
+    st.sampled_from([-2.5e-7, 3e21, -1e16, 6.02e23]).map(Constant.number))
+
+
+@st.composite
+def _round_trip_facts(draw):
+    inferred = draw(st.booleans())
+    return Fact(draw(st.sampled_from(_ROUND_TRIP_PREDICATES)),
+                tuple(draw(st.lists(_ROUND_TRIP_CONSTANTS, min_size=1,
+                                    max_size=3))),
+                origin="inferred" if inferred else "asserted",
+                rule_id=draw(st.sampled_from([None, "r1", "deaf-permit",
+                                              "a.b/c"])) if inferred else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_round_trip_facts(), max_size=12))
+def test_save_load_round_trip_keeps_keys_origins_and_rule_ids(stored):
+    store = FactStore()
+    for fact in stored:
+        store.assert_fact(fact)
+    saved = save_facts(store)
+    reloaded = load_facts(saved)
+    assert [f.key() for f in reloaded] == [f.key() for f in store]
+    assert ([(f.origin, f.rule_id) for f in reloaded]
+            == [(f.origin, f.rule_id) for f in store])
+    assert save_facts(reloaded) == saved
 
 
 def test_save_marks_inferred_facts():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.facts import Constant, FactStore, Variable, ground
@@ -15,6 +16,8 @@ from aalguard.query import (
 )
 from aalguard.rules import Atom, RuleSyntaxError
 from aalguard.scenarios import load_fixture_rules, run_scenario
+
+from oracles import _all_bindings, random_instance
 
 
 def test_parse_simple_query():
@@ -128,6 +131,47 @@ def test_duplicate_rows_collapse():
     q = parse_query("SELECT ?x WHERE { P(?x, ?y) }")
     rows = [row["x"].text() for row in eval_query(store, q)]
     assert rows == ["a"]
+
+
+@st.composite
+def _where_clauses(draw, facts):
+    """Where-atoms drawn like rule bodies over the facts' vocabulary:
+    repeated variables, constants as bare symbols or quoted twins, and
+    re-cased predicates."""
+    names = sorted({a.text() for f in facts for a in f.args}) + ["c99"]
+    constant = st.sampled_from(names).flatmap(
+        lambda text: st.sampled_from([Constant.symbol(text),
+                                      Constant.string(text)]))
+    term = st.one_of(st.sampled_from([Variable(n) for n in "xyz"]), constant)
+    predicate = st.sampled_from(sorted({f.predicate for f in facts})).flatmap(
+        lambda name: st.sampled_from([name, name.lower(), name.upper()]))
+    atom = st.builds(lambda p, terms: Atom(p, tuple(terms)),
+                     predicate, st.lists(term, min_size=1, max_size=2))
+    return draw(st.lists(atom, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_eval_query_equals_the_naive_join_projection(seed, data):
+    facts, _ = random_instance(random.Random(seed))
+    store = FactStore()
+    for fact in facts:
+        store.assert_fact(fact)
+    where = data.draw(_where_clauses(facts))
+    variables = sorted(set().union(*(atom.variables() for atom in where)))
+    assume(variables)
+    select = data.draw(st.lists(st.sampled_from(variables), min_size=1,
+                                unique=True))
+    rows = eval_query(store, ConjunctiveQuery(select, where))
+
+    got = [tuple(row[name].key() for name in select) for row in rows]
+    expected = {tuple(binding[name].key() for name in select)
+                for binding in _all_bindings(
+                    where, [(f.predicate, f.args) for f in facts])}
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+    rendered = [tuple(row[name].render() for name in select) for row in rows]
+    assert rendered == sorted(rendered)
 
 
 # ---------------------------------------------------------------------------

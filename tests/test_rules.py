@@ -224,6 +224,12 @@ def test_parse_ruleset_reports_line_of_first_error():
     with pytest.raises(RuleSyntaxError) as err:
         parse_ruleset(text)
     assert err.value.line == 3
+    # Names are ASCII: a non-ASCII letter is a syntax error with its line.
+    for text in ("P(?x) -> Q(?x)\n\nP(?x) -> Q(é)\n",
+                 "P(?x) -> Q(?x)\n\nP(?é) -> Q(a)\n"):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_ruleset(text)
+        assert err.value.line == 3
 
 
 def test_parse_ruleset_rejects_duplicate_ids():

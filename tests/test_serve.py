@@ -199,6 +199,25 @@ def test_reauthentication_in_the_same_class_keeps_the_groups():
     assert [g.text() for g in pdp.groups_of(state.store, "u2")] == ["Group2"]
 
 
+def test_a_user_whose_name_is_not_a_symbol_is_served():
+    state = primed_state()
+    state.credentials = {**state.credentials,
+                         "Anne Marie": ("password",
+                                        pdp.hash_password("pw", salt="ab"))}
+    authn = cli.handle_message(state, json.dumps(
+        {"op": "authn", "user": "Anne Marie", "password": "pw",
+         "features": CLASS2_CENTROID}))
+    assert authn["ok"] is True and authn["authenticated"] == "yes"
+    decision = cli.handle_message(state, json.dumps(
+        {"op": "authorize", "user": "Anne Marie", "service": "ReadAlert",
+         "context": {"time": "10.00"}}))
+    assert decision["ok"] is True and decision["effect"] in ("permit", "deny")
+    rows = cli.handle_message(state, json.dumps(
+        {"op": "query",
+         "q": 'SELECT ?a WHERE { Authenticated("Anne Marie", ?a) }'}))
+    assert rows == {"ok": True, "rows": [{"a": "yes"}]}
+
+
 def _transcript():
     """A fixed serve day: every resident authenticates, then asks, queries
     and authenticates again as the request history grows."""
@@ -472,3 +491,5 @@ def test_tcp_socket_mode(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
