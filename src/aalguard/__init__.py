@@ -49,7 +49,6 @@ from .pdp import (
     assign_group,
     detect_anomaly,
     flag_anomaly,
-    select_auth_mean,
 )
 from .query import ConjunctiveQuery, eval_query, parse_query
 from .rules import Atom, Rule, format_rule, parse_rule, parse_ruleset, validate_rule

@@ -3,10 +3,12 @@
 Two features summarize a user's routine: how long they take to move between
 rooms (one duration per consecutive pair of events in different locations)
 and how long they hold an activity (one duration per maximal run of the same
-non-idle activity).  Users are assigned to the behavior class whose centroid
-is nearest in feature space; centroids evolve by incremental mean as new
-observations fold in, and a trust value in [0, 1] expresses how well a fresh
-feature vector matches a class.
+non-idle activity).  Events are folded into their user's running duration
+state as they are read (:class:`EventLog`), so extracting the features only
+averages lists already filed.  Users are assigned to the behavior class whose
+centroid is nearest in feature space; centroids evolve by incremental mean as
+new observations fold in, and a trust value in [0, 1] expresses how well a
+fresh feature vector matches a class.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import io
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 from .facts import format_number
 
@@ -57,7 +59,8 @@ class SensorEvent(NamedTuple):
 
     An immutable tuple read by attribute.  Being a tuple, it compares equal
     to the plain tuple of its fields, ``(user, timestamp, location,
-    activity)``.
+    activity)``.  A loaded :class:`EventLog` builds these only when it is
+    iterated.
     """
 
     user: str
@@ -111,58 +114,125 @@ def hold_key(activity: str) -> str:
     return f"hold:{activity}"
 
 
-class EventLog(tuple):
-    """Sensor events in file order, with each user's own stream beside them.
+class EventLog:
+    """Sensor events in file order, folded per user as they are read.
 
-    ``streams`` maps each user, in first-seen order, to that user's events in
-    order.  The log is a tuple, so its streams can never go stale.
-    ``EventLog(events)`` groups any iterable of events and raises
+    The log keeps four file-order columns (user, timestamp, location,
+    activity) and, for each user in first-seen order, the running state of
+    that user's stream: last timestamp, room, current activity, the start of
+    the current activity run, and the ``moves`` and ``holds`` duration lists
+    in stream order.  The features read that state, so no stream is walked
+    twice.  ``SensorEvent`` tuples are built only when the log is iterated or
+    ``streams`` is read; the log compares equal to the tuple of its events.
+    ``EventLog(events)`` folds any iterable of events and raises
     ``OrderingError`` when one user's timestamps go backwards.
     """
 
-    streams: Mapping[str, Tuple[SensorEvent, ...]]
+    __slots__ = ("_users", "_timestamps", "_locations", "_activities",
+                 "_folds")
 
-    def __new__(cls, events: Iterable[SensorEvent] = ()) -> "EventLog":
-        events = list(events)
-        streams: Dict[str, List[SensorEvent]] = {}
-        for event in events:
-            if not _file_event(streams, event):
-                raise OrderingError(
-                    f"{event.user}: timestamp {event.timestamp} after "
-                    f"{streams[event.user][-1].timestamp}")
-        return cls._grouped(events, streams)
+    def __init__(self, events: Iterable[SensorEvent] = ()):
+        self._users: List[str] = []
+        self._timestamps: List[int] = []
+        self._locations: List[str] = []
+        self._activities: List[str] = []
+        self._folds: Dict[str, list] = {}
+        backwards = self._fold(events)
+        if backwards is not None:
+            user, timestamp, last = backwards
+            raise OrderingError(f"{user}: timestamp {timestamp} after {last}")
 
-    @classmethod
-    def _grouped(cls, events: List[SensorEvent],
-                 streams: Dict[str, List[SensorEvent]]) -> "EventLog":
-        log = tuple.__new__(cls, events)
-        for user, stream in streams.items():
-            streams[user] = tuple(stream)
-        log.streams = MappingProxyType(streams)
-        return log
+    def _fold(self, rows: Iterable[Tuple[str, int, str, str]]
+              ) -> Optional[Tuple[str, int, int]]:
+        """Fold ``(user, timestamp, location, activity)`` rows in order.
+
+        Stops at the first row that goes back in time in its user's stream
+        and returns ``(user, timestamp, last)`` for it; None when all fold.
+        A room change appends its duration to ``moves[(from, to)]``; the end
+        of a run of one non-idle activity appends the run's length to
+        ``holds[activity]``.  The run still open stays in the state.
+        """
+        add_user = self._users.append
+        add_timestamp = self._timestamps.append
+        add_location = self._locations.append
+        add_activity = self._activities.append
+        folds = self._folds
+        for user, timestamp, location, activity in rows:
+            state = folds.get(user)
+            if state is None:
+                # [last, room, current, start, moves, holds]
+                folds[user] = [timestamp, location, activity, timestamp, {}, {}]
+            else:
+                last, room, current, start, moves, holds = state
+                if timestamp < last:
+                    return user, timestamp, last
+                if location != room:
+                    durations = moves.get((room, location))
+                    if durations is None:
+                        moves[room, location] = [float(timestamp - last)]
+                    else:
+                        durations.append(float(timestamp - last))
+                    state[1] = location
+                if activity != current:
+                    if current != IDLE_ACTIVITY:
+                        durations = holds.get(current)
+                        if durations is None:
+                            holds[current] = [float(last - start)]
+                        else:
+                            durations.append(float(last - start))
+                    state[2] = activity
+                    state[3] = timestamp
+                state[0] = timestamp
+            add_user(user)
+            add_timestamp(timestamp)
+            add_location(location)
+            add_activity(activity)
+        return None
+
+    def durations(self, user: str
+                  ) -> Tuple[Dict[Tuple[str, str], List[float]],
+                             Dict[str, List[float]]]:
+        """``user``'s moving and holding durations, the open run closed.
+
+        The open run is closed on a copy of ``holds``, so the folded state
+        never changes and every call answers the same.  The lists are the
+        state's own; callers must not change them.
+        """
+        state = self._folds.get(user)
+        if state is None:
+            return {}, {}
+        last, _, current, start, moves, holds = state
+        if current != IDLE_ACTIVITY:
+            holds = dict(holds)
+            holds[current] = holds.get(current, []) + [float(last - start)]
+        return moves, holds
+
+    @property
+    def streams(self) -> Mapping[str, Tuple[SensorEvent, ...]]:
+        """Each user, in first-seen order, to that user's events in order."""
+        streams: Dict[str, List[SensorEvent]] = {user: [] for user in self._folds}
+        for event in self:
+            streams[event.user].append(event)
+        return MappingProxyType({user: tuple(stream)
+                                 for user, stream in streams.items()})
+
+    def __len__(self) -> int:
+        return len(self._timestamps)
+
+    def __iter__(self) -> Iterator[SensorEvent]:
+        return map(SensorEvent, self._users, self._timestamps,
+                   self._locations, self._activities)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventLog):
+            other = tuple(other)
+        return tuple(self) == other
+
+    __hash__ = None
 
 
-def _file_event(streams: Dict[str, List[SensorEvent]],
-                event: SensorEvent) -> bool:
-    """Append ``event`` to its user's stream; False if it goes back in time."""
-    stream = streams.get(event.user)
-    if stream is None:
-        streams[event.user] = [event]
-    elif event.timestamp < stream[-1].timestamp:
-        return False
-    else:
-        stream.append(event)
-    return True
-
-
-def _streams(events) -> Mapping[str, Tuple[SensorEvent, ...]]:
-    if not isinstance(events, EventLog):
-        events = EventLog(events)
-    return events.streams
-
-
-def _user_stream(events, user: str) -> Tuple[SensorEvent, ...]:
-    return _streams(events).get(user, ())
+def _log(events) -> EventLog:
+    return events if isinstance(events, EventLog) else EventLog(events)
 
 
 def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
@@ -170,7 +240,8 @@ def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
 
     Consecutive events in the same room contribute nothing.
     """
-    return _durations(_user_stream(events, user))[0]
+    moves, _ = _log(events).durations(user)
+    return {pair: list(durations) for pair, durations in moves.items()}
 
 
 def holding_time(events, user: str) -> Dict[str, List[float]]:
@@ -178,42 +249,17 @@ def holding_time(events, user: str) -> Dict[str, List[float]]:
 
     A single-event run has duration zero; idle (``none``) never counts.
     """
-    return _durations(_user_stream(events, user))[1]
-
-
-def _durations(stream: Sequence[SensorEvent]
-               ) -> Tuple[Dict[Tuple[str, str], List[float]],
-                          Dict[str, List[float]]]:
-    """Moving and holding durations of one user's stream, in one pass.
-
-    Each list keeps its durations in stream order, so
-    ``sum(durations) / len(durations)`` is bit-identical to the mean of a
-    separate pass per feature.
-    """
-    moves: Dict[Tuple[str, str], List[float]] = {}
-    holds: Dict[str, List[float]] = {}
-    if not stream:
-        return moves, holds
-    _, start, room, current = stream[0]
-    last = start
-    for _, timestamp, location, activity in stream:
-        if location != room:
-            moves.setdefault((room, location), []).append(float(timestamp - last))
-            room = location
-        if activity != current:
-            if current != IDLE_ACTIVITY:
-                holds.setdefault(current, []).append(float(last - start))
-            current = activity
-            start = timestamp
-        last = timestamp
-    if current != IDLE_ACTIVITY:
-        holds.setdefault(current, []).append(float(last - start))
-    return moves, holds
+    _, holds = _log(events).durations(user)
+    return {activity: list(durations) for activity, durations in holds.items()}
 
 
 def extract_features(events, user: str) -> FeatureVector:
-    """Per-key mean of the moving and holding duration lists."""
-    moves, holds = _durations(_user_stream(events, user))
+    """Per-key mean of the moving and holding duration lists.
+
+    Each list keeps its durations in stream order, so every mean is
+    bit-identical to the mean over a separate pass per feature.
+    """
+    moves, holds = _log(events).durations(user)
     fv = FeatureVector()
     for (src, dst), durations in moves.items():
         key = move_key(src, dst)
@@ -286,43 +332,72 @@ def trust_score(model: BehaviorModel, class_id: str, fv: FeatureVector) -> float
 # ---------------------------------------------------------------------------
 
 def load_events(text: str) -> EventLog:
+    """Read event CSV text into an :class:`EventLog`, folding as it reads.
+
+    Each row goes into its user's running state as it is parsed, with no
+    ``SensorEvent`` per row; the user, location and activity cells share one
+    string object per distinct text.  Blank rows are skipped and cells are
+    stripped.  A bad header, a row that is not four fields, a timestamp that
+    is not an integer, a user whose timestamps go backwards, or text the CSV
+    reader refuses (such as a bare carriage return inside an unquoted cell)
+    raises ``EventFormatError`` with the line it was found on.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise EventFormatError("missing header", 1)
-    header = [cell.strip() for cell in header]
-    if header != EVENT_HEADER:
-        raise EventFormatError(
-            f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}", 1)
-    events: List[SensorEvent] = []
-    streams: Dict[str, List[SensorEvent]] = {}
-    shared: Dict[str, str] = {}  # one string object per distinct cell text
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) == 4:
-            raw_ts, user, location, activity = row
-            raw_ts = raw_ts.strip()
-            user = user.strip()
-            location = location.strip()
-            activity = activity.strip()
-            if not (raw_ts or user or location or activity):
-                continue
-        else:
-            cells = [cell.strip() for cell in row]
-            if not any(cells):
-                continue
-            raise EventFormatError(f"expected 4 fields, got {len(cells)}", lineno)
-        try:
-            timestamp = int(raw_ts)
-        except ValueError:
-            raise EventFormatError(f"bad timestamp {raw_ts!r}", lineno) from None
-        event = SensorEvent(shared.setdefault(user, user), timestamp,
-                            shared.setdefault(location, location),
-                            shared.setdefault(activity, activity))
-        if not _file_event(streams, event):
+    lineno = 1
+
+    def rows() -> Iterator[Tuple[str, int, str, str]]:
+        nonlocal lineno
+        # Each cell text, raw or stripped, maps to its stripped text: one
+        # string object per distinct stripped text.  ``int`` ignores the
+        # padding a timestamp may carry.
+        shared: Dict[str, str] = {}
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                raw_ts, user, location, activity = row
+                event = (shared[user], int(raw_ts), shared[location],
+                         shared[activity])
+            except (ValueError, KeyError):  # a new cell text, or a bad row
+                event = _event(row, shared, lineno)
+                if event is None:
+                    continue
+            yield event
+
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EventFormatError("missing header", 1)
+        header = [cell.strip() for cell in header]
+        if header != EVENT_HEADER:
             raise EventFormatError(
-                f"events for {user} not sorted (timestamp {timestamp})", lineno)
-        events.append(event)
-    return EventLog._grouped(events, streams)
+                f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}",
+                1)
+        log = EventLog()
+        backwards = log._fold(rows())
+    except csv.Error as err:
+        raise EventFormatError(str(err), reader.line_num) from None
+    if backwards is not None:
+        user, timestamp, _ = backwards
+        raise EventFormatError(
+            f"events for {user} not sorted (timestamp {timestamp})", lineno)
+    return log
+
+
+def _event(row: List[str], shared: Dict[str, str], lineno: int
+           ) -> Optional[Tuple[str, int, str, str]]:
+    """A row's event with its cells stripped and shared; None if all blank."""
+    cells = [cell.strip() for cell in row]
+    if not any(cells):
+        return None
+    if len(cells) != 4:
+        raise EventFormatError(f"expected 4 fields, got {len(cells)}", lineno)
+    raw_ts = cells[0]
+    try:
+        timestamp = int(raw_ts)
+    except ValueError:
+        raise EventFormatError(f"bad timestamp {raw_ts!r}", lineno) from None
+    for raw, cell in zip(row[1:], cells[1:]):
+        shared[raw] = shared.setdefault(cell, cell)
+    return shared[row[1]], timestamp, shared[row[2]], shared[row[3]]
 
 
 def load_events_file(path) -> EventLog:
@@ -331,7 +406,7 @@ def load_events_file(path) -> EventLog:
 
 
 def users_in(events) -> List[str]:
-    return list(_streams(events))
+    return list(_log(events)._folds)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +463,3 @@ def load_model_file(path,
                     distance_floor: float = DEFAULT_DISTANCE_FLOOR) -> BehaviorModel:
     with open(path, "r", encoding="utf-8") as fh:
         return load_model(fh.read(), distance_floor=distance_floor)
-
-
-def save_model_file(model: BehaviorModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_model(model))

@@ -411,24 +411,6 @@ class FactStore:
         self._justifications.pop(key, None)
         return True
 
-    def match(self, pattern) -> list:
-        """All bindings that turn ``pattern`` into a stored fact.
-
-        ``pattern`` is anything with ``predicate`` and ``terms`` attributes
-        where each term is a :class:`Constant` or :class:`Variable` (rule
-        atoms qualify).  A variable-free pattern that is present yields one
-        empty binding.
-        """
-        terms = tuple(pattern.terms)
-        if not 1 <= len(terms) <= MAX_ARITY:
-            raise ArityError(f"pattern arity {len(terms)} outside 1..{MAX_ARITY}")
-        results = []
-        for fact in self.candidates(pattern.predicate, terms, {}):
-            binding = unify_against_fact(pattern.predicate, terms, fact, {})
-            if binding is not None:
-                results.append(binding)
-        return results
-
     def record_justification(self, fact: Fact, rule_id: Optional[str],
                              premises: tuple) -> None:
         self._justifications.setdefault(fact.key(),

@@ -335,7 +335,8 @@ class AuthMeans:
     ``HasCapability(?u, <capability>)`` atoms.  For a class and a list of
     capabilities the mean is that of the first mean rule, in rule order,
     whose body holds, or the default when none does: the mean a fixpoint
-    over just those profile facts derives (:func:`select_auth_mean`).
+    over just those profile facts derives (the test reference
+    ``tests/oracles.select_auth_mean``).
 
     A policy where that fixpoint could depend on more is refused with
     :class:`InvalidRuleError` naming the rule: a rule with another
@@ -411,31 +412,6 @@ def _mean_row(rule: Rule, rule_id: str) -> tuple:
         keys.add(atom.terms[1].key())
     return (frozenset(required["hasrecognizedbehavior"]),
             frozenset(required["hascapability"]), head.terms[0].text())
-
-
-def select_auth_mean(capabilities, behavior_class: Optional[str], rules,
-                     default_mean: str = DEFAULT_AUTH_MEAN) -> str:
-    """Authentication mean the rules prescribe for capabilities and a class.
-
-    ``capabilities`` is one capability or a list of them; a ``None`` class
-    stands for a vector that has none.  The rules run to fixpoint over these
-    profile facts alone: when several means derive, the first by rule order
-    wins, and when none does, the configured default applies.  This is the
-    reference :class:`AuthMeans` answers from a table.
-    """
-    if isinstance(capabilities, str):
-        capabilities = [capabilities]
-    subject = "candidate"
-    scratch = FactStore()
-    if behavior_class is not None:
-        scratch.assert_fact(
-            ground("HasRecognizedBehavior", subject, behavior_class))
-    for value in capabilities:
-        scratch.assert_fact(ground("HasCapability", subject, value))
-    for fact in infer_fixpoint(scratch, rules).derived:
-        if fact.predicate.lower() == "authentication" and len(fact.args) == 1:
-            return fact.args[0].text()
-    return default_mean
 
 
 _VALUE = Variable("value")

@@ -2,10 +2,10 @@
 
 The query language is a small SELECT-only subset:
 ``SELECT ?u WHERE { HasCapability(?u, "visual") ^ Authenticated(?u, yes) }``
-with an optional ``LIMIT n``.  Evaluation joins the where-atoms left to
-right through the engine's indexed join (:func:`aalguard.engine.join`);
-results are a set of rows projected to the selected variables, sorted
-lexicographically so LIMIT is deterministic.
+with an optional ``LIMIT n``, where ``n`` is a positive decimal integer.
+Evaluation joins the where-atoms left to right through the engine's indexed
+join (:func:`aalguard.engine.join`); results are a set of rows projected to
+the selected variables, sorted lexicographically so LIMIT is deterministic.
 """
 
 from __future__ import annotations
@@ -59,11 +59,23 @@ def parse_query(text: str) -> ConjunctiveQuery:
     if parser.peek().kind == IDENT and parser.peek().value.lower() == "limit":
         parser.advance()
         token = parser.expect(NUM)
-        limit = int(float(token.value))
-        if limit <= 0:
-            raise RuleSyntaxError("LIMIT must be positive", token.offset)
+        limit = _positive_integer(token.value)
+        if limit is None:
+            raise RuleSyntaxError("LIMIT must be a positive integer",
+                                  token.offset)
     parser.expect(EOF)
     return ConjunctiveQuery(select=select, where=where, limit=limit)
+
+
+def _positive_integer(text: str) -> Optional[int]:
+    """``text`` as an int when it is a decimal integer literal above zero."""
+    if not text.isascii() or not text.isdigit():
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+    return value if value > 0 else None
 
 
 def _expect_keyword(parser: _Parser, keyword: str) -> None:

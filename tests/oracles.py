@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and self-contained: its own
 unification, its own distance computation, its own mean.  None of it calls
-into the code paths under test, so agreement is meaningful.
+into the code paths under test, so agreement is meaningful.  The two
+exceptions say so: ``match`` reads a store through its candidate lookup, and
+``select_auth_mean`` runs the fixpoint that the compiled mean table replaces.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import math
 import random
 import re
 
-from aalguard.behavior import EventFormatError, OrderingError
-from aalguard.facts import (ArityError, Constant, Fact, FactError, Variable,
-                            coerce_constant)
+from aalguard.behavior import IDLE_ACTIVITY, EventFormatError, OrderingError
+from aalguard.engine import infer_fixpoint
+from aalguard.facts import (MAX_ARITY, ArityError, Constant, Fact, FactError,
+                            FactStore, Variable, coerce_constant, ground,
+                            unify_against_fact)
+from aalguard.pdp import DEFAULT_AUTH_MEAN
 from aalguard.rules import Atom, Rule
 
 
@@ -126,6 +131,55 @@ def reference_retract(facts, predicate, args):
 
 
 # ---------------------------------------------------------------------------
+# Single-atom matches and authentication means
+# ---------------------------------------------------------------------------
+
+def match(store, pattern) -> list:
+    """All bindings that turn ``pattern`` into a stored fact.
+
+    ``pattern`` is anything with ``predicate`` and ``terms`` attributes
+    where each term is a :class:`Constant` or :class:`Variable` (rule atoms
+    qualify).  A variable-free pattern that is present yields one empty
+    binding.  Reads ``store.candidates``, so the tests that use it check
+    that lookup.
+    """
+    terms = tuple(pattern.terms)
+    if not 1 <= len(terms) <= MAX_ARITY:
+        raise ArityError(f"pattern arity {len(terms)} outside 1..{MAX_ARITY}")
+    results = []
+    for fact in store.candidates(pattern.predicate, terms, {}):
+        binding = unify_against_fact(pattern.predicate, terms, fact, {})
+        if binding is not None:
+            results.append(binding)
+    return results
+
+
+def select_auth_mean(capabilities, behavior_class, rules,
+                     default_mean: str = DEFAULT_AUTH_MEAN) -> str:
+    """Authentication mean the rules prescribe for capabilities and a class.
+
+    ``capabilities`` is one capability or a list of them; a ``None`` class
+    stands for a vector that has none.  The rules run to fixpoint over these
+    profile facts alone: when several means derive, the first by rule order
+    wins, and when none does, the configured default applies.  This is the
+    reference ``pdp.AuthMeans`` answers from a table.
+    """
+    if isinstance(capabilities, str):
+        capabilities = [capabilities]
+    subject = "candidate"
+    scratch = FactStore()
+    if behavior_class is not None:
+        scratch.assert_fact(
+            ground("HasRecognizedBehavior", subject, behavior_class))
+    for value in capabilities:
+        scratch.assert_fact(ground("HasCapability", subject, value))
+    for fact in infer_fixpoint(scratch, rules).derived:
+        if fact.predicate.lower() == "authentication" and len(fact.args) == 1:
+            return fact.args[0].text()
+    return default_mean
+
+
+# ---------------------------------------------------------------------------
 # Random instance generation for the engine checks
 # ---------------------------------------------------------------------------
 
@@ -230,13 +284,21 @@ def reference_load_events(text):
 
     Reads every row into a list of stripped cells, skips rows whose cells
     are all blank, and raises ``EventFormatError`` with the message and line
-    the real loader promises.  Returns ``(rows, streams)``: the
+    the real loader promises.  Text the CSV reader refuses, such as a bare
+    carriage return in an unquoted cell, raises it with the reader's line,
+    after every row read before it.  Returns ``(rows, streams)``: the
     ``(user, timestamp, location, activity)`` tuples, and a dict from each
     user, in first-seen order, to that user's tuples.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    rows, refused = [], None
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as err:
+        refused = EventFormatError(str(err), reader.line_num)
     if not rows:
-        raise EventFormatError("missing header", 1)
+        raise refused or EventFormatError("missing header", 1)
     header = [cell.strip() for cell in rows[0]]
     expected = ["timestamp", "user", "location", "activity"]
     if header != expected:
@@ -261,4 +323,35 @@ def reference_load_events(text):
         row_tuple = (user, timestamp, location, activity)
         stream.append(row_tuple)
         out.append(row_tuple)
+    if refused is not None:
+        raise refused
     return out, streams
+
+
+def reference_durations(stream):
+    """Moving and holding durations of one user's stream, in one pass.
+
+    ``stream`` holds ``(user, timestamp, location, activity)`` tuples in
+    order.  A room change adds ``timestamp - last`` under ``(from, to)``; each
+    maximal run of one non-idle activity adds its length, a single-event run
+    zero, under the activity.  Lists keep stream order; keys keep the order
+    they first get a duration.
+    """
+    moves, holds = {}, {}
+    if not stream:
+        return moves, holds
+    _, start, room, current = stream[0]
+    last = start
+    for _, timestamp, location, activity in stream:
+        if location != room:
+            moves.setdefault((room, location), []).append(float(timestamp - last))
+            room = location
+        if activity != current:
+            if current != IDLE_ACTIVITY:
+                holds.setdefault(current, []).append(float(last - start))
+            current = activity
+            start = timestamp
+        last = timestamp
+    if current != IDLE_ACTIVITY:
+        holds.setdefault(current, []).append(float(last - start))
+    return moves, holds

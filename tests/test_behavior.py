@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import aalguard
 from aalguard import behavior
@@ -28,8 +28,8 @@ from aalguard.behavior import (
     users_in,
 )
 
-from oracles import (batch_mean, brute_force_nearest, reference_load_events,
-                     scan_user_stream, scan_users)
+from oracles import (batch_mean, brute_force_nearest, reference_durations,
+                     reference_load_events, scan_user_stream, scan_users)
 
 FIXTURES = Path(aalguard.__file__).parent / "fixtures"
 
@@ -369,6 +369,18 @@ def test_load_events_bad_row_reports_line(rows, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("text, line", [
+    (HEADER + "100,u1,kit\rchen,none\n", 2),
+    (HEADER + "100,u1,kitchen,none\n\n120,u1,\rhall,none\n", 4),
+    ("timestamp,user,loc\ration,activity\n", 1),
+])
+def test_load_events_bare_carriage_return_is_a_format_error(text, line):
+    with pytest.raises(EventFormatError) as err:
+        load_events(text)
+    assert err.value.line == line
+    assert "new-line character seen in unquoted field" in str(err.value)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_load_events_skips_blank_rows_and_strips_cells(newline):
     lines = [" timestamp , user,location,activity ",
@@ -417,10 +429,11 @@ def _padded(draw, text):
 
 @st.composite
 def event_csv_texts(draw):
-    """Event CSV text with padding, blank and sparse rows, quoted cells, bad rows."""
+    """Event CSV text with padding, blank and sparse rows, quoted cells, bad
+    rows, and cells the CSV reader refuses."""
     ordered, faults = draw(st.booleans()), draw(st.booleans())
-    kinds = ["event"] * 8 + ["sparse"] + (["short", "long", "timestamp"]
-                                          if faults else [])
+    kinds = ["event"] * 8 + ["sparse"] + (["short", "long", "timestamp",
+                                           "return"] if faults else [])
     clock = {}
     lines = [_padded(draw, "timestamp") + "," + _padded(draw, "user") +
              ",location," + _padded(draw, "activity")]
@@ -442,7 +455,10 @@ def event_csv_texts(draw):
         cells = [raw_ts, user,
                  draw(st.sampled_from(ROOMS + ['" living room "', '"hall,east"'])),
                  draw(st.sampled_from(ACTIVITIES + ['"tv, news"', '""', "  "]))]
-        if kind == "short":
+        if kind == "return":  # a bare carriage return in an unquoted cell
+            cells[draw(st.integers(1, 3))] = draw(st.sampled_from(
+                ["kit\rchen", "\rhall", "u1\r"]))
+        elif kind == "short":
             del cells[draw(st.integers(0, 3))]
         elif kind == "long":
             cells.append(draw(st.sampled_from(["extra", "", '"a,b"'])))
@@ -511,6 +527,70 @@ def test_grouped_streams_match_the_scan_oracle(events):
             assert moving_time(log, user) == moving_time(own, user)
             assert holding_time(log, user) == holding_time(own, user)
             assert extract_features(log, user) == extract_features(own, user)
+
+
+def _reference_means(moves, holds):
+    keyed = [(f"move:{src}->{dst}", durations)
+             for (src, dst), durations in moves.items()]
+    keyed += [(f"hold:{activity}", durations)
+              for activity, durations in holds.items()]
+    return ([(key, sum(durations) / len(durations)) for key, durations in keyed],
+            [(key, len(durations)) for key, durations in keyed])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(interleaved_logs().map(_csv), event_csv_texts()))
+def test_folded_features_equal_the_reference_durations(text):
+    want, error = _outcome(reference_load_events, text)
+    assume(error is None)
+    _, streams = want
+    loaded = load_events(text)
+    # The loader's fold and the in-process fold of the same events.
+    for log in (loaded, list(loaded)):
+        assert users_in(log) == list(streams)
+        for user in list(streams) + ["nobody"]:
+            moves, holds = reference_durations(streams.get(user, []))
+            assert list(moving_time(log, user).items()) == list(moves.items())
+            assert list(holding_time(log, user).items()) == list(holds.items())
+            fv = extract_features(log, user)
+            entries, support = _reference_means(moves, holds)
+            assert list(fv.entries.items()) == entries
+            assert list(fv.support.items()) == support
+
+
+def test_extraction_leaves_the_folded_state_unchanged():
+    text = HEADER + "".join([
+        "0,u1,kitchen,cooking\n", "60,u1,kitchen,cooking\n",
+        "90,u1,hall,none\n", "100,u1,kitchen,cooking\n",
+        "130,u1,hall,cooking\n"])
+    log = load_events(text)
+    holds = holding_time(log, "u1")
+    assert holds == {"cooking": [60.0, 30.0]}
+    holds["cooking"].append(1.0)  # the caller's copy, not the state
+    first = extract_features(log, "u1")
+    second = extract_features(log, "u1")
+    assert first == second
+    assert first.entries["hold:cooking"] == 45.0
+    assert first.support["hold:cooking"] == 2
+    assert holding_time(log, "u1") == {"cooking": [60.0, 30.0]}
+
+
+def test_load_and_extraction_build_no_sensor_event(monkeypatch):
+    built = [0]
+
+    class CountingEvent(SensorEvent):
+        def __new__(cls, *args, **kwargs):
+            built[0] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(behavior, "SensorEvent", CountingEvent)
+    log = load_events((FIXTURES / "streams" / "events_u1.csv").read_text())
+    for user in users_in(log):
+        extract_features(log, user)
+        moving_time(log, user)
+        holding_time(log, user)
+    assert built[0] == 0
+    assert len(list(log)) == built[0] == len(log)  # iterating builds them
 
 
 @pytest.mark.parametrize("residents", [10, 40])

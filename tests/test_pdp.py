@@ -20,7 +20,6 @@ from aalguard.pdp import (
     hash_password,
     load_credentials,
     parse_entry,
-    select_auth_mean,
     serialize_entry,
     verify_password,
 )
@@ -28,6 +27,8 @@ from aalguard.rules import parse_ruleset
 from aalguard import engine, pdp, scenarios
 from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
+
+from oracles import select_auth_mean
 
 RULES = load_fixture_rules()
 

@@ -17,7 +17,7 @@ from aalguard.query import (
 from aalguard.rules import Atom, RuleSyntaxError
 from aalguard.scenarios import load_fixture_rules, run_scenario
 
-from oracles import _all_bindings, random_instance
+from oracles import _all_bindings, match, random_instance
 
 
 def test_parse_simple_query():
@@ -65,9 +65,9 @@ def test_join_equals_intersection_of_single_atom_scans():
                     "^ Authenticated(?u, yes) }")
     rows = {row["u"].text() for row in eval_query(store, q)}
 
-    left = {b["u"].text() for b in store.match(
+    left = {b["u"].text() for b in match(store, 
         Atom("HasCapability", (Variable("u"), Constant.string("hearing"))))}
-    right = {b["u"].text() for b in store.match(
+    right = {b["u"].text() for b in match(store, 
         Atom("Authenticated", (Variable("u"), Constant.symbol("yes"))))}
     assert rows == left & right == {"u2"}
 
@@ -78,7 +78,7 @@ def test_single_atom_query_equals_match_projection():
     store.assert_fact(ground("P", "a", "c"))
     q = parse_query("SELECT ?x WHERE { P(a, ?x) }")
     rows = {row["x"].text() for row in eval_query(store, q)}
-    matches = {b["x"].text() for b in store.match(
+    matches = {b["x"].text() for b in match(store, 
         Atom("P", (Constant.symbol("a"), Variable("x"))))}
     assert rows == matches == {"b", "c"}
 
@@ -113,6 +113,21 @@ def test_adding_facts_never_shrinks_results():
     store.assert_fact(ground("P", "zz"))
     after = {row["x"].text() for row in eval_query(store, q)}
     assert before <= after
+
+
+@pytest.mark.parametrize("limit", [
+    "2.5", "1e999", "1e3", "0", "-3", "\u0663",
+    pytest.param("9" * 5000, id="5000-digits")])
+def test_limit_must_be_a_positive_decimal_integer(limit):
+    text = "SELECT ?x WHERE { P(?x) } LIMIT " + limit
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_query(text)
+    assert err.value.offset == text.index("LIMIT") + len("LIMIT ")
+    assert "LIMIT must be a positive integer" in str(err.value)
+
+
+def test_limit_reads_leading_zeros_as_decimal():
+    assert parse_query("SELECT ?x WHERE { P(?x) } LIMIT 007").limit == 7
 
 
 def test_rows_sorted_and_limit_deterministic():
