@@ -46,7 +46,6 @@ from .pdp import (
     Decision,
     authenticate,
     authorize,
-    assign_group,
     detect_anomaly,
     flag_anomaly,
 )

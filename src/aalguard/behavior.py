@@ -340,24 +340,22 @@ def load_events(text: str) -> EventLog:
     stripped.  A bad header, a row that is not four fields, a timestamp that
     is not an integer, a user whose timestamps go backwards, or text the CSV
     reader refuses (such as a bare carriage return inside an unquoted cell)
-    raises ``EventFormatError`` with the line it was found on.
+    raises ``EventFormatError`` with the last physical line of its row.
     """
     reader = csv.reader(io.StringIO(text))
-    lineno = 1
 
     def rows() -> Iterator[Tuple[str, int, str, str]]:
-        nonlocal lineno
         # Each cell text, raw or stripped, maps to its stripped text: one
         # string object per distinct stripped text.  ``int`` ignores the
         # padding a timestamp may carry.
         shared: Dict[str, str] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 raw_ts, user, location, activity = row
                 event = (shared[user], int(raw_ts), shared[location],
                          shared[activity])
             except (ValueError, KeyError):  # a new cell text, or a bad row
-                event = _event(row, shared, lineno)
+                event = _event(row, shared, reader.line_num)
                 if event is None:
                     continue
             yield event
@@ -378,7 +376,8 @@ def load_events(text: str) -> EventLog:
     if backwards is not None:
         user, timestamp, _ = backwards
         raise EventFormatError(
-            f"events for {user} not sorted (timestamp {timestamp})", lineno)
+            f"events for {user} not sorted (timestamp {timestamp})",
+            reader.line_num)
     return log
 
 

@@ -162,11 +162,14 @@ def cmd_infer(args, config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_explain(args, config: Config) -> int:
+def _materialized_store(args, config: Config) -> FactStore:
     store = _load_store(args, config)
-    rules = _load_rules(args, config)
-    if rules:
-        engine.infer_fixpoint(store, rules)
+    engine.infer_fixpoint(store, _load_rules(args, config))
+    return store
+
+
+def cmd_explain(args, config: Config) -> int:
+    store = _materialized_store(args, config)
     target = parse_fact(args.fact, require_period=False)
     derivation = engine.explain(store, target)
     print(engine.render_derivation(derivation))
@@ -174,10 +177,7 @@ def cmd_explain(args, config: Config) -> int:
 
 
 def cmd_query(args, config: Config) -> int:
-    store = _load_store(args, config)
-    rules = _load_rules(args, config)
-    if rules:
-        engine.infer_fixpoint(store, rules)
+    store = _materialized_store(args, config)
     parsed = query.parse_query(args.query)
     rows = query.eval_query(store, parsed)
     for row in rows:
@@ -231,7 +231,6 @@ class ServeState:
     def __init__(self, store, rules, model, credentials, config, audit_log):
         self.store = store
         self.means = pdp.AuthMeans(rules)
-        self.policy = self.means.policy
         self.model = model
         self.credentials = credentials
         self.config = config
@@ -316,7 +315,7 @@ def handle_message(state: ServeState, line: str) -> dict:
                 context=dict(msg.get("context") or {}))
             with state.lock:
                 decision = pdp.authorize(
-                    request, state.store, state.policy,
+                    request, state.store, state.means.policy,
                     priority_table=state.config.priority_table,
                     audit_log=state.audit_log)
             return {"ok": True, "effect": decision.effect,
@@ -491,9 +490,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         return COMMANDS[args.command](args, config)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -272,8 +272,8 @@ class FactStore:
     Single-writer, multiple-reader contract: callers serialize mutations;
     readers that need a stable view hold the lock that serializes them, or
     take a :meth:`snapshot` first.
-    Justifications recorded here are not truth-maintained across retraction;
-    inference is re-run on a fresh snapshot instead.
+    The store does no truth maintenance: a retraction leaves what was
+    inferred from it, and ``pdp.rederive`` derives a subject's facts again.
     """
 
     def __init__(self, vocabulary: Iterable[str] = DEFAULT_VOCABULARY):
@@ -331,22 +331,12 @@ class FactStore:
             best = self._index.get(predicate, {})
         return tuple(best.values())
 
-    def facts_naming(self, value: Constant) -> tuple:
-        """The stored facts that hold ``value`` at any argument position.
-
-        Read from the argument index, one bucket per predicate and
-        position, so no fact that leaves ``value`` out is read.  The facts
-        come grouped by predicate, then position, each group in insertion
-        order.
-        """
-        key = value.key()
-        found: dict = {}
-        for predicate in self._index:
-            for position in range(MAX_ARITY):
-                bucket = self._by_arg.get((predicate, position, key))
-                if bucket is not None:
-                    found.update(bucket)
-        return tuple(found.values())
+    def facts_about(self, subject: Constant) -> tuple:
+        """The stored facts whose first argument is ``subject``, read from
+        the position-0 index: one bucket per predicate, in insertion order."""
+        key = subject.key()
+        return tuple(fact for predicate in self._index for fact in
+                     self._by_arg.get((predicate, 0, key), {}).values())
 
     def get(self, predicate: str, args) -> Optional[Fact]:
         """The stored fact with this predicate and these raw values, if any."""
@@ -389,8 +379,8 @@ class FactStore:
     def retract_fact(self, predicate: str, args) -> bool:
         """Remove a fact; returns True iff it was present.
 
-        Facts inferred from it stay (no truth maintenance); re-run inference
-        on a fresh snapshot when that matters.
+        Facts inferred from it stay (no truth maintenance); a caller that
+        changes a subject's facts derives that subject's facts again.
         """
         try:
             key = fact_key(predicate, tuple(coerce_constant(a) for a in args))

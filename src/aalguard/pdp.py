@@ -7,7 +7,8 @@ rules are compiled to a table once per policy), then verify the presented
 credential under that mean.  Authorization asserts the request
 context into a working snapshot of the store, runs the rule engine, and
 combines every ``hasAccess`` / ``Obligation`` / ``Recommendation`` fact that
-names the user or one of their groups.
+names the user or one of their groups.  The live store holds what the
+rules derive about each resident from their own facts (:func:`rederive`).
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Every authentication and
@@ -30,7 +31,7 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_score)
 from .engine import InvalidRuleError, Policy, infer_fixpoint
-from .facts import (INFERRED, Constant, Fact, FactStore, Variable,
+from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Variable,
                     coerce_constant, ground)
 from .rules import Rule
 
@@ -68,6 +69,8 @@ _REQUEST_PREDICATES = {"service": "AskedService", "device": "UsedDevice",
                        "context": "HasContext", "time": "HasTime",
                        "location": "HasLocation", "activity": "HasActivity",
                        "environment": "HasEnvironment"}
+_HISTORY_PREDICATES = frozenset(name.lower()
+                                for name in _REQUEST_PREDICATES.values())
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
 
@@ -342,6 +345,8 @@ class AuthMeans:
     :class:`InvalidRuleError` naming the rule: a rule with another
     ``Authentication`` head, a mean rule of another shape, or a rule that
     could fire on profile facts and derive a class, a capability or a mean.
+    Every other rule must take one subject variable as the first argument
+    of each atom, so the fixpoint splits into one piece per subject.
     """
 
     def __init__(self, rules):
@@ -363,11 +368,16 @@ class AuthMeans:
             heads = {atom.predicate.lower() for atom in rule.head}
             if "authentication" in heads:
                 self._rows.append(_mean_row(rule, rule_id))
-            elif i in fires and heads & _PROFILE_PREDICATES:
+                continue
+            if i in fires and heads & _PROFILE_PREDICATES:
                 raise InvalidRuleError(
                     f"rule {rule_id}: derives a behavior class or capability "
                     "from profile facts, so the authentication mean is not "
                     "a lookup")
+            subjects = {atom.terms[0] for atom in (*rule.body, *rule.head)}
+            if len(subjects) != 1 or not isinstance(subjects.pop(), Variable):
+                raise InvalidRuleError(f"rule {rule_id}: every atom must "
+                                       "take the rule's subject variable first")
 
     @classmethod
     def of(cls, rules) -> "AuthMeans":
@@ -453,10 +463,23 @@ def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
         store.retract_fact(fact.predicate, fact.args)
 
 
-def _retract_inferred_about(store: FactStore, user: str) -> None:
-    for fact in store.facts_naming(coerce_constant(user)):
+def rederive(store: FactStore, policy: Policy, user: str) -> None:
+    """Replace the facts inferred about ``user`` with what the fixpoint
+    derives from the user's asserted facts, request history aside: under
+    :class:`AuthMeans`'s subject guard, the whole-store fixpoint restricted
+    to the user.  Only :func:`authenticate` asserts ``Authenticated``."""
+    subject = coerce_constant(user)
+    own = FactStore()
+    for fact in store.facts_about(subject):
         if fact.origin == INFERRED:
             store.retract_fact(fact.predicate, fact.args)
+        elif fact.key()[0] not in _HISTORY_PREDICATES:
+            own.assert_fact(fact)
+    for fact in infer_fixpoint(own, policy).derived:
+        if fact.args[0] == subject and fact.key()[0] != "authenticated" \
+                and store.assert_fact(fact):
+            store.record_justification(fact, fact.rule_id,
+                                       own.justification(fact).premises)
 
 
 def authenticate(req: AuthnRequest, store: FactStore,
@@ -471,9 +494,9 @@ def authenticate(req: AuthnRequest, store: FactStore,
     credential under the selected mean.  The outcome is asserted into the
     store as ``Authenticated(user, yes|no)`` along with the recognized
     behavior class; earlier outcomes for the same user are replaced.  When
-    that changes or removes the user's class, every inferred fact naming
-    the user is retracted too, since it may rest on the old class.  A
-    vector at a non-finite distance has no class and fails the trust gate.
+    that sets, changes or removes the user's class, the facts inferred
+    about the user are derived again (:func:`rederive`).  A vector at a
+    non-finite distance has no class and fails the trust gate.
     ``means`` is the policy's :class:`AuthMeans`, or its rules, which are
     compiled on the call.
     """
@@ -497,14 +520,14 @@ def authenticate(req: AuthnRequest, store: FactStore,
     held = {fact.args[1].key() for fact in
             _facts_about(store, "HasRecognizedBehavior", req.user)
             if len(fact.args) == 2}
-    if held and held != _class_keys(behavior_class):
-        _retract_inferred_about(store, req.user)
     _replace_user_facts(store, "Authenticated", req.user)
     _replace_user_facts(store, "HasRecognizedBehavior", req.user)
     store.assert_fact(ground("Authenticated", req.user, answer))
     if behavior_class is not None:
         store.assert_fact(
             ground("HasRecognizedBehavior", req.user, behavior_class))
+    if held != _class_keys(behavior_class):
+        rederive(store, means.policy, req.user)
 
     if audit_log is not None:
         detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"
@@ -516,16 +539,8 @@ def authenticate(req: AuthnRequest, store: FactStore,
 
 
 # ---------------------------------------------------------------------------
-# Group assignment and authorization
+# Authorization
 # ---------------------------------------------------------------------------
-
-def assign_group(store: FactStore,
-                 rules: Union[Policy, List[Rule]]) -> List[Fact]:
-    """Materialize the store and return the newly derived group memberships."""
-    report = infer_fixpoint(store, rules)
-    return [f for f in report.derived
-            if f.predicate.lower() == "behaviorcapability"]
-
 
 def groups_of(store: FactStore, user: str) -> List[Constant]:
     return [fact.args[1]
@@ -595,10 +610,11 @@ def authorize(req: AuthzRequest, store: FactStore,
     see), inference runs, and the decision facts naming the user or one of
     the user's groups are combined deny-overrides with a deny default.  The
     live store keeps the request facts as history; derived decision facts
-    stay in the snapshot.
+    stay in the snapshot.  Only an asserted ``Authenticated`` passes the gate.
     """
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
-    if not store.holds("Authenticated", req.user, "yes"):
+    gate = store.get("Authenticated", (req.user, "yes"))
+    if gate is None or gate.origin != ASSERTED:
         decision = Decision(effect=DENY, priority=_priority_for(store, req.user, table),
                             rationale=["not-authenticated"])
         if audit_log is not None:
@@ -661,10 +677,9 @@ def flag_anomaly(store: FactStore, model: BehaviorModel, user: str,
     ``Obligation(user, signal-emergency)`` fact so the next authorization
     carries the emergency obligation.
     """
-    flagged = detect_anomaly(model, class_id, recent, threshold)
-    if not flagged:
-        return False
     trust = trust_score(model, class_id, recent)
+    if trust >= threshold:
+        return False
     if audit_log is not None:
         audit_log.append("anomaly", user, "flagged",
                          f"class={class_id} trust={trust:.3f}")

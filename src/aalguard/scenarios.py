@@ -7,8 +7,8 @@ open the front door at midnight (denied, with an emergency obligation raised
 by the wandering detected in their recent movement stream).
 
 A run walks the whole pipeline: ingest events, extract features, classify
-and authenticate, assign groups, check the recent stream for anomalies, then
-authorize the scenario request and compare against the expected outcome.
+and authenticate (deriving groups), check the recent stream for anomalies,
+then authorize the scenario request and compare against the expected outcome.
 Reports are deterministic: same fixtures, same bytes.
 """
 
@@ -122,9 +122,9 @@ def _admit(name: str, store: FactStore, means: pdp.AuthMeans, model,
     """Take one fixture resident through the pipeline up to authorization.
 
     Loads the resident's profile facts into ``store``, authenticates them
-    from their fixture stream, assigns groups under the compiled policy and
-    runs the anomaly check on the recent stream against the class
-    authentication recognized.
+    from their fixture stream, which derives their groups under the
+    compiled policy, and runs the anomaly check on the recent stream
+    against the class authentication recognized.
     """
     fixture = SCENARIOS[name]
     load_facts(fixture_text("scenarios", name, "facts.kb"), store)
@@ -137,7 +137,6 @@ def _admit(name: str, store: FactStore, means: pdp.AuthMeans, model,
         trust_threshold=config.trust_threshold,
         default_mean=config.default_auth_mean,
         audit_log=audit_log)
-    pdp.assign_group(store, means.policy)
     recent = behavior.extract_features(_recent_events(name), fixture.user)
     flagged = pdp.flag_anomaly(store, model, fixture.user, authn.behavior_class,
                                recent, threshold=config.anomaly_threshold,

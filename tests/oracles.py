@@ -228,6 +228,49 @@ def random_instance(rng: random.Random, *, max_facts=30, max_rules=6,
     return facts, rules
 
 
+# Request-history predicates: rule bodies may read them, no rule derives them.
+HISTORY_POOL = ["AskedService", "HasTime", "HasContext"]
+
+
+def random_guarded_instance(rng: random.Random, *, max_facts=20, max_rules=6):
+    """Candidate base facts and rules guarded by their subject.
+
+    Every atom of every rule takes the rule's subject ``?s`` as its first
+    argument, and every base fact names one of the subjects first; some
+    base facts are request history.  Each predicate keeps one arity, so
+    rules often fire.  Returns ``(facts, rules)``.
+    """
+    subjects = [Constant.symbol(f"s{i}") for i in range(1, rng.randint(1, 3) + 1)]
+    values = [Constant.symbol(f"v{i}") for i in range(1, 3)] + subjects[:1]
+    predicates = rng.sample(PREDICATE_POOL, rng.randint(2, len(PREDICATE_POOL)))
+    arity = {name: rng.randint(1, 2) for name in predicates + HISTORY_POOL}
+
+    def any_predicate():
+        return rng.choice(HISTORY_POOL if rng.random() < 0.2 else predicates)
+
+    def random_atom(predicate, variables):
+        rest = tuple(rng.choice(variables)
+                     if variables and rng.random() < 0.7 else rng.choice(values)
+                     for _ in range(arity[predicate] - 1))
+        return Atom(predicate, (Variable("s"),) + rest)
+
+    rules = []
+    for index in range(rng.randint(1, max_rules)):
+        body = [random_atom(any_predicate(), [Variable("x"), Variable("y")])
+                for _ in range(rng.randint(1, 2))]
+        bound = sorted(set().union(*(atom.variables() for atom in body)))
+        head = [random_atom(rng.choice(predicates),
+                            [Variable(name) for name in bound])
+                for _ in range(rng.randint(1, 2))]
+        rules.append(Rule(body=body, head=head, id=f"g{index + 1}"))
+    facts = []
+    for _ in range(rng.randint(1, max_facts)):
+        predicate = any_predicate()
+        facts.append(Fact(predicate, (rng.choice(subjects),) + tuple(
+            rng.choice(values) for _ in range(arity[predicate] - 1))))
+    return facts, rules
+
+
 # ---------------------------------------------------------------------------
 # Classifier oracles
 # ---------------------------------------------------------------------------
@@ -284,28 +327,29 @@ def reference_load_events(text):
 
     Reads every row into a list of stripped cells, skips rows whose cells
     are all blank, and raises ``EventFormatError`` with the message and line
-    the real loader promises.  Text the CSV reader refuses, such as a bare
+    the real loader promises: the last physical line of the row, which a
+    quoted cell may span.  Text the CSV reader refuses, such as a bare
     carriage return in an unquoted cell, raises it with the reader's line,
     after every row read before it.  Returns ``(rows, streams)``: the
     ``(user, timestamp, location, activity)`` tuples, and a dict from each
     user, in first-seen order, to that user's tuples.
     """
     reader = csv.reader(io.StringIO(text))
-    rows, refused = [], None
+    rows, refused = [], None  # (last physical line, cells) per row
     try:
         for row in reader:
-            rows.append(row)
+            rows.append((reader.line_num, row))
     except csv.Error as err:
         refused = EventFormatError(str(err), reader.line_num)
     if not rows:
         raise refused or EventFormatError("missing header", 1)
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     expected = ["timestamp", "user", "location", "activity"]
     if header != expected:
         raise EventFormatError(
             f"expected header {','.join(expected)}, got {','.join(header)}", 1)
     out, streams = [], {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         cells = [cell.strip() for cell in row]
         if not any(cells):
             continue

@@ -350,6 +350,7 @@ def test_load_events_bad_timestamp_reports_line():
 
 
 HEADER = "timestamp,user,location,activity\n"
+SPANNING = HEADER + '1,"a\nb",k,n\n'  # a quoted cell on lines 2 and 3
 
 
 @pytest.mark.parametrize("rows, line, message", [
@@ -373,12 +374,26 @@ def test_load_events_bad_row_reports_line(rows, line, message):
     (HEADER + "100,u1,kit\rchen,none\n", 2),
     (HEADER + "100,u1,kitchen,none\n\n120,u1,\rhall,none\n", 4),
     ("timestamp,user,loc\ration,activity\n", 1),
+    (SPANNING + "2,u,k\rx,n\n", 4),
 ])
 def test_load_events_bare_carriage_return_is_a_format_error(text, line):
     with pytest.raises(EventFormatError) as err:
         load_events(text)
     assert err.value.line == line
     assert "new-line character seen in unquoted field" in str(err.value)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("zz,u,k,n\n", 4, "bad timestamp 'zz'"),
+    ("2,u,k\n", 4, "expected 4 fields, got 3"),
+    ('0,"a\nb",k,n\n', 5, "events for a\nb not sorted (timestamp 0)"),
+])
+def test_row_errors_after_a_cell_that_spans_lines_report_the_physical_line(
+        rows, line, message):
+    with pytest.raises(EventFormatError) as err:
+        load_events(SPANNING + rows)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -429,8 +444,8 @@ def _padded(draw, text):
 
 @st.composite
 def event_csv_texts(draw):
-    """Event CSV text with padding, blank and sparse rows, quoted cells, bad
-    rows, and cells the CSV reader refuses."""
+    """Event CSV text with padding, blank and sparse rows, quoted cells (some
+    spanning lines), bad rows, and cells the CSV reader refuses."""
     ordered, faults = draw(st.booleans()), draw(st.booleans())
     kinds = ["event"] * 8 + ["sparse"] + (["short", "long", "timestamp",
                                            "return"] if faults else [])
@@ -453,8 +468,10 @@ def event_csv_texts(draw):
         if kind == "timestamp":
             raw_ts = draw(st.sampled_from(["1.5", "x", "", "1e3", "0x10"]))
         cells = [raw_ts, user,
-                 draw(st.sampled_from(ROOMS + ['" living room "', '"hall,east"'])),
-                 draw(st.sampled_from(ACTIVITIES + ['"tv, news"', '""', "  "]))]
+                 draw(st.sampled_from(ROOMS + ['" living room "', '"hall,east"',
+                                               '"living\nroom"'])),
+                 draw(st.sampled_from(ACTIVITIES + ['"tv, news"', '""', "  ",
+                                                    '"tv\r\nnews\n"']))]
         if kind == "return":  # a bare carriage return in an unquoted cell
             cells[draw(st.integers(1, 3))] = draw(st.sampled_from(
                 ["kit\rchen", "\rhall", "u1\r"]))

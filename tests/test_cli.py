@@ -98,6 +98,14 @@ def test_scenario_all_pass_and_deterministic():
     assert first.stdout == second.stdout
 
 
+def test_scenario_all_matches_the_golden_report():
+    # The groups lines come from the facts authentication derives.
+    result = subprocess.run([sys.executable, "-m", "aalguard", "scenario", "all"],
+                            capture_output=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout == (DATA_DIR / "scenario_all.txt").read_bytes()
+
+
 def test_unknown_scenario_is_usage_error():
     result = run_cli("scenario", "nonsense")
     assert result.returncode == 2

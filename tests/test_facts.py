@@ -341,8 +341,8 @@ def test_key_lookups_match_the_probe_fact_reference(stored, data):
                             == _lookup(store.facts_for(predicate),
                                        predicate, terms, {}))
     for value in KEYED_CONSTANTS:
-        assert sorted(f.key() for f in store.facts_naming(value)) == sorted(
-            f.key() for f in reference.values() if value in f.args)
+        assert sorted(f.key() for f in store.facts_about(value)) == sorted(
+            f.key() for f in reference.values() if f.args[0] == value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.engine import InvalidRuleError
-from aalguard.facts import Constant, Fact, FactStore, coerce_constant, ground
+from aalguard.facts import (Constant, Fact, FactStore, coerce_constant, ground,
+                            load_facts)
 from aalguard.pdp import (
     AuditError,
     AuditLog,
@@ -12,7 +14,6 @@ from aalguard.pdp import (
     AuthzRequest,
     Credential,
     PdpError,
-    assign_group,
     authenticate,
     authorize,
     detect_anomaly,
@@ -23,12 +24,14 @@ from aalguard.pdp import (
     serialize_entry,
     verify_password,
 )
-from aalguard.rules import parse_ruleset
+from aalguard.rules import Rule, _split_statements, parse_rules, parse_ruleset
 from aalguard import engine, pdp, scenarios
 from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
 
-from oracles import select_auth_mean
+from conftest import DATA_DIR
+from oracles import (HISTORY_POOL, naive_fixpoint, random_guarded_instance,
+                     select_auth_mean)
 
 RULES = load_fixture_rules()
 
@@ -166,32 +169,96 @@ def test_mean_table_accepts_class_rules_that_profile_facts_cannot_fire():
                                        "badge") == "username/password"
 
 
+def test_every_fixture_rule_passes_the_subject_guard():
+    assert len(pdp.AuthMeans(RULES).policy.rules) == len(RULES) == 12
+
+
+def test_the_draft_alzheimer_rule_is_refused_naming_it():
+    corpus = (DATA_DIR / "verbatim_rules.txt").read_text(encoding="utf-8")
+    [draft] = parse_rules(dict((line, text) for text, line
+                               in _split_statements(corpus))[37])
+    # The subject ?u of its group atom is not who it asks for or denies.
+    assert [atom.terms[0].render() for atom in draft.body + draft.head] \
+        == ["?u", "?Group3", "?time", "?Group3"]
+    draft = Rule(body=draft.body, head=draft.head, id="alzheimer-deny")
+    with pytest.raises(InvalidRuleError, match="^rule alzheimer-deny: "):
+        pdp.AuthMeans(RULES[:-1] + [draft])
+
+
+@pytest.mark.parametrize("text", [
+    "HasCapability(?u, visual) ^ AskedService(?v, ReadAlert) -> Flag(?u, on)",
+    "HasCapability(?u, visual) ^ Flag(?u, ?v) -> Notice(?v, ?u)",
+    "Flag(?u) ^ Flag(u1) -> Notice(?u)",
+])
+def test_a_rule_not_guarded_by_one_subject_is_refused(text):
+    with pytest.raises(InvalidRuleError,
+                       match="^rule unguarded: .*subject variable first"):
+        pdp.AuthMeans(parse_ruleset(f"@id: unguarded\n{text}\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rederived_store_equals_the_naive_fixpoint_of_its_base_facts(seed):
+    rng = random.Random(seed)
+    facts, rules = random_guarded_instance(rng)
+    policy = pdp.AuthMeans(rules).policy  # the rules pass the subject guard
+    history = {name.lower() for name in HISTORY_POOL}
+    store = FactStore()
+    for _ in range(rng.randint(1, 20)):
+        asserted = [f for f in store if f.origin == "asserted"]
+        if asserted and rng.random() < 0.3:
+            changed = rng.choice(asserted)
+            store.retract_fact(changed.predicate, changed.args)
+        else:
+            changed = rng.choice(facts)
+            store.assert_fact(changed)
+        pdp.rederive(store, policy, changed.args[0].text())
+        base = [(f.predicate, f.args) for f in store
+                if f.origin == "asserted" and f.key()[0] not in history]
+        want = naive_fixpoint(base, rules) - {
+            (p.lower(), tuple(a.key() for a in args)) for p, args in base}
+        inferred = [f for f in store if f.origin == "inferred"]
+        assert {f.key() for f in inferred} == want
+        for fact in inferred:
+            assert engine.explain(store, fact).rule_id == fact.rule_id
+
+
 def test_compiled_authn_runs_no_fixpoint_and_authorize_no_validation(
         monkeypatch):
     means = pdp.AuthMeans(RULES)
     calls = {"infer_fixpoint": 0, "validate_rule": 0}
+    fixpoint_inputs = []
 
     def counting(module, name):
         wrapped = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "infer_fixpoint":
+                fixpoint_inputs.append(sorted(f.render() for f in args[0]))
             return wrapped(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
     counting(pdp, "infer_fixpoint")
     counting(engine, "validate_rule")
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
-    result = authenticate(
-        AuthnRequest("u1", Credential("password", "open-sesame"),
-                     at_centroid("class1")),
-        store, means, seed_model(), make_credentials())
-    assert result.authenticated == "yes"
-    assert calls == {"infer_fixpoint": 0, "validate_rule": 0}
-    authorize(AuthzRequest("u1", "ReadAlert"), store, means.policy)
+    store.assert_fact(ground("HasCapability", "u2", Constant.string("no")))
+    authn = AuthnRequest("u1", Credential("password", "open-sesame"),
+                         at_centroid("class1"))
+    assert authenticate(authn, store, means, seed_model(),
+                        make_credentials()).authenticated == "yes"
+    # The first classification derives the user's facts once, from their
+    # own facts; an authn that keeps the class derives nothing.
     assert calls == {"infer_fixpoint": 1, "validate_rule": 0}
+    assert fixpoint_inputs == [["Authenticated(u1, yes)",
+                                'HasCapability(u1, "no")',
+                                "HasRecognizedBehavior(u1, class1)"]]
+    authenticate(authn, store, means, seed_model(), make_credentials())
+    assert calls == {"infer_fixpoint": 1, "validate_rule": 0}
+    authorize(AuthzRequest("u1", "ReadAlert"), store, means.policy)
+    assert calls == {"infer_fixpoint": 2, "validate_rule": 0}
     authorize(AuthzRequest("u1", "ReadAlert"), store, RULES)
-    assert calls == {"infer_fixpoint": 2, "validate_rule": len(RULES)}
+    assert calls == {"infer_fixpoint": 3, "validate_rule": len(RULES)}
 
 
 def _scan(store, predicate, user):
@@ -329,17 +396,23 @@ def test_reclassification_reads_only_the_facts_that_name_the_user():
         store.assert_fact(fact("HasCapability", f"r{i}", Constant.string("no")))
         store.assert_fact(fact("BehaviorCapability", f"r{i}", "Group1",
                                origin="inferred"))
-    naming = [fact("HasCapability", "u1", Constant.string("no")),
-              fact("BehaviorCapability", "u1", "Group1", origin="inferred"),
-              fact("Obligation", "r3", "u1", origin="inferred")]
-    for f in naming:
+    own = [fact("HasCapability", "u1", Constant.string("no")),
+           fact("BehaviorCapability", "u1", "Group1", origin="inferred")]
+    naming = fact("Obligation", "r3", "u1", origin="inferred")
+    for f in own + [naming]:
         store.assert_fact(f)
     examined.clear()
-    pdp._retract_inferred_about(store, "u1")
-    assert sorted(examined) == sorted(f.key() for f in naming)
-    assert [f.key() for f in store.facts_naming(Constant.symbol("u1"))] \
-        == [naming[0].key()]
-    assert len(store) == 101
+    # The first classification of u1 (class1, which with "no" derives no
+    # group) reads the facts whose first argument is u1, and no other.
+    authenticate(AuthnRequest("u1", Credential("password", "open-sesame"),
+                              at_centroid("class1")),
+                 store, RULES, seed_model(), make_credentials())
+    assert sorted(examined) == sorted(f.key() for f in own)
+    assert [f.render() for f in store.facts_about(Constant.symbol("u1"))] \
+        == ['HasCapability(u1, "no")', "Authenticated(u1, yes)",
+            "HasRecognizedBehavior(u1, class1)"]
+    assert store.get("Obligation", ("r3", "u1")).origin == "inferred"
+    assert len(store) == 104
 
 
 def test_password_credential_requires_secret():
@@ -358,10 +431,13 @@ def test_password_credential_requires_secret():
 ])
 def test_group_assignment(class_id, capability, group):
     store = FactStore()
-    store.assert_fact(ground("HasRecognizedBehavior", "u", class_id))
     store.assert_fact(ground("HasCapability", "u", Constant.string(capability)))
-    derived = assign_group(store, RULES)
-    assert [f.render() for f in derived] == [f"BehaviorCapability(u, {group})"]
+    authenticate(AuthnRequest("u", None, at_centroid(class_id)), store, RULES,
+                 seed_model(), make_credentials())
+    derived = [f for f in store if f.origin == "inferred"]
+    assert [(f.render(), f.rule_id) for f in derived] == [
+        (f"BehaviorCapability(u, {group})", f"{group.lower()}-assign")]
+    assert [g.text() for g in pdp.groups_of(store, "u")] == [group]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +503,36 @@ def test_group2_alert_permitted_with_audible_recommendation():
         store, RULES)
     assert decision.effect == "permit"
     assert decision.recommendations == ["audible-alert"]
+
+
+U9_FACTS = ('Username(u9, kkkk).\nPassword(u9, hhhh).\n'
+            'HasCapability(u9, "hearing").\n')
+
+
+def test_a_failed_authn_derives_no_authenticated_fact():
+    # The fixture rule password-check derives Authenticated(u9, yes) from
+    # the Username and Password facts; the re-derivation at u9's first
+    # classification must not let that past the gate.
+    store = load_facts(U9_FACTS)
+    result = authenticate(
+        AuthnRequest("u9", Credential("password", "hhhh"), at_centroid("class1")),
+        store, RULES, seed_model(), make_credentials())
+    assert result.authenticated == "no" and result.behavior_class == "class1"
+    assert [g.text() for g in pdp.groups_of(store, "u9")] == ["Group1"]
+    assert [f.render() for f in store.facts_for("Authenticated")] == [
+        "Authenticated(u9, no)"]
+    decision = authorize(AuthzRequest("u9", "ReadAlert", device="VisualAid"),
+                         store, RULES)
+    assert decision.rationale == ["not-authenticated"]
+
+
+def test_the_gate_passes_only_an_asserted_authenticated_fact():
+    store = load_facts("Authenticated(u1, yes).  # inferred rule=password-check\n"
+                       "BehaviorCapability(u1, Group1).\n")
+    request = AuthzRequest("u1", "ReadAlert", device="VisualAid")
+    assert authorize(request, store, RULES).rationale == ["not-authenticated"]
+    store.assert_fact(ground("Authenticated", "u1", "yes"))
+    assert authorize(request, store, RULES).effect == "permit"
 
 
 def test_unauthenticated_user_denied_with_reason():

@@ -68,7 +68,6 @@ PRIMED_FACTS = sorted([
     "HasRecognizedBehavior(u2, class2).",
     "Authenticated(u3, yes).",
     "HasRecognizedBehavior(u3, class2).",
-    "Authentication(tag-mean).  # inferred rule=auth-mean-tag",
     "BehaviorCapability(u1, Group1).  # inferred rule=group1-assign",
     "BehaviorCapability(u2, Group2).  # inferred rule=group2-assign",
     "BehaviorCapability(u3, Group3).  # inferred rule=group3-assign",
@@ -84,7 +83,7 @@ def _primed_store():
     return store
 
 
-def test_primed_store_holds_the_fifteen_fixture_facts():
+def test_primed_store_holds_the_fourteen_fixture_facts():
     lines = save_facts(_primed_store()).splitlines()
     assert sorted(line for line in lines if line.strip()) == PRIMED_FACTS
 

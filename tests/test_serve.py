@@ -191,6 +191,23 @@ def test_reclassification_drops_the_groups_of_the_old_class():
     assert pdp.groups_of(state.store, "u2")[0].text() == "Group2"
 
 
+def test_reclassification_back_derives_the_groups_query_and_authorize_see():
+    state = primed_state()
+    for features, group_rows, effect in (
+            (CLASS2_CENTROID, [], "deny"),
+            (CLASS1_CENTROID, [{"g": "Group1"}], "permit")):
+        authn = cli.handle_message(state, json.dumps(
+            {"op": "authn", "user": "u1", "password": "door-chime-7",
+             "features": features}))
+        assert authn["authenticated"] == "yes"
+        rows = cli.handle_message(state, json.dumps(
+            {"op": "query",
+             "q": "SELECT ?g WHERE { BehaviorCapability(u1, ?g) }"}))["rows"]
+        decision = cli.handle_message(state, json.dumps(SCENARIO_REQUESTS[0]))
+        assert (rows, decision["effect"]) == (group_rows, effect)
+    assert decision["rationale"] == ["deaf-permit", "deaf-visual-alert"]
+
+
 def test_reauthentication_in_the_same_class_keeps_the_groups():
     state = primed_state()
     cli.handle_message(state, json.dumps(
@@ -331,6 +348,39 @@ def test_serve_refuses_a_policy_whose_mean_is_not_a_lookup(tmp_path):
     assert "rule chained:" in result.stderr
 
 
+def test_serve_refuses_a_rule_not_guarded_by_its_subject(tmp_path, capsys):
+    rules = tmp_path / "unguarded.swl"
+    rules.write_text("@id: any-group3\nBehaviorCapability(?g, Group3) ^ "
+                     "AskedService(?u, OpenDoor) -> hasAccess(?u, Deny)\n",
+                     encoding="utf-8")
+    assert cli.main(["serve", "--listen", "-", "--rules", str(rules)]) \
+        == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: rule any-group3: ")
+
+
+def test_priming_lets_no_derived_authenticated_past_the_gate(tmp_path,
+                                                             monkeypatch):
+    # u9 never authenticates, but the fixture rule password-check derives
+    # Authenticated(u9, yes) from these facts.
+    facts = tmp_path / "u9.kb"
+    facts.write_text('Username(u9, kkkk).\nPassword(u9, hhhh).\n'
+                     'HasCapability(u9, "hearing").\n'
+                     'HasRecognizedBehavior(u9, class1).\n', encoding="utf-8")
+    requests = [{"op": "authorize", "user": "u9", "service": "ReadAlert",
+                 "device": "VisualAid"},
+                {"op": "query", "q": "SELECT ?a WHERE { Authenticated(u9, ?a) }"}]
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+        "".join(json.dumps(r) + "\n" for r in requests).encode("utf-8"))))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
+    assert cli.main(["serve", "--listen", "-", "--prime-scenarios",
+                     "--facts", str(facts)]) == cli.EXIT_OK
+    decision, authenticated = map(json.loads, out.getvalue().splitlines())
+    assert (decision["effect"], decision["rationale"]) == (
+        "deny", ["not-authenticated"])
+    assert authenticated["rows"] == []
+
+
 def _read_line(conn) -> dict:
     raw = b""
     while not raw.endswith(b"\n"):
@@ -437,7 +487,9 @@ def fuzz_lines(draw):
 
 @pytest.fixture(scope="module")
 def fuzz_state():
-    return primed_state()
+    state = primed_state()
+    yield state
+    state.audit_log.close()  # the log the last example opened
 
 
 @settings(max_examples=300, deadline=None,
