@@ -224,13 +224,13 @@ def cmd_scenario(args, config: Config) -> int:
 class ServeState:
     """Shared serving state; decision evaluation is single-writer.
 
-    The rules are compiled once here, into the policy ``authorize`` runs
-    and the authentication-mean table ``authenticate`` reads.
+    The rules are compiled once here, behind the subject guard, into the
+    policy ``authenticate`` and ``authorize`` run.
     """
 
     def __init__(self, store, rules, model, credentials, config, audit_log):
         self.store = store
-        self.means = pdp.AuthMeans(rules)
+        self.policy = pdp.compile_policy(rules)
         self.model = model
         self.credentials = credentials
         self.config = config
@@ -299,7 +299,7 @@ def handle_message(state: ServeState, line: str) -> dict:
                                        features=_features_from_message(msg))
             with state.lock:
                 result = pdp.authenticate(
-                    request, state.store, state.means, state.model,
+                    request, state.store, state.policy, state.model,
                     state.credentials,
                     trust_threshold=state.config.trust_threshold,
                     default_mean=state.config.default_auth_mean,
@@ -315,7 +315,7 @@ def handle_message(state: ServeState, line: str) -> dict:
                 context=dict(msg.get("context") or {}))
             with state.lock:
                 decision = pdp.authorize(
-                    request, state.store, state.means.policy,
+                    request, state.store, state.policy,
                     priority_table=state.config.priority_table,
                     audit_log=state.audit_log)
             return {"ok": True, "effect": decision.effect,
@@ -430,9 +430,12 @@ def cmd_serve(args, config: Config) -> int:
     audit_path = args.audit or config.audit
     audit_log = pdp.AuditLog(audit_path) if audit_path else pdp.AuditLog()
     state = ServeState(store, rules, model, credentials, config, audit_log)
+    # Derive what the --facts residents' own facts imply, as authn would.
+    for subject in dict.fromkeys(fact.args[0] for fact in store):
+        pdp.rederive(store, state.policy, subject)
 
     if args.prime_scenarios:
-        scenarios.prime_store(state.store, state.means, state.model,
+        scenarios.prime_store(state.store, state.policy, state.model,
                               state.credentials, audit_log=None, config=config)
 
     try:

@@ -1,10 +1,11 @@
 """Security layer: authentication, authorization decisions and accounting.
 
 Authentication runs a pipeline: classify the requester's recent features
-against the behavior model, score trust, look up the authentication mean
-the policy rules prescribe for that capability/class combination (the mean
-rules are compiled to a table once per policy), then verify the presented
-credential under that mean.  Authorization asserts the request
+against the behavior model, score trust, derive the requester's facts again
+under the recognized class, take the authentication mean that fixpoint
+derives, then verify the presented credential under that mean.  The policy
+is compiled once, behind a subject guard (:func:`compile_policy`).
+Authorization asserts the request
 context into a working snapshot of the store, runs the rule engine, and
 combines every ``hasAccess`` / ``Obligation`` / ``Recommendation`` fact that
 names the user or one of their groups.  The live store holds what the
@@ -69,8 +70,9 @@ _REQUEST_PREDICATES = {"service": "AskedService", "device": "UsedDevice",
                        "context": "HasContext", "time": "HasTime",
                        "location": "HasLocation", "activity": "HasActivity",
                        "environment": "HasEnvironment"}
-_HISTORY_PREDICATES = frozenset(name.lower()
-                                for name in _REQUEST_PREDICATES.values())
+# Left out of the facts rederive reads: request history, session outcome.
+_UNDERIVED_PREDICATES = frozenset(["authenticated"] + [
+    name.lower() for name in _REQUEST_PREDICATES.values()])
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
 
@@ -327,101 +329,41 @@ def load_credentials_file(path) -> Dict[str, Tuple[str, str]]:
 # Authentication
 # ---------------------------------------------------------------------------
 
-_PROFILE_PREDICATES = frozenset({"hasrecognizedbehavior", "hascapability"})
+def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
+    """Compile ``rules`` behind the subject guard; ``rules`` itself when
+    already compiled.
 
-
-class AuthMeans:
-    """The authentication-mean rules of a policy, compiled to a lookup.
-
-    A mean rule has the one head ``Authentication(<constant>)`` and a body
-    of ``HasRecognizedBehavior(?u, <class>)`` and
-    ``HasCapability(?u, <capability>)`` atoms.  For a class and a list of
-    capabilities the mean is that of the first mean rule, in rule order,
-    whose body holds, or the default when none does: the mean a fixpoint
-    over just those profile facts derives (the test reference
-    ``tests/oracles.select_auth_mean``).
-
-    A policy where that fixpoint could depend on more is refused with
-    :class:`InvalidRuleError` naming the rule: a rule with another
-    ``Authentication`` head, a mean rule of another shape, or a rule that
-    could fire on profile facts and derive a class, a capability or a mean.
-    Every other rule must take one subject variable as the first argument
-    of each atom, so the fixpoint splits into one piece per subject.
+    Every atom of a rule must take one subject variable first, so the
+    fixpoint splits into one piece per subject (:func:`rederive`).  A mean
+    rule has the one head ``Authentication(<constant>)``; the mean names
+    no subject, so the body atoms of its rule need only take a variable
+    first, and no rule may read it.  A refusal is an
+    :class:`InvalidRuleError` naming the rule.
     """
-
-    def __init__(self, rules):
-        self.policy = Policy.of(rules)
-        self._rows = []  # (class keys, capability keys, mean), rule order
-        reachable = set(_PROFILE_PREDICATES)
-        fires = set()  # rules that may fire on profile facts alone
-        while True:
-            before = len(fires)
-            for i, predicates in enumerate(self.policy.body_predicates):
-                if i not in fires and reachable.issuperset(predicates):
-                    fires.add(i)
-                    reachable.update(atom.predicate.lower()
-                                     for atom in self.policy.rules[i].head)
-            if len(fires) == before:
-                break
-        for i, (rule, rule_id) in enumerate(zip(self.policy.rules,
-                                                self.policy.rule_ids)):
-            heads = {atom.predicate.lower() for atom in rule.head}
-            if "authentication" in heads:
-                self._rows.append(_mean_row(rule, rule_id))
-                continue
-            if i in fires and heads & _PROFILE_PREDICATES:
+    if isinstance(rules, Policy):
+        return rules
+    policy = Policy(rules)
+    for rule, rule_id in zip(policy.rules, policy.rule_ids):
+        if any(atom.predicate.lower() == "authentication"
+               for atom in rule.body):
+            raise InvalidRuleError(f"rule {rule_id}: reads Authentication, "
+                                   "which names no subject")
+        heads = [atom.predicate.lower() for atom in rule.head]
+        subjects = {atom.terms[0] for atom in rule.body}
+        if "authentication" in heads:
+            terms = rule.head[0].terms
+            if len(heads) != 1 or len(terms) != 1 \
+                    or not isinstance(terms[0], Constant):
                 raise InvalidRuleError(
-                    f"rule {rule_id}: derives a behavior class or capability "
-                    "from profile facts, so the authentication mean is not "
-                    "a lookup")
-            subjects = {atom.terms[0] for atom in (*rule.body, *rule.head)}
-            if len(subjects) != 1 or not isinstance(subjects.pop(), Variable):
-                raise InvalidRuleError(f"rule {rule_id}: every atom must "
-                                       "take the rule's subject variable first")
-
-    @classmethod
-    def of(cls, rules) -> "AuthMeans":
-        """``rules`` itself when already compiled, else its compilation."""
-        return rules if isinstance(rules, cls) else cls(rules)
-
-    def select(self, behavior_class: Optional[str],
-               capabilities: List[Constant], default_mean: str) -> str:
-        classes = _class_keys(behavior_class)
-        held = {value.key() for value in capabilities}
-        for class_keys, capability_keys, mean in self._rows:
-            if class_keys <= classes and capability_keys <= held:
-                return mean
-        return default_mean
-
-
-def _class_keys(behavior_class: Optional[str]) -> set:
-    """The key of a recognized class as a set; empty for no class."""
-    if behavior_class is None:
-        return set()
-    return {coerce_constant(behavior_class).key()}
-
-
-def _mean_row(rule: Rule, rule_id: str) -> tuple:
-    """A mean rule as ``(class keys, capability keys, mean)``."""
-    head = rule.head[0]
-    if len(rule.head) != 1 or len(head.terms) != 1 \
-            or not isinstance(head.terms[0], Constant):
-        raise InvalidRuleError(
-            f"rule {rule_id}: an Authentication head must be the rule's only "
-            "head and name one constant mean")
-    required = {predicate: set() for predicate in _PROFILE_PREDICATES}
-    for atom in rule.body:
-        keys = required.get(atom.predicate.lower())
-        if keys is None or len(atom.terms) != 2 \
-                or not isinstance(atom.terms[0], Variable) \
-                or not isinstance(atom.terms[1], Constant):
-            raise InvalidRuleError(
-                f"rule {rule_id}: a mean rule's body atoms must be "
-                "HasRecognizedBehavior(?u, <class>) or "
-                "HasCapability(?u, <capability>)")
-        keys.add(atom.terms[1].key())
-    return (frozenset(required["hasrecognizedbehavior"]),
-            frozenset(required["hascapability"]), head.terms[0].text())
+                    f"rule {rule_id}: an Authentication head must be the "
+                    "rule's only head and name one constant mean")
+        else:
+            subjects.update(atom.terms[0] for atom in rule.head)
+        if (len(subjects) != 1 and "authentication" not in heads) \
+                or not all(isinstance(term, Variable) for term in subjects):
+            raise InvalidRuleError(f"rule {rule_id}: every atom must "
+                                   "take the rule's subject variable first")
+    return policy
 
 
 _VALUE = Variable("value")
@@ -463,52 +405,67 @@ def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
         store.retract_fact(fact.predicate, fact.args)
 
 
-def rederive(store: FactStore, policy: Policy, user: str) -> None:
+def rederive(store: FactStore, policy: Policy,
+             user: Union[str, Constant]) -> Optional[str]:
     """Replace the facts inferred about ``user`` with what the fixpoint
-    derives from the user's asserted facts, request history aside: under
-    :class:`AuthMeans`'s subject guard, the whole-store fixpoint restricted
-    to the user.  Only :func:`authenticate` asserts ``Authenticated``."""
+    derives from the user's asserted facts less request history and
+    ``Authenticated``: under :func:`compile_policy`'s guard, the whole-store
+    fixpoint restricted to the user.  Returns the mean of the first
+    ``Authentication`` fact derived, or None; that fact and a derived
+    ``Authenticated`` stay out of the store."""
     subject = coerce_constant(user)
     own = FactStore()
     for fact in store.facts_about(subject):
         if fact.origin == INFERRED:
             store.retract_fact(fact.predicate, fact.args)
-        elif fact.key()[0] not in _HISTORY_PREDICATES:
+        elif fact.key()[0] not in _UNDERIVED_PREDICATES:
             own.assert_fact(fact)
+    mean = None
     for fact in infer_fixpoint(own, policy).derived:
-        if fact.args[0] == subject and fact.key()[0] != "authenticated" \
+        predicate = fact.key()[0]
+        if predicate == "authentication":
+            if mean is None:
+                mean = fact.args[0].text()
+        elif fact.args[0] == subject and predicate != "authenticated" \
                 and store.assert_fact(fact):
             store.record_justification(fact, fact.rule_id,
                                        own.justification(fact).premises)
+    return mean
 
 
 def authenticate(req: AuthnRequest, store: FactStore,
-                 means: Union[AuthMeans, Policy, List[Rule]],
+                 policy: Union[Policy, List[Rule]],
                  model: BehaviorModel, credentials: Dict[str, Tuple[str, str]],
                  *, trust_threshold: float = DEFAULT_TRUST_THRESHOLD,
                  default_mean: str = DEFAULT_AUTH_MEAN,
                  audit_log: Optional[AuditLog] = None) -> AuthnResult:
     """Authenticate a user from behavior plus credential.
 
-    Yes requires both gates: trust at or above the threshold and a verified
-    credential under the selected mean.  The outcome is asserted into the
-    store as ``Authenticated(user, yes|no)`` along with the recognized
-    behavior class; earlier outcomes for the same user are replaced.  When
-    that sets, changes or removes the user's class, the facts inferred
-    about the user are derived again (:func:`rederive`).  A vector at a
-    non-finite distance has no class and fails the trust gate.
-    ``means`` is the policy's :class:`AuthMeans`, or its rules, which are
-    compiled on the call.
+    The user's earlier ``Authenticated`` and ``HasRecognizedBehavior``
+    facts give way to the class recognized now, and the facts inferred
+    about the user are derived again (:func:`rederive`); the mean is the
+    one that fixpoint derives, or ``default_mean``.  Yes requires both
+    gates: a verified credential under that mean and trust at or above
+    the threshold.  The outcome is asserted as ``Authenticated(user,
+    yes|no)``.  A vector at a non-finite distance has no class and fails
+    the trust gate.  ``policy`` is compiled by :func:`compile_policy` when
+    it is a rule list.
     """
-    means = AuthMeans.of(means)
+    policy = compile_policy(policy)
     try:
         behavior_class, _ = classify(model, req.features)
         trust = trust_score(model, behavior_class, req.features)
     except NonFiniteError:  # no class and no trust
         behavior_class, trust = None, math.nan
 
-    mean = means.select(behavior_class, _capabilities_of(store, req.user),
-                        default_mean)
+    _replace_user_facts(store, "Authenticated", req.user)
+    _replace_user_facts(store, "HasRecognizedBehavior", req.user)
+    if behavior_class is not None:
+        store.assert_fact(
+            ground("HasRecognizedBehavior", req.user, behavior_class))
+    mean = rederive(store, policy, req.user)
+    if mean is None:
+        mean = default_mean
 
     verified, reason = _verify_credential(mean, req.credential,
                                           credentials.get(req.user))
@@ -516,18 +473,7 @@ def authenticate(req: AuthnRequest, store: FactStore,
         verified = False
         reason = f"trust {trust:.3f} below threshold {trust_threshold}"
     answer = "yes" if verified else "no"
-
-    held = {fact.args[1].key() for fact in
-            _facts_about(store, "HasRecognizedBehavior", req.user)
-            if len(fact.args) == 2}
-    _replace_user_facts(store, "Authenticated", req.user)
-    _replace_user_facts(store, "HasRecognizedBehavior", req.user)
     store.assert_fact(ground("Authenticated", req.user, answer))
-    if behavior_class is not None:
-        store.assert_fact(
-            ground("HasRecognizedBehavior", req.user, behavior_class))
-    if held != _class_keys(behavior_class):
-        rederive(store, means.policy, req.user)
 
     if audit_log is not None:
         detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import behavior, pdp
 from .config import Config
+from .engine import Policy
 from .facts import FactStore, load_facts
 from .rules import parse_ruleset
 
@@ -116,7 +117,7 @@ def _recent_events(name: str) -> list:
     return _scenario_events(name)
 
 
-def _admit(name: str, store: FactStore, means: pdp.AuthMeans, model,
+def _admit(name: str, store: FactStore, policy: Policy, model,
            credentials, config: Config,
            audit_log) -> Tuple[pdp.AuthnResult, bool]:
     """Take one fixture resident through the pipeline up to authorization.
@@ -133,7 +134,7 @@ def _admit(name: str, store: FactStore, means: pdp.AuthMeans, model,
         pdp.AuthnRequest(user=fixture.user,
                          credential=FIXTURE_SECRETS.get(fixture.user),
                          features=features),
-        store, means, model, credentials,
+        store, policy, model, credentials,
         trust_threshold=config.trust_threshold,
         default_mean=config.default_auth_mean,
         audit_log=audit_log)
@@ -153,13 +154,13 @@ def run_scenario(name: str, audit_path=None,
     config = config or Config()
 
     store = FactStore()
-    means = pdp.AuthMeans(load_fixture_rules())
+    policy = pdp.compile_policy(load_fixture_rules())
     model = load_fixture_model(config.distance_floor)
     credentials = load_fixture_credentials()
     audit_log = pdp.AuditLog(audit_path, truncate=True) if audit_path \
         else pdp.AuditLog()
     try:
-        authn, flagged = _admit(name, store, means, model, credentials,
+        authn, flagged = _admit(name, store, policy, model, credentials,
                                 config, audit_log)
         groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
 
@@ -167,7 +168,7 @@ def run_scenario(name: str, audit_path=None,
             pdp.AuthzRequest(user=fixture.user, service=fixture.service,
                              device=fixture.device,
                              context=dict(fixture.context)),
-            store, means.policy, priority_table=config.priority_table,
+            store, policy, priority_table=config.priority_table,
             audit_log=audit_log)
     finally:
         audit_log.close()
@@ -211,9 +212,9 @@ def prime_store(store: FactStore, rules, model, credentials, audit_log=None,
     Admits each resident in turn (profile facts, authentication, groups and
     the anomaly check), so a serving process can answer the scenario
     authorization requests straight away.  ``rules`` is a rule list or a
-    compiled :class:`pdp.AuthMeans`.
+    policy compiled by :func:`pdp.compile_policy`.
     """
     config = config or Config()
-    means = pdp.AuthMeans.of(rules)
+    policy = pdp.compile_policy(rules)
     for name in SCENARIO_NAMES:
-        _admit(name, store, means, model, credentials, config, audit_log)
+        _admit(name, store, policy, model, credentials, config, audit_log)

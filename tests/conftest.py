@@ -1,6 +1,12 @@
+import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Tests that start `python -m aalguard` find the package as the test
+# process does (pyproject's pytest `pythonpath`), with no PYTHONPATH set.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 DATA_DIR = Path(__file__).parent / "data"

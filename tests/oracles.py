@@ -4,7 +4,7 @@ Everything here is deliberately naive and self-contained: its own
 unification, its own distance computation, its own mean.  None of it calls
 into the code paths under test, so agreement is meaningful.  The two
 exceptions say so: ``match`` reads a store through its candidate lookup, and
-``select_auth_mean`` runs the fixpoint that the compiled mean table replaces.
+``select_auth_mean`` runs the engine's fixpoint over profile facts alone.
 """
 
 from __future__ import annotations
@@ -160,9 +160,10 @@ def select_auth_mean(capabilities, behavior_class, rules,
 
     ``capabilities`` is one capability or a list of them; a ``None`` class
     stands for a vector that has none.  The rules run to fixpoint over these
-    profile facts alone: when several means derive, the first by rule order
+    profile facts alone: when several means derive, the first derived
     wins, and when none does, the configured default applies.  This is the
-    reference ``pdp.AuthMeans`` answers from a table.
+    reference for the mean ``pdp.authenticate`` takes from the fixpoint
+    over the user's own facts in the store.
     """
     if isinstance(capabilities, str):
         capabilities = [capabilities]

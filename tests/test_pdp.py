@@ -81,9 +81,10 @@ def test_select_auth_mean_is_deterministic():
         assert select_auth_mean("physical", "class2", RULES) == "tag-mean"
 
 
-# Mean rules of every shape the table holds: class only, capability only,
-# two capabilities, a quoted twin of a bare constant, an unsatisfiable pair
-# of classes, and a later rule shadowed by an earlier one.
+# Mean rules of many shapes: class only, capability only, two
+# capabilities, a quoted twin of a bare constant, atoms with two subject
+# variables, an unsatisfiable pair of classes, and a later rule shadowed by
+# an earlier one.
 MEAN_SHAPES = parse_ruleset("""
 @id: two-caps
 HasCapability(?u, visual) ^ HasCapability(?u, "physical") -> Authentication(badge)
@@ -107,55 +108,117 @@ HasCapability(?u, cognitive) ^ HasRecognizedBehavior(?u, class2) -> Authenticati
 HasRecognizedBehavior(?u, class2) ^ HasCapability(?u, cognitive) -> BehaviorCapability(?u, Group3)
 """)
 
+# One centroid per class a test authenticates into.
+CLASSES = ["class1", "class2", "class3", "class9"]
+MEAN_MODEL = BehaviorModel(classes=[
+    BehaviorClass(name, FeatureVector({"hold:cooking": 600.0 * (i + 1)},
+                                      {"hold:cooking": 1}))
+    for i, name in enumerate(CLASSES)])
+
+
+def authn_mean(rules, behavior_class, capabilities, default_mean):
+    """The mean ``authenticate`` uses for a user who holds these
+    capabilities and is recognized in ``behavior_class`` (None: a vector
+    with no class)."""
+    store = FactStore()
+    for value in capabilities:
+        store.assert_fact(ground("HasCapability", "u1", value))
+    if behavior_class is None:
+        cooking = float("nan")
+    else:
+        cooking = 600.0 * (CLASSES.index(behavior_class) + 1)
+    result = authenticate(
+        AuthnRequest("u1", None, FeatureVector({"hold:cooking": cooking},
+                                               {"hold:cooking": 1})),
+        store, rules, MEAN_MODEL, make_credentials(),
+        default_mean=default_mean)
+    assert result.behavior_class == behavior_class
+    return result.mean_used
+
 
 def _profile_constants(rules, predicate):
     values = []
     for rule in rules:
         for atom in rule.body:
-            if atom.predicate.lower() == predicate.lower():
+            if atom.predicate.lower() == predicate.lower() \
+                    and isinstance(atom.terms[1], Constant):
                 text = atom.terms[1].text()
                 if text not in values:
                     values.append(text)
     return values
 
 
-@pytest.mark.parametrize("rules", [RULES, MEAN_SHAPES],
-                         ids=["fixture", "shapes"])
-def test_mean_table_matches_the_fixpoint_oracle(rules):
-    means = pdp.AuthMeans(rules)
-    classes = [*_profile_constants(rules, "HasRecognizedBehavior"),
-               "class9", None]
+def assert_authn_picks_the_oracle_mean(rules):
+    """Over every class and every list of up to two capabilities the rules
+    name, ``authenticate`` takes the mean the fixpoint oracle selects."""
+    policy = pdp.compile_policy(rules)
     capabilities = [*_profile_constants(rules, "HasCapability"), "unknown"]
     lists = [[]] + [[c] for c in capabilities] + [
         [a, b] for a in capabilities for b in capabilities if a != b]
     assert ["cognitive", "physical"] in lists  # u3's profile
-    for behavior_class in classes:
+    assert set(_profile_constants(rules, "HasRecognizedBehavior")) \
+        <= set(CLASSES)
+    for behavior_class in CLASSES + [None]:
         for held in lists:
             for default in ("username/password", "badge"):
                 expected = select_auth_mean(held, behavior_class, rules,
                                             default_mean=default)
-                constants = [coerce_constant(c) for c in held]
-                assert means.select(behavior_class, constants,
-                                    default) == expected, (behavior_class, held)
+                assert authn_mean(policy, behavior_class, held, default) \
+                    == expected, (behavior_class, held)
+
+
+@pytest.mark.parametrize("rules", [RULES, MEAN_SHAPES],
+                         ids=["fixture", "shapes"])
+def test_mean_table_matches_the_fixpoint_oracle(rules):
+    assert_authn_picks_the_oracle_mean(rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rules=st.sampled_from([RULES, MEAN_SHAPES]),
+       behavior_class=st.sampled_from(CLASSES + [None]),
+       held=st.lists(st.sampled_from(["no", "physical", "visual", "hearing",
+                                      "cognitive", "unknown"]), max_size=4),
+       default=st.sampled_from(["username/password", "badge"]))
+def test_authn_takes_the_mean_the_fixpoint_oracle_selects(
+        rules, behavior_class, held, default):
+    assert authn_mean(rules, behavior_class, held, default) == \
+        select_auth_mean(held, behavior_class, rules, default_mean=default)
 
 
 @pytest.mark.parametrize("text, rule_id", [
-    ("@id: open\nHasCapability(?u, ?c) -> Authentication(x)", "open"),
     ("@id: bound\nHasCapability(u1, no) -> Authentication(x)", "bound"),
     ("@id: per-user\nHasCapability(?u, no) -> Authentication(?u)", "per-user"),
     ("@id: two-heads\nHasCapability(?u, no) -> Authentication(x) ^ Seen(?u, x)",
      "two-heads"),
-    ("@id: grouped\nBehaviorCapability(?u, Group1) -> Authentication(x)",
-     "grouped"),
     ("@id: pair\nHasCapability(?u, no) -> Authentication(x, y)", "pair"),
-    ("@id: makes-class\nHasCapability(?u, no) -> HasRecognizedBehavior(?u, c1)",
-     "makes-class"),
-    ("HasCapability(?u, no) -> Flag(?u, on)\n\n"
-     "@id: chained\nFlag(?u, on) -> HasCapability(?u, visual)", "chained"),
 ])
 def test_mean_table_refuses_a_policy_it_cannot_represent(text, rule_id):
     with pytest.raises(InvalidRuleError, match=f"rule {rule_id}:"):
-        pdp.AuthMeans(parse_ruleset(text))
+        pdp.compile_policy(parse_ruleset(text))
+
+
+@pytest.mark.parametrize("text", [
+    "@id: open\nHasCapability(?u, ?c) -> Authentication(x)",
+    "@id: grouped\nBehaviorCapability(?u, Group1) -> Authentication(x)",
+    "@id: makes-class\nHasCapability(?u, no) -> HasRecognizedBehavior(?u, c1)",
+    "HasCapability(?u, no) -> Flag(?u, on)\n\n"
+    "@id: chained\nFlag(?u, on) -> HasCapability(?u, visual)",
+], ids=["open", "grouped", "makes-class", "chained"])
+def test_a_mean_from_any_body_or_a_derived_profile_compiles(text):
+    # A table of class and capability keys could not hold these; the
+    # user's own fixpoint can.
+    rules = RULES + parse_ruleset(text)
+    assert len(pdp.compile_policy(rules).rules) == len(rules)
+    assert_authn_picks_the_oracle_mean(rules)
+
+
+def test_a_rule_that_reads_the_mean_is_refused_naming_it():
+    # Authentication has no subject and never enters the live store, so
+    # query and authorize would see different results from such a rule.
+    rules = RULES + parse_ruleset(
+        "@id: mean-use\nAuthentication(?m) -> MeanInUse(?m, yes)")
+    with pytest.raises(InvalidRuleError, match="^rule mean-use: "):
+        pdp.compile_policy(rules)
 
 
 def test_mean_table_accepts_class_rules_that_profile_facts_cannot_fire():
@@ -165,12 +228,11 @@ def test_mean_table_accepts_class_rules_that_profile_facts_cannot_fire():
     rules = RULES + parse_ruleset(
         "HasCapability(?u, no) ^ HasActivity(?u, cooking) "
         "-> HasRecognizedBehavior(?u, class2)")
-    assert pdp.AuthMeans(rules).select("class1", [coerce_constant("no")],
-                                       "badge") == "username/password"
+    assert authn_mean(rules, "class1", ["no"], "badge") == "username/password"
 
 
 def test_every_fixture_rule_passes_the_subject_guard():
-    assert len(pdp.AuthMeans(RULES).policy.rules) == len(RULES) == 12
+    assert len(pdp.compile_policy(RULES).rules) == len(RULES) == 12
 
 
 def test_the_draft_alzheimer_rule_is_refused_naming_it():
@@ -182,7 +244,7 @@ def test_the_draft_alzheimer_rule_is_refused_naming_it():
         == ["?u", "?Group3", "?time", "?Group3"]
     draft = Rule(body=draft.body, head=draft.head, id="alzheimer-deny")
     with pytest.raises(InvalidRuleError, match="^rule alzheimer-deny: "):
-        pdp.AuthMeans(RULES[:-1] + [draft])
+        pdp.compile_policy(RULES[:-1] + [draft])
 
 
 @pytest.mark.parametrize("text", [
@@ -193,7 +255,7 @@ def test_the_draft_alzheimer_rule_is_refused_naming_it():
 def test_a_rule_not_guarded_by_one_subject_is_refused(text):
     with pytest.raises(InvalidRuleError,
                        match="^rule unguarded: .*subject variable first"):
-        pdp.AuthMeans(parse_ruleset(f"@id: unguarded\n{text}\n"))
+        pdp.compile_policy(parse_ruleset(f"@id: unguarded\n{text}\n"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,7 +263,7 @@ def test_a_rule_not_guarded_by_one_subject_is_refused(text):
 def test_rederived_store_equals_the_naive_fixpoint_of_its_base_facts(seed):
     rng = random.Random(seed)
     facts, rules = random_guarded_instance(rng)
-    policy = pdp.AuthMeans(rules).policy  # the rules pass the subject guard
+    policy = pdp.compile_policy(rules)  # the rules pass the subject guard
     history = {name.lower() for name in HISTORY_POOL}
     store = FactStore()
     for _ in range(rng.randint(1, 20)):
@@ -223,9 +285,8 @@ def test_rederived_store_equals_the_naive_fixpoint_of_its_base_facts(seed):
             assert engine.explain(store, fact).rule_id == fact.rule_id
 
 
-def test_compiled_authn_runs_no_fixpoint_and_authorize_no_validation(
-        monkeypatch):
-    means = pdp.AuthMeans(RULES)
+def test_each_authn_runs_one_fixpoint_over_the_users_own_facts(monkeypatch):
+    policy = pdp.compile_policy(RULES)
     calls = {"infer_fixpoint": 0, "validate_rule": 0}
     fixpoint_inputs = []
 
@@ -243,22 +304,26 @@ def test_compiled_authn_runs_no_fixpoint_and_authorize_no_validation(
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
     store.assert_fact(ground("HasCapability", "u2", Constant.string("no")))
+    own = ['HasCapability(u1, "no")', "HasRecognizedBehavior(u1, class1)"]
     authn = AuthnRequest("u1", Credential("password", "open-sesame"),
                          at_centroid("class1"))
-    assert authenticate(authn, store, means, seed_model(),
+    assert authenticate(authn, store, policy, seed_model(),
                         make_credentials()).authenticated == "yes"
-    # The first classification derives the user's facts once, from their
-    # own facts; an authn that keeps the class derives nothing.
     assert calls == {"infer_fixpoint": 1, "validate_rule": 0}
-    assert fixpoint_inputs == [["Authenticated(u1, yes)",
-                                'HasCapability(u1, "no")',
-                                "HasRecognizedBehavior(u1, class1)"]]
-    authenticate(authn, store, means, seed_model(), make_credentials())
-    assert calls == {"infer_fixpoint": 1, "validate_rule": 0}
-    authorize(AuthzRequest("u1", "ReadAlert"), store, means.policy)
+    authorize(AuthzRequest("u1", "ReadAlert"), store, policy)
     assert calls == {"infer_fixpoint": 2, "validate_rule": 0}
+    assert store.holds("AskedService", "u1", "ReadAlert")
+    # An authn that keeps the class derives again, and reads neither the
+    # outcome of the last authn nor the request history.
+    authenticate(authn, store, policy, seed_model(), make_credentials())
+    assert calls == {"infer_fixpoint": 3, "validate_rule": 0}
+    authenticate(AuthnRequest("u1", authn.credential, at_centroid("class2")),
+                 store, policy, seed_model(), make_credentials())
+    assert calls == {"infer_fixpoint": 4, "validate_rule": 0}
+    assert fixpoint_inputs == [own, fixpoint_inputs[1], own,
+                               [own[0], "HasRecognizedBehavior(u1, class2)"]]
     authorize(AuthzRequest("u1", "ReadAlert"), store, RULES)
-    assert calls == {"infer_fixpoint": 3, "validate_rule": len(RULES)}
+    assert calls == {"infer_fixpoint": 5, "validate_rule": len(RULES)}
 
 
 def _scan(store, predicate, user):
@@ -409,8 +474,8 @@ def test_reclassification_reads_only_the_facts_that_name_the_user():
                  store, RULES, seed_model(), make_credentials())
     assert sorted(examined) == sorted(f.key() for f in own)
     assert [f.render() for f in store.facts_about(Constant.symbol("u1"))] \
-        == ['HasCapability(u1, "no")', "Authenticated(u1, yes)",
-            "HasRecognizedBehavior(u1, class1)"]
+        == ['HasCapability(u1, "no")', "HasRecognizedBehavior(u1, class1)",
+            "Authenticated(u1, yes)"]
     assert store.get("Obligation", ("r3", "u1")).origin == "inferred"
     assert len(store) == 104
 
@@ -533,6 +598,18 @@ def test_the_gate_passes_only_an_asserted_authenticated_fact():
     assert authorize(request, store, RULES).rationale == ["not-authenticated"]
     store.assert_fact(ground("Authenticated", "u1", "yes"))
     assert authorize(request, store, RULES).effect == "permit"
+
+
+def test_rederive_reads_neither_the_session_outcome_nor_history():
+    store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "no").\n'
+                       "AskedService(u1, ReadAlert).\n")
+    policy = pdp.compile_policy(parse_ruleset(
+        "@id: trusted\nAuthenticated(?u, yes) -> Trusted(?u, yes)\n\n"
+        "@id: asked\nAskedService(?u, ?s) -> Asked(?u, ?s)\n\n"
+        '@id: plain\nHasCapability(?u, "no") -> Plain(?u, yes)\n'))
+    pdp.rederive(store, policy, "u1")
+    assert [f.render() for f in store if f.origin == "inferred"] \
+        == ["Plain(u1, yes)"]
 
 
 def test_unauthenticated_user_denied_with_reason():

@@ -286,7 +286,9 @@ def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
             {name: counts[name] - before[name] for name in counts})
     assert len(per_op["authorize"]) == 30 and len(per_op["query"]) == 6
     assert max(c["facts"] for c in per_op["authorize"]) <= 15
-    assert max(c["facts"] for c in per_op["authn"]) <= 2
+    # Each authn builds its two asserted facts and one per fact the user's
+    # fixpoint derives: a group, and for u3 the mean tag-mean as well.
+    assert [c["facts"] for c in per_op["authn"]] == [3, 3, 4] * 3
     assert [c["snapshots"] for c in per_op["query"]] == [0] * 6
 
 
@@ -336,16 +338,17 @@ def test_serve_closes_the_audit_log_on_exit(tmp_path, monkeypatch):
 
 
 def test_serve_refuses_a_policy_whose_mean_is_not_a_lookup(tmp_path):
-    rules = tmp_path / "chained.swl"
-    rules.write_text("HasCapability(?u, no) -> Flag(?u, on)\n\n"
-                     "@id: chained\nFlag(?u, on) -> HasCapability(?u, visual)\n",
-                     encoding="utf-8")
+    # The mean must be a constant the rule names, not one that varies with
+    # the subject.
+    rules = tmp_path / "per-user.swl"
+    rules.write_text("@id: per-user\nHasCapability(?u, no) -> "
+                     "Authentication(?u)\n", encoding="utf-8")
     result = subprocess.run(
         [sys.executable, "-m", "aalguard", "serve", "--listen", "-",
          "--rules", str(rules)],
         capture_output=True, text=True, input="", timeout=120)
     assert result.returncode == cli.EXIT_VALIDATION
-    assert "rule chained:" in result.stderr
+    assert "rule per-user:" in result.stderr
 
 
 def test_serve_refuses_a_rule_not_guarded_by_its_subject(tmp_path, capsys):
@@ -369,16 +372,46 @@ def test_priming_lets_no_derived_authenticated_past_the_gate(tmp_path,
     requests = [{"op": "authorize", "user": "u9", "service": "ReadAlert",
                  "device": "VisualAid"},
                 {"op": "query", "q": "SELECT ?a WHERE { Authenticated(u9, ?a) }"}]
+    decision, authenticated = serve_main(
+        monkeypatch, ["--prime-scenarios", "--facts", str(facts)], requests)
+    assert (decision["effect"], decision["rationale"]) == (
+        "deny", ["not-authenticated"])
+    assert authenticated["rows"] == []
+
+
+def serve_main(monkeypatch, args, requests) -> list:
+    """The replies of ``serve --listen -`` with ``args`` to ``requests``."""
     out = io.BytesIO()
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
         "".join(json.dumps(r) + "\n" for r in requests).encode("utf-8"))))
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
-    assert cli.main(["serve", "--listen", "-", "--prime-scenarios",
-                     "--facts", str(facts)]) == cli.EXIT_OK
-    decision, authenticated = map(json.loads, out.getvalue().splitlines())
+    assert cli.main(["serve", "--listen", "-", *args]) == cli.EXIT_OK
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+HELD_FACTS = 'HasCapability(u1, "hearing").\nHasRecognizedBehavior(u1, class1).\n'
+
+
+@pytest.mark.parametrize("facts, authn", [
+    (HELD_FACTS + "Authenticated(u1, yes).\n", []),
+    (HELD_FACTS, [{"op": "authn", "user": "u1", "password": "door-chime-7",
+                   "features": CLASS1_CENTROID}]),
+], ids=["loaded", "kept-by-authn"])
+def test_a_class_held_in_the_facts_file_is_derived_from(tmp_path, monkeypatch,
+                                                        facts, authn):
+    # Loading the file, and an authn that keeps its class, both derive u1's
+    # group, so query and authorize agree.
+    path = tmp_path / "held.kb"
+    path.write_text(facts, encoding="utf-8")
+    requests = authn + [
+        {"op": "query", "q": "SELECT ?g WHERE { BehaviorCapability(u1, ?g) }"},
+        SCENARIO_REQUESTS[0]]
+    *replies, rows, decision = serve_main(monkeypatch, ["--facts", str(path)],
+                                          requests)
+    assert [reply["authenticated"] for reply in replies] == ["yes"] * len(authn)
+    assert rows["rows"] == [{"g": "Group1"}]
     assert (decision["effect"], decision["rationale"]) == (
-        "deny", ["not-authenticated"])
-    assert authenticated["rows"] == []
+        "permit", ["deaf-permit", "deaf-visual-alert"])
 
 
 def _read_line(conn) -> dict:
