@@ -17,9 +17,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Tuple)
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .facts import format_number
 
@@ -59,8 +58,8 @@ class SensorEvent(NamedTuple):
 
     An immutable tuple read by attribute.  Being a tuple, it compares equal
     to the plain tuple of its fields, ``(user, timestamp, location,
-    activity)``.  A loaded :class:`EventLog` builds these only when it is
-    iterated.
+    activity)``.  It is the form of in-process input to :class:`EventLog`
+    and the feature functions; :func:`load_events` builds none.
     """
 
     user: str
@@ -115,28 +114,22 @@ def hold_key(activity: str) -> str:
 
 
 class EventLog:
-    """Sensor events in file order, folded per user as they are read.
+    """Sensor events folded per user as they are read; no row is kept.
 
-    The log keeps four file-order columns (user, timestamp, location,
-    activity) and, for each user in first-seen order, the running state of
+    For each user in first-seen order the log holds the running state of
     that user's stream: last timestamp, room, current activity, the start of
     the current activity run, and the ``moves`` and ``holds`` duration lists
     in stream order.  The features read that state, so no stream is walked
-    twice.  ``SensorEvent`` tuples are built only when the log is iterated or
-    ``streams`` is read; the log compares equal to the tuple of its events.
+    twice, and beyond it the log keeps only the count of events folded.
     ``EventLog(events)`` folds any iterable of events and raises
     ``OrderingError`` when one user's timestamps go backwards.
     """
 
-    __slots__ = ("_users", "_timestamps", "_locations", "_activities",
-                 "_folds")
+    __slots__ = ("_folds", "_rows")
 
     def __init__(self, events: Iterable[SensorEvent] = ()):
-        self._users: List[str] = []
-        self._timestamps: List[int] = []
-        self._locations: List[str] = []
-        self._activities: List[str] = []
         self._folds: Dict[str, list] = {}
+        self._rows = 0
         backwards = self._fold(events)
         if backwards is not None:
             user, timestamp, last = backwards
@@ -152,12 +145,9 @@ class EventLog:
         of a run of one non-idle activity appends the run's length to
         ``holds[activity]``.  The run still open stays in the state.
         """
-        add_user = self._users.append
-        add_timestamp = self._timestamps.append
-        add_location = self._locations.append
-        add_activity = self._activities.append
         folds = self._folds
-        for user, timestamp, location, activity in rows:
+        count = 0
+        for count, (user, timestamp, location, activity) in enumerate(rows, 1):
             state = folds.get(user)
             if state is None:
                 # [last, room, current, start, moves, holds]
@@ -183,10 +173,7 @@ class EventLog:
                     state[2] = activity
                     state[3] = timestamp
                 state[0] = timestamp
-            add_user(user)
-            add_timestamp(timestamp)
-            add_location(location)
-            add_activity(activity)
+        self._rows = count
         return None
 
     def durations(self, user: str
@@ -207,28 +194,8 @@ class EventLog:
             holds[current] = holds.get(current, []) + [float(last - start)]
         return moves, holds
 
-    @property
-    def streams(self) -> Mapping[str, Tuple[SensorEvent, ...]]:
-        """Each user, in first-seen order, to that user's events in order."""
-        streams: Dict[str, List[SensorEvent]] = {user: [] for user in self._folds}
-        for event in self:
-            streams[event.user].append(event)
-        return MappingProxyType({user: tuple(stream)
-                                 for user, stream in streams.items()})
-
     def __len__(self) -> int:
-        return len(self._timestamps)
-
-    def __iter__(self) -> Iterator[SensorEvent]:
-        return map(SensorEvent, self._users, self._timestamps,
-                   self._locations, self._activities)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EventLog):
-            other = tuple(other)
-        return tuple(self) == other
-
-    __hash__ = None
+        return self._rows
 
 
 def _log(events) -> EventLog:
@@ -331,18 +298,36 @@ def trust_score(model: BehaviorModel, class_id: str, fv: FeatureVector) -> float
 # Event CSV: header `timestamp,user,location,activity`; rows per-user sorted.
 # ---------------------------------------------------------------------------
 
+EVENT_SLICE = 1 << 16  # characters of event text read at a time
+
+
+def _event_slices(text: str) -> Iterator[str]:
+    """``text`` in pieces of about ``EVENT_SLICE`` characters, each cut just
+    after a newline: the lines of the pieces are the lines of ``text``, and
+    no copy of the whole text is made."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + EVENT_SLICE)
+        stop = len(text) if cut < 0 else cut + 1
+        yield text[start:stop]
+        start = stop
+
+
 def load_events(text: str) -> EventLog:
     """Read event CSV text into an :class:`EventLog`, folding as it reads.
 
     Each row goes into its user's running state as it is parsed, with no
-    ``SensorEvent`` per row; the user, location and activity cells share one
-    string object per distinct text.  Blank rows are skipped and cells are
-    stripped.  A bad header, a row that is not four fields, a timestamp that
-    is not an integer, a user whose timestamps go backwards, or text the CSV
-    reader refuses (such as a bare carriage return inside an unquoted cell)
-    raises ``EventFormatError`` with the last physical line of its row.
+    ``SensorEvent`` and nothing else kept per row; the user, location and
+    activity cells share one string object per distinct text.  The CSV
+    reader sees the text one bounded slice at a time (:func:`_event_slices`).
+    Blank rows are skipped and cells are stripped.  A bad header, a row that
+    is not four fields, a timestamp that is not an integer, a user whose
+    timestamps go backwards, or text the CSV reader refuses (such as a bare
+    carriage return inside an unquoted cell) raises ``EventFormatError``
+    with the last physical line of its row.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(chain.from_iterable(map(io.StringIO,
+                                                _event_slices(text))))
 
     def rows() -> Iterator[Tuple[str, int, str, str]]:
         # Each cell text, raw or stripped, maps to its stripped text: one

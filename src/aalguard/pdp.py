@@ -24,6 +24,7 @@ import hmac
 import math
 import os
 import re
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -329,9 +330,12 @@ def load_credentials_file(path) -> Dict[str, Tuple[str, str]]:
 # Authentication
 # ---------------------------------------------------------------------------
 
+_GUARDED = weakref.WeakSet()  # the policies that passed the subject guard
+
+
 def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     """Compile ``rules`` behind the subject guard; ``rules`` itself when
-    already compiled.
+    already compiled, checked the first time it is passed.
 
     Every atom of a rule must take one subject variable first, so the
     fixpoint splits into one piece per subject (:func:`rederive`).  A mean
@@ -340,9 +344,9 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     first, and no rule may read it.  A refusal is an
     :class:`InvalidRuleError` naming the rule.
     """
-    if isinstance(rules, Policy):
-        return rules
-    policy = Policy(rules)
+    policy = Policy.of(rules)
+    if policy in _GUARDED:
+        return policy
     for rule, rule_id in zip(policy.rules, policy.rule_ids):
         if any(atom.predicate.lower() == "authentication"
                for atom in rule.body):
@@ -363,6 +367,7 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
                 or not all(isinstance(term, Variable) for term in subjects):
             raise InvalidRuleError(f"rule {rule_id}: every atom must "
                                    "take the rule's subject variable first")
+    _GUARDED.add(policy)
     return policy
 
 
@@ -405,14 +410,16 @@ def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
         store.retract_fact(fact.predicate, fact.args)
 
 
-def rederive(store: FactStore, policy: Policy,
+def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
              user: Union[str, Constant]) -> Optional[str]:
     """Replace the facts inferred about ``user`` with what the fixpoint
     derives from the user's asserted facts less request history and
     ``Authenticated``: under :func:`compile_policy`'s guard, the whole-store
     fixpoint restricted to the user.  Returns the mean of the first
     ``Authentication`` fact derived, or None; that fact and a derived
-    ``Authenticated`` stay out of the store."""
+    ``Authenticated`` stay out of the store.  ``policy`` goes through
+    :func:`compile_policy` first."""
+    policy = compile_policy(policy)
     subject = coerce_constant(user)
     own = FactStore()
     for fact in store.facts_about(subject):

@@ -106,11 +106,11 @@ class ScenarioRun:
     audit_log: pdp.AuditLog
 
 
-def _scenario_events(name: str) -> list:
+def _scenario_events(name: str) -> behavior.EventLog:
     return behavior.load_events(fixture_text("scenarios", name, "events.csv"))
 
 
-def _recent_events(name: str) -> list:
+def _recent_events(name: str) -> behavior.EventLog:
     if name == "alzheimer":
         return behavior.load_events(
             fixture_text("scenarios", name, "wandering.csv"))

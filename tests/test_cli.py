@@ -84,6 +84,27 @@ def test_classify_reports_fixture_users():
     assert "trust=1.00" in result.stdout
 
 
+INTERLEAVED_CLASSIFY = """\
+u1: class=class1 distance=31.95 trust=0.48
+resident 4: class=class1 distance=22.84 trust=0.57
+u7: class=class3 distance=17.37 trust=0.63
+u2: class=class2 distance=11.74 trust=0.72
+u3: class=class2 distance=11.97 trust=0.71
+u9: class=class3 distance=20.83 trust=0.59
+"""
+
+
+def test_event_commands_read_interleaved_residents_in_first_seen_order():
+    # Six residents' rows interleaved in time, with padded cells, a quoted
+    # user name and blank rows between them.
+    events = str(DATA_DIR / "interleaved_events.csv")
+    loaded = run_cli("load", "--events", events)
+    assert (loaded.returncode, loaded.stdout) == (0, "events: 144 (6 users)\n")
+    classified = run_cli("classify", "--events", events)
+    assert (classified.returncode, classified.stdout) \
+        == (0, INTERLEAVED_CLASSIFY)
+
+
 def test_scenario_commands_pass():
     for name in ("deaf", "blind", "alzheimer"):
         result = run_cli("scenario", name)

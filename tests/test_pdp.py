@@ -221,6 +221,25 @@ def test_a_rule_that_reads_the_mean_is_refused_naming_it():
         pdp.compile_policy(rules)
 
 
+def test_a_policy_built_directly_is_refused_naming_the_rule():
+    # A compiled Policy meets the subject guard too, before any fact moves.
+    policy = engine.Policy(RULES + parse_ruleset(
+        "@id: mean-use\nAuthentication(?m) -> MeanInUse(?m, yes)"))
+    store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "no").\n')
+    before = sorted(f.render() for f in store)
+    request = AuthnRequest("u1", Credential("password", "open-sesame"),
+                           at_centroid("class1"))
+    for run in (
+            lambda: authenticate(request, store, policy, seed_model(),
+                                 make_credentials()),
+            lambda: pdp.rederive(store, policy, "u1"),
+            lambda: scenarios.prime_store(store, policy, seed_model(),
+                                          make_credentials())):
+        with pytest.raises(InvalidRuleError, match="^rule mean-use: "):
+            run()
+        assert sorted(f.render() for f in store) == before
+
+
 def test_mean_table_accepts_class_rules_that_profile_facts_cannot_fire():
     # behavior-class1 derives a class, but only from activity facts; so
     # does a rule that also reads a capability.
