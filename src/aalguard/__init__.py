@@ -46,7 +46,6 @@ from .pdp import (
     Decision,
     authenticate,
     authorize,
-    detect_anomaly,
     flag_anomaly,
 )
 from .query import ConjunctiveQuery, eval_query, parse_query

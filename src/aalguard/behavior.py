@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -27,6 +28,8 @@ IDLE_ACTIVITY = "none"
 EVENT_HEADER = ["timestamp", "user", "location", "activity"]
 
 DEFAULT_DISTANCE_FLOOR = 30.0  # seconds
+
+MAX_GAP = int(sys.float_info.max)  # longest duration a float holds, seconds
 
 
 class OrderingError(ValueError):
@@ -122,7 +125,8 @@ class EventLog:
     in stream order.  The features read that state, so no stream is walked
     twice, and beyond it the log keeps only the count of events folded.
     ``EventLog(events)`` folds any iterable of events and raises
-    ``OrderingError`` when one user's timestamps go backwards.
+    ``OrderingError`` when one user's timestamps go backwards, and
+    ``OverflowError`` when one lies over ``MAX_GAP`` after its run's start.
     """
 
     __slots__ = ("_folds", "_rows")
@@ -156,6 +160,9 @@ class EventLog:
                 last, room, current, start, moves, holds = state
                 if timestamp < last:
                     return user, timestamp, last
+                if timestamp - start > MAX_GAP:
+                    raise OverflowError(
+                        f"events for {user} span a gap beyond float range")
                 if location != room:
                     durations = moves.get((room, location))
                     if durations is None:
@@ -244,12 +251,15 @@ def distance(a: FeatureVector, b: FeatureVector) -> float:
 
     Keys are summed in sorted order so the result is bit-identical no matter
     how the vectors' dicts were built.  Raises ``NonFiniteError`` when the
-    result is not finite (a NaN or infinite entry, or a sum of squares beyond float
-    range), so no caller compares a NaN.
+    result is not finite (a NaN or infinite entry, or a square or a sum of
+    squares beyond float range), so no caller compares a NaN.
     """
     keys = sorted(set(a.entries) | set(b.entries))
-    d = math.sqrt(sum(
-        (a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) ** 2 for k in keys))
+    try:
+        d = math.sqrt(sum(
+            (a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) ** 2 for k in keys))
+    except OverflowError:  # ``**`` raises where ``+`` gives infinity
+        d = math.inf
     if not math.isfinite(d):
         raise NonFiniteError(f"distance is not finite ({d})")
     return d
@@ -324,7 +334,8 @@ def load_events(text: str) -> EventLog:
     is not four fields, a timestamp that is not an integer, a user whose
     timestamps go backwards, or text the CSV reader refuses (such as a bare
     carriage return inside an unquoted cell) raises ``EventFormatError``
-    with the last physical line of its row.
+    with the last physical line of its row, as does a row more than
+    ``MAX_GAP`` after its user's run start.
     """
     reader = csv.reader(chain.from_iterable(map(io.StringIO,
                                                 _event_slices(text))))
@@ -356,7 +367,7 @@ def load_events(text: str) -> EventLog:
                 1)
         log = EventLog()
         backwards = log._fold(rows())
-    except csv.Error as err:
+    except (csv.Error, OverflowError) as err:
         raise EventFormatError(str(err), reader.line_num) from None
     if backwards is not None:
         user, timestamp, _ = backwards

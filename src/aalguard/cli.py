@@ -304,8 +304,10 @@ def handle_message(state: ServeState, line: str) -> dict:
                     trust_threshold=state.config.trust_threshold,
                     default_mean=state.config.default_auth_mean,
                     audit_log=state.audit_log)
+            trust = result.trust  # NaN when the vector has no class
             return {"ok": True, "authenticated": result.authenticated,
-                    "mean": result.mean_used, "trust": round(result.trust, 6),
+                    "mean": result.mean_used,
+                    "trust": round(trust, 6) if math.isfinite(trust) else None,
                     "class": result.behavior_class,
                     **({"reason": result.reason} if result.reason else {})}
         if op == "authorize":
@@ -498,7 +500,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_IO
     except (FactError, RuleSyntaxError, ConfigError, engine.EngineError,
             behavior.EventFormatError, behavior.ModelFormatError,
-            behavior.OrderingError, query.QueryError, pdp.PdpError,
+            behavior.OrderingError, behavior.NonFiniteError,
+            query.QueryError, pdp.PdpError,
             pdp.AuditError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,16 +9,17 @@ into a :class:`Policy`, and a pass joins a rule through a body atom only
 when the delta holds a fact of that atom's predicate.
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
-and contradictory authentication outcomes) and derivation explanations built
-from the justifications recorded while inferring.
+and contradictory authentication outcomes) and derivation explanations read
+from the premises each derived fact carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from .facts import (
+    ASSERTED,
     Constant,
     Fact,
     FactStore,
@@ -58,18 +59,20 @@ class InferenceReport:
 class Conflict:
     """Two facts that cannot both hold."""
 
-    kind: str       # permit-deny | authenticated-contradiction | custom
+    kind: str       # permit-deny | authenticated-contradiction
     facts: tuple
     subject: Constant
 
 
 @dataclass
 class Derivation:
-    """Proof tree for a fact: leaves are asserted, inner nodes rule firings."""
+    """Proof tree for a fact: inner nodes are rule firings, leaves asserted
+    facts or facts read from a file as inferred (``origin``)."""
 
     fact: Fact
     rule_id: Optional[str] = None
     premises: list = field(default_factory=list)
+    origin: str = ASSERTED
 
     def is_leaf(self) -> bool:
         return not self.premises
@@ -104,7 +107,7 @@ class Policy:
         return rules if isinstance(rules, cls) else cls(rules)
 
 
-def _instantiate(atom, binding: dict, rule_id: str) -> Fact:
+def _instantiate(atom, binding: dict, rule_id: str, premises: tuple) -> Fact:
     args = []
     for term in atom.terms:
         if isinstance(term, Variable):
@@ -115,7 +118,8 @@ def _instantiate(atom, binding: dict, rule_id: str) -> Fact:
             args.append(value)
         else:
             args.append(term)
-    return Fact(atom.predicate, tuple(args), origin=INFERRED, rule_id=rule_id)
+    return Fact(atom.predicate, tuple(args), origin=INFERRED, rule_id=rule_id,
+                premises=premises)
 
 
 def join(store: FactStore, body, pivot: int, delta_keys: set):
@@ -154,9 +158,8 @@ def infer_fixpoint(store: FactStore,
     ``rules`` is a :class:`Policy` or a rule list, which is compiled on the
     call.  The engine takes the writer role for the duration of the call.
     Rules must be safe; rules naming reserved built-ins are rejected before
-    any firing.  Derived facts are recorded with the id of the rule that
-    first produced them, together with the premise facts, for later
-    explanation.
+    any firing.  Each derived fact carries the id of the rule that first
+    produced it and the facts that rule's body matched, for explanation.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
@@ -167,7 +170,7 @@ def infer_fixpoint(store: FactStore,
     while True:
         iterations += 1
         delta_predicates = {predicate for predicate, _ in delta_keys}
-        pending: dict = {}  # key -> (fact, premises)
+        pending: dict = {}  # key -> fact
         for rule, rule_id, predicates in zip(policy.rules, policy.rule_ids,
                                              policy.body_predicates):
             for pivot, predicate in enumerate(predicates):
@@ -176,20 +179,19 @@ def infer_fixpoint(store: FactStore,
                 for binding, premises in join(store, rule.body, pivot,
                                               delta_keys):
                     for head_atom in rule.head:
-                        new_fact = _instantiate(head_atom, binding, rule_id)
+                        new_fact = _instantiate(head_atom, binding, rule_id,
+                                                premises)
                         key = new_fact.key()
                         if key in pending or new_fact in store:
                             continue
-                        pending[key] = (new_fact, premises)
+                        pending[key] = new_fact
                         firings[rule_id] += 1
         if not pending:
             break
         delta_keys = set()
-        for key, (new_fact, premises) in pending.items():
+        for key, new_fact in pending.items():
             store.assert_fact(new_fact)
-            stored = store.get(new_fact.predicate, new_fact.args)
-            store.record_justification(stored, new_fact.rule_id, premises)
-            derived.append(stored)
+            derived.append(store.get(new_fact.predicate, new_fact.args))
             delta_keys.add(key)
     return InferenceReport(derived=derived, iterations=iterations,
                            rule_firings=firings)
@@ -247,16 +249,9 @@ def check_authenticated(store: FactStore) -> list:
     return conflicts
 
 
-DEFAULT_CHECKS = (check_permit_deny, check_authenticated)
-
-
-def check_consistency(store: FactStore,
-                      checks: Iterable[Callable] = DEFAULT_CHECKS) -> list:
-    """Run the consistency checks over a materialized store."""
-    conflicts = []
-    for check in checks:
-        conflicts.extend(check(store))
-    return conflicts
+def check_consistency(store: FactStore) -> list:
+    """Run the built-in consistency checks over a materialized store."""
+    return check_permit_deny(store) + check_authenticated(store)
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +267,25 @@ def explain(store: FactStore, fact: Fact) -> Derivation:
 
 
 def _explain(store: FactStore, fact: Fact, seen: frozenset) -> Derivation:
-    justification = store.justification(fact)
-    if fact.origin != INFERRED or justification is None:
+    """The node for ``fact``, read from the fact the store holds under its
+    key: its rule id, and its premises explained in turn."""
+    held = store.get(fact.predicate, fact.args)
+    if fact.origin != INFERRED or held is None or held.origin != INFERRED:
         return Derivation(fact=fact)
-    if fact.key() in seen:  # defensive; first-derivation records are acyclic
-        return Derivation(fact=fact, rule_id=justification.rule_id)
+    # No premises: read from a file as inferred.  A key already on the
+    # path: a retract and a re-derive can close a cycle through keys.
+    if not held.premises or fact.key() in seen:
+        return Derivation(fact=fact, rule_id=held.rule_id, origin=INFERRED)
     seen = seen | {fact.key()}
-    premises = [_explain(store, p, seen) for p in justification.premises]
-    return Derivation(fact=fact, rule_id=justification.rule_id,
-                      premises=premises)
+    premises = [_explain(store, p, seen) for p in held.premises]
+    return Derivation(fact=fact, rule_id=held.rule_id, premises=premises,
+                      origin=INFERRED)
 
 
 def render_derivation(derivation: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    if derivation.is_leaf() and derivation.rule_id is None:
-        head = f"{pad}{derivation.fact.render()}  [asserted]"
-    else:
-        head = f"{pad}{derivation.fact.render()}  [rule {derivation.rule_id}]"
-    lines = [head]
+    label = derivation.origin if derivation.rule_id is None \
+        else f"rule {derivation.rule_id}"
+    lines = [f"{'  ' * indent}{derivation.fact.render()}  [{label}]"]
     for premise in derivation.premises:
         lines.append(render_derivation(premise, indent + 1))
     return "\n".join(lines)

@@ -2,9 +2,8 @@
 
 Facts are ground predicates over one to three constant terms, e.g.
 ``HasCapability(u1, "hearing")``.  The store keeps one copy of each fact,
-indexes it by predicate and by each argument, tracks where inferred facts
-came from, and reads and writes a flat text format (one fact per line,
-trailing period, ``#`` comments).
+indexes it by predicate and by each argument, and reads and writes a flat
+text format (one fact per line, trailing period, ``#`` comments).
 
 Two interoperability rules shape equality here: predicate names compare
 case-insensitively (the source rule corpus spells the same relation several
@@ -186,12 +185,18 @@ def fact_key(predicate: str, args: tuple) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Fact:
-    """A ground predicate over 1-3 constants, asserted or inferred."""
+    """A ground predicate over 1-3 constants, asserted or inferred.
+
+    An inferred fact names the rule that first derived it and carries the
+    facts that rule's body matched, its ``premises``; a fact read from a
+    file has none.
+    """
 
     predicate: str
     args: tuple
     origin: str = ASSERTED
     rule_id: Optional[str] = None
+    premises: tuple = ()
 
     def __post_init__(self) -> None:
         args = tuple(self.args)
@@ -252,14 +257,6 @@ def unify_against_fact(predicate: str, terms, fact: Fact, binding: dict):
     return out
 
 
-@dataclass
-class Justification:
-    """Why an inferred fact holds: the rule that fired and its premises."""
-
-    rule_id: Optional[str]
-    premises: tuple
-
-
 class FactStore:
     """Set of ground facts with predicate and argument indexes.
 
@@ -282,7 +279,6 @@ class FactStore:
         self._by_arg: dict = {}         # (predicate lower, position, arg key)
         #                                 -> dict key -> Fact
         self._canon: dict = {}          # predicate lower -> first-seen spelling
-        self._justifications: dict = {}  # key -> Justification
         for name in vocabulary:
             self._canon.setdefault(name.lower(), name)
 
@@ -358,20 +354,20 @@ class FactStore:
         """Insert a fact; returns True iff it was not already present.
 
         Re-asserting an inferred fact as asserted upgrades its origin
-        (asserted wins) but still returns False.
+        (asserted wins), dropping its rule id and premises, but still
+        returns False.
         """
         canonical = self.canonical_predicate(fact.predicate)
         if canonical != fact.predicate:
             fact = Fact(canonical, fact.args, origin=fact.origin,
-                        rule_id=fact.rule_id)
+                        rule_id=fact.rule_id, premises=fact.premises)
         key = fact.key()
         existing = self._facts.get(key)
         if existing is not None:
             if existing.origin == INFERRED and fact.origin == ASSERTED:
                 # Replacing a dict value keeps its place in every index.
                 self._file(key, Fact(existing.predicate, existing.args,
-                                     origin=ASSERTED, rule_id=None))
-                self._justifications.pop(key, None)
+                                     origin=ASSERTED))
             return False
         self._file(key, fact)
         return True
@@ -398,16 +394,7 @@ class FactStore:
             del bucket[key]
             if not bucket:
                 del index[slot]
-        self._justifications.pop(key, None)
         return True
-
-    def record_justification(self, fact: Fact, rule_id: Optional[str],
-                             premises: tuple) -> None:
-        self._justifications.setdefault(fact.key(),
-                                        Justification(rule_id, tuple(premises)))
-
-    def justification(self, fact: Fact) -> Optional[Justification]:
-        return self._justifications.get(fact.key())
 
     def snapshot(self) -> "FactStore":
         """Independent copy; facts themselves are immutable and shared."""
@@ -417,7 +404,6 @@ class FactStore:
         clone._by_arg = {slot: dict(bucket)
                          for slot, bucket in self._by_arg.items()}
         clone._canon = dict(self._canon)
-        clone._justifications = dict(self._justifications)
         return clone
 
 

@@ -417,7 +417,8 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
     ``Authenticated``: under :func:`compile_policy`'s guard, the whole-store
     fixpoint restricted to the user.  Returns the mean of the first
     ``Authentication`` fact derived, or None; that fact and a derived
-    ``Authenticated`` stay out of the store.  ``policy`` goes through
+    ``Authenticated`` stay out of the store.  The facts asserted carry
+    their premises from that fixpoint.  ``policy`` goes through
     :func:`compile_policy` first."""
     policy = compile_policy(policy)
     subject = coerce_constant(user)
@@ -433,10 +434,8 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
         if predicate == "authentication":
             if mean is None:
                 mean = fact.args[0].text()
-        elif fact.args[0] == subject and predicate != "authenticated" \
-                and store.assert_fact(fact):
-            store.record_justification(fact, fact.rule_id,
-                                       own.justification(fact).premises)
+        elif fact.args[0] == subject and predicate != "authenticated":
+            store.assert_fact(fact)
     return mean
 
 
@@ -612,12 +611,6 @@ def authorize(req: AuthzRequest, store: FactStore,
 # ---------------------------------------------------------------------------
 # Anomaly detection
 # ---------------------------------------------------------------------------
-
-def detect_anomaly(model: BehaviorModel, class_id: str, recent: FeatureVector,
-                   threshold: float = DEFAULT_ANOMALY_THRESHOLD) -> bool:
-    """Flag when recent behavior no longer matches the recognized class."""
-    return trust_score(model, class_id, recent) < threshold
-
 
 def flag_anomaly(store: FactStore, model: BehaviorModel, user: str,
                  class_id: str, recent: FeatureVector,

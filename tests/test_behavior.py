@@ -14,6 +14,7 @@ from aalguard.behavior import (
     EventFormatError,
     FeatureVector,
     ModelFormatError,
+    NonFiniteError,
     OrderingError,
     SensorEvent,
     UnknownClassError,
@@ -307,13 +308,14 @@ def test_trust_decreases_with_distance():
 
 @pytest.mark.parametrize("entries", [
     {"hold:cooking": math.nan}, {"hold:cooking": math.inf},
-    {"hold:a": 1e154, "hold:b": 1e154}])  # squares sum beyond float range
+    {"hold:a": 1e154, "hold:b": 1e154},  # squares sum beyond float range
+    {"hold:cooking": 1e200}])  # one square beyond float range
 def test_non_finite_distance_is_rejected(entries):
     model = two_class_model()
     fv = FeatureVector(entries)
     for score in (lambda: classify(model, fv),
                   lambda: trust_score(model, "class1", fv)):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             score()
 
 
@@ -371,6 +373,23 @@ def test_load_events_bad_row_reports_line(rows, line, message):
         load_events(HEADER + rows)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+HUGE = "1" + "0" * 400  # 1e400: its gap from 0 does not fit in a float
+
+
+@pytest.mark.parametrize("rows", [
+    f"0,u1,kitchen,none\n{HUGE},u1,hall,none\n",  # a room change
+    f"0,u1,kitchen,cooking\n{HUGE},u1,kitchen,cooking\n",  # the open run
+])
+def test_a_gap_beyond_float_range_is_a_format_error(rows):
+    with pytest.raises(EventFormatError) as err:
+        load_events(HEADER + rows)
+    assert str(err.value) == \
+        "line 3: events for u1 span a gap beyond float range"
+    with pytest.raises(OverflowError):
+        behavior.EventLog([SensorEvent("u1", 0, "kitchen", "cooking"),
+                           SensorEvent("u1", int(HUGE), "kitchen", "cooking")])
 
 
 @pytest.mark.parametrize("text, line", [

@@ -35,6 +35,21 @@ def test_explain_shows_rule_and_premises():
     assert result.stdout.count("[asserted]") == 3
 
 
+def test_explain_labels_facts_loaded_as_inferred(tmp_path):
+    kb = tmp_path / "held.kb"
+    kb.write_text('HasCapability(u1, "hearing").\n'
+                  "BehaviorCapability(u1, Group1).  # inferred rule=group1-assign\n"
+                  "Obligation(u1, alert).  # inferred\n")
+    outputs = [run_cli("explain", "--facts", str(kb), fact).stdout
+               for fact in ('HasCapability(u1, "hearing")',
+                            "BehaviorCapability(u1, Group1)",
+                            "Obligation(u1, alert)")]
+    assert outputs == [
+        'HasCapability(u1, "hearing")  [asserted]\n',
+        "BehaviorCapability(u1, Group1)  [rule group1-assign]\n",
+        "Obligation(u1, alert)  [inferred]\n"]
+
+
 def test_query_empty_store_exits_zero():
     result = run_cli("query", "SELECT ?u WHERE { Authenticated(?u, yes) }")
     assert result.returncode == 0
@@ -103,6 +118,30 @@ def test_event_commands_read_interleaved_residents_in_first_seen_order():
     classified = run_cli("classify", "--events", events)
     assert (classified.returncode, classified.stdout) \
         == (0, INTERLEAVED_CLASSIFY)
+
+
+def test_event_commands_report_a_gap_beyond_float_range_as_a_line(tmp_path):
+    huge = "1" + "0" * 400
+    cases = {"move.csv": f"0,u1,kitchen,none\n{huge},u1,hall,none\n",
+             "run.csv": f"0,u1,kitchen,cooking\n{huge},u1,kitchen,cooking\n"}
+    for name, rows in cases.items():
+        path = tmp_path / name
+        path.write_text("timestamp,user,location,activity\n" + rows)
+        for command in ("load", "classify"):
+            result = run_cli(command, "--events", str(path))
+            assert (result.returncode, result.stderr) == (1, (
+                "error: line 3: events for u1 span a gap beyond float range\n"))
+
+
+def test_classify_reports_a_mean_beyond_float_range_as_an_error(tmp_path):
+    huge = 10 ** 308
+    path = tmp_path / "events.csv"
+    path.write_text("timestamp,user,location,activity\n"
+                    f"0,u1,k,a\n{huge},u1,h,b\n{huge},u1,k,a\n"
+                    f"{2 * huge},u1,h,b\n")  # two moves k->h of 1e308
+    result = run_cli("classify", "--events", str(path))
+    assert (result.returncode, result.stderr) \
+        == (1, "error: distance is not finite (inf)\n")
 
 
 def test_scenario_commands_pass():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aalguard import engine
 from aalguard.engine import (
@@ -12,7 +13,7 @@ from aalguard.engine import (
     infer_fixpoint,
     render_derivation,
 )
-from aalguard.facts import Constant, Fact, FactStore, ground
+from aalguard.facts import Constant, Fact, FactStore, ground, unify_against_fact
 from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
 from aalguard.scenarios import load_fixture_rules
 
@@ -135,18 +136,14 @@ def test_fixpoint_matches_naive_oracle_under_twins_and_recasing():
 
 
 def _run(facts, rules):
-    """Derived facts, iterations, firings and justifications of one run."""
+    """Derived facts, iterations, firings and premises of one run."""
     store = FactStore()
     for fact in facts:
         store.assert_fact(fact)
     report = infer_fixpoint(store, rules)
     derived = [(f.render(), f.rule_id, f.origin) for f in report.derived]
-    justifications = [
-        (f.render(), store.justification(f).rule_id,
-         [p.render() for p in store.justification(f).premises])
-        for f in report.derived]
-    return (derived, report.iterations, report.rule_firings,
-            justifications), store
+    premises = [[p.render() for p in f.premises] for f in report.derived]
+    return (derived, report.iterations, report.rule_firings, premises), store
 
 
 def test_policy_and_rule_list_paths_agree_with_the_naive_oracle():
@@ -343,21 +340,30 @@ def test_empty_store_is_consistent():
     assert check_consistency(FactStore()) == []
 
 
-def test_custom_checks_are_pluggable():
-    def always(store):
-        from aalguard.engine import Conflict
-
-        fact = ground("P", "a")
-        return [Conflict("custom", (fact, fact), fact.args[0])]
-
-    store = FactStore()
-    conflicts = check_consistency(store, checks=[always])
-    assert [c.kind for c in conflicts] == ["custom"]
-
-
 # ---------------------------------------------------------------------------
 # Explanations
 # ---------------------------------------------------------------------------
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_each_derived_fact_carries_premises_its_rule_body_matches(seed):
+    facts, rules = random_instance(random.Random(seed))
+    store = FactStore()
+    for fact in facts:
+        store.assert_fact(fact)
+    by_id = dict(zip(engine.Policy(rules).rule_ids, rules))
+    for fact in infer_fixpoint(store, rules).derived:
+        rule = by_id[fact.rule_id]
+        assert len(fact.premises) == len(rule.body)
+        binding = {}
+        for atom, premise in zip(rule.body, fact.premises):
+            assert premise in store
+            binding = unify_against_fact(atom.predicate, atom.terms, premise,
+                                         binding)
+            assert binding is not None
+        assert any(unify_against_fact(atom.predicate, atom.terms, fact,
+                                      binding) == binding
+                   for atom in rule.head)
+
 
 def test_explain_derived_fact_shows_rule_and_premises():
     store = behavioral_store()

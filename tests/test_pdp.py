@@ -16,7 +16,6 @@ from aalguard.pdp import (
     PdpError,
     authenticate,
     authorize,
-    detect_anomaly,
     flag_anomaly,
     hash_password,
     load_credentials,
@@ -872,17 +871,19 @@ def test_authenticate_and_authorize_append_exactly_one_entry_each():
 # ---------------------------------------------------------------------------
 
 def test_recent_at_centroid_not_flagged():
-    assert not detect_anomaly(seed_model(), "class1", at_centroid("class1"), 0.5)
+    assert not flag_anomaly(FactStore(), seed_model(), "u1", "class1",
+                            at_centroid("class1"), 0.5)
 
 
 def test_wandering_recent_vector_flagged():
     far = FeatureVector({"move:bedroom->kitchen": 300.0})
-    assert detect_anomaly(seed_model(), "class2", far, 0.5)
+    assert flag_anomaly(FactStore(), seed_model(), "u1", "class2", far, 0.5)
 
 
 def test_threshold_zero_never_flags():
     far = FeatureVector({"move:bedroom->kitchen": 1e6})
-    assert not detect_anomaly(seed_model(), "class2", far, 0.0)
+    assert not flag_anomaly(FactStore(), seed_model(), "u1", "class2", far,
+                            0.0)
 
 
 def test_nan_recent_vector_is_not_passed_as_normal():
@@ -890,8 +891,6 @@ def test_nan_recent_vector_is_not_passed_as_normal():
     store = group3_member()
     log = AuditLog()
     recent = FeatureVector({"move:bedroom->kitchen": float("nan")})
-    with pytest.raises(ValueError):
-        detect_anomaly(seed_model(), "class2", recent, 0.5)
     with pytest.raises(ValueError):
         flag_anomaly(store, seed_model(), "u3", "class2", recent, audit_log=log)
     assert log.entries() == ()

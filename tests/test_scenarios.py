@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 from aalguard import behavior, scenarios
 from aalguard.config import Config
 from aalguard.facts import FactStore, save_facts
@@ -12,6 +17,27 @@ def test_deaf_scenario_passes():
     assert run.decision.recommendations == ["visual-alert"]
     assert run.authn.mean_used == "username/password"
     assert run.authn.trust == 1.0
+
+
+TRACED_DEAF = """\
+import json
+from perfbench.spans import NAME, Tracer, install
+tracer = Tracer()
+install(tracer)
+from aalguard import scenarios
+assert scenarios.run_scenario("deaf").passed
+print(json.dumps(sorted({span[NAME] for span in tracer.spans})))
+"""
+
+
+def test_the_benchmark_tracer_wraps_a_scenario_run():
+    # The tracer patches module attributes, so it runs in its own process.
+    result = subprocess.run([sys.executable, "-c", TRACED_DEAF],
+                            cwd=Path(__file__).parents[1], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    names = set(json.loads(result.stdout))
+    assert {"facts.snapshot", "engine.infer_fixpoint", "pdp.authorize"} <= names
 
 
 def test_blind_scenario_passes():

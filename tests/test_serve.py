@@ -133,6 +133,20 @@ def test_unencodable_reply_becomes_an_error_and_serving_continues(monkeypatch):
     assert replies[1] == {"ok": True}
 
 
+def test_a_vector_at_a_distance_beyond_float_range_fails_closed():
+    state = primed_state()
+    message = {"op": "authn", "user": "u1", "password": "door-chime-7",
+               "features": {"hold:cooking": 1e200}}
+    wfile = io.BytesIO()
+    cli._serve_lines(state, io.BytesIO(json.dumps(message).encode() + b"\n"),
+                     wfile)
+    reply = json.loads(wfile.getvalue(), parse_constant=_reject_constant)
+    assert reply["ok"] is True
+    assert (reply["authenticated"], reply["class"], reply["trust"]) \
+        == ("no", None, None)
+    assert [e.kind for e in state.audit_log.entries()] == ["authn"]
+
+
 def primed_state() -> cli.ServeState:
     config = Config()
     rules = scenarios.load_fixture_rules()
