@@ -15,8 +15,6 @@ from .behavior import (
     SensorEvent,
     classify,
     extract_features,
-    holding_time,
-    moving_time,
     trust_score,
     update_class,
 )

@@ -3,12 +3,12 @@
 Two features summarize a user's routine: how long they take to move between
 rooms (one duration per consecutive pair of events in different locations)
 and how long they hold an activity (one duration per maximal run of the same
-non-idle activity).  Events are folded into their user's running duration
-state as they are read (:class:`EventLog`), so extracting the features only
-averages lists already filed.  Users are assigned to the behavior class whose
-centroid is nearest in feature space; centroids evolve by incremental mean as
-new observations fold in, and a trust value in [0, 1] expresses how well a
-fresh feature vector matches a class.
+non-idle activity).  Events are folded into their user's running sum and
+count of durations per feature key as they are read (:class:`EventLog`), so
+extracting the features only divides sums already kept.  Users are assigned
+to the behavior class whose centroid is nearest in feature space; centroids
+evolve by incremental mean as new observations fold in, and a trust value in
+[0, 1] expresses how well a fresh feature vector matches a class.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
-
-from .facts import format_number
 
 IDLE_ACTIVITY = "none"
 
@@ -108,24 +106,17 @@ class BehaviorModel:
         raise UnknownClassError(class_id)
 
 
-def move_key(from_room: str, to_room: str) -> str:
-    return f"move:{from_room}->{to_room}"
-
-
-def hold_key(activity: str) -> str:
-    return f"hold:{activity}"
-
-
 class EventLog:
     """Sensor events folded per user as they are read; no row is kept.
 
     For each user in first-seen order the log holds the running state of
     that user's stream: last timestamp, room, current activity, the start of
-    the current activity run, and the ``moves`` and ``holds`` duration lists
-    in stream order.  The features read that state, so no stream is walked
-    twice, and beyond it the log keeps only the count of events folded.
-    ``EventLog(events)`` folds any iterable of events and raises
-    ``OrderingError`` when one user's timestamps go backwards, and
+    the current activity run, and the ``moves`` and ``holds`` tables of
+    ``[sum, count]`` per key, the sum added up in stream order.  The features
+    read that state, so no stream is walked twice and the state does not
+    grow with the events read; beyond it the log keeps only the count of
+    events folded.  ``EventLog(events)`` folds any iterable of events and
+    raises ``OrderingError`` when one user's timestamps go backwards, and
     ``OverflowError`` when one lies over ``MAX_GAP`` after its run's start.
     """
 
@@ -145,9 +136,12 @@ class EventLog:
 
         Stops at the first row that goes back in time in its user's stream
         and returns ``(user, timestamp, last)`` for it; None when all fold.
-        A room change appends its duration to ``moves[(from, to)]``; the end
-        of a run of one non-idle activity appends the run's length to
-        ``holds[activity]``.  The run still open stays in the state.
+        A room change adds its duration to ``moves[(from, to)]``; the end of
+        a run of one non-idle activity adds the run's length to
+        ``holds[activity]``.  The run still open stays in the state.  A sum
+        starts as the float of its first duration and adds the later ones
+        as ints, which rounds as adding their floats does (``MAX_GAP``
+        keeps each in float range).
         """
         folds = self._folds
         count = 0
@@ -164,42 +158,26 @@ class EventLog:
                     raise OverflowError(
                         f"events for {user} span a gap beyond float range")
                 if location != room:
-                    durations = moves.get((room, location))
-                    if durations is None:
-                        moves[room, location] = [float(timestamp - last)]
+                    total = moves.get((room, location))
+                    if total is None:
+                        moves[room, location] = [float(timestamp - last), 1]
                     else:
-                        durations.append(float(timestamp - last))
+                        total[0] += timestamp - last
+                        total[1] += 1
                     state[1] = location
                 if activity != current:
                     if current != IDLE_ACTIVITY:
-                        durations = holds.get(current)
-                        if durations is None:
-                            holds[current] = [float(last - start)]
+                        total = holds.get(current)
+                        if total is None:
+                            holds[current] = [float(last - start), 1]
                         else:
-                            durations.append(float(last - start))
+                            total[0] += last - start
+                            total[1] += 1
                     state[2] = activity
                     state[3] = timestamp
                 state[0] = timestamp
         self._rows = count
         return None
-
-    def durations(self, user: str
-                  ) -> Tuple[Dict[Tuple[str, str], List[float]],
-                             Dict[str, List[float]]]:
-        """``user``'s moving and holding durations, the open run closed.
-
-        The open run is closed on a copy of ``holds``, so the folded state
-        never changes and every call answers the same.  The lists are the
-        state's own; callers must not change them.
-        """
-        state = self._folds.get(user)
-        if state is None:
-            return {}, {}
-        last, _, current, start, moves, holds = state
-        if current != IDLE_ACTIVITY:
-            holds = dict(holds)
-            holds[current] = holds.get(current, []) + [float(last - start)]
-        return moves, holds
 
     def __len__(self) -> int:
         return self._rows
@@ -209,40 +187,35 @@ def _log(events) -> EventLog:
     return events if isinstance(events, EventLog) else EventLog(events)
 
 
-def moving_time(events, user: str) -> Dict[Tuple[str, str], List[float]]:
-    """Durations of room changes, keyed by (from, to).
-
-    Consecutive events in the same room contribute nothing.
-    """
-    moves, _ = _log(events).durations(user)
-    return {pair: list(durations) for pair, durations in moves.items()}
-
-
-def holding_time(events, user: str) -> Dict[str, List[float]]:
-    """Durations of maximal runs of the same non-idle activity.
-
-    A single-event run has duration zero; idle (``none``) never counts.
-    """
-    _, holds = _log(events).durations(user)
-    return {activity: list(durations) for activity, durations in holds.items()}
-
-
 def extract_features(events, user: str) -> FeatureVector:
-    """Per-key mean of the moving and holding duration lists.
+    """Per-key mean of the moving and holding durations, with their count.
 
-    Each list keeps its durations in stream order, so every mean is
+    Reads the sums the fold keeps and closes the open activity run on
+    locals, so the folded state never changes and every call answers the
+    same.  Each sum adds its durations in stream order, so every mean is
     bit-identical to the mean over a separate pass per feature.
     """
-    moves, holds = _log(events).durations(user)
     fv = FeatureVector()
-    for (src, dst), durations in moves.items():
-        key = move_key(src, dst)
-        fv.entries[key] = sum(durations) / len(durations)
-        fv.support[key] = len(durations)
-    for activity, durations in holds.items():
-        key = hold_key(activity)
-        fv.entries[key] = sum(durations) / len(durations)
-        fv.support[key] = len(durations)
+    state = _log(events)._folds.get(user)
+    if state is None:
+        return fv
+    last, _, current, start, moves, holds = state
+    entries, support = fv.entries, fv.support
+    for (src, dst), (total, count) in moves.items():
+        key = f"move:{src}->{dst}"
+        entries[key] = total / count
+        support[key] = count
+    for activity, (total, count) in holds.items():
+        if activity == current:  # the open run; ``holds`` has no idle key
+            total += last - start
+            count += 1
+        key = f"hold:{activity}"
+        entries[key] = total / count
+        support[key] = count
+    if current != IDLE_ACTIVITY and current not in holds:
+        key = f"hold:{current}"
+        entries[key] = float(last - start)
+        support[key] = 1
     return fv
 
 
@@ -254,10 +227,10 @@ def distance(a: FeatureVector, b: FeatureVector) -> float:
     result is not finite (a NaN or infinite entry, or a square or a sum of
     squares beyond float range), so no caller compares a NaN.
     """
-    keys = sorted(set(a.entries) | set(b.entries))
+    x, y = a.entries, b.entries
     try:
-        d = math.sqrt(sum(
-            (a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) ** 2 for k in keys))
+        d = math.sqrt(sum([(x.get(k, 0.0) - y.get(k, 0.0)) ** 2
+                           for k in sorted(x.keys() | y.keys())]))
     except OverflowError:  # ``**`` raises where ``+`` gives infinity
         d = math.inf
     if not math.isfinite(d):
@@ -407,15 +380,6 @@ def users_in(events) -> List[str]:
 # ---------------------------------------------------------------------------
 # Model checkpoint: `class <id> n=<n>` then indented `  <key> = <value>` lines.
 # ---------------------------------------------------------------------------
-
-def save_model(model: BehaviorModel) -> str:
-    lines = []
-    for cls in model.classes:
-        lines.append(f"class {cls.id} n={cls.n}")
-        for key in sorted(cls.centroid.entries):
-            lines.append(f"  {key} = {format_number(cls.centroid.entries[key])}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
 
 def load_model(text: str,
                distance_floor: float = DEFAULT_DISTANCE_FLOOR) -> BehaviorModel:

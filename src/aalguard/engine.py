@@ -263,23 +263,18 @@ def explain(store: FactStore, fact: Fact) -> Derivation:
     stored = store.get(fact.predicate, fact.args)
     if stored is None:
         raise FactNotFoundError(f"fact not in store: {fact.render()}")
-    return _explain(store, stored, frozenset())
+    return _explain(stored)
 
 
-def _explain(store: FactStore, fact: Fact, seen: frozenset) -> Derivation:
-    """The node for ``fact``, read from the fact the store holds under its
-    key: its rule id, and its premises explained in turn."""
-    held = store.get(fact.predicate, fact.args)
-    if fact.origin != INFERRED or held is None or held.origin != INFERRED:
+def _explain(fact: Fact) -> Derivation:
+    """The node for ``fact``: its rule id, and the premises it carries
+    explained in turn.  Premises are built before the fact that holds them,
+    so the walk has no cycle; a fact read from a file as inferred has no
+    premises."""
+    if fact.origin != INFERRED:
         return Derivation(fact=fact)
-    # No premises: read from a file as inferred.  A key already on the
-    # path: a retract and a re-derive can close a cycle through keys.
-    if not held.premises or fact.key() in seen:
-        return Derivation(fact=fact, rule_id=held.rule_id, origin=INFERRED)
-    seen = seen | {fact.key()}
-    premises = [_explain(store, p, seen) for p in held.premises]
-    return Derivation(fact=fact, rule_id=held.rule_id, premises=premises,
-                      origin=INFERRED)
+    return Derivation(fact=fact, rule_id=fact.rule_id, origin=INFERRED,
+                      premises=[_explain(p) for p in fact.premises])
 
 
 def render_derivation(derivation: Derivation, indent: int = 0) -> str:

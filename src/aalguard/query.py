@@ -86,15 +86,6 @@ def _expect_keyword(parser: _Parser, keyword: str) -> None:
     parser.advance()
 
 
-def format_query(q: ConjunctiveQuery) -> str:
-    head = " ".join(f"?{name}" for name in q.select)
-    body = " ^ ".join(atom.render() for atom in q.where)
-    text = f"SELECT {head} WHERE {{ {body} }}"
-    if q.limit is not None:
-        text += f" LIMIT {q.limit}"
-    return text
-
-
 def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant]]:
     """Rows satisfying every where-atom, projected to the select variables.
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and self-contained: its own
 unification, its own distance computation, its own mean.  None of it calls
-into the code paths under test, so agreement is meaningful.  The two
-exceptions say so: ``match`` reads a store through its candidate lookup, and
-``select_auth_mean`` runs the engine's fixpoint over profile facts alone.
+into the code paths under test, so agreement is meaningful.  The
+exceptions say so: ``match`` reads a store through its candidate lookup,
+``select_auth_mean`` runs the engine's fixpoint over profile facts alone, and
+the text writers at the end render numbers and atoms as the program does.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import math
 import random
 import re
 
-from aalguard.behavior import IDLE_ACTIVITY, EventFormatError, OrderingError
+from aalguard.behavior import (IDLE_ACTIVITY, EventFormatError, NonFiniteError,
+                               OrderingError)
 from aalguard.engine import infer_fixpoint
 from aalguard.facts import (MAX_ARITY, ArityError, Constant, Fact, FactError,
-                            FactStore, Variable, coerce_constant, ground,
-                            unify_against_fact)
+                            FactStore, Variable, coerce_constant,
+                            format_number, ground, unify_against_fact)
 from aalguard.pdp import DEFAULT_AUTH_MEAN
 from aalguard.rules import Atom, Rule
 
@@ -290,6 +292,34 @@ def brute_force_nearest(model, fv):
     return best_id, best_d
 
 
+def reference_distance(a, b):
+    """Euclidean distance over the sorted union of keys, summed by a
+    generator over two key sets; raises ``NonFiniteError`` as
+    ``behavior.distance`` promises."""
+    keys = sorted(set(a.entries) | set(b.entries))
+    try:
+        d = math.sqrt(sum(
+            (a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) ** 2 for k in keys))
+    except OverflowError:
+        d = math.inf
+    if not math.isfinite(d):
+        raise NonFiniteError(f"distance is not finite ({d})")
+    return d
+
+
+def reference_classify(model, fv):
+    """Nearest class by ``reference_distance``; ties go to the earlier."""
+    scored = [(reference_distance(fv, cls.centroid), index, cls.id)
+              for index, cls in enumerate(model.classes)]
+    d, _, class_id = min(scored)
+    return class_id, d
+
+
+def reference_trust(model, class_id, fv):
+    centroid = next(c.centroid for c in model.classes if c.id == class_id)
+    return 1.0 / (1.0 + reference_distance(fv, centroid) / model.distance_floor)
+
+
 def batch_mean(vectors):
     """Per-key arithmetic mean over vectors sharing a key set."""
     keys = set()
@@ -400,3 +430,46 @@ def reference_durations(stream):
     if current != IDLE_ACTIVITY:
         holds.setdefault(current, []).append(float(last - start))
     return moves, holds
+
+
+def reference_means(moves, holds):
+    """Feature entries and supports of reference durations, as key lists.
+
+    Each mean adds its durations left to right in a plain loop, not with
+    ``sum``, whose float summation is compensated from Python 3.12 on.
+    """
+    keyed = [(f"move:{src}->{dst}", durations)
+             for (src, dst), durations in moves.items()]
+    keyed += [(f"hold:{activity}", durations)
+              for activity, durations in holds.items()]
+    entries = []
+    for key, durations in keyed:
+        total = 0.0
+        for duration in durations:
+            total += duration
+        entries.append((key, total / len(durations)))
+    return entries, [(key, len(durations)) for key, durations in keyed]
+
+
+# ---------------------------------------------------------------------------
+# Text writers: model checkpoints and queries
+# ---------------------------------------------------------------------------
+
+def save_model(model) -> str:
+    """A model checkpoint in the text ``behavior.load_model`` reads."""
+    lines = []
+    for cls in model.classes:
+        lines.append(f"class {cls.id} n={cls.n}")
+        for key in sorted(cls.centroid.entries):
+            lines.append(f"  {key} = {format_number(cls.centroid.entries[key])}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def format_query(q) -> str:
+    """A query in the text ``query.parse_query`` reads."""
+    head = " ".join(f"?{name}" for name in q.select)
+    body = " ^ ".join(atom.render() for atom in q.where)
+    text = f"SELECT {head} WHERE {{ {body} }}"
+    if q.limit is not None:
+        text += f" LIMIT {q.limit}"
+    return text

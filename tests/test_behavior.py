@@ -1,10 +1,11 @@
+import copy
 import math
 import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import aalguard
 from aalguard import behavior
@@ -20,18 +21,17 @@ from aalguard.behavior import (
     UnknownClassError,
     classify,
     extract_features,
-    holding_time,
     load_events,
     load_model,
-    moving_time,
-    save_model,
     trust_score,
     update_class,
     users_in,
 )
 
-from oracles import (batch_mean, brute_force_nearest, reference_durations,
-                     reference_load_events, scan_user_stream, scan_users)
+from oracles import (batch_mean, brute_force_nearest, reference_classify,
+                     reference_distance, reference_durations,
+                     reference_load_events, reference_means, reference_trust,
+                     save_model, scan_user_stream, scan_users)
 
 FIXTURES = Path(aalguard.__file__).parent / "fixtures"
 
@@ -45,36 +45,52 @@ def ev(user, timestamp, location, activity="none"):
 # Moving and holding time
 # ---------------------------------------------------------------------------
 
+def assert_folded(fv, moves, holds):
+    """``fv`` holds the means and counts of the reference durations, in the
+    reference's key order and bit for bit."""
+    entries, support = reference_means(moves, holds)
+    assert list(fv.entries.items()) == entries
+    assert list(fv.support.items()) == support
+
+
+def durations(events, user):
+    """``user``'s moving and holding durations by the reference scan, after
+    checking that the fold's features are their means and counts."""
+    moves, holds = reference_durations(scan_user_stream(events, user))
+    assert_folded(extract_features(events, user), moves, holds)
+    return moves, holds
+
+
 def test_moving_time_records_room_change():
     events = [ev("u1", 100, "kitchen"), ev("u1", 130, "bedroom")]
-    assert moving_time(events, "u1") == {("kitchen", "bedroom"): [30.0]}
+    assert durations(events, "u1") == ({("kitchen", "bedroom"): [30.0]}, {})
 
 
 def test_moving_time_single_event_is_empty():
-    assert moving_time([ev("u1", 100, "kitchen")], "u1") == {}
+    assert durations([ev("u1", 100, "kitchen")], "u1") == ({}, {})
 
 
 def test_moving_time_same_room_contributes_nothing():
     events = [ev("u1", 100, "kitchen"), ev("u1", 200, "kitchen")]
-    assert moving_time(events, "u1") == {}
+    assert durations(events, "u1") == ({}, {})
 
 
 def test_moving_time_rejects_decreasing_timestamps():
     events = [ev("u1", 200, "kitchen"), ev("u1", 100, "bedroom")]
     with pytest.raises(OrderingError):
-        moving_time(events, "u1")
+        extract_features(events, "u1")
 
 
 def test_holding_time_measures_activity_run():
     events = [ev("u1", 100, "kitchen", "cooking"),
               ev("u1", 160, "kitchen", "cooking"),
               ev("u1", 200, "kitchen", "none")]
-    assert holding_time(events, "u1") == {"cooking": [60.0]}
+    assert durations(events, "u1") == ({}, {"cooking": [60.0]})
 
 
 def test_holding_time_all_idle_is_empty():
     events = [ev("u1", 100, "kitchen"), ev("u1", 200, "bedroom")]
-    assert holding_time(events, "u1") == {}
+    assert durations(events, "u1")[1] == {}
 
 
 def test_holding_time_disjoint_runs():
@@ -83,12 +99,15 @@ def test_holding_time_disjoint_runs():
               ev("u1", 100, "kitchen", "none"),
               ev("u1", 200, "kitchen", "cooking"),
               ev("u1", 240, "kitchen", "cooking")]
-    assert holding_time(events, "u1") == {"cooking": [60.0, 40.0]}
+    assert durations(events, "u1") == ({}, {"cooking": [60.0, 40.0]})
+    fv = extract_features(events, "u1")
+    assert (fv.entries, fv.support) == ({"hold:cooking": 50.0},
+                                        {"hold:cooking": 2})
 
 
 def test_holding_time_single_event_run_is_zero():
     events = [ev("u1", 100, "kitchen", "coffee"), ev("u1", 200, "kitchen", "none")]
-    assert holding_time(events, "u1") == {"coffee": [0.0]}
+    assert durations(events, "u1") == ({}, {"coffee": [0.0]})
 
 
 def test_extract_features_takes_means():
@@ -111,8 +130,10 @@ def test_durations_do_not_exceed_elapsed_time():
     for user in ("u1", "u9"):
         stream = streams[user]
         elapsed = stream[-1][1] - stream[0][1]
-        moving_total = sum(sum(v) for v in moving_time(events, user).values())
-        holding_total = sum(sum(v) for v in holding_time(events, user).values())
+        moves, holds = reference_durations(stream)
+        assert_folded(extract_features(events, user), moves, holds)
+        moving_total = sum(sum(v) for v in moves.values())
+        holding_total = sum(sum(v) for v in holds.values())
         assert moving_total + holding_total <= elapsed
 
 
@@ -319,6 +340,61 @@ def test_non_finite_distance_is_rejected(entries):
             score()
 
 
+FEATURE_KEYS = ["hold:cooking", "hold:tv", "move:bath->hall", "move:hall->bath"]
+FEATURE_VALUES = (st.sampled_from([0.0, 30.0, 60.0, 1e200, -1e200])
+                  | st.floats(-1e6, 1e6, allow_nan=False)
+                  | st.integers(0, 10**6).map(float))
+
+
+def feature_vectors(keys=FEATURE_KEYS):
+    return st.dictionaries(st.sampled_from(keys), FEATURE_VALUES,
+                           max_size=len(keys)).map(
+        lambda entries: FeatureVector(entries, {k: 1 for k in entries}))
+
+
+@st.composite
+def scored_models(draw):
+    """A model whose classes may share a centroid (ties), and a vector whose
+    keys may be disjoint from every centroid's."""
+    centroids = draw(st.lists(feature_vectors(FEATURE_KEYS[1:]), min_size=1,
+                              max_size=3))
+    classes = [BehaviorClass(f"c{i}", draw(st.sampled_from(centroids)).copy())
+               for i in range(draw(st.integers(1, 4)))]
+    fv = draw(feature_vectors(FEATURE_KEYS[:1]) | feature_vectors())
+    return BehaviorModel(classes=classes), fv
+
+
+def _hexed(score):
+    """``score()`` with every float as ``float.hex``, or NonFiniteError."""
+    try:
+        result = score()
+    except NonFiniteError:
+        return NonFiniteError
+    if isinstance(result, tuple):
+        class_id, d = result
+        return class_id, d.hex()
+    return result.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_models())
+@example((BehaviorModel(classes=[BehaviorClass("a", FeatureVector()),
+                                 BehaviorClass("b", FeatureVector())]),
+          FeatureVector({"hold:cooking": 0.0})))
+@example((BehaviorModel(classes=[BehaviorClass("a", FeatureVector({"k": 1e200})),
+                                 BehaviorClass("b", FeatureVector({"k": 0.0}))]),
+          FeatureVector({"k": 1e200})))
+def test_scores_equal_the_generator_formula_bit_for_bit(scored):
+    model, fv = scored
+    for cls in model.classes:
+        assert _hexed(lambda: behavior.distance(fv, cls.centroid)) == _hexed(
+            lambda: reference_distance(fv, cls.centroid))
+        assert _hexed(lambda: trust_score(model, cls.id, fv)) == _hexed(
+            lambda: reference_trust(model, cls.id, fv))
+    assert _hexed(lambda: classify(model, fv)) == _hexed(
+        lambda: reference_classify(model, fv))
+
+
 def test_trust_unknown_class_raises():
     with pytest.raises(UnknownClassError):
         trust_score(two_class_model(), "nope", FeatureVector())
@@ -425,15 +501,14 @@ def test_load_events_skips_blank_rows_and_strips_cells(newline):
              "160,u1,kitchen,cooking\t"]
     events = load_events(newline.join(lines) + newline)
     assert len(events) == 2 and users_in(events) == ["u1"]
-    assert moving_time(events, "u1") == {}
-    assert holding_time(events, "u1") == {"cooking": [60.0]}
+    assert extract_features(events, "u1") == FeatureVector(
+        {"hold:cooking": 60.0}, {"hold:cooking": 1})
 
 
 def test_disordered_in_process_stream_raises_among_other_users():
     events = [ev("u1", 200, "kitchen"), ev("u2", 0, "hall"),
               ev("u1", 100, "bedroom")]
-    for extract in (extract_features, moving_time, holding_time,
-                    scan_user_stream):
+    for extract in (extract_features, scan_user_stream):
         with pytest.raises(OrderingError):
             extract(events, "u1")
 
@@ -456,9 +531,11 @@ def test_loaded_events_share_one_string_per_distinct_cell_text():
     users = users_in(events)
     cells = list(users)
     for user in users:
-        cells += [room for pair in moving_time(events, user) for room in pair]
-        cells += list(holding_time(events, user))
-    assert len({id(cell) for cell in cells}) == len(set(cells)) == 7
+        _, room, current, _, moves, holds = events._folds[user]
+        cells += [room, current] + [room for pair in moves for room in pair]
+        cells += list(holds)
+    # Three users, two rooms, and three activities with the idle one.
+    assert len({id(cell) for cell in cells}) == len(set(cells)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +652,9 @@ def test_grouped_streams_match_the_scan_oracle(events):
         assert users_in(log) == scan_users(events)
         for user in USERS:
             own = scan_user_stream(events, user)
-            assert moving_time(log, user) == moving_time(own, user)
-            assert holding_time(log, user) == holding_time(own, user)
+            assert_folded(extract_features(log, user),
+                          *reference_durations(own))
             assert extract_features(log, user) == extract_features(own, user)
-
-
-def _reference_means(moves, holds):
-    keyed = [(f"move:{src}->{dst}", durations)
-             for (src, dst), durations in moves.items()]
-    keyed += [(f"hold:{activity}", durations)
-              for activity, durations in holds.items()]
-    return ([(key, sum(durations) / len(durations)) for key, durations in keyed],
-            [(key, len(durations)) for key, durations in keyed])
 
 
 @settings(max_examples=300, deadline=None)
@@ -601,29 +669,32 @@ def test_folded_features_equal_the_reference_durations(text):
         assert users_in(log) == list(streams)
         for user in list(streams) + ["nobody"]:
             moves, holds = reference_durations(streams.get(user, []))
-            assert list(moving_time(log, user).items()) == list(moves.items())
-            assert list(holding_time(log, user).items()) == list(holds.items())
-            fv = extract_features(log, user)
-            entries, support = _reference_means(moves, holds)
-            assert list(fv.entries.items()) == entries
-            assert list(fv.support.items()) == support
+            assert_folded(extract_features(log, user), moves, holds)
 
 
 def test_extraction_leaves_the_folded_state_unchanged():
-    text = HEADER + "".join([
-        "0,u1,kitchen,cooking\n", "60,u1,kitchen,cooking\n",
-        "90,u1,hall,none\n", "100,u1,kitchen,cooking\n",
-        "130,u1,hall,cooking\n"])
+    # u1's open run is of an activity with closed runs before it, so it keeps
+    # that key's place; u2's open run is its activity's first, so it closes
+    # as the last key.
+    rows = ["0,{u},kitchen,cooking", "60,{u},kitchen,cooking", "90,{u},hall,none",
+            "100,{u},kitchen,cooking", "110,{u},kitchen,sleeping",
+            "120,{u},kitchen,cooking"]
+    text = HEADER + "".join(row.format(u=user) + "\n"
+                            for row in rows for user in ("u1", "u2"))
+    text += "130,u1,hall,cooking\n130,u2,hall,tv\n"
     log = load_events(text)
-    holds = holding_time(log, "u1")
-    assert holds == {"cooking": [60.0, 30.0]}
-    holds["cooking"].append(1.0)  # the caller's copy, not the state
-    first = extract_features(log, "u1")
-    second = extract_features(log, "u1")
-    assert first == second
-    assert first.entries["hold:cooking"] == 45.0
-    assert first.support["hold:cooking"] == 2
-    assert holding_time(log, "u1") == {"cooking": [60.0, 30.0]}
+    state = copy.deepcopy(log._folds)
+    _, streams = reference_load_events(text)
+    for user, keys in (("u1", ["cooking", "sleeping"]),
+                       ("u2", ["cooking", "sleeping", "tv"])):
+        first = extract_features(log, user)
+        assert extract_features(log, user) == first
+        assert log._folds == state
+        moves, holds = reference_durations(streams[user])
+        assert list(holds) == keys
+        assert_folded(first, moves, holds)
+    fv = extract_features(log, "u1")  # runs of 60, 0 and the open 10
+    assert (fv.entries["hold:cooking"], fv.support["hold:cooking"]) == (70 / 3, 3)
 
 
 def test_load_and_extraction_build_no_sensor_event(monkeypatch):
@@ -638,8 +709,6 @@ def test_load_and_extraction_build_no_sensor_event(monkeypatch):
     log = load_events((FIXTURES / "streams" / "events_u1.csv").read_text())
     for user in users_in(log):
         extract_features(log, user)
-        moving_time(log, user)
-        holding_time(log, user)
     assert built[0] == 0
 
 
@@ -656,9 +725,39 @@ def test_loading_copies_no_whole_text_and_keeps_nothing_per_row():
     finally:
         tracemalloc.stop()
     assert len(log) == 40_000
-    assert holding_time(log, "u1") == {"cooking": [39_999.0]}
+    assert extract_features(log, "u1") == FeatureVector(
+        {"hold:cooking": 39_999.0}, {"hold:cooking": 1})
     assert peak < len(text) // 2
     assert retained < 64 * 1024
+
+
+def _retained_by_load(text):
+    tracemalloc.start()
+    try:
+        log = load_events(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return log, retained
+
+
+def test_folded_state_does_not_grow_with_the_events_per_resident():
+    # The same keys at both sizes, each seen more than 256 times, so the
+    # counts are int objects of one size at both; only kept durations grow.
+    def text(per_resident):
+        return HEADER + "".join(
+            f"{t * 10},r{i},{ROOMS[(t + i) % 3]},{ACTIVITIES[t // 2 % 3]}\n"
+            for t in range(per_resident) for i in range(2))
+
+    small_text, large_text = text(2_000), text(20_000)
+    _retained_by_load(small_text)  # the first load's one-time allocations
+    small, small_retained = _retained_by_load(small_text)
+    large, large_retained = _retained_by_load(large_text)
+    assert len(large) == 10 * len(small)
+    for user in users_in(small):
+        assert list(extract_features(large, user).entries) == list(
+            extract_features(small, user).entries)
+    assert large_retained <= small_retained + 1024
 
 
 @pytest.mark.parametrize("residents", [10, 40])

@@ -398,3 +398,15 @@ def test_explain_keeps_first_derivation():
     infer_fixpoint(store, rules)
     derivation = explain(store, ground("C", "x"))
     assert derivation.rule_id == "via-a"
+
+
+def test_explain_walks_the_premises_a_fact_carries():
+    # An inferred premise retracted after inference is still explained by
+    # the rule that derived it, not as asserted.
+    store = FactStore()
+    store.assert_fact(ground("A", "x"))
+    infer_fixpoint(store, parse_ruleset(
+        "@id: ab\nA(?v) -> B(?v)\n\n@id: bc\nB(?v) -> C(?v)\n"))
+    assert store.retract_fact("B", ("x",))
+    assert render_derivation(explain(store, ground("C", "x"))) == (
+        "C(x)  [rule bc]\n  B(x)  [rule ab]\n    A(x)  [asserted]")

@@ -11,13 +11,12 @@ from aalguard.query import (
     ConjunctiveQuery,
     QueryError,
     eval_query,
-    format_query,
     parse_query,
 )
 from aalguard.rules import Atom, RuleSyntaxError
 from aalguard.scenarios import load_fixture_rules, run_scenario
 
-from oracles import _all_bindings, match, random_instance
+from oracles import _all_bindings, format_query, match, random_instance
 
 
 def test_parse_simple_query():
