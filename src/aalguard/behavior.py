@@ -271,9 +271,14 @@ def update_class(model: BehaviorModel, class_id: str,
 
 
 def trust_score(model: BehaviorModel, class_id: str, fv: FeatureVector) -> float:
-    """``1 / (1 + d/floor)``: 1 at an exact match, 0.5 at one floor away."""
-    cls = model.get(class_id)
-    d = distance(fv, cls.centroid)
+    """The trust of ``fv`` against ``class_id``'s centroid; see
+    :func:`trust_at`."""
+    return trust_at(model, distance(fv, model.get(class_id).centroid))
+
+
+def trust_at(model: BehaviorModel, d: float) -> float:
+    """``1 / (1 + d/floor)`` for a centroid distance ``d``, such as the one
+    :func:`classify` returns: 1 at an exact match, 0.5 at one floor away."""
     return 1.0 / (1.0 + d / model.distance_floor)
 
 

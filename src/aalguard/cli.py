@@ -198,7 +198,7 @@ def cmd_classify(args, config: Config) -> int:
     for user in behavior.users_in(events):
         features = behavior.extract_features(events, user)
         class_id, dist = behavior.classify(model, features)
-        trust = behavior.trust_score(model, class_id, features)
+        trust = behavior.trust_at(model, dist)
         print(f"{user}: class={class_id} distance={dist:.2f} trust={trust:.2f}")
     return EXIT_OK
 

@@ -6,7 +6,11 @@ with the volume of new facts rather than re-deriving everything.  The result
 set is exactly the least fixpoint a naive iterate-until-stable evaluation
 would reach; only the iteration count differs.  Rules are compiled once
 into a :class:`Policy`, and a pass joins a rule through a body atom only
-when the delta holds a fact of that atom's predicate.
+when the delta holds a fact of that atom's predicate.  Given a subject, a
+fixpoint over rules guarded by their subject (``pdp.compile_policy``)
+derives only that subject's part: its first delta is the subject's facts
+and every join starts with the rule's subject variable bound, in the
+spirit of magic sets (Bancilhon, Maier, Sagiv and Ullman, PODS 1986).
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
 and contradictory authentication outcomes) and derivation explanations read
@@ -83,8 +87,10 @@ class Policy:
 
     Each rule is validated here, so a fixpoint over a policy pays no
     validation.  The policy keeps each rule's id (``rule<n>`` when it has
-    none) and the lower-cased predicate of each body atom, which lets a
-    semi-naive pass skip the pivots that no delta fact can match.
+    none), the lower-cased predicate of each body atom, which lets a
+    semi-naive pass skip the pivots that no delta fact can match, and the
+    names of the variables its body atoms take first, which a fixpoint
+    over one subject binds to that subject.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -99,6 +105,10 @@ class Policy:
                               for i, rule in enumerate(self.rules))
         self.body_predicates = tuple(
             tuple(atom.predicate.lower() for atom in rule.body)
+            for rule in self.rules)
+        self.subject_variables = tuple(
+            frozenset(atom.terms[0].name for atom in rule.body
+                      if isinstance(atom.terms[0], Variable))
             for rule in self.rules)
 
     @classmethod
@@ -122,16 +132,18 @@ def _instantiate(atom, binding: dict, rule_id: str, premises: tuple) -> Fact:
                 premises=premises)
 
 
-def join(store: FactStore, body, pivot: int, delta_keys: set):
-    """Bindings for ``body`` where atom ``pivot`` matches a delta fact.
+def join(store: FactStore, body, pivot: int, delta_keys: set, start: dict):
+    """Bindings extending ``start`` for ``body`` where atom ``pivot``
+    matches a delta fact.
 
     Atoms before the pivot match pre-delta facts only and atoms after it
     match everything; across all pivots this covers each new combination
     exactly once.  A pivot past the last atom with an empty delta joins the
     whole body over every fact, as a query does.  Each atom reads only the
-    store's index bucket for its most selective bound argument.
+    store's index bucket for its most selective bound argument, so a
+    variable bound in ``start`` narrows every atom that takes it.
     """
-    results = [({}, ())]
+    results = [(start, ())]
     for j, atom in enumerate(body):
         next_results = []
         for binding, premises in results:
@@ -151,8 +163,8 @@ def join(store: FactStore, body, pivot: int, delta_keys: set):
     return results
 
 
-def infer_fixpoint(store: FactStore,
-                   rules: Union[Policy, Iterable[Rule]]) -> InferenceReport:
+def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
+                   subject: Optional[Constant] = None) -> InferenceReport:
     """Materialize the least fixpoint of ``rules`` over ``store`` in place.
 
     ``rules`` is a :class:`Policy` or a rule list, which is compiled on the
@@ -160,24 +172,38 @@ def infer_fixpoint(store: FactStore,
     Rules must be safe; rules naming reserved built-ins are rejected before
     any firing.  Each derived fact carries the id of the rule that first
     produced it and the facts that rule's body matched, for explanation.
+
+    Without ``subject`` the first delta is every stored fact.  With one, it
+    is ``store.facts_about(subject)``, and every join starts with the
+    variables the rule's body atoms take first bound to ``subject``: only
+    body matches whose atoms all name the subject first fire.  For rules
+    guarded by one subject variable (``pdp.compile_policy``) this derives
+    exactly the whole fixpoint's facts about the subject, reading only the
+    subject's index buckets.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
 
-    delta_keys = {fact.key() for fact in store}
+    if subject is None:
+        delta_keys = {fact.key() for fact in store}
+        starts = ({},) * len(policy.rules)
+    else:
+        delta_keys = {fact.key() for fact in store.facts_about(subject)}
+        starts = tuple({name: subject for name in names}
+                       for names in policy.subject_variables)
     iterations = 0
     while True:
         iterations += 1
         delta_predicates = {predicate for predicate, _ in delta_keys}
         pending: dict = {}  # key -> fact
-        for rule, rule_id, predicates in zip(policy.rules, policy.rule_ids,
-                                             policy.body_predicates):
+        for rule, rule_id, predicates, start in zip(
+                policy.rules, policy.rule_ids, policy.body_predicates, starts):
             for pivot, predicate in enumerate(predicates):
                 if predicate not in delta_predicates:
                     continue  # no delta fact can match the pivot atom
                 for binding, premises in join(store, rule.body, pivot,
-                                              delta_keys):
+                                              delta_keys, start):
                     for head_atom in rule.head:
                         new_fact = _instantiate(head_atom, binding, rule_id,
                                                 premises)

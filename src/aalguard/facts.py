@@ -382,6 +382,12 @@ class FactStore:
             key = fact_key(predicate, tuple(coerce_constant(a) for a in args))
         except ArityError:
             return False
+        return self.drop(key)
+
+    def drop(self, key: tuple) -> bool:
+        """Remove the fact stored under ``key``, a :meth:`Fact.key`; returns
+        True iff it was present.  A caller that holds the fact drops it
+        without converting and checking its arguments again."""
         if key not in self._facts:
             return False
         del self._facts[key]

@@ -5,11 +5,12 @@ against the behavior model, score trust, derive the requester's facts again
 under the recognized class, take the authentication mean that fixpoint
 derives, then verify the presented credential under that mean.  The policy
 is compiled once, behind a subject guard (:func:`compile_policy`).
-Authorization asserts the request
-context into a working snapshot of the store, runs the rule engine, and
-combines every ``hasAccess`` / ``Obligation`` / ``Recommendation`` fact that
-names the user or one of their groups.  The live store holds what the
-rules derive about each resident from their own facts (:func:`rederive`).
+Authorization asserts the request context into a working snapshot of the
+store, infers only the requester's part of the fixpoint (then the part of
+each of the requester's groups), and combines every ``hasAccess`` / ``Obligation`` /
+``Recommendation`` fact that names the user or one of their groups.  The
+live store holds what the rules derive about each resident from their own
+facts (:func:`rederive`).
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Every authentication and
@@ -31,7 +32,7 @@ from datetime import datetime, timezone
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
-                       trust_score)
+                       trust_at, trust_score)
 from .engine import InvalidRuleError, Policy, infer_fixpoint
 from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Variable,
                     coerce_constant, ground)
@@ -293,12 +294,6 @@ class AuditLog:
 # Credentials: lines `user:kind:record`; passwords stored as salt$sha256.
 # ---------------------------------------------------------------------------
 
-def hash_password(secret: str, salt: Optional[str] = None) -> str:
-    salt = salt if salt is not None else os.urandom(8).hex()
-    digest = hashlib.sha256(f"{salt}:{secret}".encode("utf-8")).hexdigest()
-    return f"{salt}${digest}"
-
-
 def verify_password(secret: str, record: str) -> bool:
     salt, _, digest = record.partition("$")
     if not digest:
@@ -407,7 +402,7 @@ def _verify_credential(mean: str, credential: Optional[Credential],
 
 def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
     for fact in _facts_about(store, predicate, user):
-        store.retract_fact(fact.predicate, fact.args)
+        store.drop(fact.key())
 
 
 def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
@@ -425,7 +420,7 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
     own = FactStore()
     for fact in store.facts_about(subject):
         if fact.origin == INFERRED:
-            store.retract_fact(fact.predicate, fact.args)
+            store.drop(fact.key())
         elif fact.key()[0] not in _UNDERIVED_PREDICATES:
             own.assert_fact(fact)
     mean = None
@@ -459,8 +454,8 @@ def authenticate(req: AuthnRequest, store: FactStore,
     """
     policy = compile_policy(policy)
     try:
-        behavior_class, _ = classify(model, req.features)
-        trust = trust_score(model, behavior_class, req.features)
+        behavior_class, d = classify(model, req.features)
+        trust = trust_at(model, d)
     except NonFiniteError:  # no class and no trust
         behavior_class, trust = None, math.nan
 
@@ -559,11 +554,16 @@ def authorize(req: AuthzRequest, store: FactStore,
 
     The request context is asserted into a working snapshot (replacing any
     earlier context facts for the user, so the newest request is what rules
-    see), inference runs, and the decision facts naming the user or one of
-    the user's groups are combined deny-overrides with a deny default.  The
-    live store keeps the request facts as history; derived decision facts
-    stay in the snapshot.  Only an asserted ``Authenticated`` passes the gate.
+    see).  Inference then derives only the user's part of the fixpoint,
+    seeded with the user's facts, and then the part of each group the user
+    is in; under :func:`compile_policy`'s guard that is what a fixpoint
+    over the whole snapshot derives about them.  The decision facts naming the user or one
+    of the user's groups are combined deny-overrides with a deny default.
+    The live store keeps the request facts as history; derived decision
+    facts stay in the snapshot.  Only an asserted ``Authenticated`` passes
+    the gate.  ``rules`` go through :func:`compile_policy` first.
     """
+    policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
     gate = store.get("Authenticated", (req.user, "yes"))
     if gate is None or gate.origin != ASSERTED:
@@ -580,10 +580,13 @@ def authorize(req: AuthzRequest, store: FactStore,
         _replace_user_facts(working, predicate, req.user)
     for fact in request_facts:
         working.assert_fact(fact)
-    infer_fixpoint(working, rules)
+    subject = coerce_constant(req.user)
+    infer_fixpoint(working, policy, subject)
+    groups = groups_of(working, req.user)
+    for group in groups:
+        infer_fixpoint(working, policy, group)
 
-    subjects = {coerce_constant(req.user).key()}
-    subjects.update(g.key() for g in groups_of(working, req.user))
+    subjects = {subject.key()} | {g.key() for g in groups}
     permits, denies, obligations, recommendations, rationale = _collect(
         working, subjects)
 

@@ -100,7 +100,7 @@ def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant
             f"select variable(s) not in WHERE: {', '.join('?' + v for v in missing)}")
 
     rows: Dict[tuple, Dict[str, Constant]] = {}
-    for binding, _ in join(store, q.where, len(q.where), set()):
+    for binding, _ in join(store, q.where, len(q.where), set(), {}):
         row = {name: binding[name] for name in q.select}
         rows.setdefault(tuple(row[name].key() for name in q.select), row)
     ordered = sorted(rows.values(),

@@ -4,15 +4,19 @@ Everything here is deliberately naive and self-contained: its own
 unification, its own distance computation, its own mean.  None of it calls
 into the code paths under test, so agreement is meaningful.  The
 exceptions say so: ``match`` reads a store through its candidate lookup,
-``select_auth_mean`` runs the engine's fixpoint over profile facts alone, and
-the text writers at the end render numbers and atoms as the program does.
+``select_auth_mean`` runs the engine's fixpoint over profile facts alone,
+``whole_snapshot_decision`` runs it over a whole snapshot and collects with
+``pdp``'s own code, and the text writers at the end render numbers, atoms
+and credential records as the program reads them.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
+import os
 import random
 import re
 
@@ -22,6 +26,7 @@ from aalguard.engine import infer_fixpoint
 from aalguard.facts import (MAX_ARITY, ArityError, Constant, Fact, FactError,
                             FactStore, Variable, coerce_constant,
                             format_number, ground, unify_against_fact)
+from aalguard import pdp
 from aalguard.pdp import DEFAULT_AUTH_MEAN
 from aalguard.rules import Atom, Rule
 
@@ -235,15 +240,18 @@ def random_instance(rng: random.Random, *, max_facts=30, max_rules=6,
 HISTORY_POOL = ["AskedService", "HasTime", "HasContext"]
 
 
-def random_guarded_instance(rng: random.Random, *, max_facts=20, max_rules=6):
+def random_guarded_instance(rng: random.Random, *, max_facts=20, max_rules=6,
+                            min_subjects=1):
     """Candidate base facts and rules guarded by their subject.
 
     Every atom of every rule takes the rule's subject ``?s`` as its first
-    argument, and every base fact names one of the subjects first; some
-    base facts are request history.  Each predicate keeps one arity, so
-    rules often fire.  Returns ``(facts, rules)``.
+    argument, and every base fact names one of the subjects ``s1`` to
+    ``s3`` (at least ``min_subjects`` of them) first; some base facts are
+    request history.  Each predicate keeps one arity, so rules often fire.
+    Returns ``(facts, rules)``.
     """
-    subjects = [Constant.symbol(f"s{i}") for i in range(1, rng.randint(1, 3) + 1)]
+    subjects = [Constant.symbol(f"s{i}")
+                for i in range(1, rng.randint(min_subjects, 3) + 1)]
     values = [Constant.symbol(f"v{i}") for i in range(1, 3)] + subjects[:1]
     predicates = rng.sample(PREDICATE_POOL, rng.randint(2, len(PREDICATE_POOL)))
     arity = {name: rng.randint(1, 2) for name in predicates + HISTORY_POOL}
@@ -272,6 +280,31 @@ def random_guarded_instance(rng: random.Random, *, max_facts=20, max_rules=6):
         facts.append(Fact(predicate, (rng.choice(subjects),) + tuple(
             rng.choice(values) for _ in range(arity[predicate] - 1))))
     return facts, rules
+
+
+def whole_snapshot_decision(req, store, rules):
+    """``(effect, obligations, recommendations, rationale)`` for ``req`` as
+    ``pdp.authorize`` decided it while it inferred over the whole snapshot:
+    the request context replaces the user's in a snapshot of ``store``, the
+    fixpoint runs with every fact as its first delta, and ``pdp``'s own
+    collection reads the decision facts of the user and their groups.
+    Skips the authentication gate and leaves ``store`` unchanged."""
+    working = store.snapshot()
+    user = coerce_constant(req.user)
+    request = {name.lower() for name in pdp._REQUEST_PREDICATES.values()}
+    for fact in working.facts_about(user):
+        if fact.key()[0] in request:
+            working.retract_fact(fact.predicate, fact.args)
+    for fact in pdp._request_facts(req):
+        working.assert_fact(fact)
+    infer_fixpoint(working, rules)
+    subjects = {user.key()} | {g.key() for g in pdp.groups_of(working, req.user)}
+    permits, denies, obligations, recommendations, rationale = pdp._collect(
+        working, subjects)
+    if not permits and not denies:
+        rationale = ["default-deny"]
+    effect = "permit" if permits and not denies else "deny"
+    return effect, obligations, recommendations, rationale
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +485,7 @@ def reference_means(moves, holds):
 
 
 # ---------------------------------------------------------------------------
-# Text writers: model checkpoints and queries
+# Text writers: model checkpoints, queries and credential records
 # ---------------------------------------------------------------------------
 
 def save_model(model) -> str:
@@ -473,3 +506,11 @@ def format_query(q) -> str:
     if q.limit is not None:
         text += f" LIMIT {q.limit}"
     return text
+
+
+def hash_password(secret: str, salt=None) -> str:
+    """A ``salt$sha256`` password record as ``pdp.verify_password`` reads
+    it; a random salt when none is given."""
+    salt = salt if salt is not None else os.urandom(8).hex()
+    digest = hashlib.sha256(f"{salt}:{secret}".encode("utf-8")).hexdigest()
+    return f"{salt}${digest}"

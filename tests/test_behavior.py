@@ -393,6 +393,10 @@ def test_scores_equal_the_generator_formula_bit_for_bit(scored):
             lambda: reference_trust(model, cls.id, fv))
     assert _hexed(lambda: classify(model, fv)) == _hexed(
         lambda: reference_classify(model, fv))
+    # Trust from the distance classify returns, as authn and ``classify``
+    # score it, is the trust of the nearest class.
+    assert _hexed(lambda: behavior.trust_at(model, classify(model, fv)[1])) \
+        == _hexed(lambda: reference_trust(model, classify(model, fv)[0], fv))
 
 
 def test_trust_unknown_class_raises():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aalguard import engine
 from aalguard.engine import (
@@ -17,7 +17,8 @@ from aalguard.facts import Constant, Fact, FactStore, ground, unify_against_fact
 from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
 from aalguard.scenarios import load_fixture_rules
 
-from oracles import naive_fixpoint, random_instance, store_keys
+from oracles import (naive_fixpoint, random_guarded_instance, random_instance,
+                     store_keys)
 
 
 BEHAVIORAL_RULE = parse_rule(
@@ -174,9 +175,9 @@ def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
     joined = []
     join = engine.join
 
-    def recording(store, body, pivot, delta_keys):
+    def recording(store, body, pivot, delta_keys, start):
         joined.append((body[pivot].predicate, pivot))
-        return join(store, body, pivot, delta_keys)
+        return join(store, body, pivot, delta_keys, start)
     monkeypatch.setattr(engine, "join", recording)
     report = infer_fixpoint(store, rules)
     assert [f.render() for f in report.derived] == ["B(c1)", "D(c1)"]
@@ -255,6 +256,49 @@ def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
     # About 8 at both sizes; 18 and 48 with the draft's alzheimer-deny.
     assert per_resident[1] <= per_resident[0] * 1.1
     assert per_resident[1] < 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_subject_fixpoint_derives_the_whole_fixpoints_facts_about_it(seed):
+    rng = random.Random(seed)
+    facts, rules = random_guarded_instance(rng, min_subjects=2)
+    subject = rng.choice(facts).args[0]
+    whole, part = FactStore(), FactStore()
+    for fact in facts:
+        whole.assert_fact(fact)
+        part.assert_fact(fact)
+    infer_fixpoint(whole, rules)
+    report = infer_fixpoint(part, rules, subject)
+
+    def about(store):
+        return {f.key(): f.rule_id for f in store.facts_about(subject)}
+    assert about(part) == about(whole)
+    # Nothing is derived about another subject, and the subject's facts
+    # come in the order the whole fixpoint derives them.
+    assert all(f.args[0] == subject for f in report.derived)
+    assert [f.key() for f in report.derived] == [
+        f.key() for f in whole if f.origin == "inferred"
+        and f.args[0] == subject and f not in facts]
+
+
+def test_a_subject_fixpoint_binds_the_subject_in_every_join(monkeypatch):
+    rules = parse_ruleset("A(?x) ^ B(?x) -> C(?x)\n\nC(?x) ^ A(?x) -> D(?x)")
+    store = FactStore(vocabulary=())
+    for user in ("u1", "u2", "u3"):
+        store.assert_fact(ground("A", user))
+        store.assert_fact(ground("B", user))
+    starts = []
+    join = engine.join
+
+    def recording(store, body, pivot, delta_keys, start):
+        starts.append(start)
+        return join(store, body, pivot, delta_keys, start)
+    monkeypatch.setattr(engine, "join", recording)
+    report = infer_fixpoint(store, rules, Constant.symbol("u2"))
+    assert [f.render() for f in report.derived] == ["C(u2)", "D(u2)"]
+    assert starts and all(start == {"x": Constant.symbol("u2")}
+                          for start in starts)
 
 
 def test_fixpoint_idempotent():

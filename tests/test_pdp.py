@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.engine import InvalidRuleError
-from aalguard.facts import (Constant, Fact, FactStore, coerce_constant, ground,
-                            load_facts)
+from aalguard.facts import (Constant, Fact, FactStore, Variable,
+                            coerce_constant, ground, load_facts)
 from aalguard.pdp import (
     AuditError,
     AuditLog,
@@ -17,20 +17,21 @@ from aalguard.pdp import (
     authenticate,
     authorize,
     flag_anomaly,
-    hash_password,
     load_credentials,
     parse_entry,
     serialize_entry,
     verify_password,
 )
-from aalguard.rules import Rule, _split_statements, parse_rules, parse_ruleset
+from aalguard.rules import (Atom, Rule, _split_statements, parse_rules,
+                            parse_ruleset)
 from aalguard import engine, pdp, scenarios
 from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
 
 from conftest import DATA_DIR
-from oracles import (HISTORY_POOL, naive_fixpoint, random_guarded_instance,
-                     select_auth_mean)
+from oracles import (HISTORY_POOL, hash_password, naive_fixpoint,
+                     random_guarded_instance, select_auth_mean,
+                     whole_snapshot_decision)
 
 RULES = load_fixture_rules()
 
@@ -616,6 +617,154 @@ def test_the_gate_passes_only_an_asserted_authenticated_fact():
     assert authorize(request, store, RULES).rationale == ["not-authenticated"]
     store.assert_fact(ground("Authenticated", "u1", "yes"))
     assert authorize(request, store, RULES).effect == "permit"
+
+
+DECISION_HEADS = [("hasAccess", "permit"), ("hasAccess", "Deny"),
+                  ("Obligation", "o1"), ("Obligation", "o2"),
+                  ("Recommendation", "r1"), ("BehaviorCapability", "g1")]
+GROUP = Constant.symbol("g1")
+USERS = ["s1", "s2", "s3"]
+
+
+def decision_instance(rng):
+    """A random guarded instance of two or more subjects with rules that
+    decide: each added rule reads one or two atoms of the instance's rules
+    and derives a decision fact or membership of group ``g1``.  Some of the
+    subjects' facts, request history aside, are copied to ``g1``."""
+    facts, rules = random_guarded_instance(rng, min_subjects=2)
+    atoms = [atom for rule in rules for atom in rule.body + rule.head]
+    for index in range(rng.randint(1, 5)):
+        predicate, value = rng.choice(DECISION_HEADS)
+        body = rng.sample(atoms, min(len(atoms), rng.randint(1, 2)))
+        head = Atom(predicate, (Variable("s"), coerce_constant(value)))
+        rules.append(Rule(body=body, head=[head], id=f"d{index + 1}"))
+    history = {name.lower() for name in HISTORY_POOL}
+    facts += [Fact(f.predicate, (GROUP,) + f.args[1:])
+              for f in rng.sample(facts, rng.randint(0, len(facts)))
+              if f.key()[0] not in history]
+    return facts, rules
+
+
+def decision_store(rng, facts, policy) -> FactStore:
+    """The facts, every user authenticated, ``g1`` and some users derived.
+
+    ``g1`` is derived as ``serve`` derives each loaded resident: a group's
+    facts derived only at authorize follow the user's in the decision lists,
+    where the whole snapshot's fixpoint interleaves them pass by pass."""
+    store = FactStore()
+    for fact in facts:
+        store.assert_fact(fact)
+    for user in USERS:
+        store.assert_fact(ground("Authenticated", user, "yes"))
+    for subject in [GROUP] + [u for u in USERS if rng.random() < 0.5]:
+        pdp.rederive(store, policy, subject)
+    return store
+
+
+def random_request(rng, user) -> AuthzRequest:
+    context = {"time": rng.choice(["00.00", "10.00"])} \
+        if rng.random() < 0.5 else {}
+    return AuthzRequest(user, rng.choice(["v1", "v2", "s1"]),
+                        device=rng.choice([None, "v1", "v2"]), context=context)
+
+
+def decided(decision):
+    return (decision.effect, decision.obligations, decision.recommendations,
+            decision.rationale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_authorize_decides_as_the_whole_snapshot_fixpoint(seed):
+    rng = random.Random(seed)
+    facts, rules = decision_instance(rng)
+    policy = pdp.compile_policy(rules)
+    store = decision_store(rng, facts, policy)
+    for _ in range(rng.randint(1, 6)):  # each request leaves history
+        request = random_request(rng, rng.choice(USERS))
+        want = whole_snapshot_decision(request, store, rules)
+        assert decided(authorize(request, store, policy)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_decision_does_not_change_under_other_users_requests(seed):
+    rng = random.Random(seed)
+    facts, rules = decision_instance(rng)
+    policy = pdp.compile_policy(rules)
+    store = decision_store(rng, facts, policy)
+    credentials = {user: ("password", hash_password("pw", salt="ab"))
+                   for user in USERS}
+    user, others = USERS[0], USERS[1:]
+    request = random_request(rng, user)
+    first = authorize(request, store, policy)
+    for _ in range(rng.randint(1, 8)):
+        other = rng.choice(others)
+        if rng.random() < 0.5:
+            authenticate(AuthnRequest(other,
+                                      Credential("password",
+                                                 rng.choice(["pw", "no"])),
+                                      at_centroid(rng.choice(["class1", "class2"]))),
+                         store, policy, seed_model(), credentials)
+        else:
+            authorize(random_request(rng, other), store, policy)
+        assert authorize(request, store, policy) == first
+
+
+def test_a_group_decision_is_derived_for_its_members():
+    # The group's own facts are not derived in the live store; authorize
+    # derives them in its snapshot, as the whole snapshot's fixpoint did.
+    rules = parse_ruleset(
+        '@id: member\nHasCapability(?u, "hearing") -> '
+        "BehaviorCapability(?u, Group1)\n\n"
+        "@id: group-open\nOpenHours(?g, day) -> hasAccess(?g, permit)\n")
+    store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "hearing").\n'
+                       "OpenHours(Group1, day).\n")
+    decision = authorize(AuthzRequest("u1", "OpenDoor"), store, rules)
+    assert decided(decision) == ("permit", [], [], ["group-open"])
+    assert not store.holds("hasAccess", "Group1", "permit")
+
+
+def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
+    # The first four residents already fall in Group1, Group2 and Group3, so
+    # no join reads an index bucket at 400 residents that is missing at 4.
+    capabilities = ("hearing", "visual", "physical", "cognitive", "no")
+    policy = pdp.compile_policy(RULES)
+    calls = []
+    unify = engine.unify_against_fact
+
+    def counted(*args):
+        calls.append(1)
+        return unify(*args)
+
+    monkeypatch.setattr(engine, "unify_against_fact", counted)
+    reads = []
+    for residents in (4, 400):
+        store = FactStore()
+        for i in range(residents):
+            user = f"r{i:04d}"
+            store.assert_fact(ground("Authenticated", user, "yes"))
+            store.assert_fact(ground("HasCapability", user,
+                                     Constant.string(capabilities[i % 5])))
+            store.assert_fact(ground("HasRecognizedBehavior", user,
+                                     ("class1", "class2")[i % 2]))
+            for service, device, time in (("ReadAlert", "AudioAid", "08.00"),
+                                          ("OpenDoor", "VisualAid", "00.00"),
+                                          ("Heat", "AudioAid", "20.30")):
+                for predicate, value in (("AskedService", service),
+                                         ("UsedDevice", device),
+                                         ("HasTime", time),
+                                         ("HasContext", time)):
+                    store.assert_fact(ground(predicate, user, value))
+            pdp.rederive(store, policy, user)
+        calls.clear()
+        decision = authorize(AuthzRequest("r0001", "ReadAlert",
+                                          device="AudioAid",
+                                          context={"time": "10.00"}),
+                             store, policy)
+        assert decision.effect == "permit"  # r0001 is visual, class2: Group2
+        reads.append(len(calls))
+    assert 0 < reads[1] <= reads[0]
 
 
 def test_rederive_reads_neither_the_session_outcome_nor_history():

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.facts import Constant, FactStore, Variable, ground
 from aalguard import pdp
-from aalguard.pdp import hash_password
 from aalguard.query import (
     ConjunctiveQuery,
     QueryError,
@@ -16,7 +15,8 @@ from aalguard.query import (
 from aalguard.rules import Atom, RuleSyntaxError
 from aalguard.scenarios import load_fixture_rules, run_scenario
 
-from oracles import _all_bindings, format_query, match, random_instance
+from oracles import (_all_bindings, format_query, hash_password, match,
+                     random_instance)
 
 
 def test_parse_simple_query():

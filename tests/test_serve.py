@@ -14,6 +14,8 @@ from aalguard import cli, pdp, scenarios
 from aalguard.config import Config
 from aalguard.facts import Fact, FactStore
 
+from oracles import hash_password
+
 SCENARIO_REQUESTS = [
     {"op": "authorize", "user": "u1", "service": "ReadAlert",
      "device": "VisualAid", "context": {"time": "10.00"}},
@@ -234,7 +236,7 @@ def test_a_user_whose_name_is_not_a_symbol_is_served():
     state = primed_state()
     state.credentials = {**state.credentials,
                          "Anne Marie": ("password",
-                                        pdp.hash_password("pw", salt="ab"))}
+                                        hash_password("pw", salt="ab"))}
     authn = cli.handle_message(state, json.dumps(
         {"op": "authn", "user": "Anne Marie", "password": "pw",
          "features": CLASS2_CENTROID}))
