@@ -11,13 +11,17 @@ Serve mode reads one JSON request per line from standard input
 JSON response per line, in order; a malformed message or a line over
 ``MAX_LINE_BYTES`` yields an error response and the loop continues.  A TCP
 connection past ``MAX_CONNECTIONS`` gets one error line and is closed.
+SIGINT and SIGTERM stop serve with exit code 0, after the audit log is
+closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import signal
 import socketserver
 import sys
 import threading
@@ -441,9 +445,36 @@ def cmd_serve(args, config: Config) -> int:
                               state.credentials, audit_log=None, config=config)
 
     try:
-        return _listen(state, args.listen)
+        with _stop_signals():
+            return _listen(state, args.listen)
+    except KeyboardInterrupt:  # SIGINT or SIGTERM
+        return EXIT_OK
     finally:
-        audit_log.close()
+        with state.lock:  # an entry being appended is written whole first
+            audit_log.close()
+
+
+@contextlib.contextmanager
+def _stop_signals():
+    """While serving, SIGTERM stops serve as SIGINT does, by raising
+    ``KeyboardInterrupt`` in the main thread, and a SIGINT inherited as
+    ignored (as a background job of a non-interactive shell inherits it)
+    gets Python's default handler back.  The earlier handlers are restored
+    afterwards; off the main thread nothing changes."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    saved = {sig: signal.getsignal(sig)
+             for sig in (signal.SIGINT, signal.SIGTERM)}
+    if saved[signal.SIGINT] == signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        for sig, handler in saved.items():
+            if handler is not None:  # None: set outside Python
+                signal.signal(sig, handler)
 
 
 def _listen(state: ServeState, listen: str) -> int:
@@ -459,10 +490,7 @@ def _listen(state: ServeState, listen: str) -> int:
     with make_server(state, host, int(port)) as server:
         actual_host, actual_port = server.server_address[:2]
         print(f"listening on {actual_host}:{actual_port}", flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
+        server.serve_forever()
     return EXIT_OK
 
 

@@ -266,9 +266,8 @@ class FactStore:
     indexes keep insertion order, so a lookup yields its facts in the order
     a scan of :meth:`facts_for` would.
 
-    Single-writer, multiple-reader contract: callers serialize mutations;
-    readers that need a stable view hold the lock that serializes them, or
-    take a :meth:`snapshot` first.
+    Single-writer, multiple-reader contract: callers serialize mutations,
+    and readers that need a stable view hold the lock that serializes them.
     The store does no truth maintenance: a retraction leaves what was
     inferred from it, and ``pdp.rederive`` derives a subject's facts again.
     """
@@ -296,6 +295,12 @@ class FactStore:
 
     def canonical_predicate(self, name: str) -> str:
         return self._canon.setdefault(name.lower(), name)
+
+    def spelling(self, name: str) -> Optional[str]:
+        """The spelling this store files predicate ``name`` under, or None
+        when it has none yet; unlike :meth:`canonical_predicate`, registers
+        nothing."""
+        return self._canon.get(name.lower())
 
     def facts_for(self, predicate: str) -> tuple:
         return tuple(self._index.get(predicate.lower(), {}).values())
@@ -327,11 +332,14 @@ class FactStore:
             best = self._index.get(predicate, {})
         return tuple(best.values())
 
-    def facts_about(self, subject: Constant) -> tuple:
+    def facts_about(self, subject: Constant, without=()) -> tuple:
         """The stored facts whose first argument is ``subject``, read from
-        the position-0 index: one bucket per predicate, in insertion order."""
+        the position-0 index: one bucket per predicate, in insertion order.
+        The buckets of the lower-cased predicates in ``without`` are
+        skipped whole, never read."""
         key = subject.key()
-        return tuple(fact for predicate in self._index for fact in
+        return tuple(fact for predicate in self._index
+                     if predicate not in without for fact in
                      self._by_arg.get((predicate, 0, key), {}).values())
 
     def get(self, predicate: str, args) -> Optional[Fact]:

@@ -5,12 +5,13 @@ against the behavior model, score trust, derive the requester's facts again
 under the recognized class, take the authentication mean that fixpoint
 derives, then verify the presented credential under that mean.  The policy
 is compiled once, behind a subject guard (:func:`compile_policy`).
-Authorization asserts the request context into a working snapshot of the
-store, infers only the requester's part of the fixpoint (then the part of
-each of the requester's groups), and combines every ``hasAccess`` / ``Obligation`` /
-``Recommendation`` fact that names the user or one of their groups.  The
-live store holds what the rules derive about each resident from their own
-facts (:func:`rederive`).
+Authorization reads the live store through an overlay that hides the
+requester's request history and holds the new request's facts, infers only
+the requester's part of the fixpoint (then the part of each of the
+requester's groups) into that overlay, and combines every ``hasAccess`` /
+``Obligation`` / ``Recommendation`` fact that names the user or one of
+their groups; no copy of the store is taken.  The live store holds what the
+rules derive about each resident from their own facts (:func:`rederive`).
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Every authentication and
@@ -66,15 +67,16 @@ _TIME_RE = re.compile(r"\d\d\.\d\d\Z")
 
 # What a request asserts about its user, by the part of the request it
 # comes from; each context component is asserted under its own predicate and
-# again as HasContext.  The newest request replaces all of these for the
-# user in the evaluation snapshot (history stays in the live store).
+# again as HasContext.  The live store keeps them as history; an authorize
+# hides the user's earlier ones, so the newest request is what rules see.
 _REQUEST_PREDICATES = {"service": "AskedService", "device": "UsedDevice",
                        "context": "HasContext", "time": "HasTime",
                        "location": "HasLocation", "activity": "HasActivity",
                        "environment": "HasEnvironment"}
+_HISTORY_PREDICATES = frozenset(name.lower()
+                                for name in _REQUEST_PREDICATES.values())
 # Left out of the facts rederive reads: request history, session outcome.
-_UNDERIVED_PREDICATES = frozenset(["authenticated"] + [
-    name.lower() for name in _REQUEST_PREDICATES.values()])
+_UNDERIVED_PREDICATES = _HISTORY_PREDICATES | {"authenticated"}
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
 
@@ -508,6 +510,83 @@ def _request_facts(req: AuthzRequest) -> List[Fact]:
     return facts
 
 
+class _RequestOverlay:
+    """The live store as one authorize sees it: read through, never written.
+
+    The user's facts of the request predicates, the history, are hidden:
+    reads skip them, and a read bound to the user reads none of them.  The
+    request's facts and everything inference derives go to a small store of
+    the overlay's own, dropped with it.  Every read returns the live
+    store's facts first and then the overlay's own, the order a copy of the
+    live store would give with the history dropped and the new facts added.
+    Predicates are spelled as the live store spells them.  Implements what
+    ``infer_fixpoint``, :func:`groups_of` and :func:`_collect` call.
+    """
+
+    def __init__(self, live: FactStore, user: Constant):
+        self._live = live
+        self._user = user.key()
+        self._own = FactStore(vocabulary=())
+
+    def _hidden(self, fact: Fact) -> bool:
+        predicate, arg_keys = fact.key()
+        return predicate in _HISTORY_PREDICATES and arg_keys[0] == self._user
+
+    def _shown(self, facts: tuple) -> tuple:
+        return tuple(fact for fact in facts if not self._hidden(fact))
+
+    def candidates(self, predicate: str, terms, binding: dict) -> tuple:
+        own = self._own.candidates(predicate, terms, binding)
+        if predicate.lower() not in _HISTORY_PREDICATES:
+            return self._live.candidates(predicate, terms, binding) + own
+        first = terms[0]
+        if isinstance(first, Variable):
+            first = binding.get(first.name)
+        if first is not None and first.key() == self._user:
+            return own  # all of the user's history is hidden
+        return self._shown(
+            self._live.candidates(predicate, terms, binding)) + own
+
+    def facts_about(self, subject: Constant) -> tuple:
+        without = _HISTORY_PREDICATES if subject.key() == self._user else ()
+        return (self._live.facts_about(subject, without)
+                + self._own.facts_about(subject))
+
+    def facts_for(self, predicate: str) -> tuple:
+        live = self._live.facts_for(predicate)
+        if predicate.lower() in _HISTORY_PREDICATES:
+            live = self._shown(live)
+        return live + self._own.facts_for(predicate)
+
+    def __contains__(self, fact: Fact) -> bool:
+        return fact in self._own or (fact in self._live
+                                     and not self._hidden(fact))
+
+    def __iter__(self):
+        yield from (fact for fact in self._live if not self._hidden(fact))
+        yield from self._own
+
+    def get(self, predicate: str, args) -> Optional[Fact]:
+        fact = self._own.get(predicate, args)
+        if fact is None:
+            fact = self._live.get(predicate, args)
+            if fact is not None and self._hidden(fact):
+                return None
+        return fact
+
+    def assert_fact(self, fact: Fact) -> bool:
+        """Add ``fact`` to the overlay's own facts; False when the overlay
+        already shows it.  A fact the live store shows is left as it is,
+        also when ``fact`` is asserted and it inferred: the request's facts
+        are all hidden history, and inference adds only facts not shown."""
+        if fact in self._live and not self._hidden(fact):
+            return False
+        spelling = self._live.spelling(fact.predicate)
+        if spelling is not None:
+            self._own.canonical_predicate(spelling)
+        return self._own.assert_fact(fact)
+
+
 def _priority_for(store: FactStore, user: str, table: Dict[str, int]) -> int:
     priorities = [table.get(value.text().lower(), 0)
                   for value in _capabilities_of(store, user)]
@@ -552,15 +631,17 @@ def authorize(req: AuthzRequest, store: FactStore,
               audit_log: Optional[AuditLog] = None) -> Decision:
     """Evaluate an access request against the policy rules.
 
-    The request context is asserted into a working snapshot (replacing any
-    earlier context facts for the user, so the newest request is what rules
-    see).  Inference then derives only the user's part of the fixpoint,
+    The store is read through an overlay that hides the user's earlier
+    request facts and holds this request's, so the newest request is what
+    rules see; nothing is copied, and the history is never read.  Inference
+    then derives into the overlay only the user's part of the fixpoint,
     seeded with the user's facts, and then the part of each group the user
     is in; under :func:`compile_policy`'s guard that is what a fixpoint
-    over the whole snapshot derives about them.  The decision facts naming the user or one
-    of the user's groups are combined deny-overrides with a deny default.
-    The live store keeps the request facts as history; derived decision
-    facts stay in the snapshot.  Only an asserted ``Authenticated`` passes
+    over the whole store, with the user's history replaced by the request,
+    derives about them.  The decision facts naming the user or one of the
+    user's groups are combined deny-overrides with a deny default.  The
+    live store gains only the request facts, as history; derived facts are
+    dropped with the overlay.  Only an asserted ``Authenticated`` passes
     the gate.  ``rules`` go through :func:`compile_policy` first.
     """
     policy = compile_policy(rules)
@@ -575,12 +656,10 @@ def authorize(req: AuthzRequest, store: FactStore,
         return decision
 
     request_facts = _request_facts(req)
-    working = store.snapshot()
-    for predicate in _REQUEST_PREDICATES.values():
-        _replace_user_facts(working, predicate, req.user)
+    subject = coerce_constant(req.user)
+    working = _RequestOverlay(store, subject)
     for fact in request_facts:
         working.assert_fact(fact)
-    subject = coerce_constant(req.user)
     infer_fixpoint(working, policy, subject)
     groups = groups_of(working, req.user)
     for group in groups:

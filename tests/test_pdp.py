@@ -546,12 +546,18 @@ def test_group3_open_door_at_midnight_denied():
     assert decision.priority == 3
 
 
-def test_midnight_deny_for_one_resident_does_not_leak_to_another():
+def primed_store() -> FactStore:
+    """The fixture residents u1, u2 and u3, primed and authenticated."""
     config = Config()
     store = FactStore()
     scenarios.prime_store(store, RULES,
                           scenarios.load_fixture_model(config.distance_floor),
                           scenarios.load_fixture_credentials(), config=config)
+    return store
+
+
+def test_midnight_deny_for_one_resident_does_not_leak_to_another():
+    store = primed_store()
     u1_day = AuthzRequest("u1", "OpenDoor", context={"time": "10.00"})
     before = authorize(u1_day, store, RULES)
     u3_night = authorize(AuthzRequest("u3", "OpenDoor",
@@ -765,6 +771,64 @@ def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
         assert decision.effect == "permit"  # r0001 is visual, class2: Group2
         reads.append(len(calls))
     assert 0 < reads[1] <= reads[0]
+
+
+HISTORY_REQUESTS = [("ReadAlert", "VisualAid"), ("OpenDoor", None),
+                    ("Heat", "AudioAid")]
+
+
+def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
+    # Counts every fact an authorize gets back from the live store, a whole
+    # copy included; u3's history of distinct times is never read, also by
+    # a rule that leaves the time unbound.
+    policy = pdp.compile_policy(RULES + parse_ruleset(
+        "@id: any-time\nHasTime(?u, ?t) -> Recommendation(?u, timed)\n"))
+    reads, decisions = [], []
+    for served in (10, 1000):
+        store = primed_store()
+        for i in range(served):
+            service, device = HISTORY_REQUESTS[i % 3]
+            authorize(AuthzRequest("u3", service, device=device, context={
+                "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
+                store, policy)
+        counts = []
+        for name in ("candidates", "facts_about", "facts_for", "snapshot"):
+            def counted(*args, _read=getattr(store, name)):
+                result = _read(*args)
+                counts.append(len(result))
+                return result
+            setattr(store, name, counted)
+        decisions.append(decided(authorize(
+            AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
+            store, policy)))
+        reads.append(sum(counts))
+    assert len(store) > 2000
+    assert 0 < reads[1] == reads[0]
+    assert decisions[1] == decisions[0]
+    assert decisions[0][2:] == (["timed"],
+                                ["alzheimer-deny", "asserted", "any-time"])
+
+
+def test_an_authorize_adds_only_its_new_request_facts_to_the_live_store():
+    store = primed_store()
+    policy = pdp.compile_policy(RULES)
+    authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
+              store, policy)
+    before = [(fact, fact.origin, fact.rule_id) for fact in store]
+    request = AuthzRequest("u3", "OpenDoor", device="VisualAid",
+                           context={"time": "00.00", "location": "hall"})
+    decision = authorize(request, store, policy)
+    assert decision.effect == "deny" and "alzheimer-deny" in decision.rationale
+    after = [(fact, fact.origin, fact.rule_id) for fact in store]
+    held = {fact for fact, _, _ in before}
+    new = [fact for fact in pdp._request_facts(request) if fact not in held]
+    assert [f.render() for f in new] == [
+        "UsedDevice(u3, VisualAid)", "HasLocation(u3, hall)",
+        "HasContext(u3, hall)"]
+    assert after == before + [(fact, "asserted", None) for fact in new]
+    for predicate in ("hasAccess", "Obligation", "Recommendation"):
+        assert all(fact.origin == "asserted"
+                   for fact in store.facts_for(predicate))
 
 
 def test_rederive_reads_neither_the_session_outcome_nor_history():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import signal
 import socket
 import subprocess
 import sys
@@ -306,6 +307,7 @@ def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
     # fixpoint derives: a group, and for u3 the mean tag-mean as well.
     assert [c["facts"] for c in per_op["authn"]] == [3, 3, 4] * 3
     assert [c["snapshots"] for c in per_op["query"]] == [0] * 6
+    assert [c["snapshots"] for c in per_op["authorize"]] == [0] * 30
 
 
 def test_stats_reports_the_servers_own_memory_and_sizes():
@@ -564,6 +566,46 @@ def test_fuzzed_messages_get_a_reply_and_never_authenticate_on_bad_trust(
     assert cli.handle_message(fuzz_state, '{"op": "ping"}') == {"ok": True}
     # Request text never breaks an audit line.
     assert pdp.AuditLog.load(audit_path) == list(fuzz_state.audit_log.entries())
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_a_tcp_server_stops_on_a_signal_with_sigint_inherited_ignored(
+        tmp_path, sig):
+    # A background job of a non-interactive shell inherits SIGINT ignored.
+    audit = tmp_path / "audit.log"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aalguard", "serve", "--listen", "127.0.0.1:0",
+         "--prime-scenarios", "--audit", str(audit)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=_ignore_sigint)
+    try:
+        banner = proc.stdout.readline().strip()
+        host, _, port = banner.rpartition(" ")[2].rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            conn.sendall("".join(json.dumps(m) + "\n"
+                                 for m in SCENARIO_REQUESTS).encode("utf-8"))
+            replies = conn.makefile("r", encoding="utf-8")
+            effects = [json.loads(replies.readline())["effect"]
+                       for _ in SCENARIO_REQUESTS]
+            replies.close()
+        assert effects == EXPECTED_EFFECTS
+        proc.send_signal(sig)
+        assert proc.wait(timeout=5) == cli.EXIT_OK
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    entries = pdp.AuditLog.load(audit)
+    assert [(e.seq, e.kind, e.subject, e.outcome) for e in entries] == [
+        (1, "authz", "u1", "permit"), (2, "authz", "u2", "permit"),
+        (3, "authz", "u3", "deny")]
 
 
 def test_tcp_socket_mode(tmp_path):
