@@ -1,16 +1,20 @@
 """Forward-chaining inference to fixpoint over positive Horn rules.
 
-Evaluation is semi-naive: each pass only considers rule-body matches that
-touch at least one fact derived in the previous pass, so the engine scales
-with the volume of new facts rather than re-deriving everything.  The result
-set is exactly the least fixpoint a naive iterate-until-stable evaluation
-would reach; only the iteration count differs.  Rules are compiled once
-into a :class:`Policy`, and a pass joins a rule through a body atom only
-when the delta holds a fact of that atom's predicate.  Given a subject, a
-fixpoint over rules guarded by their subject (``pdp.compile_policy``)
-derives only that subject's part: its first delta is the subject's facts
-and every join starts with the rule's subject variable bound, in the
-spirit of magic sets (Bancilhon, Maier, Sagiv and Ullman, PODS 1986).
+Rules are compiled once into a :class:`Policy`: each body atom becomes a
+plan of its lower-cased predicate, arity, constant argument keys and
+variable names by position, which the join matches candidate facts against
+by key.  The first round is naive (Bancilhon and Ramakrishnan, SIGMOD 1986):
+each rule is joined once, whole.  Every later round is semi-naive: it only
+considers rule-body matches that touch at least one fact derived in the
+round before, and joins a rule through a body atom only when that delta
+holds a fact of the atom's predicate, so the engine scales with the volume
+of new facts rather than re-deriving everything.  The result set is exactly
+the least fixpoint a naive iterate-until-stable evaluation would reach; only
+the iteration count differs.  Given a subject, a fixpoint over rules whose
+body atoms all take a variable first (``pdp.compile_policy`` guards every
+rule so) derives only that subject's part: every join starts with those
+variables bound to the subject, in the spirit of magic sets (Bancilhon,
+Maier, Sagiv and Ullman, PODS 1986).
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
 and contradictory authentication outcomes) and derivation explanations read
@@ -20,16 +24,17 @@ from the premises each derived fact carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, NamedTuple, Optional, Union
 
 from .facts import (
     ASSERTED,
     Constant,
     Fact,
+    FactError,
     FactStore,
     INFERRED,
     Variable,
-    unify_against_fact,
+    unify_against_fact,  # not called here; perfbench/spans.py wraps it
 )
 from .rules import Rule, format_rule, validate_rule
 
@@ -82,15 +87,45 @@ class Derivation:
         return not self.premises
 
 
+class AtomPlan(NamedTuple):
+    """A body atom compiled for the join: its lower-cased predicate, its
+    arity, and by position the key of each constant argument and the name
+    of each variable (None where the other is)."""
+
+    predicate: str
+    arity: int
+    keys: tuple
+    names: tuple
+
+
+def compile_atom(atom) -> AtomPlan:
+    """The plan of ``atom``, anything with ``predicate`` and ``terms``."""
+    keys, names = [], []
+    for term in atom.terms:
+        if isinstance(term, Variable):
+            keys.append(None)
+            names.append(term.name)
+        elif isinstance(term, Constant):
+            keys.append(term.key())
+            names.append(None)
+        else:
+            raise FactError(
+                f"pattern term is neither Variable nor Constant: {term!r}")
+    return AtomPlan(atom.predicate.lower(), len(keys), tuple(keys),
+                    tuple(names))
+
+
 class Policy:
     """A rule list compiled once for repeated evaluation.
 
     Each rule is validated here, so a fixpoint over a policy pays no
     validation.  The policy keeps each rule's id (``rule<n>`` when it has
-    none), the lower-cased predicate of each body atom, which lets a
-    semi-naive pass skip the pivots that no delta fact can match, and the
-    names of the variables its body atoms take first, which a fixpoint
-    over one subject binds to that subject.
+    none), the plan of each body atom (:func:`compile_atom`), whose
+    lower-cased predicates let a semi-naive pass skip the pivots no delta
+    fact can match, and the names of the variables its body atoms take
+    first, which a fixpoint over one subject binds to that subject.  It
+    also keeps the ids of the rules with a body atom that takes a constant
+    first, which such a fixpoint refuses.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -103,13 +138,16 @@ class Policy:
                     f"rule {rule.id or format_rule(rule)}: {violation.message}")
         self.rule_ids = tuple(rule.id or f"rule{i + 1}"
                               for i, rule in enumerate(self.rules))
-        self.body_predicates = tuple(
-            tuple(atom.predicate.lower() for atom in rule.body)
-            for rule in self.rules)
+        self.plans = tuple(tuple(compile_atom(atom) for atom in rule.body)
+                           for rule in self.rules)
+        self.body_predicates = tuple(tuple(atom.predicate for atom in plan)
+                                     for plan in self.plans)
         self.subject_variables = tuple(
-            frozenset(atom.terms[0].name for atom in rule.body
-                      if isinstance(atom.terms[0], Variable))
-            for rule in self.rules)
+            frozenset(atom.names[0] for atom in plan if atom.names[0])
+            for plan in self.plans)
+        self.unguarded = tuple(
+            rule_id for rule_id, plan in zip(self.rule_ids, self.plans)
+            if any(atom.names[0] is None for atom in plan))
 
     @classmethod
     def of(cls, rules) -> "Policy":
@@ -132,31 +170,65 @@ def _instantiate(atom, binding: dict, rule_id: str, premises: tuple) -> Fact:
                 premises=premises)
 
 
-def join(store: FactStore, body, pivot: int, delta_keys: set, start: dict):
-    """Bindings extending ``start`` for ``body`` where atom ``pivot``
-    matches a delta fact.
+def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set,
+         start: dict):
+    """Bindings extending ``start`` for the atom plans ``plan`` where atom
+    ``pivot`` matches a delta fact, each with the facts it matched.
 
     Atoms before the pivot match pre-delta facts only and atoms after it
     match everything; across all pivots this covers each new combination
     exactly once.  A pivot past the last atom with an empty delta joins the
-    whole body over every fact, as a query does.  Each atom reads only the
-    store's index bucket for its most selective bound argument, so a
-    variable bound in ``start`` narrows every atom that takes it.
+    whole body over every fact, as a query and a fixpoint's first round
+    do.  Each atom reads one :meth:`FactStore.probe` with the argument
+    keys its constants and already bound variables give, so a variable
+    bound in ``start`` narrows every atom that takes it.  A candidate
+    matches when its arity and those keys agree and repeated new variables
+    meet equal arguments; the binding is copied only when the atom binds a
+    new variable, and never changed in place.
     """
+    probe = store.probe
     results = [(start, ())]
-    for j, atom in enumerate(body):
+    for j, (predicate, arity, keys, names) in enumerate(plan):
         next_results = []
         for binding, premises in results:
-            for fact in store.candidates(atom.predicate, atom.terms, binding):
+            bound, fresh, repeats = [], [], []
+            for position, name in enumerate(names):
+                if name is None:
+                    bound.append((position, keys[position]))
+                    continue
+                value = binding.get(name)
+                if value is not None:
+                    bound.append((position, value.key()))
+                    continue
+                for first, seen in fresh:
+                    if seen == name:
+                        repeats.append((position, first))
+                        break
+                else:
+                    fresh.append((position, name))
+            for fact in probe(predicate, bound):
                 key = fact.key()
                 if j < pivot and key in delta_keys:
                     continue
                 if j == pivot and key not in delta_keys:
                     continue
-                extended = unify_against_fact(atom.predicate, atom.terms,
-                                              fact, binding)
-                if extended is not None:
-                    next_results.append((extended, premises + (fact,)))
+                arg_keys = key[1]
+                if len(arg_keys) != arity:
+                    continue
+                for position, arg_key in bound:
+                    if arg_keys[position] != arg_key:
+                        break
+                else:
+                    for position, first in repeats:
+                        if arg_keys[position] != arg_keys[first]:
+                            break
+                    else:
+                        extended = binding
+                        if fresh:
+                            extended = dict(binding)
+                            for position, name in fresh:
+                                extended[name] = fact.args[position]
+                        next_results.append((extended, premises + (fact,)))
         results = next_results
         if not results:
             break
@@ -173,36 +245,49 @@ def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
     any firing.  Each derived fact carries the id of the rule that first
     produced it and the facts that rule's body matched, for explanation.
 
-    Without ``subject`` the first delta is every stored fact.  With one, it
-    is ``store.facts_about(subject)``, and every join starts with the
-    variables the rule's body atoms take first bound to ``subject``: only
-    body matches whose atoms all name the subject first fire.  For rules
-    guarded by one subject variable (``pdp.compile_policy``) this derives
-    exactly the whole fixpoint's facts about the subject, reading only the
-    subject's index buckets.
+    The first round is naive: each rule whose first body atom has stored
+    facts is joined once, whole, with no delta.  Every later round is
+    semi-naive over the facts the round before derived.  With ``subject``,
+    every join starts with the variables the rule's body atoms take first
+    bound to ``subject``, so only body matches whose atoms all name the
+    subject first fire; a rule with a body atom that takes a constant
+    first is refused (:class:`InvalidRuleError`), as it would match facts
+    about another subject.  For rules guarded by one subject variable
+    (``pdp.compile_policy``) this derives exactly the whole fixpoint's
+    facts about the subject, reading only the subject's index buckets.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
 
     if subject is None:
-        delta_keys = {fact.key() for fact in store}
         starts = ({},) * len(policy.rules)
+    elif policy.unguarded:
+        raise InvalidRuleError(
+            f"rule {policy.unguarded[0]}: a fixpoint about one subject needs "
+            "every body atom to take a variable first")
     else:
-        delta_keys = {fact.key() for fact in store.facts_about(subject)}
-        starts = tuple({name: subject for name in names}
+        starts = tuple(dict.fromkeys(names, subject)
                        for names in policy.subject_variables)
+    # Round one has no delta: it joins whole each rule whose first atom
+    # has facts (about the subject).
+    delta_keys: set = set()
+    delta_predicates = store.predicates(subject)
     iterations = 0
     while True:
         iterations += 1
-        delta_predicates = {predicate for predicate, _ in delta_keys}
         pending: dict = {}  # key -> fact
-        for rule, rule_id, predicates, start in zip(
-                policy.rules, policy.rule_ids, policy.body_predicates, starts):
-            for pivot, predicate in enumerate(predicates):
-                if predicate not in delta_predicates:
-                    continue  # no delta fact can match the pivot atom
-                for binding, premises in join(store, rule.body, pivot,
+        for rule, rule_id, plan, predicates, start in zip(
+                policy.rules, policy.rule_ids, policy.plans,
+                policy.body_predicates, starts):
+            if not delta_keys:
+                pivots = (len(plan),) if predicates[0] in delta_predicates \
+                    else ()
+            else:  # a pivot no delta fact can match joins nothing
+                pivots = [pivot for pivot, predicate in enumerate(predicates)
+                          if predicate in delta_predicates]
+            for pivot in pivots:
+                for binding, premises in join(store, plan, pivot,
                                               delta_keys, start):
                     for head_atom in rule.head:
                         new_fact = _instantiate(head_atom, binding, rule_id,
@@ -214,11 +299,11 @@ def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
                         firings[rule_id] += 1
         if not pending:
             break
-        delta_keys = set()
-        for key, new_fact in pending.items():
+        for new_fact in pending.values():
             store.assert_fact(new_fact)
-            derived.append(store.get(new_fact.predicate, new_fact.args))
-            delta_keys.add(key)
+            derived.append(store.by_key(new_fact.key()))
+        delta_keys = set(pending)
+        delta_predicates = {predicate for predicate, _ in delta_keys}
     return InferenceReport(derived=derived, iterations=iterations,
                            rule_firings=firings)
 

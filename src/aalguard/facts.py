@@ -162,8 +162,8 @@ def coerce_constant(value: object) -> Constant:
         return Constant.number(float(value))
     text = str(value)
     if SYMBOL_RE.fullmatch(text):
-        return Constant.symbol(text)
-    return Constant.string(text)
+        return Constant(SYMBOL, text)
+    return Constant(STRING, text)
 
 
 def fact_key(predicate: str, args: tuple) -> tuple:
@@ -262,9 +262,11 @@ class FactStore:
 
     Besides the predicate index, every fact is filed under
     ``(predicate, position, argument key)`` for each of its arguments, so a
-    pattern with a bound argument reads only the facts that share it.  Both
-    indexes keep insertion order, so a lookup yields its facts in the order
-    a scan of :meth:`facts_for` would.
+    pattern with a bound argument reads only the facts that share it:
+    :meth:`probe` takes the argument keys an atom has bound, by position,
+    and is the one lookup the engine's join, queries and the decision point
+    read candidates through.  Both indexes keep insertion order, so a
+    lookup yields its facts in the order a scan of :meth:`facts_for` would.
 
     Single-writer, multiple-reader contract: callers serialize mutations,
     and readers that need a stable view hold the lock that serializes them.
@@ -305,25 +307,29 @@ class FactStore:
     def facts_for(self, predicate: str) -> tuple:
         return tuple(self._index.get(predicate.lower(), {}).values())
 
-    def candidates(self, predicate: str, terms, binding: dict) -> tuple:
-        """Stored facts that may match the atom ``(predicate, terms)``.
+    def predicates(self, subject: Optional[Constant] = None):
+        """The lower-cased predicates the store holds facts of; given
+        ``subject``, those it holds facts of whose first argument is
+        ``subject``."""
+        if subject is None:
+            return self._index.keys()
+        key = subject.key()
+        return {predicate for predicate in self._index
+                if (predicate, 0, key) in self._by_arg}
 
-        An argument is bound when its term is a constant or a variable that
-        ``binding`` already binds; the result is the smallest index bucket
-        among the bound arguments, or the predicate bucket when none is
-        bound.  Callers still unify each candidate against the atom.
+    def probe(self, predicate: str, bound) -> tuple:
+        """Stored facts that may match an atom of the lower-cased
+        ``predicate`` whose arguments at the ``(position, arg_key)`` pairs
+        of ``bound`` are known, listed by ascending position.
+
+        The result is the smallest index bucket among the bound positions
+        (of equal sizes, the first), or the predicate bucket when none is
+        bound.  Facts of every arity share a bucket; callers still match
+        each candidate against the atom.
         """
-        predicate = predicate.lower()
         best = None
-        for position, term in enumerate(terms):
-            if isinstance(term, Variable):
-                term = binding.get(term.name)
-                if term is None:
-                    continue
-            elif not isinstance(term, Constant):
-                raise FactError(
-                    f"pattern term is neither Variable nor Constant: {term!r}")
-            bucket = self._by_arg.get((predicate, position, term.key()))
+        for position, arg_key in bound:
+            bucket = self._by_arg.get((predicate, position, arg_key))
             if bucket is None:
                 return ()
             if best is None or len(bucket) < len(best):
@@ -332,15 +338,16 @@ class FactStore:
             best = self._index.get(predicate, {})
         return tuple(best.values())
 
-    def facts_about(self, subject: Constant, without=()) -> tuple:
+    def facts_about(self, subject: Constant) -> tuple:
         """The stored facts whose first argument is ``subject``, read from
-        the position-0 index: one bucket per predicate, in insertion order.
-        The buckets of the lower-cased predicates in ``without`` are
-        skipped whole, never read."""
+        the position-0 index: one bucket per predicate, in insertion order."""
         key = subject.key()
-        return tuple(fact for predicate in self._index
-                     if predicate not in without for fact in
+        return tuple(fact for predicate in self._index for fact in
                      self._by_arg.get((predicate, 0, key), {}).values())
+
+    def by_key(self, key: tuple) -> Optional[Fact]:
+        """The stored fact under ``key``, a :meth:`Fact.key`, if any."""
+        return self._facts.get(key)
 
     def get(self, predicate: str, args) -> Optional[Fact]:
         """The stored fact with this predicate and these raw values, if any."""

@@ -368,13 +368,11 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     return policy
 
 
-_VALUE = Variable("value")
-
-
 def _facts_about(store: FactStore, predicate: str, user: str) -> tuple:
     """The ``predicate`` facts whose first argument is ``user``, in store
     order, read from the index bucket of that argument."""
-    return store.candidates(predicate, (coerce_constant(user), _VALUE), {})
+    return store.probe(predicate.lower(),
+                       ((0, coerce_constant(user).key()),))
 
 
 def _capabilities_of(store: FactStore, user: str) -> List[Constant]:
@@ -497,16 +495,24 @@ def groups_of(store: FactStore, user: str) -> List[Constant]:
             if len(fact.args) == 2]
 
 
-def _request_facts(req: AuthzRequest) -> List[Fact]:
-    facts = [ground(_REQUEST_PREDICATES["service"], req.user, req.service)]
+def _request_facts(req: AuthzRequest,
+                   user: Optional[Constant] = None) -> List[Fact]:
+    """What ``req`` asserts about its user; ``user`` is ``req.user`` as a
+    constant, coerced here when the caller does not hold it."""
+    if user is None:
+        user = coerce_constant(req.user)
+
+    def fact(part: str, value: str) -> Fact:
+        return Fact(_REQUEST_PREDICATES[part], (user, coerce_constant(value)))
+
+    facts = [fact("service", req.service)]
     if req.device:
-        facts.append(ground(_REQUEST_PREDICATES["device"], req.user,
-                            req.device))
+        facts.append(fact("device", req.device))
     for component, value in req.context.items():
         if component not in _CONTEXT_COMPONENTS:
             raise PdpError(f"unknown context component: {component!r}")
-        facts.append(ground(_REQUEST_PREDICATES[component], req.user, value))
-        facts.append(ground(_REQUEST_PREDICATES["context"], req.user, value))
+        facts.append(fact(component, value))
+        facts.append(fact("context", value))
     return facts
 
 
@@ -520,7 +526,9 @@ class _RequestOverlay:
     store's facts first and then the overlay's own, the order a copy of the
     live store would give with the history dropped and the new facts added.
     Predicates are spelled as the live store spells them.  Implements what
-    ``infer_fixpoint``, :func:`groups_of` and :func:`_collect` call.
+    ``infer_fixpoint`` (``predicates``, ``probe``, ``in``, ``assert_fact``
+    and ``by_key``), :func:`groups_of` (``probe``) and :func:`_collect`
+    (``facts_for``) call, and iteration over every fact it shows.
     """
 
     def __init__(self, live: FactStore, user: Constant):
@@ -535,22 +543,16 @@ class _RequestOverlay:
     def _shown(self, facts: tuple) -> tuple:
         return tuple(fact for fact in facts if not self._hidden(fact))
 
-    def candidates(self, predicate: str, terms, binding: dict) -> tuple:
-        own = self._own.candidates(predicate, terms, binding)
-        if predicate.lower() not in _HISTORY_PREDICATES:
-            return self._live.candidates(predicate, terms, binding) + own
-        first = terms[0]
-        if isinstance(first, Variable):
-            first = binding.get(first.name)
-        if first is not None and first.key() == self._user:
-            return own  # all of the user's history is hidden
-        return self._shown(
-            self._live.candidates(predicate, terms, binding)) + own
+    def predicates(self, subject: Optional[Constant] = None):
+        return self._live.predicates(subject) | self._own.predicates(subject)
 
-    def facts_about(self, subject: Constant) -> tuple:
-        without = _HISTORY_PREDICATES if subject.key() == self._user else ()
-        return (self._live.facts_about(subject, without)
-                + self._own.facts_about(subject))
+    def probe(self, predicate: str, bound) -> tuple:
+        own = self._own.probe(predicate, bound)
+        if predicate not in _HISTORY_PREDICATES:
+            return self._live.probe(predicate, bound) + own
+        if bound and bound[0] == (0, self._user):
+            return own  # all of the user's history is hidden
+        return self._shown(self._live.probe(predicate, bound)) + own
 
     def facts_for(self, predicate: str) -> tuple:
         live = self._live.facts_for(predicate)
@@ -566,10 +568,10 @@ class _RequestOverlay:
         yield from (fact for fact in self._live if not self._hidden(fact))
         yield from self._own
 
-    def get(self, predicate: str, args) -> Optional[Fact]:
-        fact = self._own.get(predicate, args)
+    def by_key(self, key: tuple) -> Optional[Fact]:
+        fact = self._own.by_key(key)
         if fact is None:
-            fact = self._live.get(predicate, args)
+            fact = self._live.by_key(key)
             if fact is not None and self._hidden(fact):
                 return None
         return fact
@@ -655,8 +657,8 @@ def authorize(req: AuthzRequest, store: FactStore,
                              f"service={req.service} reason=not-authenticated")
         return decision
 
-    request_facts = _request_facts(req)
     subject = coerce_constant(req.user)
+    request_facts = _request_facts(req, subject)
     working = _RequestOverlay(store, subject)
     for fact in request_facts:
         working.assert_fact(fact)

@@ -3,9 +3,13 @@
 The query language is a small SELECT-only subset:
 ``SELECT ?u WHERE { HasCapability(?u, "visual") ^ Authenticated(?u, yes) }``
 with an optional ``LIMIT n``, where ``n`` is a positive decimal integer.
-Evaluation joins the where-atoms left to right through the engine's indexed
-join (:func:`aalguard.engine.join`); results are a set of rows projected to
-the selected variables, sorted lexicographically so LIMIT is deterministic.
+Evaluation compiles the where-atoms into the engine's atom plans
+(:func:`aalguard.engine.compile_atom`) and joins them left to right, whole,
+through the engine's indexed join (:func:`aalguard.engine.join`), as the
+first round of a fixpoint joins a rule body; each atom reads its candidates
+through one :meth:`FactStore.probe`.  Results are a set of rows projected
+to the selected variables, sorted lexicographically so LIMIT is
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .engine import join
+from .engine import compile_atom, join
 from .facts import Constant, FactStore
 from .rules import (
     CARET, EOF, IDENT, LBRACE, NUM, RBRACE, VAR,
@@ -100,7 +104,8 @@ def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant
             f"select variable(s) not in WHERE: {', '.join('?' + v for v in missing)}")
 
     rows: Dict[tuple, Dict[str, Constant]] = {}
-    for binding, _ in join(store, q.where, len(q.where), set(), {}):
+    plan = tuple(compile_atom(atom) for atom in q.where)
+    for binding, _ in join(store, plan, len(plan), set(), {}):
         row = {name: binding[name] for name in q.select}
         rows.setdefault(tuple(row[name].key() for name in q.select), row)
     ordered = sorted(rows.values(),

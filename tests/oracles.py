@@ -147,18 +147,34 @@ def match(store, pattern) -> list:
     ``pattern`` is anything with ``predicate`` and ``terms`` attributes
     where each term is a :class:`Constant` or :class:`Variable` (rule atoms
     qualify).  A variable-free pattern that is present yields one empty
-    binding.  Reads ``store.candidates``, so the tests that use it check
-    that lookup.
+    binding.  Reads ``store.probe`` with the pattern's constants, so the
+    tests that use it check that lookup.
     """
     terms = tuple(pattern.terms)
     if not 1 <= len(terms) <= MAX_ARITY:
         raise ArityError(f"pattern arity {len(terms)} outside 1..{MAX_ARITY}")
+    bound = tuple((position, term.key()) for position, term in enumerate(terms)
+                  if isinstance(term, Constant))
     results = []
-    for fact in store.candidates(pattern.predicate, terms, {}):
+    for fact in store.probe(pattern.predicate.lower(), bound):
         binding = unify_against_fact(pattern.predicate, terms, fact, {})
         if binding is not None:
             results.append(binding)
     return results
+
+
+def scan_join(store, atoms) -> list:
+    """Bindings of ``atoms`` joined left to right, each atom matched by
+    :func:`unify_against_fact` against a scan of ``store.facts_for``; the
+    reference for the engine's indexed join, with no index read."""
+    bindings = [{}]
+    for atom in atoms:
+        bindings = [extended for binding in bindings
+                    for fact in store.facts_for(atom.predicate)
+                    for extended in [unify_against_fact(
+                        atom.predicate, atom.terms, fact, binding)]
+                    if extended is not None]
+    return bindings
 
 
 def select_auth_mean(capabilities, behavior_class, rules,

@@ -13,7 +13,8 @@ from aalguard.engine import (
     infer_fixpoint,
     render_derivation,
 )
-from aalguard.facts import Constant, Fact, FactStore, ground, unify_against_fact
+from aalguard.facts import (Constant, Fact, FactStore, Variable, ground,
+                            unify_against_fact)
 from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
 from aalguard.scenarios import load_fixture_rules
 
@@ -175,14 +176,16 @@ def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
     joined = []
     join = engine.join
 
-    def recording(store, body, pivot, delta_keys, start):
-        joined.append((body[pivot].predicate, pivot))
-        return join(store, body, pivot, delta_keys, start)
+    def recording(store, plan, pivot, delta_keys, start):
+        joined.append((plan[0].predicate, pivot))
+        return join(store, plan, pivot, delta_keys, start)
     monkeypatch.setattr(engine, "join", recording)
     report = infer_fixpoint(store, rules)
     assert [f.render() for f in report.derived] == ["B(c1)", "D(c1)"]
-    # Pass 1 has A and C facts in its delta, pass 2 only B, pass 3 only D.
-    assert joined == [("A", 0), ("C", 1), ("B", 0)]
+    # Pass 1 joins whole (its pivot past the last atom) only the rule whose
+    # first atom has facts, A; pass 2's delta holds only B, which the
+    # second rule joins through its pivot 0; pass 3's holds only D.
+    assert joined == [("a", 1), ("b", 0)]
 
 
 def test_compiled_policy_is_validated_once(monkeypatch):
@@ -212,13 +215,14 @@ def test_fixture_fixpoint_reads_few_facts_per_resident(monkeypatch):
         store.assert_fact(ground("HasRecognizedBehavior", user,
                                  ("class1", "class2")[i % 2]))
     calls = []
-    unify = engine.unify_against_fact
+    probe = FactStore.probe
 
-    def counted(*args):
-        calls.append(1)
-        return unify(*args)
+    def counted(self, *args):
+        result = probe(self, *args)
+        calls.extend(result)
+        return result
 
-    monkeypatch.setattr(engine, "unify_against_fact", counted)
+    monkeypatch.setattr(FactStore, "probe", counted)
     report = infer_fixpoint(store, load_fixture_rules())
     # Every tenth resident lands in each of the three groups, plus the two
     # shared authentication means.
@@ -232,13 +236,14 @@ def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
     # once per Group3 resident, so the reads per resident grow with U.
     capabilities = ("hearing", "visual", "cognitive", "physical", "no")
     calls = []
-    unify = engine.unify_against_fact
+    probe = FactStore.probe
 
-    def counted(*args):
-        calls.append(1)
-        return unify(*args)
+    def counted(self, *args):
+        result = probe(self, *args)
+        calls.extend(result)
+        return result
 
-    monkeypatch.setattr(engine, "unify_against_fact", counted)
+    monkeypatch.setattr(FactStore, "probe", counted)
     per_resident = []
     for residents in (100, 400):
         store = FactStore()
@@ -253,7 +258,8 @@ def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
         calls.clear()
         infer_fixpoint(store, load_fixture_rules())
         per_resident.append(len(calls) / residents)
-    # About 8 at both sizes; 18 and 48 with the draft's alzheimer-deny.
+    # About 6 facts probed per resident at both sizes; 15.5 and 45.5 with
+    # the draft's alzheimer-deny.
     assert per_resident[1] <= per_resident[0] * 1.1
     assert per_resident[1] < 20
 
@@ -299,6 +305,60 @@ def test_a_subject_fixpoint_binds_the_subject_in_every_join(monkeypatch):
     assert [f.render() for f in report.derived] == ["C(u2)", "D(u2)"]
     assert starts and all(start == {"x": Constant.symbol("u2")}
                           for start in starts)
+
+
+def test_a_subject_fixpoint_refuses_a_body_atom_that_takes_a_constant_first():
+    # Bound to u1, ?x would leave B(c1, ?x) free to match facts about c1.
+    rules = parse_ruleset("A(?x) ^ hasB(?x) -> C(?x)\n\n"
+                          "@id: constant-first\nA(?x) ^ B(c1, ?x) -> D(?x)")
+    store = FactStore(vocabulary=())
+    store.assert_fact(ground("A", "u1"))
+    store.assert_fact(ground("B", "c1", "u1"))
+    before = store_keys(store)
+    with pytest.raises(InvalidRuleError, match="rule constant-first"):
+        infer_fixpoint(store, rules, Constant.symbol("u1"))
+    assert store_keys(store) == before
+    report = infer_fixpoint(store, rules)
+    assert [f.render() for f in report.derived] == ["D(u1)"]
+
+
+MATCH_CONSTANTS = [Constant.symbol("k0"), Constant.symbol("k1"),
+                   Constant.string("k1"), Constant.string("k 2"),
+                   Constant.number(3)]
+MATCH_VARIABLES = [Variable(name) for name in "xyz"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(predicates=st.tuples(*[st.sampled_from(["Q", "q", "R"])] * 2),
+       terms=st.lists(st.sampled_from(MATCH_CONSTANTS + MATCH_VARIABLES * 2),
+                      min_size=1, max_size=3),
+       args=st.lists(st.sampled_from(MATCH_CONSTANTS), min_size=1,
+                     max_size=3),
+       binding=st.dictionaries(st.sampled_from("xyzw"),
+                               st.sampled_from(MATCH_CONSTANTS), max_size=3))
+def test_a_compiled_atom_binds_as_unify_against_fact(predicates, terms, args,
+                                                      binding):
+    # Quoted and bare twins, re-cased predicates, repeated variables and
+    # wrong arities; a one-fact store makes each join one match.
+    atom_predicate, fact_predicate = predicates
+    atom = Atom(atom_predicate, tuple(terms))
+    fact = Fact(fact_predicate, tuple(args))
+    store = FactStore(vocabulary=())
+    store.assert_fact(fact)
+    stored = store.by_key(fact.key())
+    start = dict(binding)
+    plan = (engine.compile_atom(atom),)
+    want = unify_against_fact(atom.predicate, atom.terms, fact, binding)
+    for pivot, delta in ((1, set()), (0, {fact.key()})):
+        got = engine.join(store, plan, pivot, delta, start)
+        assert start == binding
+        if want is None:
+            assert got == []
+            continue
+        assert got == [(want, (stored,))]
+        assert {n: c.render() for n, c in got[0][0].items()} == {
+            n: c.render() for n, c in want.items()}
+    assert engine.join(store, plan, 0, set(), start) == []
 
 
 def test_fixpoint_idempotent():

@@ -193,6 +193,18 @@ def test_match_sound_and_complete_on_random_stores():
 # Argument index against a scan of the predicate bucket
 # ---------------------------------------------------------------------------
 
+def _probe(store, predicate, terms, binding):
+    """``store.probe`` with the argument keys ``terms`` bind under
+    ``binding``, by position."""
+    bound = []
+    for position, term in enumerate(terms):
+        if isinstance(term, Variable):
+            term = binding.get(term.name)
+        if term is not None:
+            bound.append((position, term.key()))
+    return store.probe(predicate.lower(), tuple(bound))
+
+
 def _lookup(facts, predicate, terms, binding):
     rows = []
     for fact in facts:
@@ -200,6 +212,22 @@ def _lookup(facts, predicate, terms, binding):
         if extended is not None:
             rows.append((fact.key(), fact.origin, extended))
     return rows
+
+
+def test_probe_reads_the_smallest_bound_bucket_the_first_of_equal_sizes():
+    store = FactStore(vocabulary=())
+    for first, second in (("a", "b"), ("a", "c"), ("a", "d"), ("e", "b"),
+                          ("e", "c"), ("f", "g")):
+        store.assert_fact(Fact("P", (sym(first), sym(second))))
+
+    def probed(*bound):
+        return [f.render() for f in store.probe(
+            "p", tuple((position, sym(text).key()) for position, text in bound))]
+    assert probed((0, "a"), (1, "b")) == ["P(a, b)", "P(e, b)"]
+    assert probed((0, "e"), (1, "b")) == ["P(e, b)", "P(e, c)"]
+    assert probed((0, "f"), (1, "b")) == ["P(f, g)"]
+    assert probed((0, "a"), (1, "x")) == []
+    assert probed() == [f.render() for f in store.facts_for("P")]
 
 
 def test_index_agrees_with_scan_across_edits_and_snapshots():
@@ -242,7 +270,7 @@ def test_index_agrees_with_scan_across_edits_and_snapshots():
                               for _ in range(rng.randint(1, 3)))
                 binding = {v.name: rng.choice(constants) for v in variables
                            if rng.random() < 0.3}
-                assert (_lookup(store.candidates(predicate, terms, binding),
+                assert (_lookup(_probe(store, predicate, terms, binding),
                                 predicate, terms, binding)
                         == _lookup(store.facts_for(predicate),
                                    predicate, terms, binding))
@@ -336,7 +364,7 @@ def test_key_lookups_match_the_probe_fact_reference(stored, data):
                 for value in KEYED_CONSTANTS:
                     terms = variables[:position] + (value,) \
                         + variables[position + 1:arity]
-                    assert (_lookup(store.candidates(predicate, terms, {}),
+                    assert (_lookup(_probe(store, predicate, terms, {}),
                                     predicate, terms, {})
                             == _lookup(store.facts_for(predicate),
                                        predicate, terms, {}))

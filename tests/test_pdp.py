@@ -737,13 +737,14 @@ def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
     capabilities = ("hearing", "visual", "physical", "cognitive", "no")
     policy = pdp.compile_policy(RULES)
     calls = []
-    unify = engine.unify_against_fact
+    probe = FactStore.probe
 
-    def counted(*args):
-        calls.append(1)
-        return unify(*args)
+    def counted(self, *args):
+        result = probe(self, *args)
+        calls.extend(result)
+        return result
 
-    monkeypatch.setattr(engine, "unify_against_fact", counted)
+    monkeypatch.setattr(FactStore, "probe", counted)
     reads = []
     for residents in (4, 400):
         store = FactStore()
@@ -792,7 +793,7 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
                 store, policy)
         counts = []
-        for name in ("candidates", "facts_about", "facts_for", "snapshot"):
+        for name in ("probe", "facts_about", "facts_for", "snapshot"):
             def counted(*args, _read=getattr(store, name)):
                 result = _read(*args)
                 counts.append(len(result))

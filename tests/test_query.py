@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
-from aalguard.facts import Constant, FactStore, Variable, ground
+from aalguard.facts import Constant, Fact, FactStore, Variable, ground
 from aalguard import pdp
 from aalguard.query import (
     ConjunctiveQuery,
@@ -16,7 +16,7 @@ from aalguard.rules import Atom, RuleSyntaxError
 from aalguard.scenarios import load_fixture_rules, run_scenario
 
 from oracles import (_all_bindings, format_query, hash_password, match,
-                     random_instance)
+                     random_instance, scan_join)
 
 
 def test_parse_simple_query():
@@ -186,6 +186,36 @@ def test_eval_query_equals_the_naive_join_projection(seed, data):
     assert set(got) == expected
     rendered = [tuple(row[name].render() for name in select) for row in rows]
     assert rendered == sorted(rendered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_eval_query_equals_a_scan_of_facts_for(seed, data):
+    # Stored facts come re-cased and as quoted twins, so the row kept for a
+    # key, and how it renders, is checked along with the keys and the order.
+    rng = random.Random(seed)
+    facts, _ = random_instance(rng)
+    store = FactStore(vocabulary=())
+    for fact in facts:
+        store.assert_fact(Fact(
+            rng.choice([fact.predicate, fact.predicate.upper()]),
+            tuple(Constant.string(a.value) if rng.random() < 0.4 else a
+                  for a in fact.args)))
+    where = data.draw(_where_clauses(facts))
+    variables = sorted(set().union(*(atom.variables() for atom in where)))
+    assume(variables)
+    select = data.draw(st.lists(st.sampled_from(variables), min_size=1,
+                                unique=True))
+    rows = eval_query(store, ConjunctiveQuery(select, where))
+
+    expected = {}
+    for binding in scan_join(store, where):
+        row = {name: binding[name] for name in select}
+        expected.setdefault(tuple(row[name].key() for name in select), row)
+    rendered = sorted(tuple(row[name].render() for name in select)
+                      for row in expected.values())
+    assert [tuple(row[name].render() for name in select)
+            for row in rows] == rendered
 
 
 # ---------------------------------------------------------------------------
