@@ -243,7 +243,9 @@ class ServeState:
 
 
 def _features_from_message(msg: dict) -> behavior.FeatureVector:
-    features = msg.get("features") or {}
+    features = msg.get("features")
+    if features is None:
+        return behavior.FeatureVector()
     if not isinstance(features, dict):
         raise ValueError("features must be a JSON object")
     fv = behavior.FeatureVector()
@@ -256,6 +258,25 @@ def _features_from_message(msg: dict) -> behavior.FeatureVector:
         fv.entries[str(key)] = number
         fv.support[str(key)] = 1
     return fv
+
+
+def _text_field(msg: dict, name: str, optional: bool = False):
+    """Field ``name`` of ``msg``, a JSON string; an optional field may also
+    be absent or null, read as None."""
+    value = msg.get(name) if optional else msg[name]
+    if not (isinstance(value, str) or optional and value is None):
+        raise ValueError(f"{name} must be a string")
+    return value
+
+
+def _context_from_message(msg: dict) -> dict:
+    context = msg.get("context")
+    if context is None:
+        return {}
+    if not isinstance(context, dict):
+        raise ValueError("context must be a JSON object")
+    return {component: _text_field(context, component)
+            for component in context}
 
 
 _STATUS_FIELDS = {"VmHWM": "vm_hwm_kb", "VmRSS": "vm_rss_kb"}
@@ -294,11 +315,13 @@ def handle_message(state: ServeState, line: str) -> dict:
             return {"ok": True}
         if op == "authn":
             credential = None
-            if msg.get("password") is not None:
-                credential = pdp.Credential("password", msg["password"])
-            elif msg.get("tag") is not None:
-                credential = pdp.Credential("tag", msg["tag"])
-            request = pdp.AuthnRequest(user=str(msg["user"]),
+            password = _text_field(msg, "password", optional=True)
+            tag = _text_field(msg, "tag", optional=True)
+            if password is not None:
+                credential = pdp.Credential("password", password)
+            elif tag is not None:
+                credential = pdp.Credential("tag", tag)
+            request = pdp.AuthnRequest(user=_text_field(msg, "user"),
                                        credential=credential,
                                        features=_features_from_message(msg))
             with state.lock:
@@ -316,9 +339,10 @@ def handle_message(state: ServeState, line: str) -> dict:
                     **({"reason": result.reason} if result.reason else {})}
         if op == "authorize":
             request = pdp.AuthzRequest(
-                user=str(msg["user"]), service=str(msg["service"]),
-                device=msg.get("device"),
-                context=dict(msg.get("context") or {}))
+                user=_text_field(msg, "user"),
+                service=_text_field(msg, "service"),
+                device=_text_field(msg, "device", optional=True),
+                context=_context_from_message(msg))
             with state.lock:
                 decision = pdp.authorize(
                     request, state.store, state.policy,

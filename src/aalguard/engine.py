@@ -10,11 +10,7 @@ round before, and joins a rule through a body atom only when that delta
 holds a fact of the atom's predicate, so the engine scales with the volume
 of new facts rather than re-deriving everything.  The result set is exactly
 the least fixpoint a naive iterate-until-stable evaluation would reach; only
-the iteration count differs.  Given a subject, a fixpoint over rules whose
-body atoms all take a variable first (``pdp.compile_policy`` guards every
-rule so) derives only that subject's part: every join starts with those
-variables bound to the subject, in the spirit of magic sets (Bancilhon,
-Maier, Sagiv and Ullman, PODS 1986).
+the iteration count differs.
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
 and contradictory authentication outcomes) and derivation explanations read
@@ -120,12 +116,9 @@ class Policy:
 
     Each rule is validated here, so a fixpoint over a policy pays no
     validation.  The policy keeps each rule's id (``rule<n>`` when it has
-    none), the plan of each body atom (:func:`compile_atom`), whose
+    none) and the plan of each body atom (:func:`compile_atom`), whose
     lower-cased predicates let a semi-naive pass skip the pivots no delta
-    fact can match, and the names of the variables its body atoms take
-    first, which a fixpoint over one subject binds to that subject.  It
-    also keeps the ids of the rules with a body atom that takes a constant
-    first, which such a fixpoint refuses.
+    fact can match.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -142,12 +135,6 @@ class Policy:
                            for rule in self.rules)
         self.body_predicates = tuple(tuple(atom.predicate for atom in plan)
                                      for plan in self.plans)
-        self.subject_variables = tuple(
-            frozenset(atom.names[0] for atom in plan if atom.names[0])
-            for plan in self.plans)
-        self.unguarded = tuple(
-            rule_id for rule_id, plan in zip(self.rule_ids, self.plans)
-            if any(atom.names[0] is None for atom in plan))
 
     @classmethod
     def of(cls, rules) -> "Policy":
@@ -235,8 +222,8 @@ def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set,
     return results
 
 
-def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
-                   subject: Optional[Constant] = None) -> InferenceReport:
+def infer_fixpoint(store: FactStore,
+                   rules: Union[Policy, Iterable[Rule]]) -> InferenceReport:
     """Materialize the least fixpoint of ``rules`` over ``store`` in place.
 
     ``rules`` is a :class:`Policy` or a rule list, which is compiled on the
@@ -247,39 +234,23 @@ def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
 
     The first round is naive: each rule whose first body atom has stored
     facts is joined once, whole, with no delta.  Every later round is
-    semi-naive over the facts the round before derived.  With ``subject``,
-    every join starts with the variables the rule's body atoms take first
-    bound to ``subject``, so only body matches whose atoms all name the
-    subject first fire; a rule with a body atom that takes a constant
-    first is refused (:class:`InvalidRuleError`), as it would match facts
-    about another subject.  For rules guarded by one subject variable
-    (``pdp.compile_policy``) this derives exactly the whole fixpoint's
-    facts about the subject, reading only the subject's index buckets.
+    semi-naive over the facts the round before derived.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
 
-    if subject is None:
-        starts = ({},) * len(policy.rules)
-    elif policy.unguarded:
-        raise InvalidRuleError(
-            f"rule {policy.unguarded[0]}: a fixpoint about one subject needs "
-            "every body atom to take a variable first")
-    else:
-        starts = tuple(dict.fromkeys(names, subject)
-                       for names in policy.subject_variables)
     # Round one has no delta: it joins whole each rule whose first atom
-    # has facts (about the subject).
+    # has facts.
     delta_keys: set = set()
-    delta_predicates = store.predicates(subject)
+    delta_predicates = store.predicates()
     iterations = 0
     while True:
         iterations += 1
         pending: dict = {}  # key -> fact
-        for rule, rule_id, plan, predicates, start in zip(
+        for rule, rule_id, plan, predicates in zip(
                 policy.rules, policy.rule_ids, policy.plans,
-                policy.body_predicates, starts):
+                policy.body_predicates):
             if not delta_keys:
                 pivots = (len(plan),) if predicates[0] in delta_predicates \
                     else ()
@@ -288,7 +259,7 @@ def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
                           if predicate in delta_predicates]
             for pivot in pivots:
                 for binding, premises in join(store, plan, pivot,
-                                              delta_keys, start):
+                                              delta_keys, {}):
                     for head_atom in rule.head:
                         new_fact = _instantiate(head_atom, binding, rule_id,
                                                 premises)

@@ -265,7 +265,8 @@ class FactStore:
     pattern with a bound argument reads only the facts that share it:
     :meth:`probe` takes the argument keys an atom has bound, by position,
     and is the one lookup the engine's join, queries and the decision point
-    read candidates through.  Both indexes keep insertion order, so a
+    read candidates through; the position-0 buckets give each subject's
+    facts (:meth:`facts_about`).  Both indexes keep insertion order, so a
     lookup yields its facts in the order a scan of :meth:`facts_for` would.
 
     Single-writer, multiple-reader contract: callers serialize mutations,
@@ -298,24 +299,12 @@ class FactStore:
     def canonical_predicate(self, name: str) -> str:
         return self._canon.setdefault(name.lower(), name)
 
-    def spelling(self, name: str) -> Optional[str]:
-        """The spelling this store files predicate ``name`` under, or None
-        when it has none yet; unlike :meth:`canonical_predicate`, registers
-        nothing."""
-        return self._canon.get(name.lower())
-
     def facts_for(self, predicate: str) -> tuple:
         return tuple(self._index.get(predicate.lower(), {}).values())
 
-    def predicates(self, subject: Optional[Constant] = None):
-        """The lower-cased predicates the store holds facts of; given
-        ``subject``, those it holds facts of whose first argument is
-        ``subject``."""
-        if subject is None:
-            return self._index.keys()
-        key = subject.key()
-        return {predicate for predicate in self._index
-                if (predicate, 0, key) in self._by_arg}
+    def predicates(self):
+        """The lower-cased predicates the store holds facts of."""
+        return self._index.keys()
 
     def probe(self, predicate: str, bound) -> tuple:
         """Stored facts that may match an atom of the lower-cased
@@ -338,11 +327,14 @@ class FactStore:
             best = self._index.get(predicate, {})
         return tuple(best.values())
 
-    def facts_about(self, subject: Constant) -> tuple:
+    def facts_about(self, subject: Constant, without=()) -> tuple:
         """The stored facts whose first argument is ``subject``, read from
-        the position-0 index: one bucket per predicate, in insertion order."""
+        the position-0 index: one bucket per predicate, in insertion order.
+        The buckets of the lower-cased predicates in ``without`` are
+        skipped whole, so their facts are never read."""
         key = subject.key()
-        return tuple(fact for predicate in self._index for fact in
+        return tuple(fact for predicate in self._index
+                     if predicate not in without for fact in
                      self._by_arg.get((predicate, 0, key), {}).values())
 
     def by_key(self, key: tuple) -> Optional[Fact]:

@@ -3,15 +3,19 @@
 Authentication runs a pipeline: classify the requester's recent features
 against the behavior model, score trust, derive the requester's facts again
 under the recognized class, take the authentication mean that fixpoint
-derives, then verify the presented credential under that mean.  The policy
-is compiled once, behind a subject guard (:func:`compile_policy`).
-Authorization reads the live store through an overlay that hides the
-requester's request history and holds the new request's facts, infers only
-the requester's part of the fixpoint (then the part of each of the
-requester's groups) into that overlay, and combines every ``hasAccess`` /
-``Obligation`` / ``Recommendation`` fact that names the user or one of
-their groups; no copy of the store is taken.  The live store holds what the
-rules derive about each resident from their own facts (:func:`rederive`).
+derives, then verify the presented credential under that mean.
+Authorization infers over the requester's facts, with the new request in
+place of their request history, then over each of their groups' facts, and
+combines the ``hasAccess`` / ``Obligation`` / ``Recommendation`` facts that
+name the user or one of their groups.
+
+Under the policy's subject guard (:func:`compile_policy`) a rule joins and
+derives only facts about one subject, so a subject's part of the fixpoint
+is the fixpoint of a small store of its own facts, its partition.
+:func:`rederive` and :func:`authorize` infer over partitions only, so no
+fixpoint reads another subject's facts: the restriction magic sets give a
+query bound to one subject (Bancilhon, Maier, Sagiv and Ullman, PODS 1986),
+with no help from the engine.
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Every authentication and
@@ -68,14 +72,16 @@ _TIME_RE = re.compile(r"\d\d\.\d\d\Z")
 # What a request asserts about its user, by the part of the request it
 # comes from; each context component is asserted under its own predicate and
 # again as HasContext.  The live store keeps them as history; an authorize
-# hides the user's earlier ones, so the newest request is what rules see.
+# leaves the user's earlier ones out of its partition, so the newest request
+# is what rules see.
 _REQUEST_PREDICATES = {"service": "AskedService", "device": "UsedDevice",
                        "context": "HasContext", "time": "HasTime",
                        "location": "HasLocation", "activity": "HasActivity",
                        "environment": "HasEnvironment"}
 _HISTORY_PREDICATES = frozenset(name.lower()
                                 for name in _REQUEST_PREDICATES.values())
-# Left out of the facts rederive reads: request history, session outcome.
+# Left out of the facts rederive reads and of those it asserts: request
+# history and the session outcome.
 _UNDERIVED_PREDICATES = _HISTORY_PREDICATES | {"authenticated"}
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
@@ -335,7 +341,7 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     already compiled, checked the first time it is passed.
 
     Every atom of a rule must take one subject variable first, so the
-    fixpoint splits into one piece per subject (:func:`rederive`).  A mean
+    fixpoint splits into one part per subject (:func:`_partition`).  A mean
     rule has the one head ``Authentication(<constant>)``; the mean names
     no subject, so the body atoms of its rule need only take a variable
     first, and no rule may read it.  A refusal is an
@@ -405,23 +411,33 @@ def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
         store.drop(fact.key())
 
 
+def _partition(store: FactStore, subject: Constant,
+               without=()) -> FactStore:
+    """The facts ``store`` holds about ``subject``, less those of the
+    lower-cased predicates in ``without`` (never read), in a store of their
+    own, whose fixpoint derives what the whole store's does about them."""
+    part = FactStore()
+    for fact in store.facts_about(subject, without):
+        part.assert_fact(fact)
+    return part
+
+
 def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
              user: Union[str, Constant]) -> Optional[str]:
     """Replace the facts inferred about ``user`` with what the fixpoint
     derives from the user's asserted facts less request history and
-    ``Authenticated``: under :func:`compile_policy`'s guard, the whole-store
-    fixpoint restricted to the user.  Returns the mean of the first
-    ``Authentication`` fact derived, or None; that fact and a derived
-    ``Authenticated`` stay out of the store.  The facts asserted carry
-    their premises from that fixpoint.  ``policy`` goes through
-    :func:`compile_policy` first."""
+    ``Authenticated`` (never read): the whole-store fixpoint restricted to
+    the user.  Returns the mean of the first ``Authentication`` fact
+    derived, or None; that fact and derived facts of the unread predicates
+    stay out of the store.  The facts asserted carry their premises from
+    that fixpoint.  ``policy`` goes through :func:`compile_policy` first."""
     policy = compile_policy(policy)
     subject = coerce_constant(user)
     own = FactStore()
-    for fact in store.facts_about(subject):
+    for fact in store.facts_about(subject, _UNDERIVED_PREDICATES):
         if fact.origin == INFERRED:
             store.drop(fact.key())
-        elif fact.key()[0] not in _UNDERIVED_PREDICATES:
+        else:
             own.assert_fact(fact)
     mean = None
     for fact in infer_fixpoint(own, policy).derived:
@@ -429,7 +445,8 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
         if predicate == "authentication":
             if mean is None:
                 mean = fact.args[0].text()
-        elif fact.args[0] == subject and predicate != "authenticated":
+        elif fact.args[0] == subject \
+                and predicate not in _UNDERIVED_PREDICATES:
             store.assert_fact(fact)
     return mean
 
@@ -516,86 +533,15 @@ def _request_facts(req: AuthzRequest,
     return facts
 
 
-class _RequestOverlay:
-    """The live store as one authorize sees it: read through, never written.
-
-    The user's facts of the request predicates, the history, are hidden:
-    reads skip them, and a read bound to the user reads none of them.  The
-    request's facts and everything inference derives go to a small store of
-    the overlay's own, dropped with it.  Every read returns the live
-    store's facts first and then the overlay's own, the order a copy of the
-    live store would give with the history dropped and the new facts added.
-    Predicates are spelled as the live store spells them.  Implements what
-    ``infer_fixpoint`` (``predicates``, ``probe``, ``in``, ``assert_fact``
-    and ``by_key``), :func:`groups_of` (``probe``) and :func:`_collect`
-    (``facts_for``) call, and iteration over every fact it shows.
-    """
-
-    def __init__(self, live: FactStore, user: Constant):
-        self._live = live
-        self._user = user.key()
-        self._own = FactStore(vocabulary=())
-
-    def _hidden(self, fact: Fact) -> bool:
-        predicate, arg_keys = fact.key()
-        return predicate in _HISTORY_PREDICATES and arg_keys[0] == self._user
-
-    def _shown(self, facts: tuple) -> tuple:
-        return tuple(fact for fact in facts if not self._hidden(fact))
-
-    def predicates(self, subject: Optional[Constant] = None):
-        return self._live.predicates(subject) | self._own.predicates(subject)
-
-    def probe(self, predicate: str, bound) -> tuple:
-        own = self._own.probe(predicate, bound)
-        if predicate not in _HISTORY_PREDICATES:
-            return self._live.probe(predicate, bound) + own
-        if bound and bound[0] == (0, self._user):
-            return own  # all of the user's history is hidden
-        return self._shown(self._live.probe(predicate, bound)) + own
-
-    def facts_for(self, predicate: str) -> tuple:
-        live = self._live.facts_for(predicate)
-        if predicate.lower() in _HISTORY_PREDICATES:
-            live = self._shown(live)
-        return live + self._own.facts_for(predicate)
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self._own or (fact in self._live
-                                     and not self._hidden(fact))
-
-    def __iter__(self):
-        yield from (fact for fact in self._live if not self._hidden(fact))
-        yield from self._own
-
-    def by_key(self, key: tuple) -> Optional[Fact]:
-        fact = self._own.by_key(key)
-        if fact is None:
-            fact = self._live.by_key(key)
-            if fact is not None and self._hidden(fact):
-                return None
-        return fact
-
-    def assert_fact(self, fact: Fact) -> bool:
-        """Add ``fact`` to the overlay's own facts; False when the overlay
-        already shows it.  A fact the live store shows is left as it is,
-        also when ``fact`` is asserted and it inferred: the request's facts
-        are all hidden history, and inference adds only facts not shown."""
-        if fact in self._live and not self._hidden(fact):
-            return False
-        spelling = self._live.spelling(fact.predicate)
-        if spelling is not None:
-            self._own.canonical_predicate(spelling)
-        return self._own.assert_fact(fact)
-
-
 def _priority_for(store: FactStore, user: str, table: Dict[str, int]) -> int:
     priorities = [table.get(value.text().lower(), 0)
                   for value in _capabilities_of(store, user)]
     return max(priorities, default=0)
 
 
-def _collect(working: FactStore, subjects: set):
+def _collect(store: FactStore, subjects: set, derived=()):
+    """The decision facts naming one of ``subjects``, the keys of the user
+    and their groups, read from ``store`` and then from ``derived``."""
     permits, denies = [], []
     obligations: List[str] = []
     recommendations: List[str] = []
@@ -606,7 +552,12 @@ def _collect(working: FactStore, subjects: set):
         if label not in rationale:
             rationale.append(label)
 
-    for fact in working.facts_for("hasAccess"):
+    def decision_facts(predicate: str):
+        yield from store.facts_for(predicate)
+        yield from (fact for fact in derived
+                    if fact.key()[0] == predicate.lower())
+
+    for fact in decision_facts("hasAccess"):
         if len(fact.args) < 2 or fact.args[0].key() not in subjects:
             continue
         effect = fact.args[-1].text().lower()
@@ -618,7 +569,7 @@ def _collect(working: FactStore, subjects: set):
             note_rationale(fact)
     for predicate, sink in (("Obligation", obligations),
                             ("Recommendation", recommendations)):
-        for fact in working.facts_for(predicate):
+        for fact in decision_facts(predicate):
             if len(fact.args) == 2 and fact.args[0].key() in subjects:
                 action = fact.args[1].text()
                 if action not in sink:
@@ -633,18 +584,17 @@ def authorize(req: AuthzRequest, store: FactStore,
               audit_log: Optional[AuditLog] = None) -> Decision:
     """Evaluate an access request against the policy rules.
 
-    The store is read through an overlay that hides the user's earlier
-    request facts and holds this request's, so the newest request is what
-    rules see; nothing is copied, and the history is never read.  Inference
-    then derives into the overlay only the user's part of the fixpoint,
-    seeded with the user's facts, and then the part of each group the user
-    is in; under :func:`compile_policy`'s guard that is what a fixpoint
-    over the whole store, with the user's history replaced by the request,
-    derives about them.  The decision facts naming the user or one of the
-    user's groups are combined deny-overrides with a deny default.  The
+    Inference runs over the user's partition, their facts less their
+    earlier request facts (which are never read) plus this request's, so
+    the newest request is what rules see; then over the partition of each
+    group the user is in.  Under :func:`compile_policy`'s guard that
+    derives what a fixpoint over the whole store, with the user's history
+    replaced by the request, derives about them.  The decision facts
+    naming the user or one of the user's groups, the live store's and then
+    the derived ones, are combined deny-overrides with a deny default.  The
     live store gains only the request facts, as history; derived facts are
-    dropped with the overlay.  Only an asserted ``Authenticated`` passes
-    the gate.  ``rules`` go through :func:`compile_policy` first.
+    dropped with the partitions.  Only an asserted ``Authenticated``
+    passes the gate.  ``rules`` go through :func:`compile_policy` first.
     """
     policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
@@ -659,17 +609,19 @@ def authorize(req: AuthzRequest, store: FactStore,
 
     subject = coerce_constant(req.user)
     request_facts = _request_facts(req, subject)
-    working = _RequestOverlay(store, subject)
+    own = _partition(store, subject, _HISTORY_PREDICATES)
     for fact in request_facts:
-        working.assert_fact(fact)
-    infer_fixpoint(working, policy, subject)
-    groups = groups_of(working, req.user)
+        own.assert_fact(fact)
+    derived = infer_fixpoint(own, policy).derived
+    groups = groups_of(own, req.user)
     for group in groups:
-        infer_fixpoint(working, policy, group)
+        if group != subject:  # the user's own part is derived already
+            derived += infer_fixpoint(_partition(store, group),
+                                      policy).derived
 
     subjects = {subject.key()} | {g.key() for g in groups}
     permits, denies, obligations, recommendations, rationale = _collect(
-        working, subjects)
+        store, subjects, derived)
 
     if denies:
         effect = DENY

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aalguard import engine
+from aalguard import engine, pdp
 from aalguard.engine import (
     FactNotFoundError,
     InvalidRuleError,
@@ -267,18 +267,21 @@ def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_a_subject_fixpoint_derives_the_whole_fixpoints_facts_about_it(seed):
+    # A subject's fixpoint is the fixpoint of its partition, a store of its
+    # own facts alone, as pdp builds it.
     rng = random.Random(seed)
     facts, rules = random_guarded_instance(rng, min_subjects=2)
     subject = rng.choice(facts).args[0]
-    whole, part = FactStore(), FactStore()
+    whole = FactStore()
     for fact in facts:
         whole.assert_fact(fact)
-        part.assert_fact(fact)
+    part = pdp._partition(whole, subject)
     infer_fixpoint(whole, rules)
-    report = infer_fixpoint(part, rules, subject)
+    report = infer_fixpoint(part, rules)
 
     def about(store):
-        return {f.key(): f.rule_id for f in store.facts_about(subject)}
+        return {f.key(): (f.rule_id, [p.key() for p in f.premises])
+                for f in store.facts_about(subject)}
     assert about(part) == about(whole)
     # Nothing is derived about another subject, and the subject's facts
     # come in the order the whole fixpoint derives them.
@@ -286,40 +289,6 @@ def test_a_subject_fixpoint_derives_the_whole_fixpoints_facts_about_it(seed):
     assert [f.key() for f in report.derived] == [
         f.key() for f in whole if f.origin == "inferred"
         and f.args[0] == subject and f not in facts]
-
-
-def test_a_subject_fixpoint_binds_the_subject_in_every_join(monkeypatch):
-    rules = parse_ruleset("A(?x) ^ B(?x) -> C(?x)\n\nC(?x) ^ A(?x) -> D(?x)")
-    store = FactStore(vocabulary=())
-    for user in ("u1", "u2", "u3"):
-        store.assert_fact(ground("A", user))
-        store.assert_fact(ground("B", user))
-    starts = []
-    join = engine.join
-
-    def recording(store, body, pivot, delta_keys, start):
-        starts.append(start)
-        return join(store, body, pivot, delta_keys, start)
-    monkeypatch.setattr(engine, "join", recording)
-    report = infer_fixpoint(store, rules, Constant.symbol("u2"))
-    assert [f.render() for f in report.derived] == ["C(u2)", "D(u2)"]
-    assert starts and all(start == {"x": Constant.symbol("u2")}
-                          for start in starts)
-
-
-def test_a_subject_fixpoint_refuses_a_body_atom_that_takes_a_constant_first():
-    # Bound to u1, ?x would leave B(c1, ?x) free to match facts about c1.
-    rules = parse_ruleset("A(?x) ^ hasB(?x) -> C(?x)\n\n"
-                          "@id: constant-first\nA(?x) ^ B(c1, ?x) -> D(?x)")
-    store = FactStore(vocabulary=())
-    store.assert_fact(ground("A", "u1"))
-    store.assert_fact(ground("B", "c1", "u1"))
-    before = store_keys(store)
-    with pytest.raises(InvalidRuleError, match="rule constant-first"):
-        infer_fixpoint(store, rules, Constant.symbol("u1"))
-    assert store_keys(store) == before
-    report = infer_fixpoint(store, rules)
-    assert [f.render() for f in report.derived] == ["D(u1)"]
 
 
 MATCH_CONSTANTS = [Constant.symbol("k0"), Constant.symbol("k1"),

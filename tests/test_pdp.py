@@ -731,6 +731,39 @@ def test_a_group_decision_is_derived_for_its_members():
     assert not store.holds("hasAccess", "Group1", "permit")
 
 
+def test_a_group_that_is_the_user_reads_none_of_the_users_history():
+    # u1 is in group u1: its part is u1's own, with u1's history left out,
+    # so the earlier OpenDoor request does not deny the ReadAlert one.
+    rules = parse_ruleset(
+        '@id: member\nHasCapability(?u, "hearing") -> '
+        "BehaviorCapability(?u, u1)\n\n"
+        '@id: old-ask\nAskedService(?u, OpenDoor) -> hasAccess(?u, Deny)\n\n'
+        "@id: ask\nAskedService(?u, ReadAlert) -> hasAccess(?u, permit)\n")
+    store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "hearing").\n')
+    assert authorize(AuthzRequest("u1", "OpenDoor"), store, rules).effect \
+        == "deny"
+    request = AuthzRequest("u1", "ReadAlert")
+    want = whole_snapshot_decision(request, store, rules)
+    assert decided(authorize(request, store, rules)) == want \
+        == ("permit", [], [], ["ask"])
+
+
+def test_a_group_that_is_another_user_shows_that_users_history():
+    # Only the requester's history is left out: u1's group u2 is read
+    # whole, u2's earlier OpenDoor request included.
+    rules = parse_ruleset(
+        '@id: member\nHasCapability(?u, "hearing") -> '
+        "BehaviorCapability(?u, u2)\n\n"
+        "@id: asked-door\nAskedService(?u, OpenDoor) -> hasAccess(?u, Deny)\n")
+    store = load_facts("Authenticated(u1, yes).\nAuthenticated(u2, yes).\n"
+                       'HasCapability(u1, "hearing").\n')
+    authorize(AuthzRequest("u2", "OpenDoor"), store, rules)
+    request = AuthzRequest("u1", "ReadAlert")
+    want = whole_snapshot_decision(request, store, rules)
+    assert decided(authorize(request, store, rules)) == want \
+        == ("deny", [], [], ["asked-door"])
+
+
 def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
     # The first four residents already fall in Group1, Group2 and Group3, so
     # no join reads an index bucket at 400 residents that is missing at 4.
@@ -810,6 +843,37 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
                                 ["alzheimer-deny", "asserted", "any-time"])
 
 
+def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
+    # Counts every fact an authn gets back from the live store; u3's
+    # history of distinct times is never read.
+    policy = pdp.compile_policy(RULES)
+    model = scenarios.load_fixture_model(Config().distance_floor)
+    [centroid] = [c.centroid for c in model.classes if c.id == "class2"]
+    reads, results = [], []
+    for served in (10, 1000):
+        store = primed_store()
+        for i in range(served):
+            service, device = HISTORY_REQUESTS[i % 3]
+            authorize(AuthzRequest("u3", service, device=device, context={
+                "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
+                store, policy)
+        counts = []
+        for name in ("probe", "facts_about", "facts_for", "snapshot"):
+            def counted(*args, _read=getattr(store, name)):
+                result = _read(*args)
+                counts.append(len(result))
+                return result
+            setattr(store, name, counted)
+        results.append(authenticate(
+            AuthnRequest("u3", scenarios.FIXTURE_SECRETS["u3"], centroid),
+            store, policy, model, scenarios.load_fixture_credentials()))
+        reads.append(sum(counts))
+    assert len(store) > 2000
+    assert 0 < reads[1] == reads[0]
+    assert results[1] == results[0]
+    assert results[0].authenticated == "yes"
+
+
 def test_an_authorize_adds_only_its_new_request_facts_to_the_live_store():
     store = primed_store()
     policy = pdp.compile_policy(RULES)
@@ -838,7 +902,11 @@ def test_rederive_reads_neither_the_session_outcome_nor_history():
     policy = pdp.compile_policy(parse_ruleset(
         "@id: trusted\nAuthenticated(?u, yes) -> Trusted(?u, yes)\n\n"
         "@id: asked\nAskedService(?u, ?s) -> Asked(?u, ?s)\n\n"
-        '@id: plain\nHasCapability(?u, "no") -> Plain(?u, yes)\n'))
+        '@id: plain\nHasCapability(?u, "no") -> Plain(?u, yes)\n\n'
+        # Derived request facts stay out of the live store, as a derived
+        # Authenticated does: rederive skips their buckets, so it would
+        # never drop them again.
+        '@id: derived-time\nHasCapability(?u, "no") -> HasTime(?u, "08.00")\n'))
     pdp.rederive(store, policy, "u1")
     assert [f.render() for f in store if f.origin == "inferred"] \
         == ["Plain(u1, yes)"]

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aalguard import cli, pdp, scenarios
 from aalguard.config import Config
-from aalguard.facts import Fact, FactStore
+from aalguard.facts import Fact, FactStore, load_facts
+from perfbench import gen, oracle
 
 from oracles import hash_password
 
@@ -89,18 +90,40 @@ BAD_INPUT_MESSAGES = [
     {"op": "authorize", "user": "u1", "service": "ReadAlert", "context": [1]},
     {"op": "authn", "user": "u1", "password": "door-chime-7",
      "features": {"k": 10 ** 400}},
+    # A request field that is not a JSON string is refused, not stored as
+    # its Python text.
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "device": {"a": [1, 2]}},
+    {"op": "authorize", "user": "u1", "service": "ReadAlert", "device": True},
+    {"op": "authorize", "user": "u1", "service": ["ReadAlert"]},
+    {"op": "authorize", "user": 1, "service": "ReadAlert"},
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "context": {"location": ["hall"]}},
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "context": {"time": 10.0}},
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "context": "10.00"},
+    {"op": "authn", "user": "u1", "password": 7},
+    {"op": "authn", "user": "u3", "tag": ["tag-u3-0042"]},
+    {"op": "authn", "user": None, "password": "door-chime-7"},
+    {"op": "authn", "user": "u1", "password": "door-chime-7", "features": []},
 ]
 
 
 @pytest.mark.parametrize("message", BAD_INPUT_MESSAGES)
 def test_bad_input_fails_closed_and_keeps_serving(message):
-    lines = [json.dumps(message), json.dumps({"op": "ping"})]
+    stats = json.dumps({"op": "stats"})
+    lines = [stats, json.dumps(message), stats, json.dumps({"op": "ping"})]
     responses = [json.loads(line) for line in serve_stdin(lines)]
-    assert len(responses) == 2
-    assert responses[0].get("authenticated") != "yes"
+    assert len(responses) == 4
     for response in responses:
         json.dumps(response, allow_nan=False)
-    assert responses[1] == {"ok": True}
+    assert responses[1]["ok"] is False and "error" in responses[1]
+    # Nothing was asserted or audited.
+    before, after = responses[0], responses[2]
+    assert (after["facts"], after["audit_seq"]) \
+        == (before["facts"], before["audit_seq"])
+    assert responses[3] == {"ok": True}
 
 
 def test_over_long_line_is_refused_and_serving_continues():
@@ -159,6 +182,33 @@ def primed_state() -> cli.ServeState:
     scenarios.prime_store(store, rules, model, credentials, config=config)
     return cli.ServeState(store, rules, model, credentials, config,
                           pdp.AuditLog())
+
+
+@pytest.mark.parametrize("seed", [1, 1801])
+def test_a_generated_home_day_answers_as_the_benchmark_oracle_expects(seed):
+    # The benchmark's home-day workload in process: the prime and all of the
+    # day's requests, each answer checked as the benchmark checks it.
+    inputs = gen.home_day(seed)
+    config = Config()
+    store = load_facts(inputs.facts_text)
+    state = cli.ServeState(store, scenarios.load_fixture_rules(),
+                           scenarios.load_fixture_model(config.distance_floor),
+                           pdp.load_credentials(inputs.credentials_text),
+                           config, pdp.AuditLog())
+    for subject in dict.fromkeys(fact.args[0] for fact in store):
+        pdp.rederive(store, state.policy, subject)  # as serve does at start
+    check = oracle.ServeOracle(inputs.residents, inputs.obligations,
+                               inputs.history)
+    requests = inputs.prime + inputs.stream
+    problems = []
+    for index, request in enumerate(requests):
+        expected = check.expect(request)
+        response = cli.handle_message(state, json.dumps(request.msg))
+        problem = oracle.check(expected, response)
+        if problem is not None:
+            problems.append((index, problem))
+    assert len(requests) == 2004
+    assert problems == []
 
 
 def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
