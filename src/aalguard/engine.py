@@ -1,10 +1,17 @@
 """Forward-chaining inference to fixpoint over positive Horn rules.
 
-Rules are compiled once into a :class:`Policy`: each body atom becomes a
-plan of its lower-cased predicate, arity, constant argument keys and
-variable names by position, which the join matches candidate facts against
-by key.  The first round is naive (Bancilhon and Ramakrishnan, SIGMOD 1986):
-each rule is joined once, whole.  Every later round is semi-naive: it only
+Rules are compiled once into a :class:`Policy`.  Each rule body becomes a
+join plan, one step per body atom in order: the atom's lower-cased
+predicate and arity, its constant argument keys, the positions of the
+variables earlier atoms bind, the variables it binds first and its repeated
+variables, so a join matches candidate facts by key and analyses no atom
+per binding.  Each head atom becomes a plan that gives a derived fact's key
+before any fact is built.  The policy validates every rule, head predicates
+included, so the fixpoint builds a derived fact unchecked, once, and only
+when no stored or pending fact has its key.
+
+The first round is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): each
+rule is joined once, whole.  Every later round is semi-naive: it only
 considers rule-body matches that touch at least one fact derived in the
 round before, and joins a rule through a body atom only when that delta
 holds a fact of the atom's predicate, so the engine scales with the volume
@@ -29,6 +36,7 @@ from .facts import (
     FactError,
     FactStore,
     INFERRED,
+    SYMBOL_RE,
     Variable,
     unify_against_fact,  # not called here; perfbench/spans.py wraps it
 )
@@ -79,46 +87,92 @@ class Derivation:
     premises: list = field(default_factory=list)
     origin: str = ASSERTED
 
-    def is_leaf(self) -> bool:
-        return not self.premises
-
 
 class AtomPlan(NamedTuple):
-    """A body atom compiled for the join: its lower-cased predicate, its
-    arity, and by position the key of each constant argument and the name
-    of each variable (None where the other is)."""
+    """A body atom compiled for the join, given the variables the atoms
+    before it bind: its lower-cased predicate and arity, the ``(position,
+    key)`` of each constant argument, the ``(position, name)`` of each
+    variable an earlier atom binds, the ``(position, name)`` where each
+    variable it binds first occurs first, and the ``(position, first
+    position)`` of each repeat of such a variable."""
 
     predicate: str
     arity: int
     keys: tuple
-    names: tuple
+    bound: tuple
+    fresh: tuple
+    repeats: tuple
 
 
-def compile_atom(atom) -> AtomPlan:
-    """The plan of ``atom``, anything with ``predicate`` and ``terms``."""
-    keys, names = [], []
+class HeadPlan(NamedTuple):
+    """A head atom compiled for instantiation: its predicate as written
+    and lower-cased, and by position a constant and None, or None and the
+    name of a variable the body binds."""
+
+    predicate: str
+    lowered: str
+    terms: tuple
+
+
+def _term_error(term) -> FactError:
+    return FactError(f"pattern term is neither Variable nor Constant: {term!r}")
+
+
+def compile_body(atoms) -> tuple:
+    """The :class:`AtomPlan` of each of ``atoms`` (anything with
+    ``predicate`` and ``terms``), joined left to right from no binding."""
+    plans, seen = [], set()
+    for atom in atoms:
+        keys, bound, fresh, repeats = [], [], [], []
+        first: dict = {}
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Variable):
+                name = term.name
+                if name in seen:
+                    bound.append((position, name))
+                elif name in first:
+                    repeats.append((position, first[name]))
+                else:
+                    first[name] = position
+                    fresh.append((position, name))
+            elif isinstance(term, Constant):
+                keys.append((position, term.key()))
+            else:
+                raise _term_error(term)
+        seen.update(first)
+        plans.append(AtomPlan(atom.predicate.lower(), len(atom.terms),
+                              tuple(keys), tuple(bound), tuple(fresh),
+                              tuple(repeats)))
+    return tuple(plans)
+
+
+def _compile_head(atom, rule_id: str) -> HeadPlan:
+    if not SYMBOL_RE.fullmatch(atom.predicate):
+        raise InvalidRuleError(
+            f"rule {rule_id}: invalid head predicate name: {atom.predicate!r}")
+    terms = []
     for term in atom.terms:
         if isinstance(term, Variable):
-            keys.append(None)
-            names.append(term.name)
+            terms.append((None, term.name))
         elif isinstance(term, Constant):
-            keys.append(term.key())
-            names.append(None)
+            terms.append((term, None))
         else:
-            raise FactError(
-                f"pattern term is neither Variable nor Constant: {term!r}")
-    return AtomPlan(atom.predicate.lower(), len(keys), tuple(keys),
-                    tuple(names))
+            raise _term_error(term)
+    return HeadPlan(atom.predicate, atom.predicate.lower(), tuple(terms))
 
 
 class Policy:
     """A rule list compiled once for repeated evaluation.
 
     Each rule is validated here, so a fixpoint over a policy pays no
-    validation.  The policy keeps each rule's id (``rule<n>`` when it has
-    none) and the plan of each body atom (:func:`compile_atom`), whose
-    lower-cased predicates let a semi-naive pass skip the pivots no delta
-    fact can match.
+    validation and builds its facts unchecked: every head predicate scans
+    as a symbol, every head term is a constant or a variable the body
+    binds, and every arity is in range.  The policy keeps each rule's id
+    (``rule<n>`` when it has none) and, by id, the index of the first rule
+    with it (``rule_index``); the join plan of each rule body
+    (:func:`compile_body`), with each lower-cased body predicate's pivots,
+    so a semi-naive pass joins only the pivots a delta fact can match; and
+    the plan of each head atom.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -131,10 +185,21 @@ class Policy:
                     f"rule {rule.id or format_rule(rule)}: {violation.message}")
         self.rule_ids = tuple(rule.id or f"rule{i + 1}"
                               for i, rule in enumerate(self.rules))
-        self.plans = tuple(tuple(compile_atom(atom) for atom in rule.body)
-                           for rule in self.rules)
+        self.rule_index: dict = {}
+        for index, rule_id in enumerate(self.rule_ids):
+            self.rule_index.setdefault(rule_id, index)
+        self.plans = tuple(compile_body(rule.body) for rule in self.rules)
         self.body_predicates = tuple(tuple(atom.predicate for atom in plan)
                                      for plan in self.plans)
+        # lower-cased predicate -> (rule index, pivot) of each body atom
+        # of it, in rule and then atom order
+        self.pivots: dict = {}
+        for index, predicates in enumerate(self.body_predicates):
+            for pivot, predicate in enumerate(predicates):
+                self.pivots.setdefault(predicate, []).append((index, pivot))
+        self.heads = tuple(
+            tuple(_compile_head(atom, rule_id) for atom in rule.head)
+            for rule, rule_id in zip(self.rules, self.rule_ids))
 
     @classmethod
     def of(cls, rules) -> "Policy":
@@ -142,24 +207,8 @@ class Policy:
         return rules if isinstance(rules, cls) else cls(rules)
 
 
-def _instantiate(atom, binding: dict, rule_id: str, premises: tuple) -> Fact:
-    args = []
-    for term in atom.terms:
-        if isinstance(term, Variable):
-            value = binding.get(term.name)
-            if value is None:
-                raise InvalidRuleError(
-                    f"unbound head variable ?{term.name} in rule {rule_id}")
-            args.append(value)
-        else:
-            args.append(term)
-    return Fact(atom.predicate, tuple(args), origin=INFERRED, rule_id=rule_id,
-                premises=premises)
-
-
-def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set,
-         start: dict):
-    """Bindings extending ``start`` for the atom plans ``plan`` where atom
+def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set):
+    """Bindings of the atom plans ``plan`` (:func:`compile_body`) where atom
     ``pivot`` matches a delta fact, each with the facts it matched.
 
     Atoms before the pivot match pre-delta facts only and atoms after it
@@ -167,42 +216,30 @@ def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set,
     exactly once.  A pivot past the last atom with an empty delta joins the
     whole body over every fact, as a query and a fixpoint's first round
     do.  Each atom reads one :meth:`FactStore.probe` with the argument
-    keys its constants and already bound variables give, so a variable
-    bound in ``start`` narrows every atom that takes it.  A candidate
-    matches when its arity and those keys agree and repeated new variables
-    meet equal arguments; the binding is copied only when the atom binds a
-    new variable, and never changed in place.
+    keys its constants and the variables earlier atoms bound give.  A
+    candidate matches when its arity and those keys agree and repeated new
+    variables meet equal arguments; the binding is copied only when the
+    atom binds a new variable, and never changed in place.
     """
     probe = store.probe
-    results = [(start, ())]
-    for j, (predicate, arity, keys, names) in enumerate(plan):
+    results = [({}, ())]
+    for j, (predicate, arity, keys, bound, fresh, repeats) in enumerate(plan):
         next_results = []
         for binding, premises in results:
-            bound, fresh, repeats = [], [], []
-            for position, name in enumerate(names):
-                if name is None:
-                    bound.append((position, keys[position]))
-                    continue
-                value = binding.get(name)
-                if value is not None:
-                    bound.append((position, value.key()))
-                    continue
-                for first, seen in fresh:
-                    if seen == name:
-                        repeats.append((position, first))
-                        break
-                else:
-                    fresh.append((position, name))
-            for fact in probe(predicate, bound):
+            known = keys + tuple([(position, binding[name].key())
+                                  for position, name in bound]) \
+                if bound else keys
+            for fact in probe(predicate, known):
                 key = fact.key()
-                if j < pivot and key in delta_keys:
-                    continue
-                if j == pivot and key not in delta_keys:
+                if j < pivot:
+                    if key in delta_keys:
+                        continue
+                elif j == pivot and key not in delta_keys:
                     continue
                 arg_keys = key[1]
                 if len(arg_keys) != arity:
                     continue
-                for position, arg_key in bound:
+                for position, arg_key in known:
                     if arg_keys[position] != arg_key:
                         break
                 else:
@@ -234,47 +271,48 @@ def infer_fixpoint(store: FactStore,
 
     The first round is naive: each rule whose first body atom has stored
     facts is joined once, whole, with no delta.  Every later round is
-    semi-naive over the facts the round before derived.
+    semi-naive over the facts the round before derived.  A head is
+    instantiated as its key first, and a fact is built, unchecked, only
+    when no stored or pending fact has that key.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
+    by_key = store.by_key
 
     # Round one has no delta: it joins whole each rule whose first atom
     # has facts.
+    held = store.predicates()
+    joins = [(index, len(plan)) for index, plan in enumerate(policy.plans)
+             if plan[0].predicate in held]
     delta_keys: set = set()
-    delta_predicates = store.predicates()
     iterations = 0
     while True:
         iterations += 1
         pending: dict = {}  # key -> fact
-        for rule, rule_id, plan, predicates in zip(
-                policy.rules, policy.rule_ids, policy.plans,
-                policy.body_predicates):
-            if not delta_keys:
-                pivots = (len(plan),) if predicates[0] in delta_predicates \
-                    else ()
-            else:  # a pivot no delta fact can match joins nothing
-                pivots = [pivot for pivot, predicate in enumerate(predicates)
-                          if predicate in delta_predicates]
-            for pivot in pivots:
-                for binding, premises in join(store, plan, pivot,
-                                              delta_keys, {}):
-                    for head_atom in rule.head:
-                        new_fact = _instantiate(head_atom, binding, rule_id,
-                                                premises)
-                        key = new_fact.key()
-                        if key in pending or new_fact in store:
-                            continue
-                        pending[key] = new_fact
-                        firings[rule_id] += 1
+        for index, pivot in joins:
+            rule_id = policy.rule_ids[index]
+            for binding, premises in join(store, policy.plans[index], pivot,
+                                          delta_keys):
+                for predicate, lowered, terms in policy.heads[index]:
+                    args = tuple([binding[name] if name else constant
+                                  for constant, name in terms])
+                    key = (lowered, tuple([arg.key() for arg in args]))
+                    if key in pending or by_key(key) is not None:
+                        continue
+                    pending[key] = Fact._trusted(predicate, args, key,
+                                                 INFERRED, rule_id, premises)
+                    firings[rule_id] += 1
         if not pending:
             break
-        for new_fact in pending.values():
+        for key, new_fact in pending.items():
             store.assert_fact(new_fact)
-            derived.append(store.by_key(new_fact.key()))
+            derived.append(by_key(key))
         delta_keys = set(pending)
-        delta_predicates = {predicate for predicate, _ in delta_keys}
+        # Each later round joins a rule through the body atoms a delta
+        # fact can match, in rule and then atom order.
+        joins = sorted(pair for predicate in {key[0] for key in delta_keys}
+                       for pair in policy.pivots.get(predicate, ()))
     return InferenceReport(derived=derived, iterations=iterations,
                            rule_firings=firings)
 

@@ -9,6 +9,13 @@ Two interoperability rules shape equality here: predicate names compare
 case-insensitively (the source rule corpus spells the same relation several
 ways), and quoted strings compare equal to bare symbols with the same text
 (``class2`` and ``"class2"`` name the same behavior class).
+
+Input is checked once, where it enters: ``Fact(...)``, :func:`ground`,
+:func:`parse_fact` and :meth:`Constant.number` check every part.  Facts
+whose parts are known valid (request facts, rule heads a compiled policy
+checked, facts a store spells again) are built by ``Fact._trusted`` with no
+check, and a store's :meth:`FactStore.partition` copies a subject's facts
+by index bucket without building or checking any of them again.
 """
 
 from __future__ import annotations
@@ -64,6 +71,12 @@ class ArityError(FactError):
     """Fact or pattern has zero arguments or more than three."""
 
 
+# A trusted build sets a frozen dataclass's fields as its __init__ does, so
+# they stay in the instance's inline attribute values: filling __dict__
+# instead makes every later attribute read slower.
+_new, _set = object.__new__, object.__setattr__
+
+
 class FactParseError(FactError):
     """A fact file line could not be parsed."""
 
@@ -101,6 +114,19 @@ class Constant:
         key = (NUMBER, self.value) if self.kind == NUMBER else ("text", self.value)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+
+    @classmethod
+    def _text(cls, kind: str, text: str) -> "Constant":
+        """The symbol or string constant ``Constant(kind, text)`` for a str
+        ``text``, built without calling the dataclass's ``__init__`` and
+        ``__post_init__``; ``kind`` is not checked."""
+        constant = _new(cls)
+        key = ("text", text)
+        _set(constant, "kind", kind)
+        _set(constant, "value", text)
+        _set(constant, "_key", key)
+        _set(constant, "_hash", hash(key))
+        return constant
 
     def key(self) -> tuple:
         return self._key
@@ -161,9 +187,8 @@ def coerce_constant(value: object) -> Constant:
     if isinstance(value, (int, float)):
         return Constant.number(float(value))
     text = str(value)
-    if SYMBOL_RE.fullmatch(text):
-        return Constant(SYMBOL, text)
-    return Constant(STRING, text)
+    return Constant._text(SYMBOL if SYMBOL_RE.fullmatch(text) else STRING,
+                          text)
 
 
 def fact_key(predicate: str, args: tuple) -> tuple:
@@ -206,6 +231,27 @@ class Fact:
             raise FactError(f"unknown origin: {self.origin!r}")
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+
+    @classmethod
+    def _trusted(cls, predicate: str, args: tuple, key: tuple,
+                 origin: str = ASSERTED, rule_id: Optional[str] = None,
+                 premises: tuple = ()) -> "Fact":
+        """The fact ``Fact(predicate, args, origin, rule_id, premises)``
+        built with no check: the caller knows ``predicate`` scans as a
+        symbol, ``args`` is a tuple of one to ``MAX_ARITY`` constants,
+        ``key`` is ``fact_key(predicate, args)`` and ``origin`` is valid.
+        Request facts, rule heads a :class:`~aalguard.engine.Policy` has
+        checked and facts a store spells again are built here; parsed and
+        raw input goes through ``Fact(...)``."""
+        fact = _new(cls)
+        _set(fact, "predicate", predicate)
+        _set(fact, "args", args)
+        _set(fact, "origin", origin)
+        _set(fact, "rule_id", rule_id)
+        _set(fact, "premises", premises)
+        _set(fact, "_key", key)
+        _set(fact, "_hash", hash(key))
+        return fact
 
     def key(self) -> tuple:
         return self._key
@@ -257,6 +303,9 @@ def unify_against_fact(predicate: str, terms, fact: Fact, binding: dict):
     return out
 
 
+_DEFAULT_CANON = {name.lower(): name for name in DEFAULT_VOCABULARY}
+
+
 class FactStore:
     """Set of ground facts with predicate and argument indexes.
 
@@ -280,9 +329,13 @@ class FactStore:
         self._index: dict = {}          # predicate lower -> dict key -> Fact
         self._by_arg: dict = {}         # (predicate lower, position, arg key)
         #                                 -> dict key -> Fact
-        self._canon: dict = {}          # predicate lower -> first-seen spelling
-        for name in vocabulary:
-            self._canon.setdefault(name.lower(), name)
+        # predicate lower -> first-seen spelling
+        if vocabulary is DEFAULT_VOCABULARY:
+            self._canon: dict = dict(_DEFAULT_CANON)
+        else:
+            self._canon = {}
+            for name in vocabulary:
+                self._canon.setdefault(name.lower(), name)
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -295,9 +348,6 @@ class FactStore:
 
     def facts(self) -> tuple:
         return tuple(self._facts.values())
-
-    def canonical_predicate(self, name: str) -> str:
-        return self._canon.setdefault(name.lower(), name)
 
     def facts_for(self, predicate: str) -> tuple:
         return tuple(self._index.get(predicate.lower(), {}).values())
@@ -337,6 +387,44 @@ class FactStore:
                      if predicate not in without for fact in
                      self._by_arg.get((predicate, 0, key), {}).values())
 
+    def partition(self, subject: Constant,
+                  without=()) -> Optional["FactStore"]:
+        """A new store of :meth:`facts_about` ``subject`` less ``without``,
+        or None when that leaves no fact.
+
+        Each position-0 bucket is copied whole, in the order
+        :meth:`facts_about` reads it, into the new store's fact table and
+        indexes: no fact is built, checked or spelled again.  The new store
+        holds what asserting those facts one by one into ``FactStore()``
+        would, vocabulary included.
+        """
+        subject_key = subject.key()
+        part = None
+        for predicate in self._index:
+            if predicate in without:
+                continue
+            bucket = self._by_arg.get((predicate, 0, subject_key))
+            if bucket is None:
+                continue
+            if part is None:
+                part = FactStore()
+            spelling = next(iter(bucket.values())).predicate
+            if part._canon.setdefault(predicate, spelling) != spelling:
+                # A spelling the vocabulary changes: assert it fact by fact.
+                for fact in bucket.values():
+                    part.assert_fact(fact)
+                continue
+            part._facts.update(bucket)
+            part._index[predicate] = dict(bucket)
+            by_arg = part._by_arg
+            by_arg[(predicate, 0, subject_key)] = dict(bucket)
+            for key, fact in bucket.items():
+                arg_keys = key[1]
+                for position in range(1, len(arg_keys)):
+                    by_arg.setdefault((predicate, position, arg_keys[position]),
+                                      {})[key] = fact
+        return part
+
     def by_key(self, key: tuple) -> Optional[Fact]:
         """The stored fact under ``key``, a :meth:`Fact.key`, if any."""
         return self._facts.get(key)
@@ -364,17 +452,17 @@ class FactStore:
         (asserted wins), dropping its rule id and premises, but still
         returns False.
         """
-        canonical = self.canonical_predicate(fact.predicate)
-        if canonical != fact.predicate:
-            fact = Fact(canonical, fact.args, origin=fact.origin,
-                        rule_id=fact.rule_id, premises=fact.premises)
         key = fact.key()
+        canonical = self._canon.setdefault(key[0], fact.predicate)
+        if canonical != fact.predicate:
+            fact = Fact._trusted(canonical, fact.args, key, fact.origin,
+                                 fact.rule_id, fact.premises)
         existing = self._facts.get(key)
         if existing is not None:
             if existing.origin == INFERRED and fact.origin == ASSERTED:
                 # Replacing a dict value keeps its place in every index.
-                self._file(key, Fact(existing.predicate, existing.args,
-                                     origin=ASSERTED))
+                self._file(key, Fact._trusted(existing.predicate,
+                                              existing.args, key))
             return False
         self._file(key, fact)
         return True

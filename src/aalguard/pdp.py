@@ -15,10 +15,15 @@ is the fixpoint of a small store of its own facts, its partition.
 :func:`rederive` and :func:`authorize` infer over partitions only, so no
 fixpoint reads another subject's facts: the restriction magic sets give a
 query bound to one subject (Bancilhon, Maier, Sagiv and Ullman, PODS 1986),
-with no help from the engine.
+with no help from the engine.  An authorize copies each partition from the
+live store's index buckets (:meth:`FactStore.partition`), builds its
+request facts unchecked from fixed predicates, and runs no fixpoint for a
+group the live store holds no fact about, which derives nothing.
 
 Decision combining is conservative: any deny wins over any permit, and a
-request nothing rules on is denied (closed world).  Every authentication and
+request nothing rules on is denied (closed world).  Obligations,
+recommendations and rationale come in policy order: asserted facts first,
+then by the rule that derived them.  Every authentication and
 authorization, and every flagged anomaly, appends one entry to an append-only
 audit log.
 """
@@ -78,6 +83,9 @@ _REQUEST_PREDICATES = {"service": "AskedService", "device": "UsedDevice",
                        "context": "HasContext", "time": "HasTime",
                        "location": "HasLocation", "activity": "HasActivity",
                        "environment": "HasEnvironment"}
+# The predicate of each part of a request, with its lower-cased key.
+_REQUEST_FACT_PREDICATES = {part: (name, name.lower())
+                            for part, name in _REQUEST_PREDICATES.items()}
 _HISTORY_PREDICATES = frozenset(name.lower()
                                 for name in _REQUEST_PREDICATES.values())
 # Left out of the facts rederive reads and of those it asserts: request
@@ -85,6 +93,8 @@ _HISTORY_PREDICATES = frozenset(name.lower()
 _UNDERIVED_PREDICATES = _HISTORY_PREDICATES | {"authenticated"}
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
+# The gate reads Authenticated(<user>, yes) by its key.
+_YES_KEY = Constant.symbol("yes").key()
 
 
 class PdpError(ValueError):
@@ -341,11 +351,11 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     already compiled, checked the first time it is passed.
 
     Every atom of a rule must take one subject variable first, so the
-    fixpoint splits into one part per subject (:func:`_partition`).  A mean
-    rule has the one head ``Authentication(<constant>)``; the mean names
-    no subject, so the body atoms of its rule need only take a variable
-    first, and no rule may read it.  A refusal is an
-    :class:`InvalidRuleError` naming the rule.
+    fixpoint splits into one part per subject
+    (:meth:`FactStore.partition`).  A mean rule has the one head
+    ``Authentication(<constant>)``; the mean names no subject, so the body
+    atoms of its rule need only take a variable first, and no rule may
+    read it.  A refusal is an :class:`InvalidRuleError` naming the rule.
     """
     policy = Policy.of(rules)
     if policy in _GUARDED:
@@ -374,14 +384,16 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     return policy
 
 
-def _facts_about(store: FactStore, predicate: str, user: str) -> tuple:
+def _facts_about(store: FactStore, predicate: str,
+                 user: Union[str, Constant]) -> tuple:
     """The ``predicate`` facts whose first argument is ``user``, in store
     order, read from the index bucket of that argument."""
     return store.probe(predicate.lower(),
                        ((0, coerce_constant(user).key()),))
 
 
-def _capabilities_of(store: FactStore, user: str) -> List[Constant]:
+def _capabilities_of(store: FactStore,
+                     user: Union[str, Constant]) -> List[Constant]:
     return [fact.args[1] for fact in _facts_about(store, "HasCapability", user)
             if len(fact.args) == 2]
 
@@ -409,17 +421,6 @@ def _verify_credential(mean: str, credential: Optional[Credential],
 def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
     for fact in _facts_about(store, predicate, user):
         store.drop(fact.key())
-
-
-def _partition(store: FactStore, subject: Constant,
-               without=()) -> FactStore:
-    """The facts ``store`` holds about ``subject``, less those of the
-    lower-cased predicates in ``without`` (never read), in a store of their
-    own, whose fixpoint derives what the whole store's does about them."""
-    part = FactStore()
-    for fact in store.facts_about(subject, without):
-        part.assert_fact(fact)
-    return part
 
 
 def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
@@ -506,7 +507,8 @@ def authenticate(req: AuthnRequest, store: FactStore,
 # Authorization
 # ---------------------------------------------------------------------------
 
-def groups_of(store: FactStore, user: str) -> List[Constant]:
+def groups_of(store: FactStore,
+              user: Union[str, Constant]) -> List[Constant]:
     return [fact.args[1]
             for fact in _facts_about(store, "BehaviorCapability", user)
             if len(fact.args) == 2]
@@ -518,30 +520,59 @@ def _request_facts(req: AuthzRequest,
     constant, coerced here when the caller does not hold it."""
     if user is None:
         user = coerce_constant(req.user)
+    user_key = user.key()
 
-    def fact(part: str, value: str) -> Fact:
-        return Fact(_REQUEST_PREDICATES[part], (user, coerce_constant(value)))
+    def fact(part: str, value: Constant) -> Fact:
+        # Fixed predicates over two constants: nothing to check.
+        predicate, lowered = _REQUEST_FACT_PREDICATES[part]
+        return Fact._trusted(predicate, (user, value),
+                             (lowered, (user_key, value.key())))
 
-    facts = [fact("service", req.service)]
+    facts = [fact("service", coerce_constant(req.service))]
     if req.device:
-        facts.append(fact("device", req.device))
+        facts.append(fact("device", coerce_constant(req.device)))
     for component, value in req.context.items():
         if component not in _CONTEXT_COMPONENTS:
             raise PdpError(f"unknown context component: {component!r}")
+        value = coerce_constant(value)
         facts.append(fact(component, value))
         facts.append(fact("context", value))
     return facts
 
 
-def _priority_for(store: FactStore, user: str, table: Dict[str, int]) -> int:
+def _priority_for(store: FactStore, user: Union[str, Constant],
+                  table: Dict[str, int]) -> int:
     priorities = [table.get(value.text().lower(), 0)
                   for value in _capabilities_of(store, user)]
     return max(priorities, default=0)
 
 
-def _collect(store: FactStore, subjects: set, derived=()):
+_DECISION_PREDICATES = ("hasaccess", "obligation", "recommendation")
+
+
+def _collect(store: FactStore, subjects: set, policy: Policy, derived=()):
     """The decision facts naming one of ``subjects``, the keys of the user
-    and their groups, read from ``store`` and then from ``derived``."""
+    and their groups: each subject's ``hasAccess``, ``Obligation`` and
+    ``Recommendation`` buckets of ``store``, and the ``derived`` facts.
+    Each list is in policy order: asserted facts first, then inferred ones
+    by the index of their rule in ``policy`` (a rule it does not hold
+    last), ties broken by fact key, so the order does not depend on the
+    store's history."""
+    found: Dict[str, List[Fact]] = {p: [] for p in _DECISION_PREDICATES}
+    for subject in subjects:
+        for predicate, facts in found.items():
+            facts.extend(store.probe(predicate, ((0, subject),)))
+    for fact in derived:
+        facts = found.get(fact.key()[0])
+        if facts is not None and fact.args[0].key() in subjects:
+            facts.append(fact)
+    rank, unranked = policy.rule_index, len(policy.rule_ids)
+
+    def policy_order(fact: Fact):
+        if fact.origin == ASSERTED:
+            return -1, fact.key()
+        return rank.get(fact.rule_id, unranked), fact.key()
+
     permits, denies = [], []
     obligations: List[str] = []
     recommendations: List[str] = []
@@ -552,13 +583,8 @@ def _collect(store: FactStore, subjects: set, derived=()):
         if label not in rationale:
             rationale.append(label)
 
-    def decision_facts(predicate: str):
-        yield from store.facts_for(predicate)
-        yield from (fact for fact in derived
-                    if fact.key()[0] == predicate.lower())
-
-    for fact in decision_facts("hasAccess"):
-        if len(fact.args) < 2 or fact.args[0].key() not in subjects:
+    for fact in sorted(found["hasaccess"], key=policy_order):
+        if len(fact.args) < 2:
             continue
         effect = fact.args[-1].text().lower()
         if effect == PERMIT:
@@ -567,10 +593,10 @@ def _collect(store: FactStore, subjects: set, derived=()):
         elif effect == DENY:
             denies.append(fact)
             note_rationale(fact)
-    for predicate, sink in (("Obligation", obligations),
-                            ("Recommendation", recommendations)):
-        for fact in decision_facts(predicate):
-            if len(fact.args) == 2 and fact.args[0].key() in subjects:
+    for predicate, sink in (("obligation", obligations),
+                            ("recommendation", recommendations)):
+        for fact in sorted(found[predicate], key=policy_order):
+            if len(fact.args) == 2:
                 action = fact.args[1].text()
                 if action not in sink:
                     sink.append(action)
@@ -584,44 +610,50 @@ def authorize(req: AuthzRequest, store: FactStore,
               audit_log: Optional[AuditLog] = None) -> Decision:
     """Evaluate an access request against the policy rules.
 
-    Inference runs over the user's partition, their facts less their
-    earlier request facts (which are never read) plus this request's, so
-    the newest request is what rules see; then over the partition of each
-    group the user is in.  Under :func:`compile_policy`'s guard that
-    derives what a fixpoint over the whole store, with the user's history
-    replaced by the request, derives about them.  The decision facts
-    naming the user or one of the user's groups, the live store's and then
-    the derived ones, are combined deny-overrides with a deny default.  The
-    live store gains only the request facts, as history; derived facts are
-    dropped with the partitions.  Only an asserted ``Authenticated``
-    passes the gate.  ``rules`` go through :func:`compile_policy` first.
+    Inference runs over the user's partition
+    (:meth:`FactStore.partition`), their facts less their earlier request
+    facts (which are never read) plus this request's, so the newest
+    request is what rules see; then over the partition of each group the
+    user is in that holds facts.  Under :func:`compile_policy`'s guard
+    that derives what a fixpoint over the whole store, with the user's
+    history replaced by the request, derives about them.  The decision
+    facts naming the user or one of the user's groups, the live store's
+    and the derived ones, are combined deny-overrides with a deny default;
+    lists come in policy order (:func:`_collect`).  The live store gains
+    only the request facts, as history; derived facts are dropped with the
+    partitions.  Only an asserted ``Authenticated`` passes the gate.
+    ``rules`` go through :func:`compile_policy` first.
     """
     policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
-    gate = store.get("Authenticated", (req.user, "yes"))
+    subject = coerce_constant(req.user)
+    gate = store.by_key(("authenticated", (subject.key(), _YES_KEY)))
     if gate is None or gate.origin != ASSERTED:
-        decision = Decision(effect=DENY, priority=_priority_for(store, req.user, table),
+        decision = Decision(effect=DENY, priority=_priority_for(store, subject, table),
                             rationale=["not-authenticated"])
         if audit_log is not None:
             audit_log.append("authz", req.user, DENY,
                              f"service={req.service} reason=not-authenticated")
         return decision
 
-    subject = coerce_constant(req.user)
     request_facts = _request_facts(req, subject)
-    own = _partition(store, subject, _HISTORY_PREDICATES)
+    own = store.partition(subject, _HISTORY_PREDICATES) or FactStore()
     for fact in request_facts:
         own.assert_fact(fact)
+    # The partition holds the user's capabilities, none of them derived yet.
+    priority = _priority_for(own, subject, table)
     derived = infer_fixpoint(own, policy).derived
-    groups = groups_of(own, req.user)
+    groups = groups_of(own, subject)
     for group in groups:
-        if group != subject:  # the user's own part is derived already
-            derived += infer_fixpoint(_partition(store, group),
-                                      policy).derived
+        if group == subject:  # the user's own part is derived already
+            continue
+        part = store.partition(group)
+        if part is not None:  # a group with no facts derives nothing
+            derived += infer_fixpoint(part, policy).derived
 
     subjects = {subject.key()} | {g.key() for g in groups}
     permits, denies, obligations, recommendations, rationale = _collect(
-        store, subjects, derived)
+        store, subjects, policy, derived)
 
     if denies:
         effect = DENY
@@ -633,8 +665,7 @@ def authorize(req: AuthzRequest, store: FactStore,
 
     decision = Decision(effect=effect, obligations=obligations,
                         recommendations=recommendations,
-                        priority=_priority_for(store, req.user, table),
-                        rationale=rationale)
+                        priority=priority, rationale=rationale)
 
     for fact in request_facts:  # history for behavioral rules
         store.assert_fact(fact)

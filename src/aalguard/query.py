@@ -3,8 +3,8 @@
 The query language is a small SELECT-only subset:
 ``SELECT ?u WHERE { HasCapability(?u, "visual") ^ Authenticated(?u, yes) }``
 with an optional ``LIMIT n``, where ``n`` is a positive decimal integer.
-Evaluation compiles the where-atoms into the engine's atom plans
-(:func:`aalguard.engine.compile_atom`) and joins them left to right, whole,
+Evaluation compiles the where-atoms as a policy compiles a rule body
+(:func:`aalguard.engine.compile_body`) and joins them left to right, whole,
 through the engine's indexed join (:func:`aalguard.engine.join`), as the
 first round of a fixpoint joins a rule body; each atom reads its candidates
 through one :meth:`FactStore.probe`.  Results are a set of rows projected
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .engine import compile_atom, join
+from .engine import compile_body, join
 from .facts import Constant, FactStore
 from .rules import (
     CARET, EOF, IDENT, LBRACE, NUM, RBRACE, VAR,
@@ -104,8 +104,8 @@ def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant
             f"select variable(s) not in WHERE: {', '.join('?' + v for v in missing)}")
 
     rows: Dict[tuple, Dict[str, Constant]] = {}
-    plan = tuple(compile_atom(atom) for atom in q.where)
-    for binding, _ in join(store, plan, len(plan), set(), {}):
+    plan = compile_body(q.where)
+    for binding, _ in join(store, plan, len(plan), set()):
         row = {name: binding[name] for name in q.select}
         rows.setdefault(tuple(row[name].key() for name in q.select), row)
     ordered = sorted(rows.values(),

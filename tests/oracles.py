@@ -22,7 +22,7 @@ import re
 
 from aalguard.behavior import (IDLE_ACTIVITY, EventFormatError, NonFiniteError,
                                OrderingError)
-from aalguard.engine import infer_fixpoint
+from aalguard.engine import Policy, infer_fixpoint
 from aalguard.facts import (MAX_ARITY, ArityError, Constant, Fact, FactError,
                             FactStore, Variable, coerce_constant,
                             format_number, ground, unify_against_fact)
@@ -298,12 +298,31 @@ def random_guarded_instance(rng: random.Random, *, max_facts=20, max_rules=6,
     return facts, rules
 
 
+def assert_built_alike(built, checked) -> None:
+    """``built``, a fact or constant built without checks, equals
+    ``checked``, the same parts built through the dataclass constructor, in
+    every part a reader sees: key, hash, equality, rendering and fields."""
+    assert type(built) is type(checked)
+    assert built.key() == checked.key()
+    assert hash(built) == hash(checked)
+    assert built == checked
+    assert built.render() == checked.render()
+    assert repr(built) == repr(checked)
+    assert vars(built) == vars(checked)
+    if isinstance(checked, Fact):
+        assert (built.origin, built.rule_id, built.premises) \
+            == (checked.origin, checked.rule_id, checked.premises)
+        for arg, checked_arg in zip(built.args, checked.args):
+            assert vars(arg) == vars(checked_arg)
+
+
 def whole_snapshot_decision(req, store, rules):
     """``(effect, obligations, recommendations, rationale)`` for ``req`` as
     ``pdp.authorize`` decided it while it inferred over the whole snapshot:
     the request context replaces the user's in a snapshot of ``store``, the
     fixpoint runs with every fact as its first delta, and ``pdp``'s own
-    collection reads the decision facts of the user and their groups.
+    collection reads the decision facts of the user and their groups, in
+    the order of ``rules``.
     Skips the authentication gate and leaves ``store`` unchanged."""
     working = store.snapshot()
     user = coerce_constant(req.user)
@@ -316,7 +335,7 @@ def whole_snapshot_decision(req, store, rules):
     infer_fixpoint(working, rules)
     subjects = {user.key()} | {g.key() for g in pdp.groups_of(working, req.user)}
     permits, denies, obligations, recommendations, rationale = pdp._collect(
-        working, subjects)
+        working, subjects, Policy.of(rules))
     if not permits and not denies:
         rationale = ["default-deny"]
     effect = "permit" if permits and not denies else "deny"

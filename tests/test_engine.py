@@ -13,8 +13,8 @@ from aalguard.engine import (
     infer_fixpoint,
     render_derivation,
 )
-from aalguard.facts import (Constant, Fact, FactStore, Variable, ground,
-                            unify_against_fact)
+from aalguard.facts import (Constant, Fact, FactError, FactStore, Variable,
+                            ground, unify_against_fact)
 from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
 from aalguard.scenarios import load_fixture_rules
 
@@ -176,9 +176,9 @@ def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
     joined = []
     join = engine.join
 
-    def recording(store, plan, pivot, delta_keys, start):
+    def recording(store, plan, pivot, delta_keys):
         joined.append((plan[0].predicate, pivot))
-        return join(store, plan, pivot, delta_keys, start)
+        return join(store, plan, pivot, delta_keys)
     monkeypatch.setattr(engine, "join", recording)
     report = infer_fixpoint(store, rules)
     assert [f.render() for f in report.derived] == ["B(c1)", "D(c1)"]
@@ -186,6 +186,20 @@ def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
     # first atom has facts, A; pass 2's delta holds only B, which the
     # second rule joins through its pivot 0; pass 3's holds only D.
     assert joined == [("a", 1), ("b", 0)]
+
+
+def test_a_policy_refuses_a_head_a_fact_would_reject():
+    # Heads are built unchecked, so a rule built in code whose head Fact
+    # would refuse is refused when the policy is compiled.
+    body = [Atom("A", (Variable("x"),))]
+    with pytest.raises(FactError):
+        Fact("has Access", (Constant.symbol("u1"),))
+    with pytest.raises(InvalidRuleError, match="bad-name"):
+        engine.Policy([Rule(body=body, head=[Atom("has Access",
+                                                  (Variable("x"),))],
+                            id="bad-name")])
+    with pytest.raises(FactError):
+        engine.Policy([Rule(body=body, head=[Atom("B", (Variable("x"), "u1"))])])
 
 
 def test_compiled_policy_is_validated_once(monkeypatch):
@@ -275,7 +289,7 @@ def test_a_subject_fixpoint_derives_the_whole_fixpoints_facts_about_it(seed):
     whole = FactStore()
     for fact in facts:
         whole.assert_fact(fact)
-    part = pdp._partition(whole, subject)
+    part = whole.partition(subject)
     infer_fixpoint(whole, rules)
     report = infer_fixpoint(part, rules)
 
@@ -308,26 +322,36 @@ MATCH_VARIABLES = [Variable(name) for name in "xyz"]
 def test_a_compiled_atom_binds_as_unify_against_fact(predicates, terms, args,
                                                       binding):
     # Quoted and bare twins, re-cased predicates, repeated variables and
-    # wrong arities; a one-fact store makes each join one match.
+    # wrong arities; a one-fact store makes each join one match.  The
+    # partial binding comes from a preceding atom, Bind(?x, ...), that
+    # matches one fact and binds exactly it.
     atom_predicate, fact_predicate = predicates
     atom = Atom(atom_predicate, tuple(terms))
     fact = Fact(fact_predicate, tuple(args))
     store = FactStore(vocabulary=())
     store.assert_fact(fact)
     stored = store.by_key(fact.key())
-    start = dict(binding)
-    plan = (engine.compile_atom(atom),)
+    prefix, before = [], ()
+    if binding:
+        names = sorted(binding)
+        bind_fact = Fact("Bind", tuple(binding[n] for n in names))
+        store.assert_fact(bind_fact)
+        before = (store.by_key(bind_fact.key()),)
+        prefix = [Atom("Bind", tuple(Variable(n) for n in names))]
+        assert engine.join(store, engine.compile_body(prefix), 1, set()) \
+            == [(binding, before)]
+    plan = engine.compile_body(prefix + [atom])
+    last = len(prefix)
     want = unify_against_fact(atom.predicate, atom.terms, fact, binding)
-    for pivot, delta in ((1, set()), (0, {fact.key()})):
-        got = engine.join(store, plan, pivot, delta, start)
-        assert start == binding
+    for pivot, delta in ((last + 1, set()), (last, {fact.key()})):
+        got = engine.join(store, plan, pivot, delta)
         if want is None:
             assert got == []
             continue
-        assert got == [(want, (stored,))]
+        assert got == [(want, before + (stored,))]
         assert {n: c.render() for n, c in got[0][0].items()} == {
             n: c.render() for n, c in want.items()}
-    assert engine.join(store, plan, 0, set(), start) == []
+    assert engine.join(store, plan, last, set()) == []
 
 
 def test_fixpoint_idempotent():
@@ -444,7 +468,7 @@ def test_explain_derived_fact_shows_rule_and_premises():
     derivation = explain(store, ground("HasRecognizedBehavior", "u1", "class1"))
     assert derivation.rule_id == "behavior-class1"
     assert len(derivation.premises) == 3
-    assert all(p.is_leaf() for p in derivation.premises)
+    assert all(not p.premises for p in derivation.premises)
     text = render_derivation(derivation)
     assert "[rule behavior-class1]" in text
     assert text.count("[asserted]") == 3
@@ -453,7 +477,7 @@ def test_explain_derived_fact_shows_rule_and_premises():
 def test_explain_asserted_fact_is_leaf():
     store = behavioral_store()
     derivation = explain(store, ground("HasActivity", "u1", "cooking"))
-    assert derivation.is_leaf()
+    assert not derivation.premises
     assert derivation.rule_id is None
 
 

@@ -4,12 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalguard.facts import (
+    STRING,
+    SYMBOL,
+    SYMBOL_RE,
     ArityError,
     Constant,
     Fact,
     FactParseError,
     FactStore,
     Variable,
+    coerce_constant,
+    fact_key,
     ground,
     load_facts,
     save_facts,
@@ -17,7 +22,8 @@ from aalguard.facts import (
 )
 from aalguard.rules import Atom
 
-from oracles import match, reference_get, reference_holds, reference_retract
+from oracles import (assert_built_alike, match, reference_get,
+                     reference_holds, reference_retract)
 
 
 def sym(text):
@@ -280,6 +286,52 @@ def test_index_agrees_with_scan_across_edits_and_snapshots():
                                               predicate, terms, {})]
 
 
+def _store_state(store):
+    """What a reader of ``store`` can see: its facts with their spelling,
+    origin, rule id and premises in order, and every index bucket."""
+    facts = [(f.render(), f.origin, f.rule_id, f.premises) for f in store]
+    buckets = {slot: [f.render() for f in bucket.values()]
+               for slot, bucket in store._by_arg.items()}
+    index = {p: [f.render() for f in bucket.values()]
+             for p, bucket in store._index.items()}
+    return facts, buckets, list(index.items()), store._canon
+
+
+def test_a_partition_is_the_store_its_facts_asserted_one_by_one_give():
+    # Bucket copies file what asserting each fact about the subject into a
+    # fresh store would, re-spellings by the default vocabulary included
+    # (a live store without it spells "hasaccess" its own way).
+    rng = random.Random(20261019)
+    subjects = [sym("s1"), sym("s2"), Constant.string("s1"),
+                Constant.number(1)]
+    constants = subjects + [sym("k0"), Constant.string("k 2")]
+    predicates = ["P", "p", "Q", "hasaccess", "HASACCESS", "Obligation"]
+    for _ in range(200):
+        store = FactStore(vocabulary=rng.choice([(), ("Q", "P")]))
+        for _ in range(rng.randint(0, 12)):
+            store.assert_fact(Fact(
+                rng.choice(predicates),
+                (rng.choice(subjects),) + tuple(
+                    rng.choice(constants) for _ in range(rng.randint(0, 2))),
+                origin=rng.choice(["asserted", "inferred"]),
+                rule_id=rng.choice([None, "r1"])))
+        subject = rng.choice(subjects)
+        without = rng.choice([(), ("p",), ("hasaccess", "q")])
+        reference = FactStore()
+        for fact in store.facts_about(subject, without):
+            reference.assert_fact(fact)
+        part = store.partition(subject, without)
+        if not len(reference):
+            assert part is None
+            continue
+        assert _store_state(part) == _store_state(reference)
+        for fact in (Fact("p", (subject,)), Fact("NEW", (subject,)),
+                     Fact("obligation", (subject, sym("k0")))):
+            part.assert_fact(fact)
+            reference.assert_fact(fact)
+        assert _store_state(part) == _store_state(reference)
+
+
 # ---------------------------------------------------------------------------
 # Lookups by key against lookups by a probe Fact
 # ---------------------------------------------------------------------------
@@ -519,3 +571,46 @@ def test_snapshot_is_independent():
     snap.assert_fact(ground("P", "b"))
     assert len(store) == 1
     assert len(snap) == 2
+
+
+RAW_VALUES = st.one_of(
+    st.text(st.sampled_from('aZ_09 "\\.-/#'), max_size=6),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(predicate=st.tuples(st.sampled_from("aZ_"),
+                          st.text(st.sampled_from("bY0_/.-"), max_size=5)
+                          ).map("".join),
+       values=st.lists(RAW_VALUES, min_size=1, max_size=3),
+       origin=st.sampled_from(["asserted", "inferred"]),
+       rule_id=st.sampled_from([None, "r1"]),
+       spelling=st.sampled_from([str.upper, str.lower, str.title]))
+def test_trusted_builds_equal_checked_builds(predicate, values, origin,
+                                             rule_id, spelling):
+    # coerce_constant and Fact._trusted skip the dataclass path and the
+    # checks; each result must equal its checked build.
+    args = tuple(coerce_constant(v) for v in values)
+    for value, arg in zip(values, args):
+        if isinstance(value, str):
+            assert arg.kind == (SYMBOL if SYMBOL_RE.fullmatch(value)
+                                else STRING)
+            assert_built_alike(arg, Constant(arg.kind, value))
+    premises = (ground("P", "u1"),) if origin == "inferred" else ()
+    checked = Fact(predicate, args, origin=origin, rule_id=rule_id,
+                   premises=premises)
+    assert_built_alike(Fact._trusted(predicate, args,
+                                     fact_key(predicate, args), origin,
+                                     rule_id, premises), checked)
+    # A store that spells the predicate otherwise builds its own spelling;
+    # asserting the fact again as asserted upgrades an inferred one.
+    store = FactStore(vocabulary=(spelling(predicate),))
+    store.assert_fact(checked)
+    respelled = Fact(spelling(predicate), args, origin=origin,
+                     rule_id=rule_id, premises=premises)
+    assert_built_alike(store.by_key(checked.key()), respelled)
+    store.assert_fact(Fact(predicate, args))
+    assert_built_alike(store.by_key(checked.key()),
+                       Fact(spelling(predicate), args)
+                       if origin == "inferred" else respelled)

@@ -29,9 +29,9 @@ from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
 
 from conftest import DATA_DIR
-from oracles import (HISTORY_POOL, hash_password, naive_fixpoint,
-                     random_guarded_instance, select_auth_mean,
-                     whole_snapshot_decision)
+from oracles import (HISTORY_POOL, assert_built_alike, hash_password,
+                     naive_fixpoint, random_guarded_instance,
+                     select_auth_mean, whole_snapshot_decision)
 
 RULES = load_fixture_rules()
 
@@ -807,14 +807,120 @@ def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
     assert 0 < reads[1] <= reads[0]
 
 
+DECISION_PREDICATES = ("hasaccess", "obligation", "recommendation")
+
+
+def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
+    # Every resident holds an asserted obligation and recommendation; an
+    # authorize reads the requester's and their group's decision facts
+    # only, by subject, whatever the live store's size.
+    capabilities = ("hearing", "visual", "physical", "cognitive", "no")
+    policy = pdp.compile_policy(RULES)
+    reads, decisions = [], []
+    for residents in (4, 400):
+        store = FactStore()
+        for i in range(residents):
+            user = f"r{i:04d}"
+            store.assert_fact(ground("Authenticated", user, "yes"))
+            store.assert_fact(ground("HasCapability", user,
+                                     Constant.string(capabilities[i % 5])))
+            store.assert_fact(ground("HasRecognizedBehavior", user,
+                                     ("class1", "class2")[i % 2]))
+            store.assert_fact(ground("Obligation", user, "check-in"))
+            store.assert_fact(ground("Recommendation", user, "hydrate"))
+            pdp.rederive(store, policy, user)
+        counts = []
+        for name in ("probe", "facts_for", "facts_about", "partition",
+                     "snapshot"):
+            read = getattr(store, name, None)
+            if read is None:
+                continue
+
+            def counted(*args, _read=read):
+                result = _read(*args)
+                counts.append(sum(1 for fact in result or ()
+                                  if fact.key()[0] in DECISION_PREDICATES))
+                return result
+            setattr(store, name, counted)
+        decisions.append(decided(authorize(
+            AuthzRequest("r0001", "ReadAlert", device="AudioAid"),
+            store, policy)))
+        reads.append(sum(counts))
+    # r0001 is visual, class2: Group2.
+    assert decisions[0] == ("permit", ["check-in"],
+                            ["hydrate", "audible-alert"],
+                            ["blind-permit", "asserted",
+                             "blind-audible-alert"])
+    assert decisions[1] == decisions[0]
+    assert 0 < reads[1] == reads[0]
+
+
+def test_an_authorize_whose_group_holds_no_facts_infers_over_one_partition(
+        monkeypatch):
+    # u1's group, Group1, is a constant the live store holds no fact
+    # about: it gets no partition and no fixpoint.
+    store = primed_store()
+    assert pdp.groups_of(store, "u1") == [Constant.symbol("Group1")]
+    assert not store.facts_about(Constant.symbol("Group1"))
+    calls = {"stores": 0, "infer_fixpoint": 0}
+    init, infer = FactStore.__init__, pdp.infer_fixpoint
+
+    def counting_init(self, *args):
+        calls["stores"] += 1
+        init(self, *args)
+
+    def counting_infer(*args):
+        calls["infer_fixpoint"] += 1
+        return infer(*args)
+
+    monkeypatch.setattr(FactStore, "__init__", counting_init)
+    monkeypatch.setattr(pdp, "infer_fixpoint", counting_infer)
+    decision = authorize(AuthzRequest("u1", "ReadAlert", device="VisualAid"),
+                         store, RULES)
+    assert decided(decision) == ("permit", [], ["visual-alert"],
+                                 ["deaf-permit", "deaf-visual-alert"])
+    assert calls == {"stores": 1, "infer_fixpoint": 1}
+
+
+REQUEST_TEXT = st.text(st.sampled_from('ab1 "\\.-_#'), min_size=1,
+                       max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(user=REQUEST_TEXT, service=REQUEST_TEXT,
+       device=st.one_of(st.none(), REQUEST_TEXT),
+       context=st.dictionaries(st.sampled_from(["location", "activity",
+                                                "environment"]),
+                               REQUEST_TEXT, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_request_facts_and_derived_heads_build_as_checked_facts(
+        user, service, device, context, seed):
+    # Request facts and instantiated rule heads skip Fact's checks; each
+    # must equal the fact a checked build of the same parts gives.
+    request = AuthzRequest(user, service, device=device, context=context)
+    request_facts = pdp._request_facts(request)
+    assert [f.predicate for f in request_facts[:1]] == ["AskedService"]
+    for fact in request_facts:
+        assert_built_alike(fact, Fact(fact.predicate, fact.args))
+    facts, rules = random_guarded_instance(random.Random(seed))
+    store = FactStore()
+    for fact in facts + request_facts:
+        store.assert_fact(fact)
+    for fact in engine.infer_fixpoint(store, rules).derived:
+        assert_built_alike(fact, Fact(fact.predicate, fact.args,
+                                      origin="inferred",
+                                      rule_id=fact.rule_id,
+                                      premises=fact.premises))
+
+
 HISTORY_REQUESTS = [("ReadAlert", "VisualAid"), ("OpenDoor", None),
                     ("Heat", "AudioAid")]
 
 
 def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
     # Counts every fact an authorize gets back from the live store, a whole
-    # copy included; u3's history of distinct times is never read, also by
-    # a rule that leaves the time unbound.
+    # copy or a partition included; u3's history of distinct times is never
+    # read, also by a rule that leaves the time unbound.
     policy = pdp.compile_policy(RULES + parse_ruleset(
         "@id: any-time\nHasTime(?u, ?t) -> Recommendation(?u, timed)\n"))
     reads, decisions = [], []
@@ -826,10 +932,11 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
                 store, policy)
         counts = []
-        for name in ("probe", "facts_about", "facts_for", "snapshot"):
+        for name in ("probe", "facts_about", "facts_for", "snapshot",
+                     "partition"):
             def counted(*args, _read=getattr(store, name)):
                 result = _read(*args)
-                counts.append(len(result))
+                counts.append(len(result or ()))
                 return result
             setattr(store, name, counted)
         decisions.append(decided(authorize(
@@ -844,8 +951,8 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
 
 
 def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
-    # Counts every fact an authn gets back from the live store; u3's
-    # history of distinct times is never read.
+    # Counts every fact an authn gets back from the live store, a
+    # partition included; u3's history of distinct times is never read.
     policy = pdp.compile_policy(RULES)
     model = scenarios.load_fixture_model(Config().distance_floor)
     [centroid] = [c.centroid for c in model.classes if c.id == "class2"]
@@ -858,10 +965,11 @@ def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
                 store, policy)
         counts = []
-        for name in ("probe", "facts_about", "facts_for", "snapshot"):
+        for name in ("probe", "facts_about", "facts_for", "snapshot",
+                     "partition"):
             def counted(*args, _read=getattr(store, name)):
                 result = _read(*args)
-                counts.append(len(result))
+                counts.append(len(result or ()))
                 return result
             setattr(store, name, counted)
         results.append(authenticate(

@@ -333,16 +333,24 @@ def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
     state = primed_state()
     counts = {"facts": 0, "snapshots": 0}
     post_init, snapshot = Fact.__post_init__, FactStore.snapshot
+    trusted = Fact._trusted.__func__
 
+    # A fact is built checked, through __post_init__, or unchecked, through
+    # Fact._trusted; both count.
     def counting_post_init(self):
         counts["facts"] += 1
         post_init(self)
+
+    def counting_trusted(cls, *args):
+        counts["facts"] += 1
+        return trusted(cls, *args)
 
     def counting_snapshot(self):
         counts["snapshots"] += 1
         return snapshot(self)
 
     monkeypatch.setattr(Fact, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Fact, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr(FactStore, "snapshot", counting_snapshot)
     per_op = {}
     for line in _transcript():
