@@ -20,7 +20,6 @@ from .behavior import (
 )
 from .engine import (
     Conflict,
-    Derivation,
     InferenceReport,
     check_consistency,
     explain,

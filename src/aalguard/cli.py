@@ -120,6 +120,14 @@ def _load_store(args, config: Config) -> FactStore:
     return FactStore()
 
 
+def _load_model(args, config: Config) -> behavior.BehaviorModel:
+    path = args.model or config.model
+    if path:
+        return behavior.load_model_file(path,
+                                        distance_floor=config.distance_floor)
+    return scenarios.load_fixture_model(config.distance_floor)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -175,8 +183,7 @@ def _materialized_store(args, config: Config) -> FactStore:
 def cmd_explain(args, config: Config) -> int:
     store = _materialized_store(args, config)
     target = parse_fact(args.fact, require_period=False)
-    derivation = engine.explain(store, target)
-    print(engine.render_derivation(derivation))
+    print(engine.render_derivation(engine.explain(store, target)))
     return EXIT_OK
 
 
@@ -191,14 +198,8 @@ def cmd_query(args, config: Config) -> int:
 
 
 def cmd_classify(args, config: Config) -> int:
-    events_path = args.events or config.events
-    model_path = args.model or config.model
-    events = behavior.load_events_file(events_path)
-    if model_path:
-        model = behavior.load_model_file(model_path,
-                                         distance_floor=config.distance_floor)
-    else:
-        model = scenarios.load_fixture_model(config.distance_floor)
+    events = behavior.load_events_file(args.events or config.events)
+    model = _load_model(args, config)
     for user in behavior.users_in(events):
         features = behavior.extract_features(events, user)
         class_id, dist = behavior.classify(model, features)
@@ -354,7 +355,7 @@ def handle_message(state: ServeState, line: str) -> dict:
                     "priority": decision.priority,
                     "rationale": decision.rationale}
         if op == "query":
-            parsed = query.parse_query(str(msg["q"]))
+            parsed = query.parse_query(_text_field(msg, "q"))
             with state.lock:
                 rows = query.eval_query(state.store, parsed)
             return {"ok": True,
@@ -446,12 +447,7 @@ def cmd_serve(args, config: Config) -> int:
     rules = _load_rules(args, config)
     if not rules and (args.prime_scenarios or not args.rules):
         rules = scenarios.load_fixture_rules()
-    model_path = args.model or config.model
-    if model_path:
-        model = behavior.load_model_file(model_path,
-                                         distance_floor=config.distance_floor)
-    else:
-        model = scenarios.load_fixture_model(config.distance_floor)
+    model = _load_model(args, config)
     credentials_path = args.credentials or config.credentials
     if credentials_path:
         credentials = pdp.load_credentials_file(credentials_path)

@@ -20,13 +20,14 @@ the least fixpoint a naive iterate-until-stable evaluation would reach; only
 the iteration count differs.
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
-and contradictory authentication outcomes) and derivation explanations read
-from the premises each derived fact carries.
+and contradictory authentication outcomes) and derivation explanations: a
+derived fact carries its rule id and premises, so it is the root of its own
+derivation tree, and :func:`render_derivation` walks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Union
 
 from .facts import (
@@ -75,17 +76,6 @@ class Conflict:
     kind: str       # permit-deny | authenticated-contradiction
     facts: tuple
     subject: Constant
-
-
-@dataclass
-class Derivation:
-    """Proof tree for a fact: inner nodes are rule firings, leaves asserted
-    facts or facts read from a file as inferred (``origin``)."""
-
-    fact: Fact
-    rule_id: Optional[str] = None
-    premises: list = field(default_factory=list)
-    origin: str = ASSERTED
 
 
 class AtomPlan(NamedTuple):
@@ -378,29 +368,24 @@ def check_consistency(store: FactStore) -> list:
 # Explanation
 # ---------------------------------------------------------------------------
 
-def explain(store: FactStore, fact: Fact) -> Derivation:
-    """Derivation tree for ``fact``; asserted facts explain as leaves."""
+def explain(store: FactStore, fact: Fact) -> Fact:
+    """The stored fact equal to ``fact``, the root of its derivation tree:
+    an inferred fact carries its rule id and premises."""
     stored = store.get(fact.predicate, fact.args)
     if stored is None:
         raise FactNotFoundError(f"fact not in store: {fact.render()}")
-    return _explain(stored)
+    return stored
 
 
-def _explain(fact: Fact) -> Derivation:
-    """The node for ``fact``: its rule id, and the premises it carries
-    explained in turn.  Premises are built before the fact that holds them,
-    so the walk has no cycle; a fact read from a file as inferred has no
-    premises."""
+def render_derivation(fact: Fact, indent: int = 0) -> str:
+    """The derivation tree of ``fact``, each premise indented under the
+    fact derived from it.  An asserted fact is a leaf; an inferred one is
+    labelled by its rule (``inferred`` if none) and followed by its
+    premises, built before it, so the walk has no cycle."""
     if fact.origin != INFERRED:
-        return Derivation(fact=fact)
-    return Derivation(fact=fact, rule_id=fact.rule_id, origin=INFERRED,
-                      premises=[_explain(p) for p in fact.premises])
-
-
-def render_derivation(derivation: Derivation, indent: int = 0) -> str:
-    label = derivation.origin if derivation.rule_id is None \
-        else f"rule {derivation.rule_id}"
-    lines = [f"{'  ' * indent}{derivation.fact.render()}  [{label}]"]
-    for premise in derivation.premises:
+        return f"{'  ' * indent}{fact.render()}  [{ASSERTED}]"
+    label = INFERRED if fact.rule_id is None else f"rule {fact.rule_id}"
+    lines = [f"{'  ' * indent}{fact.render()}  [{label}]"]
+    for premise in fact.premises:
         lines.append(render_derivation(premise, indent + 1))
     return "\n".join(lines)

@@ -14,8 +14,9 @@ Input is checked once, where it enters: ``Fact(...)``, :func:`ground`,
 :func:`parse_fact` and :meth:`Constant.number` check every part.  Facts
 whose parts are known valid (request facts, rule heads a compiled policy
 checked, facts a store spells again) are built by ``Fact._trusted`` with no
-check, and a store's :meth:`FactStore.partition` copies a subject's facts
-by index bucket without building or checking any of them again.
+check.  :meth:`FactStore.partition` is the one way a subject's facts are
+copied out of a store: by index bucket, spelled as the store spells them,
+without building or checking any of them again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/.\-]*\Z")
 VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -314,9 +315,10 @@ class FactStore:
     pattern with a bound argument reads only the facts that share it:
     :meth:`probe` takes the argument keys an atom has bound, by position,
     and is the one lookup the engine's join, queries and the decision point
-    read candidates through; the position-0 buckets give each subject's
-    facts (:meth:`facts_about`).  Both indexes keep insertion order, so a
-    lookup yields its facts in the order a scan of :meth:`facts_for` would.
+    read candidates through; :meth:`partition` copies the position-0
+    buckets of a subject.  Both indexes keep insertion order, so a lookup
+    yields its facts in the order a scan of :meth:`facts_for` would.  A
+    predicate is spelled as ``DEFAULT_VOCABULARY`` or its first fact does.
 
     Single-writer, multiple-reader contract: callers serialize mutations,
     and readers that need a stable view hold the lock that serializes them.
@@ -324,18 +326,13 @@ class FactStore:
     inferred from it, and ``pdp.rederive`` derives a subject's facts again.
     """
 
-    def __init__(self, vocabulary: Iterable[str] = DEFAULT_VOCABULARY):
+    def __init__(self):
         self._facts: dict = {}          # key -> Fact, insertion ordered
         self._index: dict = {}          # predicate lower -> dict key -> Fact
         self._by_arg: dict = {}         # (predicate lower, position, arg key)
         #                                 -> dict key -> Fact
-        # predicate lower -> first-seen spelling
-        if vocabulary is DEFAULT_VOCABULARY:
-            self._canon: dict = dict(_DEFAULT_CANON)
-        else:
-            self._canon = {}
-            for name in vocabulary:
-                self._canon.setdefault(name.lower(), name)
+        # predicate lower -> first-seen spelling, seeded with the vocabulary
+        self._canon: dict = dict(_DEFAULT_CANON)
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -387,43 +384,39 @@ class FactStore:
                      if predicate not in without for fact in
                      self._by_arg.get((predicate, 0, key), {}).values())
 
-    def partition(self, subject: Constant,
-                  without=()) -> Optional["FactStore"]:
-        """A new store of :meth:`facts_about` ``subject`` less ``without``,
-        or None when that leaves no fact.
+    def partition(self, subject: Constant, without=(),
+                  into: Optional["FactStore"] = None) -> "FactStore":
+        """The store of :meth:`facts_about` ``subject`` less ``without``: a
+        new store that spells predicates as this one does, or ``into``, a
+        partition of this store about other subjects, with those facts
+        added.
 
         Each position-0 bucket is copied whole, in the order
-        :meth:`facts_about` reads it, into the new store's fact table and
-        indexes: no fact is built, checked or spelled again.  The new store
-        holds what asserting those facts one by one into ``FactStore()``
-        would, vocabulary included.
+        :meth:`facts_about` reads it, into the partition's fact table and
+        indexes, merged into the dicts it already holds: no fact is built,
+        checked or spelled again, and no dict of this store is shared.  The
+        partition holds what asserting those facts one by one would.
         """
         subject_key = subject.key()
-        part = None
+        if into is None:
+            into = FactStore()
+            into._canon = dict(self._canon)
+        facts, index, by_arg = into._facts, into._index, into._by_arg
         for predicate in self._index:
             if predicate in without:
                 continue
             bucket = self._by_arg.get((predicate, 0, subject_key))
             if bucket is None:
                 continue
-            if part is None:
-                part = FactStore()
-            spelling = next(iter(bucket.values())).predicate
-            if part._canon.setdefault(predicate, spelling) != spelling:
-                # A spelling the vocabulary changes: assert it fact by fact.
-                for fact in bucket.values():
-                    part.assert_fact(fact)
-                continue
-            part._facts.update(bucket)
-            part._index[predicate] = dict(bucket)
-            by_arg = part._by_arg
-            by_arg[(predicate, 0, subject_key)] = dict(bucket)
+            facts.update(bucket)
+            index.setdefault(predicate, {}).update(bucket)
+            by_arg.setdefault((predicate, 0, subject_key), {}).update(bucket)
             for key, fact in bucket.items():
                 arg_keys = key[1]
                 for position in range(1, len(arg_keys)):
                     by_arg.setdefault((predicate, position, arg_keys[position]),
                                       {})[key] = fact
-        return part
+        return into
 
     def by_key(self, key: tuple) -> Optional[Fact]:
         """The stored fact under ``key``, a :meth:`Fact.key`, if any."""
@@ -499,7 +492,7 @@ class FactStore:
 
     def snapshot(self) -> "FactStore":
         """Independent copy; facts themselves are immutable and shared."""
-        clone = FactStore(vocabulary=())
+        clone = FactStore()
         clone._facts = dict(self._facts)
         clone._index = {p: dict(bucket) for p, bucket in self._index.items()}
         clone._by_arg = {slot: dict(bucket)

@@ -4,21 +4,20 @@ Authentication runs a pipeline: classify the requester's recent features
 against the behavior model, score trust, derive the requester's facts again
 under the recognized class, take the authentication mean that fixpoint
 derives, then verify the presented credential under that mean.
-Authorization infers over the requester's facts, with the new request in
-place of their request history, then over each of their groups' facts, and
-combines the ``hasAccess`` / ``Obligation`` / ``Recommendation`` facts that
-name the user or one of their groups.
+Authorization infers over one working store of the requester's facts, with
+the new request in place of their request history, and then of their
+groups' facts too, and combines the ``hasAccess`` / ``Obligation`` /
+``Recommendation`` facts there that name the user or one of their groups.
 
 Under the policy's subject guard (:func:`compile_policy`) a rule joins and
 derives only facts about one subject, so a subject's part of the fixpoint
 is the fixpoint of a small store of its own facts, its partition.
 :func:`rederive` and :func:`authorize` infer over partitions only, so no
-fixpoint reads another subject's facts: the restriction magic sets give a
-query bound to one subject (Bancilhon, Maier, Sagiv and Ullman, PODS 1986),
-with no help from the engine.  An authorize copies each partition from the
-live store's index buckets (:meth:`FactStore.partition`), builds its
-request facts unchecked from fixed predicates, and runs no fixpoint for a
-group the live store holds no fact about, which derives nothing.
+fixpoint reads the facts of a subject it does not decide for: the
+restriction magic sets give a query bound to one subject (Bancilhon,
+Maier, Sagiv and Ullman, PODS 1986), with no help from the engine.  Facts
+about different subjects never join, so one store of several subjects'
+partitions derives what their separate fixpoints do.
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Obligations,
@@ -428,18 +427,16 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
     """Replace the facts inferred about ``user`` with what the fixpoint
     derives from the user's asserted facts less request history and
     ``Authenticated`` (never read): the whole-store fixpoint restricted to
-    the user.  Returns the mean of the first ``Authentication`` fact
-    derived, or None; that fact and derived facts of the unread predicates
-    stay out of the store.  The facts asserted carry their premises from
-    that fixpoint.  ``policy`` goes through :func:`compile_policy` first."""
+    the user, run over the user's partition less its inferred facts.
+    Returns the mean of the first ``Authentication`` fact derived, or None;
+    that fact and derived facts of the unread predicates stay out of the
+    store.  The facts asserted carry their premises from that fixpoint.  ``policy`` goes through :func:`compile_policy` first."""
     policy = compile_policy(policy)
     subject = coerce_constant(user)
-    own = FactStore()
-    for fact in store.facts_about(subject, _UNDERIVED_PREDICATES):
-        if fact.origin == INFERRED:
-            store.drop(fact.key())
-        else:
-            own.assert_fact(fact)
+    own = store.partition(subject, _UNDERIVED_PREDICATES)
+    for key in [fact.key() for fact in own if fact.origin == INFERRED]:
+        own.drop(key)
+        store.drop(key)
     mean = None
     for fact in infer_fixpoint(own, policy).derived:
         predicate = fact.key()[0]
@@ -550,22 +547,17 @@ def _priority_for(store: FactStore, user: Union[str, Constant],
 _DECISION_PREDICATES = ("hasaccess", "obligation", "recommendation")
 
 
-def _collect(store: FactStore, subjects: set, policy: Policy, derived=()):
+def _collect(store: FactStore, subjects: set, policy: Policy):
     """The decision facts naming one of ``subjects``, the keys of the user
     and their groups: each subject's ``hasAccess``, ``Obligation`` and
-    ``Recommendation`` buckets of ``store``, and the ``derived`` facts.
-    Each list is in policy order: asserted facts first, then inferred ones
-    by the index of their rule in ``policy`` (a rule it does not hold
-    last), ties broken by fact key, so the order does not depend on the
-    store's history."""
+    ``Recommendation`` buckets of ``store``.  Each list is in policy order:
+    asserted facts first, then inferred ones by the index of their rule in
+    ``policy`` (a rule it does not hold last), ties broken by fact key, so
+    the order does not depend on the store's history."""
     found: Dict[str, List[Fact]] = {p: [] for p in _DECISION_PREDICATES}
     for subject in subjects:
         for predicate, facts in found.items():
             facts.extend(store.probe(predicate, ((0, subject),)))
-    for fact in derived:
-        facts = found.get(fact.key()[0])
-        if facts is not None and fact.args[0].key() in subjects:
-            facts.append(fact)
     rank, unranked = policy.rule_index, len(policy.rule_ids)
 
     def policy_order(fact: Fact):
@@ -610,26 +602,26 @@ def authorize(req: AuthzRequest, store: FactStore,
               audit_log: Optional[AuditLog] = None) -> Decision:
     """Evaluate an access request against the policy rules.
 
-    Inference runs over the user's partition
-    (:meth:`FactStore.partition`), their facts less their earlier request
-    facts (which are never read) plus this request's, so the newest
-    request is what rules see; then over the partition of each group the
-    user is in that holds facts.  Under :func:`compile_policy`'s guard
-    that derives what a fixpoint over the whole store, with the user's
-    history replaced by the request, derives about them.  The decision
-    facts naming the user or one of the user's groups, the live store's
-    and the derived ones, are combined deny-overrides with a deny default;
-    lists come in policy order (:func:`_collect`).  The live store gains
-    only the request facts, as history; derived facts are dropped with the
-    partitions.  Only an asserted ``Authenticated`` passes the gate.
-    ``rules`` go through :func:`compile_policy` first.
+    Inference runs over the user's partition (:meth:`FactStore.partition`),
+    their facts less their earlier request facts (which are never read)
+    plus this request's, so the newest request is what rules see; then
+    again, when that adds facts, after each of the user's groups is copied
+    into the same store.  Under :func:`compile_policy`'s guard that derives
+    what a fixpoint over the whole store, with the user's history replaced
+    by the request, derives.  That store's decision facts naming the user
+    or one of the user's groups are combined deny-overrides with a deny
+    default; lists come in policy order (:func:`_collect`).  The live store
+    gains only the request facts, as history.  Only an asserted
+    ``Authenticated`` passes the gate.  ``rules`` go through
+    :func:`compile_policy` first.
     """
     policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
     subject = coerce_constant(req.user)
+    priority = _priority_for(store, subject, table)
     gate = store.by_key(("authenticated", (subject.key(), _YES_KEY)))
     if gate is None or gate.origin != ASSERTED:
-        decision = Decision(effect=DENY, priority=_priority_for(store, subject, table),
+        decision = Decision(effect=DENY, priority=priority,
                             rationale=["not-authenticated"])
         if audit_log is not None:
             audit_log.append("authz", req.user, DENY,
@@ -637,23 +629,21 @@ def authorize(req: AuthzRequest, store: FactStore,
         return decision
 
     request_facts = _request_facts(req, subject)
-    own = store.partition(subject, _HISTORY_PREDICATES) or FactStore()
+    work = store.partition(subject, _HISTORY_PREDICATES)
     for fact in request_facts:
-        own.assert_fact(fact)
-    # The partition holds the user's capabilities, none of them derived yet.
-    priority = _priority_for(own, subject, table)
-    derived = infer_fixpoint(own, policy).derived
-    groups = groups_of(own, subject)
+        work.assert_fact(fact)
+    infer_fixpoint(work, policy)
+    groups = groups_of(work, subject)
+    size = len(work)
     for group in groups:
-        if group == subject:  # the user's own part is derived already
-            continue
-        part = store.partition(group)
-        if part is not None:  # a group with no facts derives nothing
-            derived += infer_fixpoint(part, policy).derived
+        if group != subject:  # the user's own part is derived already
+            store.partition(group, into=work)
+    if len(work) > size:  # a group with no facts derives nothing
+        infer_fixpoint(work, policy)
 
     subjects = {subject.key()} | {g.key() for g in groups}
     permits, denies, obligations, recommendations, rationale = _collect(
-        store, subjects, policy, derived)
+        work, subjects, policy)
 
     if denies:
         effect = DENY

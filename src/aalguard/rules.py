@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .facts import (
-    DEFAULT_VOCABULARY,
+    _DEFAULT_CANON,
     MAX_ARITY,
     Constant,
     Variable,
@@ -46,8 +46,6 @@ RESERVED_BUILTINS = frozenset({
     "equal",
     "notequal",
 })
-
-_CANON = {name.lower(): name for name in DEFAULT_VOCABULARY}
 
 
 class RuleSyntaxError(ValueError):
@@ -81,7 +79,7 @@ class Atom:
         return {t.name for t in self.terms if isinstance(t, Variable)}
 
     def render(self) -> str:
-        predicate = _CANON.get(self.predicate.lower(), self.predicate)
+        predicate = _DEFAULT_CANON.get(self.predicate.lower(), self.predicate)
         return f"{predicate}({', '.join(t.render() for t in self.terms)})"
 
     def __eq__(self, other: object) -> bool:

@@ -14,10 +14,14 @@ from aalguard.engine import (
     render_derivation,
 )
 from aalguard.facts import (Constant, Fact, FactError, FactStore, Variable,
-                            ground, unify_against_fact)
-from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
-from aalguard.scenarios import load_fixture_rules
+                            ground, load_facts, load_facts_file,
+                            unify_against_fact)
+from aalguard.rules import (Atom, Rule, load_ruleset_file, parse_rule,
+                            parse_ruleset)
+from aalguard.scenarios import (SCENARIO_NAMES, fixture_text,
+                                load_fixture_rules, run_scenario)
 
+from conftest import DATA_DIR
 from oracles import (naive_fixpoint, random_guarded_instance, random_instance,
                      store_keys)
 
@@ -121,7 +125,7 @@ def test_fixpoint_matches_naive_oracle_under_twins_and_recasing():
     rng = random.Random(105)
     for _ in range(60):
         facts, rules = random_instance(rng)
-        store = FactStore(vocabulary=())
+        store = FactStore()
         for fact in facts:
             store.assert_fact(Fact(_recase(fact.predicate, rng),
                                    tuple(_twin(a, rng) for a in fact.args)))
@@ -170,7 +174,7 @@ def test_policy_keeps_rule_ids_and_lower_cased_body_predicates():
 
 def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
     rules = parse_ruleset("A(?x) -> B(?x)\n\nB(?x) ^ C(?x) -> D(?x)")
-    store = FactStore(vocabulary=())
+    store = FactStore()
     store.assert_fact(ground("A", "c1"))
     store.assert_fact(ground("C", "c1"))
     joined = []
@@ -328,7 +332,7 @@ def test_a_compiled_atom_binds_as_unify_against_fact(predicates, terms, args,
     atom_predicate, fact_predicate = predicates
     atom = Atom(atom_predicate, tuple(terms))
     fact = Fact(fact_predicate, tuple(args))
-    store = FactStore(vocabulary=())
+    store = FactStore()
     store.assert_fact(fact)
     stored = store.by_key(fact.key())
     prefix, before = [], ()
@@ -507,3 +511,33 @@ def test_explain_walks_the_premises_a_fact_carries():
     assert store.retract_fact("B", ("x",))
     assert render_derivation(explain(store, ground("C", "x"))) == (
         "C(x)  [rule bc]\n  B(x)  [rule ab]\n    A(x)  [asserted]")
+
+
+def _explain_all() -> str:
+    """``render_derivation(explain(...))`` of every fact of the stores the
+    CLI explains: ``behavioral.kb`` under ``behavioral.swl``, each
+    scenario's ``facts.kb`` under the fixture rules, and the store each
+    scenario run leaves under the fixture rules (its derived facts carry
+    the premises of the partitions they were derived in), each
+    materialized."""
+    stores = [("behavioral.kb under behavioral.swl",
+               load_facts_file(DATA_DIR / "behavioral.kb"),
+               load_ruleset_file(DATA_DIR / "behavioral.swl"))]
+    for name in SCENARIO_NAMES:
+        stores.append((f"scenarios/{name}/facts.kb under the fixture rules",
+                       load_facts(fixture_text("scenarios", name, "facts.kb")),
+                       load_fixture_rules()))
+    for name in SCENARIO_NAMES:
+        stores.append((f"run_scenario({name!r}).store under the fixture rules",
+                       run_scenario(name).store, load_fixture_rules()))
+    lines = []
+    for label, store, rules in stores:
+        infer_fixpoint(store, rules)
+        lines.append(f"# {label}")
+        lines.extend(render_derivation(explain(store, fact)) for fact in store)
+    return "\n".join(lines) + "\n"
+
+
+def test_explain_renders_every_fact_of_the_cli_stores_as_recorded():
+    recorded = (DATA_DIR / "explain_all.txt").read_text(encoding="utf-8")
+    assert _explain_all() == recorded

@@ -119,11 +119,11 @@ def test_match_repeated_variable_binds_consistently():
 
 
 def test_predicate_names_compare_case_insensitively():
-    store = FactStore(vocabulary=())
-    store.assert_fact(ground("HasRecognizedbehavior", "u1", "class1"))
-    assert not store.assert_fact(ground("HasRecognizedBehavior", "u1", "class1"))
+    store = FactStore()
+    store.assert_fact(ground("WearsSensor", "u1", "wristband"))
+    assert not store.assert_fact(ground("Wearssensor", "u1", "wristband"))
     # canonicalized to the first-seen spelling
-    assert store.facts()[0].predicate == "HasRecognizedbehavior"
+    assert store.facts()[0].predicate == "WearsSensor"
 
 
 def test_string_and_symbol_constants_compare_equal():
@@ -221,7 +221,7 @@ def _lookup(facts, predicate, terms, binding):
 
 
 def test_probe_reads_the_smallest_bound_bucket_the_first_of_equal_sizes():
-    store = FactStore(vocabulary=())
+    store = FactStore()
     for first, second in (("a", "b"), ("a", "c"), ("a", "d"), ("e", "b"),
                           ("e", "c"), ("f", "g")):
         store.assert_fact(Fact("P", (sym(first), sym(second))))
@@ -297,17 +297,25 @@ def _store_state(store):
     return facts, buckets, list(index.items()), store._canon
 
 
+def _spelled_as(store):
+    """An empty store that spells predicates as ``store`` does."""
+    empty = FactStore()
+    empty._canon = dict(store._canon)
+    return empty
+
+
 def test_a_partition_is_the_store_its_facts_asserted_one_by_one_give():
     # Bucket copies file what asserting each fact about the subject into a
-    # fresh store would, re-spellings by the default vocabulary included
-    # (a live store without it spells "hasaccess" its own way).
+    # store that spells as the source would: alone, after another
+    # subject's facts that share argument buckets (into=), and with no
+    # change to the source when the partition is written to.
     rng = random.Random(20261019)
     subjects = [sym("s1"), sym("s2"), Constant.string("s1"),
                 Constant.number(1)]
     constants = subjects + [sym("k0"), Constant.string("k 2")]
     predicates = ["P", "p", "Q", "hasaccess", "HASACCESS", "Obligation"]
     for _ in range(200):
-        store = FactStore(vocabulary=rng.choice([(), ("Q", "P")]))
+        store = FactStore()
         for _ in range(rng.randint(0, 12)):
             store.assert_fact(Fact(
                 rng.choice(predicates),
@@ -315,21 +323,33 @@ def test_a_partition_is_the_store_its_facts_asserted_one_by_one_give():
                     rng.choice(constants) for _ in range(rng.randint(0, 2))),
                 origin=rng.choice(["asserted", "inferred"]),
                 rule_id=rng.choice([None, "r1"])))
+        source = _store_state(store)
         subject = rng.choice(subjects)
+        other = rng.choice([s for s in subjects if s.key() != subject.key()])
         without = rng.choice([(), ("p",), ("hasaccess", "q")])
-        reference = FactStore()
+        reference = _spelled_as(store)
         for fact in store.facts_about(subject, without):
             reference.assert_fact(fact)
+        merged_reference = _spelled_as(store)
+        for fact in store.facts_about(other, without) \
+                + store.facts_about(subject, without):
+            merged_reference.assert_fact(fact)
         part = store.partition(subject, without)
-        if not len(reference):
-            assert part is None
-            continue
+        merged = store.partition(other, without)
+        assert store.partition(subject, without, into=merged) is merged
         assert _store_state(part) == _store_state(reference)
+        assert _store_state(merged) == _store_state(merged_reference)
         for fact in (Fact("p", (subject,)), Fact("NEW", (subject,)),
                      Fact("obligation", (subject, sym("k0")))):
-            part.assert_fact(fact)
-            reference.assert_fact(fact)
+            for written in (part, reference, merged, merged_reference):
+                written.assert_fact(fact)
         assert _store_state(part) == _store_state(reference)
+        assert _store_state(merged) == _store_state(merged_reference)
+        for written in (part, merged):
+            for fact in written.facts():
+                written.drop(fact.key())
+            assert not len(written)
+        assert _store_state(store) == source
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +408,7 @@ def keyed_probe(draw, stored):
     origin=st.sampled_from(["asserted", "inferred"])), max_size=30),
     data=st.data())
 def test_key_lookups_match_the_probe_fact_reference(stored, data):
-    store = FactStore(vocabulary=())
+    store = FactStore()
     for fact in stored:
         store.assert_fact(fact)
     reference = {fact.key(): fact for fact in store}
@@ -603,9 +623,12 @@ def test_trusted_builds_equal_checked_builds(predicate, values, origin,
     assert_built_alike(Fact._trusted(predicate, args,
                                      fact_key(predicate, args), origin,
                                      rule_id, premises), checked)
-    # A store that spells the predicate otherwise builds its own spelling;
-    # asserting the fact again as asserted upgrades an inferred one.
-    store = FactStore(vocabulary=(spelling(predicate),))
+    # A store that spells the predicate otherwise, having first seen
+    # another spelling, builds its own spelling; asserting the fact again as
+    # asserted upgrades an inferred one.
+    store = FactStore()
+    store.assert_fact(Fact(spelling(predicate), args))
+    store.drop(checked.key())
     store.assert_fact(checked)
     respelled = Fact(spelling(predicate), args, origin=origin,
                      rule_id=rule_id, premises=premises)

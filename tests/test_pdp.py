@@ -836,8 +836,8 @@ def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
             if read is None:
                 continue
 
-            def counted(*args, _read=read):
-                result = _read(*args)
+            def counted(*args, _read=read, **kwargs):
+                result = _read(*args, **kwargs)
                 counts.append(sum(1 for fact in result or ()
                                   if fact.key()[0] in DECISION_PREDICATES))
                 return result
@@ -858,7 +858,7 @@ def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
 def test_an_authorize_whose_group_holds_no_facts_infers_over_one_partition(
         monkeypatch):
     # u1's group, Group1, is a constant the live store holds no fact
-    # about: it gets no partition and no fixpoint.
+    # about: copying it adds nothing, so no second fixpoint runs.
     store = primed_store()
     assert pdp.groups_of(store, "u1") == [Constant.symbol("Group1")]
     assert not store.facts_about(Constant.symbol("Group1"))
@@ -880,6 +880,41 @@ def test_an_authorize_whose_group_holds_no_facts_infers_over_one_partition(
     assert decided(decision) == ("permit", [], ["visual-alert"],
                                  ["deaf-permit", "deaf-visual-alert"])
     assert calls == {"stores": 1, "infer_fixpoint": 1}
+
+
+def test_an_authorize_whose_group_holds_facts_infers_over_one_store(
+        monkeypatch):
+    # Group1's facts are copied into the store the user's fixpoint ran
+    # over, and one more fixpoint there derives the group's part: one
+    # FactStore and two fixpoints, and the group's asserted and derived
+    # decision facts reach the decision.
+    store = primed_store()
+    store.assert_fact(ground("hasAccess", "Group1", "permit"))
+    policy = pdp.compile_policy(RULES + parse_ruleset(
+        "@id: group-note\n"
+        "hasAccess(?g, permit) -> Recommendation(?g, group-note)\n"))
+    calls = {"stores": 0, "infer_fixpoint": 0}
+    init, infer = FactStore.__init__, pdp.infer_fixpoint
+
+    def counting_init(self, *args):
+        calls["stores"] += 1
+        init(self, *args)
+
+    def counting_infer(*args):
+        calls["infer_fixpoint"] += 1
+        return infer(*args)
+
+    monkeypatch.setattr(FactStore, "__init__", counting_init)
+    monkeypatch.setattr(pdp, "infer_fixpoint", counting_infer)
+    request = AuthzRequest("u1", "ReadAlert", device="VisualAid")
+    decision = authorize(request, store, policy)
+    assert decided(decision) == (
+        "permit", [], ["visual-alert", "group-note"],
+        ["asserted", "deaf-permit", "deaf-visual-alert", "group-note"])
+    assert calls == {"stores": 1, "infer_fixpoint": 2}
+    monkeypatch.undo()
+    assert decided(decision)[:3] == whole_snapshot_decision(
+        request, store, policy)[:3]
 
 
 REQUEST_TEXT = st.text(st.sampled_from('ab1 "\\.-_#'), min_size=1,
@@ -934,8 +969,8 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
         counts = []
         for name in ("probe", "facts_about", "facts_for", "snapshot",
                      "partition"):
-            def counted(*args, _read=getattr(store, name)):
-                result = _read(*args)
+            def counted(*args, _read=getattr(store, name), **kwargs):
+                result = _read(*args, **kwargs)
                 counts.append(len(result or ()))
                 return result
             setattr(store, name, counted)

@@ -195,7 +195,7 @@ def test_eval_query_equals_a_scan_of_facts_for(seed, data):
     # key, and how it renders, is checked along with the keys and the order.
     rng = random.Random(seed)
     facts, _ = random_instance(rng)
-    store = FactStore(vocabulary=())
+    store = FactStore()
     for fact in facts:
         store.assert_fact(Fact(
             rng.choice([fact.predicate, fact.predicate.upper()]),

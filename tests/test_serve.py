@@ -107,6 +107,8 @@ BAD_INPUT_MESSAGES = [
     {"op": "authn", "user": "u3", "tag": ["tag-u3-0042"]},
     {"op": "authn", "user": None, "password": "door-chime-7"},
     {"op": "authn", "user": "u1", "password": "door-chime-7", "features": []},
+    {"op": "query", "q": None},
+    {"op": "query", "q": ["SELECT ?u WHERE { Authenticated(?u, yes) }"]},
 ]
 
 
@@ -124,6 +126,13 @@ def test_bad_input_fails_closed_and_keeps_serving(message):
     assert (after["facts"], after["audit_seq"]) \
         == (before["facts"], before["audit_seq"])
     assert responses[3] == {"ok": True}
+
+
+def test_a_query_that_is_not_a_string_is_refused_by_name():
+    state = primed_state()
+    for q in (None, ["SELECT ?u WHERE { Authenticated(?u, yes) }"], 7):
+        assert cli.handle_message(state, json.dumps({"op": "query", "q": q})) \
+            == {"ok": False, "error": "q must be a string"}
 
 
 def test_over_long_line_is_refused_and_serving_continues():
