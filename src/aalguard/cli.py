@@ -364,8 +364,9 @@ def handle_message(state: ServeState, line: str) -> dict:
         if op == "stats":
             with state.lock:
                 facts, audit_seq = len(state.store), state.audit_log.seq
+                memo = pdp.memo_counts(state.store)
             return {"ok": True, **_memory_kb(), "facts": facts,
-                    "audit_seq": audit_seq}
+                    "audit_seq": audit_seq, **memo}
         return {"ok": False, "error": f"unknown op: {op!r}"}
     except KeyError as err:
         return {"ok": False, "error": f"missing field: {err.args[0]!r}"}

@@ -11,7 +11,9 @@ included, so the fixpoint builds a derived fact unchecked, once, and only
 when no stored or pending fact has its key.
 
 The first round is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): each
-rule is joined once, whole.  Every later round is semi-naive: it only
+rule is joined once, whole, unless the caller names the facts the store
+gained since it was last closed under the rules; then the first round is
+semi-naive over those.  Every later round is semi-naive: it only
 considers rule-body matches that touch at least one fact derived in the
 round before, and joins a rule through a body atom only when that delta
 holds a fact of the atom's predicate, so the engine scales with the volume
@@ -161,8 +163,9 @@ class Policy:
     (``rule<n>`` when it has none) and, by id, the index of the first rule
     with it (``rule_index``); the join plan of each rule body
     (:func:`compile_body`), with each lower-cased body predicate's pivots,
-    so a semi-naive pass joins only the pivots a delta fact can match; and
-    the plan of each head atom.
+    so a semi-naive pass joins only the pivots a delta fact can match; the
+    plan of each head atom; and, by predicate and arity, what the body
+    atoms fix of a fact they read (:meth:`reads`).
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -190,6 +193,45 @@ class Policy:
         self.heads = tuple(
             tuple(_compile_head(atom, rule_id) for atom in rule.head)
             for rule, rule_id in zip(self.rules, self.rule_ids))
+        # (lower-cased predicate, arity) -> (a set holding, for each atom
+        # whose first argument alone is a variable, its argument keys past
+        # the first; and for every other atom, its constant keys and
+        # whether a variable past its first argument reads the fact)
+        self._readers: dict = {}
+        for plan in self.plans:
+            for atom in plan:
+                fixed, others = self._readers.setdefault(
+                    (atom.predicate, atom.arity), (set(), []))
+                positions = [position for position, _ in atom.keys]
+                if positions == list(range(1, atom.arity)):
+                    fixed.add(tuple(key for _, key in atom.keys))
+                else:
+                    others.append((atom.keys, any(
+                        position not in positions
+                        for position in range(1, atom.arity))))
+
+    def reads(self, key: tuple) -> Optional[bool]:
+        """Whether a body atom can match the fact of ``key``, a
+        :meth:`Fact.key`: one of the same predicate and arity whose
+        constant argument keys the fact's agree with.  None when no atom
+        can, so no join ever reads the fact; else True when such an atom
+        reads it through a variable past its first argument, and False
+        when each fixes every argument past the first."""
+        predicate, arg_keys = key
+        readers = self._readers.get((predicate, len(arg_keys)))
+        if readers is None:
+            return None
+        fixed, others = readers
+        read = False if arg_keys[1:] in fixed else None
+        for keys, varied in others:
+            for position, arg_key in keys:
+                if arg_keys[position] != arg_key:
+                    break
+            else:
+                if varied:
+                    return True
+                read = False
+        return read
 
     @classmethod
     def of(cls, rules) -> "Policy":
@@ -249,8 +291,8 @@ def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set):
     return results
 
 
-def infer_fixpoint(store: FactStore,
-                   rules: Union[Policy, Iterable[Rule]]) -> InferenceReport:
+def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
+                   delta: Optional[Iterable[Fact]] = None) -> InferenceReport:
     """Materialize the least fixpoint of ``rules`` over ``store`` in place.
 
     ``rules`` is a :class:`Policy` or a rule list, which is compiled on the
@@ -260,7 +302,10 @@ def infer_fixpoint(store: FactStore,
     produced it and the facts that rule's body matched, for explanation.
 
     The first round is naive: each rule whose first body atom has stored
-    facts is joined once, whole, with no delta.  Every later round is
+    facts is joined once, whole, with no delta.  Given ``delta``, stored
+    facts such that the store less them is closed under the rules
+    already, the first round is semi-naive over them instead, so only
+    matches that touch one of them are joined.  Every later round is
     semi-naive over the facts the round before derived.  A head is
     instantiated as its key first, and a fact is built, unchecked, only
     when no stored or pending fact has that key.
@@ -270,12 +315,17 @@ def infer_fixpoint(store: FactStore,
     derived: List[Fact] = []
     by_key = store.by_key
 
-    # Round one has no delta: it joins whole each rule whose first atom
-    # has facts.
-    held = store.predicates()
-    joins = [(index, len(plan)) for index, plan in enumerate(policy.plans)
-             if plan[0].predicate in held]
-    delta_keys: set = set()
+    if delta is None:
+        # Round one has no delta: it joins whole each rule whose first
+        # atom has facts.
+        held = store.predicates()
+        joins = [(index, len(plan)) for index, plan in enumerate(policy.plans)
+                 if plan[0].predicate in held]
+        delta_keys: set = set()
+    else:
+        delta_keys = {fact.key() for fact in delta}
+        joins = sorted(pair for predicate in {key[0] for key in delta_keys}
+                       for pair in policy.pivots.get(predicate, ()))
     iterations = 0
     while True:
         iterations += 1

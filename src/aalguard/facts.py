@@ -21,6 +21,7 @@ without building or checking any of them again.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -305,6 +306,9 @@ def unify_against_fact(predicate: str, terms, fact: Fact, binding: dict):
 
 
 _DEFAULT_CANON = {name.lower(): name for name in DEFAULT_VOCABULARY}
+# The change stamps of every store, from one clock: each stamp is newer
+# than every stamp before it.
+_tick = itertools.count(1).__next__
 
 
 class FactStore:
@@ -319,6 +323,8 @@ class FactStore:
     buckets of a subject.  Both indexes keep insertion order, so a lookup
     yields its facts in the order a scan of :meth:`facts_for` would.  A
     predicate is spelled as ``DEFAULT_VOCABULARY`` or its first fact does.
+    Each change to a subject's facts moves that subject's :meth:`version`,
+    so a caller can tell whether what it derived from them is current.
 
     Single-writer, multiple-reader contract: callers serialize mutations,
     and readers that need a stable view hold the lock that serializes them.
@@ -333,6 +339,8 @@ class FactStore:
         #                                 -> dict key -> Fact
         # predicate lower -> first-seen spelling, seeded with the vocabulary
         self._canon: dict = dict(_DEFAULT_CANON)
+        self._stamps: dict = {}         # subject key -> predicate lower
+        #                                 -> change stamp
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -374,34 +382,30 @@ class FactStore:
             best = self._index.get(predicate, {})
         return tuple(best.values())
 
-    def facts_about(self, subject: Constant, without=()) -> tuple:
-        """The stored facts whose first argument is ``subject``, read from
-        the position-0 index: one bucket per predicate, in insertion order.
-        The buckets of the lower-cased predicates in ``without`` are
-        skipped whole, so their facts are never read."""
-        key = subject.key()
-        return tuple(fact for predicate in self._index
-                     if predicate not in without for fact in
-                     self._by_arg.get((predicate, 0, key), {}).values())
-
     def partition(self, subject: Constant, without=(),
                   into: Optional["FactStore"] = None) -> "FactStore":
-        """The store of :meth:`facts_about` ``subject`` less ``without``: a
-        new store that spells predicates as this one does, or ``into``, a
-        partition of this store about other subjects, with those facts
-        added.
+        """The store of the facts whose first argument is ``subject``, less
+        those of the lower-cased predicates in ``without``: a new store that
+        spells predicates as this one does, or ``into``, a partition of this
+        store about other subjects, with those facts added.
 
-        Each position-0 bucket is copied whole, in the order
-        :meth:`facts_about` reads it, into the partition's fact table and
-        indexes, merged into the dicts it already holds: no fact is built,
-        checked or spelled again, and no dict of this store is shared.  The
-        partition holds what asserting those facts one by one would.
+        Each position-0 bucket is copied whole, in insertion order, into
+        the partition's fact table and indexes, merged into the dicts it
+        already holds: no fact is built, checked or spelled again, and no
+        dict of this store is shared.  The buckets of ``without`` are
+        skipped whole, so their facts are never read.  The partition holds
+        what asserting those facts one by one would, and stamps the slots
+        it fills with one new change stamp (:meth:`version`).
         """
         subject_key = subject.key()
         if into is None:
             into = FactStore()
             into._canon = dict(self._canon)
         facts, index, by_arg = into._facts, into._index, into._by_arg
+        if subject_key not in self._stamps:  # no fact about it, ever
+            return into
+        stamp = _tick()
+        stamps = into._stamps.setdefault(subject_key, {})
         for predicate in self._index:
             if predicate in without:
                 continue
@@ -411,12 +415,29 @@ class FactStore:
             facts.update(bucket)
             index.setdefault(predicate, {}).update(bucket)
             by_arg.setdefault((predicate, 0, subject_key), {}).update(bucket)
+            stamps[predicate] = stamp
             for key, fact in bucket.items():
                 arg_keys = key[1]
                 for position in range(1, len(arg_keys)):
                     by_arg.setdefault((predicate, position, arg_keys[position]),
                                       {})[key] = fact
         return into
+
+    def version(self, subject: Constant, without=()) -> int:
+        """The newest change stamp of ``subject``'s slots outside the
+        lower-cased predicates in ``without``, 0 when there is none.
+
+        A new stamp marks the slot ``(subject, predicate)`` whenever a fact
+        of that predicate whose first argument is ``subject`` is filed,
+        dropped or copied in by :meth:`partition`; a slot stays when its
+        bucket empties.  So the version moves exactly when one of those
+        slots changed since it was last read.
+        """
+        stamps = self._stamps.get(subject.key())
+        if not stamps:
+            return 0
+        return max([stamp for predicate, stamp in stamps.items()
+                    if predicate not in without], default=0)
 
     def by_key(self, key: tuple) -> Optional[Fact]:
         """The stored fact under ``key``, a :meth:`Fact.key`, if any."""
@@ -437,6 +458,7 @@ class FactStore:
         self._index.setdefault(predicate, {})[key] = fact
         for position, arg_key in enumerate(arg_keys):
             self._by_arg.setdefault((predicate, position, arg_key), {})[key] = fact
+        self._stamps.setdefault(arg_keys[0], {})[predicate] = _tick()
 
     def assert_fact(self, fact: Fact) -> bool:
         """Insert a fact; returns True iff it was not already present.
@@ -488,6 +510,7 @@ class FactStore:
             del bucket[key]
             if not bucket:
                 del index[slot]
+        self._stamps[arg_keys[0]][predicate] = _tick()
         return True
 
     def snapshot(self) -> "FactStore":
@@ -498,6 +521,8 @@ class FactStore:
         clone._by_arg = {slot: dict(bucket)
                          for slot, bucket in self._by_arg.items()}
         clone._canon = dict(self._canon)
+        clone._stamps = {subject: dict(stamps)
+                         for subject, stamps in self._stamps.items()}
         return clone
 
 

@@ -19,6 +19,18 @@ Maier, Sagiv and Ullman, PODS 1986), with no help from the engine.  Facts
 about different subjects never join, so one store of several subjects'
 partitions derives what their separate fixpoints do.
 
+A decision is re-made only when something it read changed.  The store
+stamps each change to a subject's facts (:meth:`FactStore.version`).
+:func:`rederive` skips its fixpoint while the user's version, less request
+history and ``Authenticated``, is the one it recorded after its last run
+under the same policy, and an authentication that recognizes the class and
+outcome the store holds writes nothing.  :func:`authorize` keeps a memo per
+store and user, held weakly by the store: a user's slot stays while the
+policy and the user's version less request history stay, and holds one
+decision per set of request facts some rule can read, valid while each
+group it read keeps its version.  On a miss, a user that :func:`rederive`
+left closed under the policy is inferred from the request facts alone.
+
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Obligations,
 recommendations and rationale come in policy order: asserted facts first,
@@ -44,7 +56,7 @@ from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_at, trust_score)
 from .engine import InvalidRuleError, Policy, infer_fixpoint
 from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Variable,
-                    coerce_constant, ground)
+                    coerce_constant, fact_key, ground)
 from .rules import Rule
 
 PASSWORD_MEAN = "username/password"
@@ -71,7 +83,7 @@ EMERGENCY_OBLIGATION = "signal-emergency"
 PERMIT = "permit"
 DENY = "deny"
 
-_TIME_RE = re.compile(r"\d\d\.\d\d\Z")
+_TIME_RE = re.compile(r"([01]\d|2[0-3])\.[0-5]\d\Z")
 
 # What a request asserts about its user, by the part of the request it
 # comes from; each context component is asserted under its own predicate and
@@ -92,8 +104,9 @@ _HISTORY_PREDICATES = frozenset(name.lower()
 _UNDERIVED_PREDICATES = _HISTORY_PREDICATES | {"authenticated"}
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
+_YES, _NO = Constant.symbol("yes"), Constant.symbol("no")
 # The gate reads Authenticated(<user>, yes) by its key.
-_YES_KEY = Constant.symbol("yes").key()
+_YES_KEY = _YES.key()
 
 
 class PdpError(ValueError):
@@ -142,7 +155,8 @@ class AuthzRequest:
     def __post_init__(self) -> None:
         time_value = self.context.get("time")
         if time_value is not None and not _TIME_RE.fullmatch(time_value):
-            raise PdpError(f"context time must look like HH.MM, got {time_value!r}")
+            raise PdpError("context time must be HH.MM from 00.00 to 23.59, "
+                           f"got {time_value!r}")
 
 
 @dataclass
@@ -417,9 +431,61 @@ def _verify_credential(mean: str, credential: Optional[Credential],
     return False, "tag mismatch"
 
 
-def _replace_user_facts(store: FactStore, predicate: str, user: str) -> None:
-    for fact in _facts_about(store, predicate, user):
+class _Memo:
+    """What :func:`rederive` and :func:`authorize` keep about one store, by
+    subject key, with the counts :func:`memo_counts` answers.
+
+    ``derived`` holds the ``(policy, version, mean, closed)`` of the
+    subject's last rederive: the version read after it, and whether the
+    store kept every fact it derived but ``Authentication``, so that,
+    while the version stays, the subject's facts less request history and
+    ``Authenticated`` are closed under the policy.  ``decisions`` holds
+    one slot per subject, ``(policy, version, entries)``: the policy and
+    the subject's version less request history that its entries were
+    decided under, and by the set of readable request-fact keys, the
+    ``(group versions, decision)`` of each request decided since."""
+
+    def __init__(self):
+        self.derived: dict = {}
+        self.decisions: dict = {}
+        self.hits = self.misses = self.skips = 0
+
+
+_MEMOS = weakref.WeakKeyDictionary()  # store -> its _Memo
+
+
+def _memo_of(store: FactStore) -> _Memo:
+    memo = _MEMOS.get(store)
+    if memo is None:
+        memo = _MEMOS[store] = _Memo()
+    return memo
+
+
+def memo_counts(store: FactStore) -> Dict[str, int]:
+    """How many decisions :func:`authorize` reused from the memo and
+    computed on ``store``, and how many fixpoints :func:`rederive`
+    skipped, in this process."""
+    memo = _memo_of(store)
+    return {"authorize_memo_hits": memo.hits,
+            "authorize_memo_misses": memo.misses,
+            "rederive_skips": memo.skips}
+
+
+def _keep_only(store: FactStore, predicate: str, user: Constant,
+               value: Optional[Constant]) -> None:
+    """Make the asserted ``predicate(user, value)`` the one ``predicate``
+    fact about ``user``, or with ``value`` None leave none.  A store that
+    holds just that is not touched, so no change stamp moves."""
+    held = _facts_about(store, predicate, user)
+    if value is not None:
+        key = fact_key(predicate, (user, value))
+        if len(held) == 1 and held[0].key() == key \
+                and held[0].origin == ASSERTED:
+            return
+    for fact in held:
         store.drop(fact.key())
+    if value is not None:
+        store.assert_fact(Fact._trusted(predicate, (user, value), key))
 
 
 def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
@@ -430,14 +496,26 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
     the user, run over the user's partition less its inferred facts.
     Returns the mean of the first ``Authentication`` fact derived, or None;
     that fact and derived facts of the unread predicates stay out of the
-    store.  The facts asserted carry their premises from that fixpoint.  ``policy`` goes through :func:`compile_policy` first."""
+    store.  The facts asserted carry their premises from that fixpoint.
+
+    When the user's version less those predicates
+    (:meth:`FactStore.version`) is the one read after the last rederive
+    under the same policy, nothing it read has changed: the store holds
+    what it derived, and the mean it found is returned with no fixpoint.
+    ``policy`` goes through :func:`compile_policy` first."""
     policy = compile_policy(policy)
     subject = coerce_constant(user)
+    memo = _memo_of(store)
+    record = memo.derived.get(subject.key())
+    if record is not None and record[0] is policy \
+            and record[1] == store.version(subject, _UNDERIVED_PREDICATES):
+        memo.skips += 1
+        return record[2]
     own = store.partition(subject, _UNDERIVED_PREDICATES)
     for key in [fact.key() for fact in own if fact.origin == INFERRED]:
         own.drop(key)
         store.drop(key)
-    mean = None
+    mean, closed = None, True
     for fact in infer_fixpoint(own, policy).derived:
         predicate = fact.key()[0]
         if predicate == "authentication":
@@ -446,6 +524,10 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
         elif fact.args[0] == subject \
                 and predicate not in _UNDERIVED_PREDICATES:
             store.assert_fact(fact)
+        else:  # derived, and not kept
+            closed = False
+    memo.derived[subject.key()] = (
+        policy, store.version(subject, _UNDERIVED_PREDICATES), mean, closed)
     return mean
 
 
@@ -457,15 +539,17 @@ def authenticate(req: AuthnRequest, store: FactStore,
                  audit_log: Optional[AuditLog] = None) -> AuthnResult:
     """Authenticate a user from behavior plus credential.
 
-    The user's earlier ``Authenticated`` and ``HasRecognizedBehavior``
-    facts give way to the class recognized now, and the facts inferred
-    about the user are derived again (:func:`rederive`); the mean is the
-    one that fixpoint derives, or ``default_mean``.  Yes requires both
-    gates: a verified credential under that mean and trust at or above
-    the threshold.  The outcome is asserted as ``Authenticated(user,
-    yes|no)``.  A vector at a non-finite distance has no class and fails
-    the trust gate.  ``policy`` is compiled by :func:`compile_policy` when
-    it is a rule list.
+    The user's earlier ``HasRecognizedBehavior`` facts give way to the
+    class recognized now, and the facts inferred about the user are
+    derived again (:func:`rederive`, which skips the fixpoint when nothing
+    it reads changed); the mean is the one that fixpoint derives, or
+    ``default_mean``.  Yes requires both gates: a verified credential
+    under that mean and trust at or above the threshold.  The outcome is
+    asserted as ``Authenticated(user, yes|no)``, in place of the earlier
+    ones.  A class or an outcome the store already holds, asserted and
+    alone, is left as it is.  A vector at a non-finite distance has no
+    class and fails the trust gate.  ``policy`` is compiled by
+    :func:`compile_policy` when it is a rule list.
     """
     policy = compile_policy(policy)
     try:
@@ -474,12 +558,11 @@ def authenticate(req: AuthnRequest, store: FactStore,
     except NonFiniteError:  # no class and no trust
         behavior_class, trust = None, math.nan
 
-    _replace_user_facts(store, "Authenticated", req.user)
-    _replace_user_facts(store, "HasRecognizedBehavior", req.user)
-    if behavior_class is not None:
-        store.assert_fact(
-            ground("HasRecognizedBehavior", req.user, behavior_class))
-    mean = rederive(store, policy, req.user)
+    subject = coerce_constant(req.user)
+    _keep_only(store, "HasRecognizedBehavior", subject,
+               None if behavior_class is None
+               else coerce_constant(behavior_class))
+    mean = rederive(store, policy, subject)
     if mean is None:
         mean = default_mean
 
@@ -489,7 +572,7 @@ def authenticate(req: AuthnRequest, store: FactStore,
         verified = False
         reason = f"trust {trust:.3f} below threshold {trust_threshold}"
     answer = "yes" if verified else "no"
-    store.assert_fact(ground("Authenticated", req.user, answer))
+    _keep_only(store, "Authenticated", subject, _YES if verified else _NO)
 
     if audit_log is not None:
         detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"
@@ -596,6 +679,88 @@ def _collect(store: FactStore, subjects: set, policy: Policy):
     return permits, denies, obligations, recommendations, rationale
 
 
+def _decide(store: FactStore, policy: Policy, subject: Constant,
+            request_facts: List[Fact]) -> tuple:
+    """``(effect, obligations, recommendations, rationale)`` for the
+    request of ``request_facts`` by ``subject``, as :func:`authorize`
+    decides it, from the memo when nothing the decision read has changed.
+
+    Inference runs over one working store: the subject's partition less
+    request history, plus the request facts some body atom can match
+    (:meth:`Policy.reads`; no rule reads the others, and none is a
+    decision or group fact); then again, when that adds facts, after each
+    of the subject's groups is copied in.  So the decision is a function
+    of the policy, the subject's facts less history, the readable request
+    facts and the groups' facts, and the memo keys it by those: the
+    subject's slot is kept while the policy and the subject's version less
+    history (:meth:`FactStore.version`) stay, and its entry for the set
+    of readable request-fact keys holds while each group's version does.
+    A request that some atom reads through a variable is not memoized, so
+    a slot holds at most one entry per set of the policy's constants.
+    When the subject's last :func:`rederive` left its facts closed under
+    the policy and they have not changed since, the first fixpoint starts
+    from the request facts and the subject's ``Authenticated`` facts, the
+    only facts of the working store that can match anything new."""
+    memo = _memo_of(store)
+    version = store.version(subject, _HISTORY_PREDICATES)
+    slot = memo.decisions.get(subject.key())
+    if slot is None or slot[0] is not policy or slot[1] != version:
+        slot = memo.decisions[subject.key()] = (policy, version, {})
+    readable, memoized = [], True
+    for fact in request_facts:
+        read = policy.reads(fact.key())
+        if read is not None:
+            readable.append(fact)
+            memoized = memoized and not read
+    if memoized:
+        request_keys = frozenset([fact.key() for fact in readable])
+        entry = slot[2].get(request_keys)
+        if entry is not None and all(store.version(group) == stamp
+                                     for group, stamp in entry[0]):
+            memo.hits += 1
+            return entry[1]
+    memo.misses += 1
+
+    work = store.partition(subject, _HISTORY_PREDICATES)
+    for fact in readable:
+        work.assert_fact(fact)
+    record = memo.derived.get(subject.key())
+    if record is not None and record[0] is policy and record[3] \
+            and record[1] == store.version(subject, _UNDERIVED_PREDICATES):
+        # The subject's facts less history and Authenticated are closed
+        # under the policy: only matches that touch a request fact or an
+        # Authenticated fact derive anything new.
+        infer_fixpoint(work, policy, readable + list(
+            work.probe("authenticated", ((0, subject.key()),))))
+    else:
+        infer_fixpoint(work, policy)
+    groups = groups_of(work, subject)
+    size = len(work)
+    others = [group for group in groups if group != subject]
+    for group in others:  # the user's own part is derived already
+        store.partition(group, into=work)
+    if len(work) > size:  # a group with no facts derives nothing
+        infer_fixpoint(work, policy)
+
+    subjects = {subject.key()} | {g.key() for g in groups}
+    permits, denies, obligations, recommendations, rationale = _collect(
+        work, subjects, policy)
+    if denies:
+        effect = DENY
+    elif permits:
+        effect = PERMIT
+    else:
+        effect = DENY
+        rationale = ["default-deny"]
+    decided = (effect, tuple(obligations), tuple(recommendations),
+               tuple(rationale))
+    if memoized:
+        slot[2][request_keys] = (
+            tuple([(group, store.version(group)) for group in others]),
+            decided)
+    return decided
+
+
 def authorize(req: AuthzRequest, store: FactStore,
               rules: Union[Policy, List[Rule]],
               *, priority_table: Optional[Dict[str, int]] = None,
@@ -610,10 +775,12 @@ def authorize(req: AuthzRequest, store: FactStore,
     what a fixpoint over the whole store, with the user's history replaced
     by the request, derives.  That store's decision facts naming the user
     or one of the user's groups are combined deny-overrides with a deny
-    default; lists come in policy order (:func:`_collect`).  The live store
-    gains only the request facts, as history.  Only an asserted
-    ``Authenticated`` passes the gate.  ``rules`` go through
-    :func:`compile_policy` first.
+    default; lists come in policy order (:func:`_collect`).  A decision
+    whose inputs have not changed since it was made is reused
+    (:func:`_decide`).  The live store gains only the request facts, as
+    history.  Only an asserted ``Authenticated`` passes the gate; the
+    gate, the priority, the audit entry and the history are done on every
+    request.  ``rules`` go through :func:`compile_policy` first.
     """
     policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
@@ -629,33 +796,11 @@ def authorize(req: AuthzRequest, store: FactStore,
         return decision
 
     request_facts = _request_facts(req, subject)
-    work = store.partition(subject, _HISTORY_PREDICATES)
-    for fact in request_facts:
-        work.assert_fact(fact)
-    infer_fixpoint(work, policy)
-    groups = groups_of(work, subject)
-    size = len(work)
-    for group in groups:
-        if group != subject:  # the user's own part is derived already
-            store.partition(group, into=work)
-    if len(work) > size:  # a group with no facts derives nothing
-        infer_fixpoint(work, policy)
-
-    subjects = {subject.key()} | {g.key() for g in groups}
-    permits, denies, obligations, recommendations, rationale = _collect(
-        work, subjects, policy)
-
-    if denies:
-        effect = DENY
-    elif permits:
-        effect = PERMIT
-    else:
-        effect = DENY
-        rationale = ["default-deny"]
-
-    decision = Decision(effect=effect, obligations=obligations,
-                        recommendations=recommendations,
-                        priority=priority, rationale=rationale)
+    effect, obligations, recommendations, rationale = _decide(
+        store, policy, subject, request_facts)
+    decision = Decision(effect=effect, obligations=list(obligations),
+                        recommendations=list(recommendations),
+                        priority=priority, rationale=list(rationale))
 
     for fact in request_facts:  # history for behavioral rules
         store.assert_fact(fact)

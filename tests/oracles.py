@@ -316,6 +316,18 @@ def assert_built_alike(built, checked) -> None:
             assert vars(arg) == vars(checked_arg)
 
 
+def facts_about(store, subject, without=()) -> tuple:
+    """The facts of ``store`` whose first argument is ``subject``, read
+    from its position-0 index: one bucket per predicate, in the order the
+    store first held each predicate, each in insertion order.  The buckets
+    of the lower-cased predicates in ``without`` are skipped whole.  The
+    reference for ``FactStore.partition``."""
+    key = subject.key()
+    return tuple(fact for predicate in store.predicates()
+                 if predicate not in without for fact in
+                 store.probe(predicate, ((0, key),)))
+
+
 def whole_snapshot_decision(req, store, rules):
     """``(effect, obligations, recommendations, rationale)`` for ``req`` as
     ``pdp.authorize`` decided it while it inferred over the whole snapshot:
@@ -327,7 +339,7 @@ def whole_snapshot_decision(req, store, rules):
     working = store.snapshot()
     user = coerce_constant(req.user)
     request = {name.lower() for name in pdp._REQUEST_PREDICATES.values()}
-    for fact in working.facts_about(user):
+    for fact in facts_about(working, user):
         if fact.key()[0] in request:
             working.retract_fact(fact.predicate, fact.args)
     for fact in pdp._request_facts(req):

@@ -14,16 +14,16 @@ from aalguard.engine import (
     render_derivation,
 )
 from aalguard.facts import (Constant, Fact, FactError, FactStore, Variable,
-                            ground, load_facts, load_facts_file,
-                            unify_against_fact)
+                            coerce_constant, ground, load_facts,
+                            load_facts_file, unify_against_fact)
 from aalguard.rules import (Atom, Rule, load_ruleset_file, parse_rule,
                             parse_ruleset)
 from aalguard.scenarios import (SCENARIO_NAMES, fixture_text,
                                 load_fixture_rules, run_scenario)
 
 from conftest import DATA_DIR
-from oracles import (naive_fixpoint, random_guarded_instance, random_instance,
-                     store_keys)
+from oracles import (facts_about, naive_fixpoint, naive_unify,
+                     random_guarded_instance, random_instance, store_keys)
 
 
 BEHAVIORAL_RULE = parse_rule(
@@ -299,7 +299,7 @@ def test_a_subject_fixpoint_derives_the_whole_fixpoints_facts_about_it(seed):
 
     def about(store):
         return {f.key(): (f.rule_id, [p.key() for p in f.premises])
-                for f in store.facts_about(subject)}
+                for f in facts_about(store, subject)}
     assert about(part) == about(whole)
     # Nothing is derived about another subject, and the subject's facts
     # come in the order the whole fixpoint derives them.
@@ -541,3 +541,63 @@ def _explain_all() -> str:
 def test_explain_renders_every_fact_of_the_cli_stores_as_recorded():
     recorded = (DATA_DIR / "explain_all.txt").read_text(encoding="utf-8")
     assert _explain_all() == recorded
+
+
+def _key(predicate, *values):
+    return (predicate.lower(), tuple(coerce_constant(v).key() for v in values))
+
+
+def test_reads_tells_which_facts_a_body_atom_can_match():
+    policy = engine.Policy(parse_ruleset(
+        "@id: a\nAskedService(?u, ReadAlert) ^ HasTime(?u, ?t) -> Q(?u, ?t)\n\n"
+        "@id: b\nUsedDevice(?u, VisualAid, ?x) -> Q(?u, ?x)\n\n"
+        "@id: c\nP(k, ?u) ^ P(k, ?u, \"k\") -> Q(?u, k)\n"))
+    assert policy.reads(_key("AskedService", "u1", "ReadAlert")) is False
+    assert policy.reads(_key("AskedService", "u1", "OpenDoor")) is None
+    assert policy.reads(_key("AskedService", "u1")) is None  # other arity
+    assert policy.reads(_key("HasTime", "u1", "10.00")) is True
+    assert policy.reads(_key("UsedDevice", "u1", "VisualAid", "z")) is True
+    assert policy.reads(_key("UsedDevice", "u1", "AudioAid", "z")) is None
+    assert policy.reads(_key("P", "k", "u1")) is True
+    assert policy.reads(_key("P", "j", "u1")) is None
+    assert policy.reads(_key("P", "k", "u1", Constant.string("k"))) is True
+    assert policy.reads(_key("HasLocation", "u1", "hall")) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reads_answers_none_only_for_facts_no_body_atom_unifies_with(seed):
+    rng = random.Random(seed)
+    facts, rules = random_instance(rng)
+    policy = engine.Policy(rules)
+    atoms = [atom for rule in rules for atom in rule.body]
+    for fact in facts:
+        read = policy.reads(fact.key())
+        unifying = [atom for atom in atoms if naive_unify(
+            atom, (fact.predicate, fact.args), {}) is not None]
+        if unifying:
+            assert read is not None
+        if read is False:
+            assert all(isinstance(term, Constant)
+                       for atom in unifying for term in atom.terms[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_fixpoint_from_the_facts_added_to_a_closed_store_is_whole(seed):
+    # The store is closed under the rules before some facts are added:
+    # a fixpoint whose first delta is those facts derives what the naive
+    # fixpoint of all the facts does.
+    rng = random.Random(seed)
+    facts, rules = random_instance(rng)
+    added = set(rng.sample(range(len(facts)), rng.randint(0, len(facts))))
+    store = FactStore()
+    for index, fact in enumerate(facts):
+        if index not in added:
+            store.assert_fact(fact)
+    infer_fixpoint(store, rules)
+    delta = [fact for index, fact in enumerate(facts)
+             if index in added and store.assert_fact(fact)]
+    infer_fixpoint(store, rules, delta)
+    assert store_keys(store) == naive_fixpoint(
+        [(fact.predicate, fact.args) for fact in facts], rules)

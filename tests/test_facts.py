@@ -22,7 +22,7 @@ from aalguard.facts import (
 )
 from aalguard.rules import Atom
 
-from oracles import (assert_built_alike, match, reference_get,
+from oracles import (assert_built_alike, facts_about, match, reference_get,
                      reference_holds, reference_retract)
 
 
@@ -304,6 +304,39 @@ def _spelled_as(store):
     return empty
 
 
+def test_a_subjects_version_moves_when_one_of_its_slots_changes():
+    store = FactStore()
+    u1 = sym("u1")
+    assert store.version(u1) == 0
+    store.assert_fact(ground("P", "u1", "a"))
+    filed = store.version(u1)
+    assert filed > 0 and store.version(Constant.string("u2")) == 0
+    # A fact held already changes nothing, nor does one about another
+    # subject that names u1 later.
+    store.assert_fact(ground("P", "u1", "a"))
+    store.assert_fact(ground("P", "u2", "u1"))
+    assert store.version(u1) == filed
+    assert store.version(Constant.string("u2")) > filed
+    # An inferred fact asserted again as asserted is filed again.
+    store.assert_fact(Fact("Q", (u1,), origin="inferred"))
+    inferred = store.version(u1)
+    store.assert_fact(Fact("Q", (u1,)))
+    upgraded = store.version(u1)
+    assert filed < inferred < upgraded
+    assert store.version(u1, ("q",)) == filed
+    # A drop moves the version, also when it empties the slot's bucket;
+    # a drop of a fact not held does not.
+    assert store.retract_fact("P", ("u1", "a"))
+    dropped = store.version(u1, ("q",))
+    assert dropped > upgraded and store.holds("Q", "u1")
+    assert not store.retract_fact("P", ("u1", "a"))
+    assert store.version(u1) == dropped
+    # A snapshot keeps the stamps; a partition stamps what it copies.
+    assert store.snapshot().version(u1) == dropped
+    assert store.partition(u1).version(u1) > dropped
+    assert store.partition(u1, ("q",)).version(u1) == 0
+
+
 def test_a_partition_is_the_store_its_facts_asserted_one_by_one_give():
     # Bucket copies file what asserting each fact about the subject into a
     # store that spells as the source would: alone, after another
@@ -328,11 +361,11 @@ def test_a_partition_is_the_store_its_facts_asserted_one_by_one_give():
         other = rng.choice([s for s in subjects if s.key() != subject.key()])
         without = rng.choice([(), ("p",), ("hasaccess", "q")])
         reference = _spelled_as(store)
-        for fact in store.facts_about(subject, without):
+        for fact in facts_about(store, subject, without):
             reference.assert_fact(fact)
         merged_reference = _spelled_as(store)
-        for fact in store.facts_about(other, without) \
-                + store.facts_about(subject, without):
+        for fact in facts_about(store, other, without) \
+                + facts_about(store, subject, without):
             merged_reference.assert_fact(fact)
         part = store.partition(subject, without)
         merged = store.partition(other, without)
@@ -441,7 +474,7 @@ def test_key_lookups_match_the_probe_fact_reference(stored, data):
                             == _lookup(store.facts_for(predicate),
                                        predicate, terms, {}))
     for value in KEYED_CONSTANTS:
-        assert sorted(f.key() for f in store.facts_about(value)) == sorted(
+        assert sorted(f.key() for f in facts_about(store, value)) == sorted(
             f.key() for f in reference.values() if f.args[0] == value)
 
 

@@ -29,8 +29,8 @@ from aalguard.config import Config
 from aalguard.scenarios import load_fixture_rules
 
 from conftest import DATA_DIR
-from oracles import (HISTORY_POOL, assert_built_alike, hash_password,
-                     naive_fixpoint, random_guarded_instance,
+from oracles import (HISTORY_POOL, assert_built_alike, facts_about,
+                     hash_password, naive_fixpoint, random_guarded_instance,
                      select_auth_mean, whole_snapshot_decision)
 
 RULES = load_fixture_rules()
@@ -332,15 +332,23 @@ def test_each_authn_runs_one_fixpoint_over_the_users_own_facts(monkeypatch):
     authorize(AuthzRequest("u1", "ReadAlert"), store, policy)
     assert calls == {"infer_fixpoint": 2, "validate_rule": 0}
     assert store.holds("AskedService", "u1", "ReadAlert")
-    # An authn that keeps the class derives again, and reads neither the
-    # outcome of the last authn nor the request history.
+    # An authn that keeps the class and the user's facts derives nothing
+    # again: neither the outcome of the last authn nor the request history
+    # is read.
     authenticate(authn, store, policy, seed_model(), make_credentials())
+    assert calls == {"infer_fixpoint": 2, "validate_rule": 0}
+    reclassified = AuthnRequest("u1", authn.credential, at_centroid("class2"))
+    authenticate(reclassified, store, policy, seed_model(), make_credentials())
     assert calls == {"infer_fixpoint": 3, "validate_rule": 0}
-    authenticate(AuthnRequest("u1", authn.credential, at_centroid("class2")),
-                 store, policy, seed_model(), make_credentials())
+    # A changed asserted fact derives again, in the same class.
+    store.assert_fact(ground("HasCapability", "u1", Constant.string("hearing")))
+    authenticate(reclassified, store, policy, seed_model(), make_credentials())
     assert calls == {"infer_fixpoint": 4, "validate_rule": 0}
-    assert fixpoint_inputs == [own, fixpoint_inputs[1], own,
-                               [own[0], "HasRecognizedBehavior(u1, class2)"]]
+    assert fixpoint_inputs == [
+        own, fixpoint_inputs[1],
+        [own[0], "HasRecognizedBehavior(u1, class2)"],
+        ['HasCapability(u1, "hearing")', own[0],
+         "HasRecognizedBehavior(u1, class2)"]]
     authorize(AuthzRequest("u1", "ReadAlert"), store, RULES)
     assert calls == {"infer_fixpoint": 5, "validate_rule": len(RULES)}
 
@@ -492,7 +500,7 @@ def test_reclassification_reads_only_the_facts_that_name_the_user():
                               at_centroid("class1")),
                  store, RULES, seed_model(), make_credentials())
     assert sorted(examined) == sorted(f.key() for f in own)
-    assert [f.render() for f in store.facts_about(Constant.symbol("u1"))] \
+    assert [f.render() for f in facts_about(store, Constant.symbol("u1"))] \
         == ['HasCapability(u1, "no")', "HasRecognizedBehavior(u1, class1)",
             "Authenticated(u1, yes)"]
     assert store.get("Obligation", ("r3", "u1")).origin == "inferred"
@@ -546,11 +554,12 @@ def test_group3_open_door_at_midnight_denied():
     assert decision.priority == 3
 
 
-def primed_store() -> FactStore:
-    """The fixture residents u1, u2 and u3, primed and authenticated."""
+def primed_store(rules=RULES) -> FactStore:
+    """The fixture residents u1, u2 and u3, primed and authenticated under
+    ``rules``, a rule list or a compiled policy."""
     config = Config()
     store = FactStore()
-    scenarios.prime_store(store, RULES,
+    scenarios.prime_store(store, rules,
                           scenarios.load_fixture_model(config.distance_floor),
                           scenarios.load_fixture_credentials(), config=config)
     return store
@@ -764,6 +773,188 @@ def test_a_group_that_is_another_user_shows_that_users_history():
         == ("deny", [], [], ["asked-door"])
 
 
+STREAM_RULES = parse_ruleset("""
+@id: hearing-class1
+HasRecognizedBehavior(?u, class1) ^ HasCapability(?u, "hearing") -> BehaviorCapability(?u, Group1)
+
+@id: hearing-class2
+HasRecognizedBehavior(?u, class2) ^ HasCapability(?u, "hearing") -> BehaviorCapability(?u, u2)
+
+@id: cognitive
+HasRecognizedBehavior(?u, class2) ^ HasCapability(?u, "cognitive") -> BehaviorCapability(?u, Group3)
+
+@id: alert
+BehaviorCapability(?u, Group1) ^ AskedService(?u, ReadAlert) -> hasAccess(?u, permit)
+
+@id: night
+AskedService(?u, OpenDoor) ^ HasContext(?u, "00.00") -> hasAccess(?u, "Deny")
+
+@id: visual
+UsedDevice(?u, VisualAid) -> Recommendation(?u, visual-alert)
+
+@id: open
+OpenHours(?g, day) -> hasAccess(?g, permit)
+
+@id: heat
+AskedService(?u, Heat) -> Obligation(?u, heat-check)
+
+@id: located
+HasLocation(?u, ?l) ^ HasCapability(?u, "visual") -> Recommendation(?u, located)
+
+@id: trusted
+Authenticated(?u, yes) ^ HasCapability(?u, "visual") -> Recommendation(?u, trusted)
+
+@id: morning
+HasRecognizedBehavior(?u, class1) ^ HasCapability(?u, "cognitive") -> HasTime(?u, "08.00")
+
+@id: nap
+HasTime(?u, "08.00") ^ AskedService(?u, Nap) -> hasAccess(?u, permit)
+""")
+STREAM_USERS = ["u1", "u2", "u3"]
+STREAM_SUBJECTS = STREAM_USERS + ["Group1", "Group3"]
+STREAM_FACTS = [("HasCapability", Constant.string(value))
+                for value in ("hearing", "visual", "cognitive")] + [
+    ("OpenHours", Constant.symbol("day")),
+    ("Obligation", Constant.symbol("o1")),
+    ("Authenticated", Constant.symbol("yes"))]
+VECTORS = {"class1": at_centroid("class1"), "class2": at_centroid("class2"),
+           "far": FeatureVector({"hold:cooking": 5000.0}, {"hold:cooking": 1}),
+           "none": FeatureVector({"hold:cooking": float("nan")},
+                                 {"hold:cooking": 1})}
+STREAM_STEPS = st.one_of(
+    st.tuples(st.just("authn"), st.sampled_from(STREAM_USERS),
+              st.sampled_from(sorted(VECTORS)), st.sampled_from(["pw", "no"])),
+    st.tuples(st.just("authorize"), st.sampled_from(STREAM_USERS),
+              st.sampled_from(["ReadAlert", "OpenDoor", "Heat", "Nap"]),
+              st.sampled_from([None, "VisualAid", "Phone"]),
+              st.sampled_from([None, "00.00", "10.00"]),
+              st.sampled_from([None, "hall", "kitchen"])),
+    st.tuples(st.just("flag"), st.sampled_from(STREAM_USERS)),
+    st.tuples(st.just("assert"), st.sampled_from(STREAM_SUBJECTS),
+              st.sampled_from(range(len(STREAM_FACTS)))),
+    st.tuples(st.just("drop"), st.sampled_from(STREAM_SUBJECTS),
+              st.integers(0, 9)))
+
+
+def expected_decision(request, store, rules):
+    """What ``authorize`` must answer: the whole snapshot's decision when
+    an asserted ``Authenticated(user, yes)`` passes the gate."""
+    gate = store.get("Authenticated", (request.user, "yes"))
+    if gate is None or gate.origin != "asserted":
+        return ("deny", [], [], ["not-authenticated"])
+    return whole_snapshot_decision(request, store, rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(derived=st.lists(st.sampled_from(STREAM_USERS), unique=True),
+       steps=st.lists(STREAM_STEPS, min_size=10, max_size=40))
+def test_a_long_lived_store_decides_as_the_whole_snapshot_fixpoint(derived,
+                                                                  steps):
+    # One store through authns that change the class or fail, authorizes
+    # with values rules read and values none reads, flagged anomalies, and
+    # direct writes to the requester's and a group's facts, u2 being a
+    # group of the hearing class2 users.  Each decision, memoized or not,
+    # is the whole snapshot's, and after an authn the user's facts less
+    # history and Authenticated derive nothing the store lacks but facts of
+    # those predicates.  After every step each user sends three fixed
+    # requests, so most of them are read from the memo.
+    policy = pdp.compile_policy(STREAM_RULES)
+    model = seed_model()
+    credentials = {user: ("password", hash_password("pw", salt="ab"))
+                   for user in STREAM_USERS}
+    store = load_facts('HasCapability(u1, "hearing").\n'
+                       'HasCapability(u2, "hearing").\n'
+                       'HasCapability(u3, "cognitive").\n')
+    for user in derived:
+        pdp.rederive(store, policy, user)
+    for step in steps:
+        kind, subject = step[:2]
+        if kind == "authn":
+            vector, secret = step[2:]
+            authenticate(AuthnRequest(subject, Credential("password", secret),
+                                      VECTORS[vector]),
+                         store, policy, model, credentials)
+            part = store.partition(Constant.symbol(subject),
+                                   pdp._UNDERIVED_PREDICATES)
+            assert [f.render() for f in engine.infer_fixpoint(
+                part, policy).derived if f.key()[0] not in
+                pdp._UNDERIVED_PREDICATES | {"authentication"}] == []
+        elif kind == "authorize":
+            service, device, time, location = step[2:]
+            context = {name: value for name, value in
+                       (("time", time), ("location", location)) if value}
+            request = AuthzRequest(subject, service, device=device,
+                                   context=context)
+            for _ in range(2):  # the second is read from the memo if it can
+                want = expected_decision(request, store, policy)
+                assert decided(authorize(request, store, policy)) == want
+        elif kind == "flag":
+            flag_anomaly(store, model, subject, "class1", VECTORS["far"])
+        elif kind == "assert":
+            predicate, value = STREAM_FACTS[step[2]]
+            store.assert_fact(Fact(predicate, (coerce_constant(subject),
+                                               value)))
+        else:
+            held = facts_about(store, coerce_constant(subject))
+            if held:
+                store.drop(held[step[2] % len(held)].key())
+        for user in STREAM_USERS:
+            for request in (AuthzRequest(user, "ReadAlert", device="VisualAid"),
+                            AuthzRequest(user, "Heat"),
+                            AuthzRequest(user, "Nap")):
+                want = expected_decision(request, store, policy)
+                assert decided(authorize(request, store, policy)) == want
+
+
+def test_a_policy_that_reads_any_service_memoizes_no_decision():
+    # AskedService(?u, ?s) reads every service through a variable, so no
+    # request of this user is memoized, however many services it names.
+    policy = pdp.compile_policy(RULES + parse_ruleset(
+        "@id: any-service\nAskedService(?u, ?s) ^ "
+        "BehaviorCapability(?u, Group3) -> Recommendation(?u, escort)\n"))
+    store = primed_store(policy)
+    for i in range(1000):
+        decision = authorize(AuthzRequest("u3", f"service{i}"), store, policy)
+        assert decision.recommendations == ["escort"]
+    memo = pdp._MEMOS[store]
+    assert [len(entries) for _, _, entries in memo.decisions.values()] == [0]
+    assert (memo.hits, memo.misses) == (0, 1000)
+
+
+def test_a_stream_of_fresh_values_holds_a_constant_memo():
+    # The hostile stream: every authorize names a fresh service, device,
+    # location and time.  None of the fixture rules reads them, but for
+    # the time 00.00, so the memo holds one entry per set of the readable
+    # ones (none, and HasContext(u1, "00.00")) while the store grows.
+    policy = pdp.compile_policy(RULES)
+    store = primed_store(policy)
+    memo = pdp._MEMOS[store]
+    sizes = []
+    for i in range(20000):
+        authorize(AuthzRequest("u1", f"service{i}", device=f"device{i}",
+                               context={"time": f"{i // 60 % 24:02d}."
+                                                f"{i % 60:02d}",
+                                        "location": f"room{i}"}),
+                  store, policy)
+        if i % 1000 == 999:
+            sizes.append(sum(len(entries) for _, _, entries
+                             in memo.decisions.values()))
+    assert len(store) > 80000
+    assert sizes == [2] * 20
+    assert memo.misses == 2
+
+
+def test_a_new_rule_list_per_authorize_keeps_one_memo_slot_per_user():
+    store = primed_store()
+    memo = pdp._memo_of(store)
+    for i in range(50):
+        for user in ("u1", "u2", "u3"):
+            authorize(AuthzRequest(user, "ReadAlert", device="VisualAid"),
+                      store, load_fixture_rules())
+        assert len(memo.decisions) == 3
+    assert memo.hits == 0
+
+
 def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
     # The first four residents already fall in Group1, Group2 and Group3, so
     # no join reads an index bucket at 400 residents that is missing at 4.
@@ -830,8 +1021,7 @@ def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
             store.assert_fact(ground("Recommendation", user, "hydrate"))
             pdp.rederive(store, policy, user)
         counts = []
-        for name in ("probe", "facts_for", "facts_about", "partition",
-                     "snapshot"):
+        for name in ("probe", "facts_for", "partition", "snapshot"):
             read = getattr(store, name, None)
             if read is None:
                 continue
@@ -861,7 +1051,7 @@ def test_an_authorize_whose_group_holds_no_facts_infers_over_one_partition(
     # about: copying it adds nothing, so no second fixpoint runs.
     store = primed_store()
     assert pdp.groups_of(store, "u1") == [Constant.symbol("Group1")]
-    assert not store.facts_about(Constant.symbol("Group1"))
+    assert not facts_about(store, Constant.symbol("Group1"))
     calls = {"stores": 0, "infer_fixpoint": 0}
     init, infer = FactStore.__init__, pdp.infer_fixpoint
 
@@ -967,8 +1157,7 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
                 store, policy)
         counts = []
-        for name in ("probe", "facts_about", "facts_for", "snapshot",
-                     "partition"):
+        for name in ("probe", "facts_for", "snapshot", "partition"):
             def counted(*args, _read=getattr(store, name), **kwargs):
                 result = _read(*args, **kwargs)
                 counts.append(len(result or ()))
@@ -1000,8 +1189,7 @@ def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
                 store, policy)
         counts = []
-        for name in ("probe", "facts_about", "facts_for", "snapshot",
-                     "partition"):
+        for name in ("probe", "facts_for", "snapshot", "partition"):
             def counted(*args, _read=getattr(store, name)):
                 result = _read(*args)
                 counts.append(len(result or ()))
@@ -1135,6 +1323,19 @@ def test_request_facts_kept_as_history():
 def test_bad_time_format_rejected():
     with pytest.raises(PdpError):
         AuthzRequest("u1", "OpenDoor", context={"time": "0.0"})
+
+
+@pytest.mark.parametrize("time", ["24.00", "99.99", "23.60"])
+def test_a_time_off_the_clock_is_rejected(time):
+    with pytest.raises(PdpError, match="from 00.00 to 23.59"):
+        AuthzRequest("u1", "OpenDoor", context={"time": time})
+
+
+def test_every_time_on_the_clock_is_accepted():
+    for minute in range(24 * 60):
+        time = f"{minute // 60:02d}.{minute % 60:02d}"
+        assert AuthzRequest("u1", "OpenDoor",
+                            context={"time": time}).context["time"] == time
 
 
 # ---------------------------------------------------------------------------

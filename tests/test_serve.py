@@ -11,9 +11,9 @@ import time
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from aalguard import cli, pdp, scenarios
+from aalguard import cli, engine, pdp, scenarios
 from aalguard.config import Config
-from aalguard.facts import Fact, FactStore, load_facts
+from aalguard.facts import Fact, FactStore, coerce_constant, load_facts
 from perfbench import gen, oracle
 
 from oracles import hash_password
@@ -103,6 +103,11 @@ BAD_INPUT_MESSAGES = [
      "context": {"time": 10.0}},
     {"op": "authorize", "user": "u1", "service": "ReadAlert",
      "context": "10.00"},
+    # A time past 23.59 is refused, not stored.
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "context": {"time": "99.99"}},
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "context": {"time": "24.00"}},
     {"op": "authn", "user": "u1", "password": 7},
     {"op": "authn", "user": "u3", "tag": ["tag-u3-0042"]},
     {"op": "authn", "user": None, "password": "door-chime-7"},
@@ -193,10 +198,9 @@ def primed_state() -> cli.ServeState:
                           pdp.AuditLog())
 
 
-@pytest.mark.parametrize("seed", [1, 1801])
-def test_a_generated_home_day_answers_as_the_benchmark_oracle_expects(seed):
-    # The benchmark's home-day workload in process: the prime and all of the
-    # day's requests, each answer checked as the benchmark checks it.
+def home_day_state(seed: int):
+    """The benchmark's home-day workload in process: its inputs, and a
+    serving state that loaded its facts as serve does."""
     inputs = gen.home_day(seed)
     config = Config()
     store = load_facts(inputs.facts_text)
@@ -206,6 +210,14 @@ def test_a_generated_home_day_answers_as_the_benchmark_oracle_expects(seed):
                            config, pdp.AuditLog())
     for subject in dict.fromkeys(fact.args[0] for fact in store):
         pdp.rederive(store, state.policy, subject)  # as serve does at start
+    return inputs, state
+
+
+@pytest.mark.parametrize("seed", [1, 1801])
+def test_a_generated_home_day_answers_as_the_benchmark_oracle_expects(seed):
+    # The prime and all of the day's requests, each answer checked as the
+    # benchmark checks it.
+    inputs, state = home_day_state(seed)
     check = oracle.ServeOracle(inputs.residents, inputs.obligations,
                                inputs.history)
     requests = inputs.prime + inputs.stream
@@ -218,6 +230,50 @@ def test_a_generated_home_day_answers_as_the_benchmark_oracle_expects(seed):
             problems.append((index, problem))
     assert len(requests) == 2004
     assert problems == []
+
+
+@pytest.mark.parametrize("seed", [1, 1801])
+def test_a_home_day_runs_a_fixpoint_only_when_what_it_reads_changed(
+        seed, monkeypatch):
+    # Counts the fixpoints each request runs.  An authn that keeps the
+    # user's class derives nothing again, most authenticated authorizes
+    # reuse a decision, and after every authn each resident's facts less
+    # history and Authenticated derive nothing the store does not hold.
+    inputs, state = home_day_state(seed)
+    calls = {"infer_fixpoint": 0}
+    infer = pdp.infer_fixpoint
+
+    def counting(*args):
+        calls["infer_fixpoint"] += 1
+        return infer(*args)
+
+    monkeypatch.setattr(pdp, "infer_fixpoint", counting)
+    residents = [coerce_constant(r.name) for r in inputs.residents]
+    same_class, authorized = [], []
+    for request in inputs.prime + inputs.stream:
+        msg = request.msg
+        if msg["op"] == "authn":
+            held = [f.args[1].text() for f in state.store.probe(
+                "hasrecognizedbehavior",
+                ((0, coerce_constant(msg["user"]).key()),))]
+        before = calls["infer_fixpoint"]
+        reply = cli.handle_message(state, json.dumps(msg))
+        ran = calls["infer_fixpoint"] - before
+        if msg["op"] == "authn":
+            if held == [reply["class"]]:
+                same_class.append(ran)
+            for resident in residents:
+                part = state.store.partition(resident,
+                                             pdp._UNDERIVED_PREDICATES)
+                assert [f.render() for f in
+                        engine.infer_fixpoint(part, state.policy).derived
+                        if f.key()[0] != "authentication"] == []
+        elif msg["op"] == "authorize" \
+                and reply["rationale"] != ["not-authenticated"]:
+            authorized.append(ran)
+    assert len(same_class) > 300 and set(same_class) == {0}
+    assert len(authorized) > 1000
+    assert sum(1 for ran in authorized if ran) <= 0.2 * len(authorized)
 
 
 def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
@@ -370,9 +426,12 @@ def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
             {name: counts[name] - before[name] for name in counts})
     assert len(per_op["authorize"]) == 30 and len(per_op["query"]) == 6
     assert max(c["facts"] for c in per_op["authorize"]) <= 15
-    # Each authn builds its two asserted facts and one per fact the user's
-    # fixpoint derives: a group, and for u3 the mean tag-mean as well.
-    assert [c["facts"] for c in per_op["authn"]] == [3, 3, 4] * 3
+    # Priming compiled a policy of its own, so the first authn of each
+    # resident under the serving policy derives the user's facts again and
+    # builds one per fact that fixpoint derives: a group, and for u3 the
+    # mean tag-mean as well.  Every authn keeps the class and outcome the
+    # store holds, so it builds neither, and a later one derives nothing.
+    assert [c["facts"] for c in per_op["authn"]] == [1, 1, 2] + [0] * 6
     assert [c["snapshots"] for c in per_op["query"]] == [0] * 6
     assert [c["snapshots"] for c in per_op["authorize"]] == [0] * 30
 
@@ -389,6 +448,42 @@ def test_stats_reports_the_servers_own_memory_and_sizes():
     assert stats["facts"] == len(state.store)
     assert stats["audit_seq"] == state.audit_log.seq == 1
     assert cli.handle_message(state, '{"op": "ping"}') == {"ok": True}
+
+
+def test_stats_counts_the_decisions_and_derivations_reused():
+    state = primed_state()
+    authz = json.dumps(SCENARIO_REQUESTS[0])
+
+    def counts():
+        stats = cli.handle_message(state, '{"op": "stats"}')
+        return [stats[name] for name in ("authorize_memo_hits",
+                                         "authorize_memo_misses",
+                                         "rederive_skips")]
+
+    def authn(features):
+        reply = cli.handle_message(state, json.dumps(
+            {"op": "authn", "user": "u1", "password": "door-chime-7",
+             "features": features}))
+        assert reply["authenticated"] == "yes"
+
+    assert counts() == [0, 0, 0]
+    first = cli.handle_message(state, authz)
+    assert counts() == [0, 1, 0]
+    assert cli.handle_message(state, authz) == first  # read from the memo
+    assert counts() == [1, 1, 0]
+    # A new class derives u1's facts again and resets u1's slot, so the
+    # same request is decided again, and then reused.
+    authn(CLASS2_CENTROID)
+    assert counts() == [1, 1, 0]
+    second = cli.handle_message(state, authz)
+    assert (first["effect"], second["effect"]) == ("permit", "deny")
+    assert counts() == [1, 2, 0]
+    assert cli.handle_message(state, authz) == second
+    assert counts() == [2, 2, 0]
+    # An authn that keeps the class derives nothing and keeps the slot.
+    authn(CLASS2_CENTROID)
+    assert cli.handle_message(state, authz) == second
+    assert counts() == [3, 2, 1]
 
 
 def test_stats_answers_null_memory_without_proc(monkeypatch):
