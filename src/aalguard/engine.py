@@ -11,9 +11,7 @@ included, so the fixpoint builds a derived fact unchecked, once, and only
 when no stored or pending fact has its key.
 
 The first round is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): each
-rule is joined once, whole, unless the caller names the facts the store
-gained since it was last closed under the rules; then the first round is
-semi-naive over those.  Every later round is semi-naive: it only
+rule is joined once, whole.  Every later round is semi-naive: it only
 considers rule-body matches that touch at least one fact derived in the
 round before, and joins a rule through a body atom only when that delta
 holds a fact of the atom's predicate, so the engine scales with the volume
@@ -291,8 +289,8 @@ def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set):
     return results
 
 
-def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
-                   delta: Optional[Iterable[Fact]] = None) -> InferenceReport:
+def infer_fixpoint(store: FactStore,
+                   rules: Union[Policy, Iterable[Rule]]) -> InferenceReport:
     """Materialize the least fixpoint of ``rules`` over ``store`` in place.
 
     ``rules`` is a :class:`Policy` or a rule list, which is compiled on the
@@ -302,10 +300,7 @@ def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
     produced it and the facts that rule's body matched, for explanation.
 
     The first round is naive: each rule whose first body atom has stored
-    facts is joined once, whole, with no delta.  Given ``delta``, stored
-    facts such that the store less them is closed under the rules
-    already, the first round is semi-naive over them instead, so only
-    matches that touch one of them are joined.  Every later round is
+    facts is joined once, whole, with no delta.  Every later round is
     semi-naive over the facts the round before derived.  A head is
     instantiated as its key first, and a fact is built, unchecked, only
     when no stored or pending fact has that key.
@@ -315,17 +310,12 @@ def infer_fixpoint(store: FactStore, rules: Union[Policy, Iterable[Rule]],
     derived: List[Fact] = []
     by_key = store.by_key
 
-    if delta is None:
-        # Round one has no delta: it joins whole each rule whose first
-        # atom has facts.
-        held = store.predicates()
-        joins = [(index, len(plan)) for index, plan in enumerate(policy.plans)
-                 if plan[0].predicate in held]
-        delta_keys: set = set()
-    else:
-        delta_keys = {fact.key() for fact in delta}
-        joins = sorted(pair for predicate in {key[0] for key in delta_keys}
-                       for pair in policy.pivots.get(predicate, ()))
+    # Round one has no delta: it joins whole each rule whose first atom
+    # has facts.
+    held = store.predicates()
+    joins = [(index, len(plan)) for index, plan in enumerate(policy.plans)
+             if plan[0].predicate in held]
+    delta_keys: set = set()
     iterations = 0
     while True:
         iterations += 1

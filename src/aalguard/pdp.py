@@ -26,10 +26,9 @@ history and ``Authenticated``, is the one it recorded after its last run
 under the same policy, and an authentication that recognizes the class and
 outcome the store holds writes nothing.  :func:`authorize` keeps a memo per
 store and user, held weakly by the store: a user's slot stays while the
-policy and the user's version less request history stay, and holds one
-decision per set of request facts some rule can read, valid while each
-group it read keeps its version.  On a miss, a user that :func:`rederive`
-left closed under the policy is inferred from the request facts alone.
+policy and that same version stay, and holds one decision per set of the
+user's ``Authenticated`` facts and request facts some rule can read, valid
+while each group it read keeps its version.
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Obligations,
@@ -99,8 +98,8 @@ _REQUEST_FACT_PREDICATES = {part: (name, name.lower())
                             for part, name in _REQUEST_PREDICATES.items()}
 _HISTORY_PREDICATES = frozenset(name.lower()
                                 for name in _REQUEST_PREDICATES.values())
-# Left out of the facts rederive reads and of those it asserts: request
-# history and the session outcome.
+# Left out of the facts rederive reads and of those it asserts, and of the
+# version both memos key a user by: request history and the session outcome.
 _UNDERIVED_PREDICATES = _HISTORY_PREDICATES | {"authenticated"}
 _CONTEXT_COMPONENTS = frozenset(_REQUEST_PREDICATES) - {"service", "device",
                                                         "context"}
@@ -435,15 +434,14 @@ class _Memo:
     """What :func:`rederive` and :func:`authorize` keep about one store, by
     subject key, with the counts :func:`memo_counts` answers.
 
-    ``derived`` holds the ``(policy, version, mean, closed)`` of the
-    subject's last rederive: the version read after it, and whether the
-    store kept every fact it derived but ``Authentication``, so that,
-    while the version stays, the subject's facts less request history and
-    ``Authenticated`` are closed under the policy.  ``decisions`` holds
-    one slot per subject, ``(policy, version, entries)``: the policy and
-    the subject's version less request history that its entries were
-    decided under, and by the set of readable request-fact keys, the
-    ``(group versions, decision)`` of each request decided since."""
+    Both key a subject by its version less request history and
+    ``Authenticated``.  ``derived`` holds the ``(policy, version, mean)``
+    of the subject's last rederive, the version read after it.
+    ``decisions`` holds one slot per subject, ``(policy, version,
+    entries)``: the policy and version its entries were decided under,
+    and by the set of the subject's ``Authenticated`` fact keys and
+    readable request-fact keys, the ``(group versions, decision)`` of
+    each request decided since."""
 
     def __init__(self):
         self.derived: dict = {}
@@ -515,7 +513,7 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
     for key in [fact.key() for fact in own if fact.origin == INFERRED]:
         own.drop(key)
         store.drop(key)
-    mean, closed = None, True
+    mean = None
     for fact in infer_fixpoint(own, policy).derived:
         predicate = fact.key()[0]
         if predicate == "authentication":
@@ -524,10 +522,8 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
         elif fact.args[0] == subject \
                 and predicate not in _UNDERIVED_PREDICATES:
             store.assert_fact(fact)
-        else:  # derived, and not kept
-            closed = False
     memo.derived[subject.key()] = (
-        policy, store.version(subject, _UNDERIVED_PREDICATES), mean, closed)
+        policy, store.version(subject, _UNDERIVED_PREDICATES), mean)
     return mean
 
 
@@ -693,16 +689,14 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     of the policy, the subject's facts less history, the readable request
     facts and the groups' facts, and the memo keys it by those: the
     subject's slot is kept while the policy and the subject's version less
-    history (:meth:`FactStore.version`) stay, and its entry for the set
-    of readable request-fact keys holds while each group's version does.
-    A request that some atom reads through a variable is not memoized, so
-    a slot holds at most one entry per set of the policy's constants.
-    When the subject's last :func:`rederive` left its facts closed under
-    the policy and they have not changed since, the first fixpoint starts
-    from the request facts and the subject's ``Authenticated`` facts, the
-    only facts of the working store that can match anything new."""
+    history and ``Authenticated`` (:meth:`FactStore.version`, the one
+    :func:`rederive` records) stay, and its entry for the set of the
+    subject's ``Authenticated`` fact keys and readable request-fact keys
+    holds while each group's version does.  A request that some atom reads
+    through a variable is not memoized, so a slot holds at most one entry
+    per set of the policy's constants and ``Authenticated`` facts."""
     memo = _memo_of(store)
-    version = store.version(subject, _HISTORY_PREDICATES)
+    version = store.version(subject, _UNDERIVED_PREDICATES)
     slot = memo.decisions.get(subject.key())
     if slot is None or slot[0] is not policy or slot[1] != version:
         slot = memo.decisions[subject.key()] = (policy, version, {})
@@ -713,8 +707,10 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
             readable.append(fact)
             memoized = memoized and not read
     if memoized:
-        request_keys = frozenset([fact.key() for fact in readable])
-        entry = slot[2].get(request_keys)
+        entry_key = frozenset([fact.key() for fact in readable] + [
+            fact.key() for fact in
+            store.probe("authenticated", ((0, subject.key()),))])
+        entry = slot[2].get(entry_key)
         if entry is not None and all(store.version(group) == stamp
                                      for group, stamp in entry[0]):
             memo.hits += 1
@@ -724,16 +720,7 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     work = store.partition(subject, _HISTORY_PREDICATES)
     for fact in readable:
         work.assert_fact(fact)
-    record = memo.derived.get(subject.key())
-    if record is not None and record[0] is policy and record[3] \
-            and record[1] == store.version(subject, _UNDERIVED_PREDICATES):
-        # The subject's facts less history and Authenticated are closed
-        # under the policy: only matches that touch a request fact or an
-        # Authenticated fact derive anything new.
-        infer_fixpoint(work, policy, readable + list(
-            work.probe("authenticated", ((0, subject.key()),))))
-    else:
-        infer_fixpoint(work, policy)
+    infer_fixpoint(work, policy)
     groups = groups_of(work, subject)
     size = len(work)
     others = [group for group in groups if group != subject]
@@ -755,7 +742,7 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     decided = (effect, tuple(obligations), tuple(recommendations),
                tuple(rationale))
     if memoized:
-        slot[2][request_keys] = (
+        slot[2][entry_key] = (
             tuple([(group, store.version(group)) for group in others]),
             decided)
     return decided

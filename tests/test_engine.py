@@ -580,24 +580,3 @@ def test_reads_answers_none_only_for_facts_no_body_atom_unifies_with(seed):
         if read is False:
             assert all(isinstance(term, Constant)
                        for atom in unifying for term in atom.terms[1:])
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_a_fixpoint_from_the_facts_added_to_a_closed_store_is_whole(seed):
-    # The store is closed under the rules before some facts are added:
-    # a fixpoint whose first delta is those facts derives what the naive
-    # fixpoint of all the facts does.
-    rng = random.Random(seed)
-    facts, rules = random_instance(rng)
-    added = set(rng.sample(range(len(facts)), rng.randint(0, len(facts))))
-    store = FactStore()
-    for index, fact in enumerate(facts):
-        if index not in added:
-            store.assert_fact(fact)
-    infer_fixpoint(store, rules)
-    delta = [fact for index, fact in enumerate(facts)
-             if index in added and store.assert_fact(fact)]
-    infer_fixpoint(store, rules, delta)
-    assert store_keys(store) == naive_fixpoint(
-        [(fact.predicate, fact.args) for fact in facts], rules)

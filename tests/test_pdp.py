@@ -809,6 +809,9 @@ HasRecognizedBehavior(?u, class1) ^ HasCapability(?u, "cognitive") -> HasTime(?u
 
 @id: nap
 HasTime(?u, "08.00") ^ AskedService(?u, Nap) -> hasAccess(?u, permit)
+
+@id: doubted
+Authenticated(?u, no) ^ AskedService(?u, Heat) -> hasAccess(?u, "Deny")
 """)
 STREAM_USERS = ["u1", "u2", "u3"]
 STREAM_SUBJECTS = STREAM_USERS + ["Group1", "Group3"]
@@ -816,7 +819,8 @@ STREAM_FACTS = [("HasCapability", Constant.string(value))
                 for value in ("hearing", "visual", "cognitive")] + [
     ("OpenHours", Constant.symbol("day")),
     ("Obligation", Constant.symbol("o1")),
-    ("Authenticated", Constant.symbol("yes"))]
+    ("Authenticated", Constant.symbol("yes")),
+    ("Authenticated", Constant.symbol("no"))]
 VECTORS = {"class1": at_centroid("class1"), "class2": at_centroid("class2"),
            "far": FeatureVector({"hold:cooking": 5000.0}, {"hold:cooking": 1}),
            "none": FeatureVector({"hold:cooking": float("nan")},
@@ -942,6 +946,30 @@ def test_a_stream_of_fresh_values_holds_a_constant_memo():
     assert len(store) > 80000
     assert sizes == [2] * 20
     assert memo.misses == 2
+
+
+def test_a_failed_authn_and_the_next_good_one_keep_the_users_decisions():
+    # The wrong secret writes Authenticated(u1, no) and the good one writes
+    # yes back, so u1 holds what the decision was made from again.
+    policy = pdp.compile_policy(RULES)
+    store = primed_store(policy)
+    model = scenarios.load_fixture_model(Config().distance_floor)
+    credentials = scenarios.load_fixture_credentials()
+    held = pdp._facts_about(store, "HasRecognizedBehavior", "u1")[0].args[1]
+    features = next(c.centroid for c in model.classes if c.id == held.text())
+    request = AuthzRequest("u1", "ReadAlert", device="VisualAid")
+    first = decided(authorize(request, store, policy))
+    assert decided(authorize(request, store, policy)) == first
+    assert pdp.memo_counts(store)["authorize_memo_misses"] == 1
+    for secret, answer in (("wrong-secret", "no"), ("door-chime-7", "yes")):
+        result = authenticate(AuthnRequest("u1", Credential("password", secret),
+                                           features),
+                              store, policy, model, credentials)
+        assert result.authenticated == answer
+    assert decided(authorize(request, store, policy)) == first
+    assert pdp.memo_counts(store) == {"authorize_memo_hits": 2,
+                                      "authorize_memo_misses": 1,
+                                      "rederive_skips": 2}
 
 
 def test_a_new_rule_list_per_authorize_keeps_one_memo_slot_per_user():
