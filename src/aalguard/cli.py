@@ -198,7 +198,12 @@ def cmd_query(args, config: Config) -> int:
 
 
 def cmd_classify(args, config: Config) -> int:
-    events = behavior.load_events_file(args.events or config.events)
+    events_path = args.events or config.events
+    if not events_path:
+        print("error: nothing to classify; pass --events or set events= "
+              "in the config", file=sys.stderr)
+        return EXIT_VALIDATION
+    events = behavior.load_events_file(events_path)
     model = _load_model(args, config)
     for user in behavior.users_in(events):
         features = behavior.extract_features(events, user)

@@ -10,14 +10,9 @@ before any fact is built.  The policy validates every rule, head predicates
 included, so the fixpoint builds a derived fact unchecked, once, and only
 when no stored or pending fact has its key.
 
-The first round is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): each
-rule is joined once, whole.  Every later round is semi-naive: it only
-considers rule-body matches that touch at least one fact derived in the
-round before, and joins a rule through a body atom only when that delta
-holds a fact of the atom's predicate, so the engine scales with the volume
-of new facts rather than re-deriving everything.  The result set is exactly
-the least fixpoint a naive iterate-until-stable evaluation would reach; only
-the iteration count differs.
+The fixpoint is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): every
+round joins each rule whose first body atom has facts, whole, over the
+store the rounds before it built, and a round that derives nothing ends it.
 
 The engine also hosts the built-in consistency checks (permit/deny clashes
 and contradictory authentication outcomes) and derivation explanations: a
@@ -56,7 +51,7 @@ class UnsupportedBuiltinError(EngineError):
     """A rule references a reserved built-in predicate."""
 
 
-class FactNotFoundError(EngineError, KeyError):
+class FactNotFoundError(EngineError):
     """Asked to explain a fact the store does not contain."""
 
 
@@ -160,10 +155,8 @@ class Policy:
     binds, and every arity is in range.  The policy keeps each rule's id
     (``rule<n>`` when it has none) and, by id, the index of the first rule
     with it (``rule_index``); the join plan of each rule body
-    (:func:`compile_body`), with each lower-cased body predicate's pivots,
-    so a semi-naive pass joins only the pivots a delta fact can match; the
-    plan of each head atom; and, by predicate and arity, what the body
-    atoms fix of a fact they read (:meth:`reads`).
+    (:func:`compile_body`); the plan of each head atom; and, by predicate
+    and arity, what the body atoms fix of a fact they read (:meth:`reads`).
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -180,14 +173,6 @@ class Policy:
         for index, rule_id in enumerate(self.rule_ids):
             self.rule_index.setdefault(rule_id, index)
         self.plans = tuple(compile_body(rule.body) for rule in self.rules)
-        self.body_predicates = tuple(tuple(atom.predicate for atom in plan)
-                                     for plan in self.plans)
-        # lower-cased predicate -> (rule index, pivot) of each body atom
-        # of it, in rule and then atom order
-        self.pivots: dict = {}
-        for index, predicates in enumerate(self.body_predicates):
-            for pivot, predicate in enumerate(predicates):
-                self.pivots.setdefault(predicate, []).append((index, pivot))
         self.heads = tuple(
             tuple(_compile_head(atom, rule_id) for atom in rule.head)
             for rule, rule_id in zip(self.rules, self.rule_ids))
@@ -237,36 +222,26 @@ class Policy:
         return rules if isinstance(rules, cls) else cls(rules)
 
 
-def join(store: FactStore, plan: tuple, pivot: int, delta_keys: set):
-    """Bindings of the atom plans ``plan`` (:func:`compile_body`) where atom
-    ``pivot`` matches a delta fact, each with the facts it matched.
+def join(store: FactStore, plan: tuple):
+    """Bindings of the atom plans ``plan`` (:func:`compile_body`) over every
+    fact of ``store``, each with the facts it matched.
 
-    Atoms before the pivot match pre-delta facts only and atoms after it
-    match everything; across all pivots this covers each new combination
-    exactly once.  A pivot past the last atom with an empty delta joins the
-    whole body over every fact, as a query and a fixpoint's first round
-    do.  Each atom reads one :meth:`FactStore.probe` with the argument
-    keys its constants and the variables earlier atoms bound give.  A
-    candidate matches when its arity and those keys agree and repeated new
-    variables meet equal arguments; the binding is copied only when the
-    atom binds a new variable, and never changed in place.
+    Each atom reads one :meth:`FactStore.probe` with the argument keys its
+    constants and the variables earlier atoms bound give.  A candidate
+    matches when its arity and those keys agree and repeated new variables
+    meet equal arguments; the binding is copied only when the atom binds a
+    new variable, and never changed in place.
     """
     probe = store.probe
     results = [({}, ())]
-    for j, (predicate, arity, keys, bound, fresh, repeats) in enumerate(plan):
+    for predicate, arity, keys, bound, fresh, repeats in plan:
         next_results = []
         for binding, premises in results:
             known = keys + tuple([(position, binding[name].key())
                                   for position, name in bound]) \
                 if bound else keys
             for fact in probe(predicate, known):
-                key = fact.key()
-                if j < pivot:
-                    if key in delta_keys:
-                        continue
-                elif j == pivot and key not in delta_keys:
-                    continue
-                arg_keys = key[1]
+                arg_keys = fact.key()[1]
                 if len(arg_keys) != arity:
                     continue
                 for position, arg_key in known:
@@ -299,31 +274,26 @@ def infer_fixpoint(store: FactStore,
     any firing.  Each derived fact carries the id of the rule that first
     produced it and the facts that rule's body matched, for explanation.
 
-    The first round is naive: each rule whose first body atom has stored
-    facts is joined once, whole, with no delta.  Every later round is
-    semi-naive over the facts the round before derived.  A head is
-    instantiated as its key first, and a fact is built, unchecked, only
-    when no stored or pending fact has that key.
+    Every round joins, in rule order, each rule whose first body atom has
+    stored facts, whole; the facts it derives are stored when it ends, and
+    a round that derives nothing ends the fixpoint.  A head is instantiated
+    as its key first, and a fact is built, unchecked, only when no stored
+    or pending fact has that key.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
     by_key = store.by_key
-
-    # Round one has no delta: it joins whole each rule whose first atom
-    # has facts.
-    held = store.predicates()
-    joins = [(index, len(plan)) for index, plan in enumerate(policy.plans)
-             if plan[0].predicate in held]
-    delta_keys: set = set()
     iterations = 0
     while True:
         iterations += 1
+        held = store.predicates()
         pending: dict = {}  # key -> fact
-        for index, pivot in joins:
+        for index, plan in enumerate(policy.plans):
+            if plan[0].predicate not in held:
+                continue
             rule_id = policy.rule_ids[index]
-            for binding, premises in join(store, policy.plans[index], pivot,
-                                          delta_keys):
+            for binding, premises in join(store, plan):
                 for predicate, lowered, terms in policy.heads[index]:
                     args = tuple([binding[name] if name else constant
                                   for constant, name in terms])
@@ -338,11 +308,6 @@ def infer_fixpoint(store: FactStore,
         for key, new_fact in pending.items():
             store.assert_fact(new_fact)
             derived.append(by_key(key))
-        delta_keys = set(pending)
-        # Each later round joins a rule through the body atoms a delta
-        # fact can match, in rule and then atom order.
-        joins = sorted(pair for predicate in {key[0] for key in delta_keys}
-                       for pair in policy.pivots.get(predicate, ()))
     return InferenceReport(derived=derived, iterations=iterations,
                            rule_firings=firings)
 

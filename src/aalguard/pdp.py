@@ -152,6 +152,9 @@ class AuthzRequest:
     context: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for component in self.context:
+            if component not in _CONTEXT_COMPONENTS:
+                raise PdpError(f"unknown context component: {component!r}")
         time_value = self.context.get("time")
         if time_value is not None and not _TIME_RE.fullmatch(time_value):
             raise PdpError("context time must be HH.MM from 00.00 to 23.59, "
@@ -608,8 +611,6 @@ def _request_facts(req: AuthzRequest,
     if req.device:
         facts.append(fact("device", coerce_constant(req.device)))
     for component, value in req.context.items():
-        if component not in _CONTEXT_COMPONENTS:
-            raise PdpError(f"unknown context component: {component!r}")
         value = coerce_constant(value)
         facts.append(fact(component, value))
         facts.append(fact("context", value))

@@ -5,8 +5,8 @@ The query language is a small SELECT-only subset:
 with an optional ``LIMIT n``, where ``n`` is a positive decimal integer.
 Evaluation compiles the where-atoms as a policy compiles a rule body
 (:func:`aalguard.engine.compile_body`) and joins them left to right, whole,
-through the engine's indexed join (:func:`aalguard.engine.join`), as the
-first round of a fixpoint joins a rule body; each atom reads its candidates
+through the engine's indexed join (:func:`aalguard.engine.join`), as each
+round of a fixpoint joins a rule body; each atom reads its candidates
 through one :meth:`FactStore.probe`.  Results are a set of rows projected
 to the selected variables, sorted lexicographically so LIMIT is
 deterministic.
@@ -105,7 +105,7 @@ def eval_query(store: FactStore, q: ConjunctiveQuery) -> List[Dict[str, Constant
 
     rows: Dict[tuple, Dict[str, Constant]] = {}
     plan = compile_body(q.where)
-    for binding, _ in join(store, plan, len(plan), set()):
+    for binding, _ in join(store, plan):
         row = {name: binding[name] for name in q.select}
         rows.setdefault(tuple(row[name].key() for name in q.select), row)
     ordered = sorted(rows.values(),

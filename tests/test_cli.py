@@ -50,6 +50,12 @@ def test_explain_labels_facts_loaded_as_inferred(tmp_path):
         "Obligation(u1, alert)  [inferred]\n"]
 
 
+def test_explain_of_a_fact_the_store_lacks_is_an_unquoted_error_line():
+    result = run_cli("explain", "Foo(a)")
+    assert (result.returncode, result.stdout, result.stderr) \
+        == (1, "", "error: fact not in store: Foo(a)\n")
+
+
 def test_query_empty_store_exits_zero():
     result = run_cli("query", "SELECT ?u WHERE { Authenticated(?u, yes) }")
     assert result.returncode == 0
@@ -97,6 +103,15 @@ def test_classify_reports_fixture_users():
     assert result.returncode == 0
     assert "u1: class=class1" in result.stdout
     assert "trust=1.00" in result.stdout
+
+
+def test_classify_without_events_is_an_error_line(tmp_path):
+    config = tmp_path / "aalguard.conf"
+    config.write_text("")
+    result = run_cli("--config", str(config), "classify")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", (
+        "error: nothing to classify; pass --events or set events= "
+        "in the config\n"))
 
 
 INTERLEAVED_CLASSIFY = """\

@@ -60,16 +60,28 @@ def test_empty_ruleset_changes_nothing():
 
 
 def test_iterations_grow_with_dependency_chains():
-    store = FactStore()
-    store.assert_fact(ground("step0", "a"))
-    rules = parse_ruleset(
-        "step0(?x) -> step1(?x)\n\n"
-        "step1(?x) -> step2(?x)\n\n"
-        "step2(?x) -> step3(?x)\n")
-    report = infer_fixpoint(store, rules)
-    assert len(report.derived) == 3
-    # one pass per chain stage plus the final empty pass
-    assert report.iterations == 4
+    # One round per chain stage plus the final empty round: a stage chain
+    # of 3 rules, and a recursive reach over a chain of 6 edges, whose
+    # round k derives the paths of k edges.
+    edges = [ground("Edge", f"n{i}", f"n{i + 1}") for i in range(6)]
+    cases = [
+        ([ground("step0", "a")],
+         "step0(?x) -> step1(?x)\n\n"
+         "step1(?x) -> step2(?x)\n\n"
+         "step2(?x) -> step3(?x)\n", 3, 4),
+        (edges,
+         "Edge(?x, ?y) -> Reach(?x, ?y)\n\n"
+         "Reach(?x, ?y) ^ Edge(?y, ?z) -> Reach(?x, ?z)\n", 21, 7),
+    ]
+    for facts, text, derived, iterations in cases:
+        store = FactStore()
+        for fact in facts:
+            store.assert_fact(fact)
+        rules = parse_ruleset(text)
+        report = infer_fixpoint(store, rules)
+        assert len(report.derived) == derived
+        assert report.iterations == iterations
+        assert store_keys(store) == naive_fixpoint(_fact_tuples(facts), rules)
 
 
 def test_unsafe_rule_rejected_before_firing():
@@ -163,33 +175,12 @@ def test_policy_and_rule_list_paths_agree_with_the_naive_oracle():
             == naive_fixpoint(_fact_tuples(facts), rules)
 
 
-def test_policy_keeps_rule_ids_and_lower_cased_body_predicates():
+def test_policy_keeps_rule_ids_and_is_its_own_compilation():
     rules = parse_ruleset("A(?x) ^ hasB(?x) -> C(?x)\n\n"
                           "@id: named\nC(?x) -> D(?x)")
     policy = engine.Policy(rules)
     assert policy.rule_ids == ("rule1", "named")
-    assert policy.body_predicates == (("a", "hasb"), ("c",))
     assert engine.Policy.of(policy) is policy
-
-
-def test_pass_joins_only_the_pivots_the_delta_touches(monkeypatch):
-    rules = parse_ruleset("A(?x) -> B(?x)\n\nB(?x) ^ C(?x) -> D(?x)")
-    store = FactStore()
-    store.assert_fact(ground("A", "c1"))
-    store.assert_fact(ground("C", "c1"))
-    joined = []
-    join = engine.join
-
-    def recording(store, plan, pivot, delta_keys):
-        joined.append((plan[0].predicate, pivot))
-        return join(store, plan, pivot, delta_keys)
-    monkeypatch.setattr(engine, "join", recording)
-    report = infer_fixpoint(store, rules)
-    assert [f.render() for f in report.derived] == ["B(c1)", "D(c1)"]
-    # Pass 1 joins whole (its pivot past the last atom) only the rule whose
-    # first atom has facts, A; pass 2's delta holds only B, which the
-    # second rule joins through its pivot 0; pass 3's holds only D.
-    assert joined == [("a", 1), ("b", 0)]
 
 
 def test_a_policy_refuses_a_head_a_fact_would_reject():
@@ -276,7 +267,7 @@ def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
         calls.clear()
         infer_fixpoint(store, load_fixture_rules())
         per_resident.append(len(calls) / residents)
-    # About 6 facts probed per resident at both sizes; 15.5 and 45.5 with
+    # About 11 facts probed per resident at both sizes; 20.5 and 50.5 with
     # the draft's alzheimer-deny.
     assert per_resident[1] <= per_resident[0] * 1.1
     assert per_resident[1] < 20
@@ -342,20 +333,16 @@ def test_a_compiled_atom_binds_as_unify_against_fact(predicates, terms, args,
         store.assert_fact(bind_fact)
         before = (store.by_key(bind_fact.key()),)
         prefix = [Atom("Bind", tuple(Variable(n) for n in names))]
-        assert engine.join(store, engine.compile_body(prefix), 1, set()) \
+        assert engine.join(store, engine.compile_body(prefix)) \
             == [(binding, before)]
-    plan = engine.compile_body(prefix + [atom])
-    last = len(prefix)
+    got = engine.join(store, engine.compile_body(prefix + [atom]))
     want = unify_against_fact(atom.predicate, atom.terms, fact, binding)
-    for pivot, delta in ((last + 1, set()), (last, {fact.key()})):
-        got = engine.join(store, plan, pivot, delta)
-        if want is None:
-            assert got == []
-            continue
-        assert got == [(want, before + (stored,))]
-        assert {n: c.render() for n, c in got[0][0].items()} == {
-            n: c.render() for n, c in want.items()}
-    assert engine.join(store, plan, last, set()) == []
+    if want is None:
+        assert got == []
+        return
+    assert got == [(want, before + (stored,))]
+    assert {n: c.render() for n, c in got[0][0].items()} == {
+        n: c.render() for n, c in want.items()}
 
 
 def test_fixpoint_idempotent():

@@ -114,6 +114,12 @@ BAD_INPUT_MESSAGES = [
     {"op": "authn", "user": "u1", "password": "door-chime-7", "features": []},
     {"op": "query", "q": None},
     {"op": "query", "q": ["SELECT ?u WHERE { Authenticated(?u, yes) }"]},
+    # An unknown context component is refused before the authentication
+    # gate, for the authenticated u1 as for u9, who never authenticated.
+    {"op": "authorize", "user": "u1", "service": "ReadAlert",
+     "context": {"mood": "x"}},
+    {"op": "authorize", "user": "u9", "service": "ReadAlert",
+     "context": {"mood": "x"}},
 ]
 
 
