@@ -71,13 +71,9 @@ class SensorEvent(NamedTuple):
 
 @dataclass
 class FeatureVector:
-    """Mean durations per feature key plus the observation count behind each."""
+    """Mean durations per feature key."""
 
     entries: Dict[str, float] = field(default_factory=dict)
-    support: Dict[str, int] = field(default_factory=dict)
-
-    def copy(self) -> "FeatureVector":
-        return FeatureVector(dict(self.entries), dict(self.support))
 
 
 @dataclass
@@ -188,7 +184,7 @@ def _log(events) -> EventLog:
 
 
 def extract_features(events, user: str) -> FeatureVector:
-    """Per-key mean of the moving and holding durations, with their count.
+    """Per-key mean of the moving and holding durations.
 
     Reads the sums the fold keeps and closes the open activity run on
     locals, so the folded state never changes and every call answers the
@@ -200,22 +196,16 @@ def extract_features(events, user: str) -> FeatureVector:
     if state is None:
         return fv
     last, _, current, start, moves, holds = state
-    entries, support = fv.entries, fv.support
+    entries = fv.entries
     for (src, dst), (total, count) in moves.items():
-        key = f"move:{src}->{dst}"
-        entries[key] = total / count
-        support[key] = count
+        entries[f"move:{src}->{dst}"] = total / count
     for activity, (total, count) in holds.items():
         if activity == current:  # the open run; ``holds`` has no idle key
             total += last - start
             count += 1
-        key = f"hold:{activity}"
-        entries[key] = total / count
-        support[key] = count
+        entries[f"hold:{activity}"] = total / count
     if current != IDLE_ACTIVITY and current not in holds:
-        key = f"hold:{current}"
-        entries[key] = float(last - start)
-        support[key] = 1
+        entries[f"hold:{current}"] = float(last - start)
     return fv
 
 
@@ -265,7 +255,6 @@ def update_class(model: BehaviorModel, class_id: str,
             cls.centroid.entries[key] = c + (x - c) / (cls.n + 1)
         else:
             cls.centroid.entries[key] = x
-        cls.centroid.support[key] = cls.centroid.support.get(key, 0) + 1
     cls.n += 1
     return model
 
@@ -402,6 +391,9 @@ def load_model(text: str,
                 n = int(parts[2][2:])
             except ValueError:
                 raise ModelFormatError(f"bad count in {line!r}", lineno) from None
+            if any(cls.id == parts[1] for cls in classes):
+                raise ModelFormatError(f"duplicate class id {parts[1]!r}",
+                                       lineno)
             current = BehaviorClass(id=parts[1], centroid=FeatureVector(), n=n)
             classes.append(current)
             continue
@@ -415,11 +407,11 @@ def load_model(text: str,
                 parsed = math.nan
             if not math.isfinite(parsed):
                 raise ModelFormatError(f"bad value in {line!r}", lineno)
-            key = key.strip()
-            current.centroid.entries[key] = parsed
-            current.centroid.support[key] = max(current.n, 1)
+            current.centroid.entries[key.strip()] = parsed
             continue
         raise ModelFormatError(f"unrecognized line: {line!r}", lineno)
+    if not classes:
+        raise ModelFormatError("model has no classes", 1)
     return BehaviorModel(classes=classes, distance_floor=distance_floor)
 
 

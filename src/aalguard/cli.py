@@ -262,7 +262,6 @@ def _features_from_message(msg: dict) -> behavior.FeatureVector:
         if not math.isfinite(number):
             raise ValueError(f"feature {key!r} is not finite")
         fv.entries[str(key)] = number
-        fv.support[str(key)] = 1
     return fv
 
 
@@ -509,7 +508,8 @@ def _listen(state: ServeState, listen: str) -> int:
         return EXIT_OK
 
     host, _, port = listen.rpartition(":")
-    if not host or not port.isdigit():
+    if not (host and port.isascii() and port.isdigit() and len(port) <= 5
+            and int(port) <= 65535):
         print(f"bad --listen address: {listen!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -556,7 +556,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             behavior.EventFormatError, behavior.ModelFormatError,
             behavior.OrderingError, behavior.NonFiniteError,
             query.QueryError, pdp.PdpError,
-            pdp.AuditError) as err:
+            pdp.AuditError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,9 +14,9 @@ Input is checked once, where it enters: ``Fact(...)``, :func:`ground`,
 :func:`parse_fact` and :meth:`Constant.number` check every part.  Facts
 whose parts are known valid (request facts, rule heads a compiled policy
 checked, facts a store spells again) are built by ``Fact._trusted`` with no
-check.  :meth:`FactStore.partition` is the one way a subject's facts are
-copied out of a store: by index bucket, spelled as the store spells them,
-without building or checking any of them again.
+check.  A store's tables are written only where a fact is filed or
+dropped: a copy of a subject's facts (:meth:`FactStore.partition`) too
+asserts them one by one.
 """
 
 from __future__ import annotations
@@ -319,10 +319,11 @@ class FactStore:
     pattern with a bound argument reads only the facts that share it:
     :meth:`probe` takes the argument keys an atom has bound, by position,
     and is the one lookup the engine's join, queries and the decision point
-    read candidates through; :meth:`partition` copies the position-0
-    buckets of a subject.  Both indexes keep insertion order, so a lookup
-    yields its facts in the order a scan of :meth:`facts_for` would.  A
-    predicate is spelled as ``DEFAULT_VOCABULARY`` or its first fact does.
+    read candidates through, and with :meth:`predicates` the one reader of
+    the buckets; only filing a fact and :meth:`drop` write the fact table,
+    the indexes and the stamps.  Both indexes keep insertion order, so a
+    lookup yields its facts in the order the predicate's bucket holds them.
+    A predicate is spelled as ``DEFAULT_VOCABULARY`` or its first fact does.
     Each change to a subject's facts moves that subject's :meth:`version`,
     so a caller can tell whether what it derived from them is current.
 
@@ -355,7 +356,7 @@ class FactStore:
         return tuple(self._facts.values())
 
     def facts_for(self, predicate: str) -> tuple:
-        return tuple(self._index.get(predicate.lower(), {}).values())
+        return self.probe(predicate.lower(), ())
 
     def predicates(self):
         """The lower-cased predicates the store holds facts of."""
@@ -389,38 +390,19 @@ class FactStore:
         spells predicates as this one does, or ``into``, a partition of this
         store about other subjects, with those facts added.
 
-        Each position-0 bucket is copied whole, in insertion order, into
-        the partition's fact table and indexes, merged into the dicts it
-        already holds: no fact is built, checked or spelled again, and no
-        dict of this store is shared.  The buckets of ``without`` are
-        skipped whole, so their facts are never read.  The partition holds
-        what asserting those facts one by one would, and stamps the slots
-        it fills with one new change stamp (:meth:`version`).
+        Each is asserted in turn, by predicate in :meth:`predicates` order,
+        then as :meth:`probe` lists the subject's position-0 bucket; the
+        buckets of ``without`` are never read.  A fact spelled as the
+        partition spells it is shared, not built again.
         """
-        subject_key = subject.key()
         if into is None:
             into = FactStore()
             into._canon = dict(self._canon)
-        facts, index, by_arg = into._facts, into._index, into._by_arg
-        if subject_key not in self._stamps:  # no fact about it, ever
-            return into
-        stamp = _tick()
-        stamps = into._stamps.setdefault(subject_key, {})
-        for predicate in self._index:
-            if predicate in without:
-                continue
-            bucket = self._by_arg.get((predicate, 0, subject_key))
-            if bucket is None:
-                continue
-            facts.update(bucket)
-            index.setdefault(predicate, {}).update(bucket)
-            by_arg.setdefault((predicate, 0, subject_key), {}).update(bucket)
-            stamps[predicate] = stamp
-            for key, fact in bucket.items():
-                arg_keys = key[1]
-                for position in range(1, len(arg_keys)):
-                    by_arg.setdefault((predicate, position, arg_keys[position]),
-                                      {})[key] = fact
+        bound = ((0, subject.key()),)
+        for predicate in self.predicates():
+            if predicate not in without:
+                for fact in self.probe(predicate, bound):
+                    into.assert_fact(fact)
         return into
 
     def version(self, subject: Constant, without=()) -> int:
@@ -428,10 +410,9 @@ class FactStore:
         lower-cased predicates in ``without``, 0 when there is none.
 
         A new stamp marks the slot ``(subject, predicate)`` whenever a fact
-        of that predicate whose first argument is ``subject`` is filed,
-        dropped or copied in by :meth:`partition`; a slot stays when its
-        bucket empties.  So the version moves exactly when one of those
-        slots changed since it was last read.
+        of that predicate whose first argument is ``subject`` is filed or
+        dropped; a slot stays when its bucket empties.  So the version moves
+        exactly when one of those slots changed since it was last read.
         """
         stamps = self._stamps.get(subject.key())
         if not stamps:
@@ -514,13 +495,12 @@ class FactStore:
         return True
 
     def snapshot(self) -> "FactStore":
-        """Independent copy; facts themselves are immutable and shared."""
+        """Independent copy with the same change stamps; facts themselves
+        are immutable and shared."""
         clone = FactStore()
-        clone._facts = dict(self._facts)
-        clone._index = {p: dict(bucket) for p, bucket in self._index.items()}
-        clone._by_arg = {slot: dict(bucket)
-                         for slot, bucket in self._by_arg.items()}
         clone._canon = dict(self._canon)
+        for key, fact in self._facts.items():
+            clone._file(key, fact)
         clone._stamps = {subject: dict(stamps)
                          for subject, stamps in self._stamps.items()}
         return clone

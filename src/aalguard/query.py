@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from .engine import compile_body, join
 from .facts import Constant, FactStore
 from .rules import (
-    CARET, EOF, IDENT, LBRACE, NUM, RBRACE, VAR,
+    EOF, IDENT, LBRACE, NUM, RBRACE, VAR,
     Atom, RuleSyntaxError, _Parser, tokenize,
 )
 
@@ -54,10 +54,7 @@ def parse_query(text: str) -> ConjunctiveQuery:
                            expected=(VAR,))
     _expect_keyword(parser, "where")
     parser.expect(LBRACE)
-    where = [parser.parse_atom()]
-    while parser.peek().kind == CARET:
-        parser.advance()
-        where.append(parser.parse_atom())
+    where = parser.parse_atoms()
     parser.expect(RBRACE)
     limit = None
     if parser.peek().kind == IDENT and parser.peek().value.lower() == "limit":

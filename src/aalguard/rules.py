@@ -302,8 +302,6 @@ class _Parser:
 
 
 def _split_chain(segments: list) -> list:
-    if len(segments) == 2:
-        return [Rule(body=segments[0], head=segments[1])]
     rules = []
     body = segments[0]
     for i in range(1, len(segments)):

@@ -513,7 +513,7 @@ def reference_durations(stream):
 
 
 def reference_means(moves, holds):
-    """Feature entries and supports of reference durations, as key lists.
+    """Feature entries of reference durations, as a key list.
 
     Each mean adds its durations left to right in a plain loop, not with
     ``sum``, whose float summation is compensated from Python 3.12 on.
@@ -528,7 +528,7 @@ def reference_means(moves, holds):
         for duration in durations:
             total += duration
         entries.append((key, total / len(durations)))
-    return entries, [(key, len(durations)) for key, durations in keyed]
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,14 @@ def ev(user, timestamp, location, activity="none"):
 # ---------------------------------------------------------------------------
 
 def assert_folded(fv, moves, holds):
-    """``fv`` holds the means and counts of the reference durations, in the
+    """``fv`` holds the means of the reference durations, in the
     reference's key order and bit for bit."""
-    entries, support = reference_means(moves, holds)
-    assert list(fv.entries.items()) == entries
-    assert list(fv.support.items()) == support
+    assert list(fv.entries.items()) == reference_means(moves, holds)
 
 
 def durations(events, user):
     """``user``'s moving and holding durations by the reference scan, after
-    checking that the fold's features are their means and counts."""
+    checking that the fold's features are their means."""
     moves, holds = reference_durations(scan_user_stream(events, user))
     assert_folded(extract_features(events, user), moves, holds)
     return moves, holds
@@ -101,8 +99,7 @@ def test_holding_time_disjoint_runs():
               ev("u1", 240, "kitchen", "cooking")]
     assert durations(events, "u1") == ({}, {"cooking": [60.0, 40.0]})
     fv = extract_features(events, "u1")
-    assert (fv.entries, fv.support) == ({"hold:cooking": 50.0},
-                                        {"hold:cooking": 2})
+    assert fv.entries == {"hold:cooking": 50.0}
 
 
 def test_holding_time_single_event_run_is_zero():
@@ -115,12 +112,11 @@ def test_extract_features_takes_means():
               ev("u1", 110, "b")]
     fv = extract_features(events, "u1")
     assert fv.entries["move:k->b"] == pytest.approx(40.0)  # mean of 30, 50
-    assert fv.support["move:k->b"] == 2
 
 
 def test_extract_features_no_events_is_empty():
     fv = extract_features([], "u1")
-    assert fv.entries == {} and fv.support == {}
+    assert fv.entries == {}
 
 
 def test_durations_do_not_exceed_elapsed_time():
@@ -159,9 +155,8 @@ def test_fixture_stream_matches_oracle_table():
     for user, expected in table.items():
         fv = extract_features(events, user)
         assert set(fv.entries) == set(expected)
-        for key, (mean, support) in expected.items():
+        for key, (mean, _) in expected.items():
             assert fv.entries[key] == pytest.approx(mean, abs=1e-9)
-            assert fv.support[key] == support
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +165,18 @@ def test_fixture_stream_matches_oracle_table():
 
 def two_class_model():
     return BehaviorModel(classes=[
-        BehaviorClass("class1", FeatureVector({"hold:cooking": 60.0},
-                                              {"hold:cooking": 1})),
-        BehaviorClass("class2", FeatureVector({"hold:cooking": 600.0},
-                                              {"hold:cooking": 1})),
+        BehaviorClass("class1", FeatureVector({"hold:cooking": 60.0})),
+        BehaviorClass("class2", FeatureVector({"hold:cooking": 600.0})),
     ])
 
 
 def test_classify_picks_nearest_centroid():
-    fv = FeatureVector({"hold:cooking": 90.0}, {"hold:cooking": 1})
+    fv = FeatureVector({"hold:cooking": 90.0})
     assert classify(two_class_model(), fv) == ("class1", pytest.approx(30.0))
 
 
 def test_classify_exact_match_is_distance_zero():
-    fv = FeatureVector({"hold:cooking": 600.0}, {"hold:cooking": 1})
+    fv = FeatureVector({"hold:cooking": 600.0})
     assert classify(two_class_model(), fv) == ("class2", 0.0)
 
 
@@ -210,9 +203,7 @@ def _random_model(rng):
     classes = []
     for index in range(rng.randint(1, 5)):
         entries = {k: rng.uniform(0, 300) for k in rng.sample(keys, rng.randint(0, len(keys)))}
-        classes.append(BehaviorClass(f"c{index}",
-                                     FeatureVector(entries,
-                                                   {k: 1 for k in entries})))
+        classes.append(BehaviorClass(f"c{index}", FeatureVector(entries)))
     return BehaviorModel(classes=classes), keys
 
 
@@ -222,7 +213,7 @@ def test_classify_agrees_with_brute_force_scan():
         model, keys = _random_model(rng)
         entries = {k: rng.uniform(0, 300)
                    for k in rng.sample(keys, rng.randint(0, len(keys)))}
-        fv = FeatureVector(entries, {k: 1 for k in entries})
+        fv = FeatureVector(entries)
         got_id, got_d = classify(model, fv)
         want_id, want_d = brute_force_nearest(model, fv)
         assert got_d == pytest.approx(want_d, abs=1e-9)
@@ -235,8 +226,8 @@ def test_classify_agrees_with_brute_force_scan():
 
 def test_update_class_moves_mean():
     model = BehaviorModel(classes=[
-        BehaviorClass("c", FeatureVector({"k": 60.0}, {"k": 1}), n=1)])
-    update_class(model, "c", FeatureVector({"k": 100.0}, {"k": 1}))
+        BehaviorClass("c", FeatureVector({"k": 60.0}), n=1)])
+    update_class(model, "c", FeatureVector({"k": 100.0}))
     cls = model.get("c")
     assert cls.centroid.entries["k"] == pytest.approx(80.0)
     assert cls.n == 2
@@ -244,16 +235,16 @@ def test_update_class_moves_mean():
 
 def test_update_class_identical_vector_keeps_centroid():
     model = BehaviorModel(classes=[
-        BehaviorClass("c", FeatureVector({"k": 60.0}, {"k": 1}), n=3)])
-    update_class(model, "c", FeatureVector({"k": 60.0}, {"k": 1}))
+        BehaviorClass("c", FeatureVector({"k": 60.0}), n=3)])
+    update_class(model, "c", FeatureVector({"k": 60.0}))
     assert model.get("c").centroid.entries["k"] == pytest.approx(60.0)
     assert model.get("c").n == 4
 
 
 def test_update_class_new_key_adopts_value():
     model = BehaviorModel(classes=[
-        BehaviorClass("c", FeatureVector({"a": 10.0}, {"a": 4}), n=4)])
-    update_class(model, "c", FeatureVector({"b": 100.0}, {"b": 1}))
+        BehaviorClass("c", FeatureVector({"a": 10.0}), n=4)])
+    update_class(model, "c", FeatureVector({"b": 100.0}))
     cls = model.get("c")
     assert cls.centroid.entries["b"] == pytest.approx(100.0)
     assert cls.centroid.entries["a"] == pytest.approx(10.0)
@@ -287,8 +278,7 @@ def test_incremental_matches_batch_mean():
     rng = random.Random(77)
     for _ in range(100):
         keys = [f"k{i}" for i in range(rng.randint(1, 5))]
-        vectors = [FeatureVector({k: rng.uniform(0, 1000) for k in keys},
-                                 {k: 1 for k in keys})
+        vectors = [FeatureVector({k: rng.uniform(0, 1000) for k in keys})
                    for _ in range(rng.randint(1, 12))]
         model = BehaviorModel(classes=[BehaviorClass("c", FeatureVector(), n=0)])
         for fv in vectors:
@@ -349,7 +339,7 @@ FEATURE_VALUES = (st.sampled_from([0.0, 30.0, 60.0, 1e200, -1e200])
 def feature_vectors(keys=FEATURE_KEYS):
     return st.dictionaries(st.sampled_from(keys), FEATURE_VALUES,
                            max_size=len(keys)).map(
-        lambda entries: FeatureVector(entries, {k: 1 for k in entries}))
+        FeatureVector)
 
 
 @st.composite
@@ -358,7 +348,8 @@ def scored_models(draw):
     keys may be disjoint from every centroid's."""
     centroids = draw(st.lists(feature_vectors(FEATURE_KEYS[1:]), min_size=1,
                               max_size=3))
-    classes = [BehaviorClass(f"c{i}", draw(st.sampled_from(centroids)).copy())
+    classes = [BehaviorClass(f"c{i}", FeatureVector(
+                   dict(draw(st.sampled_from(centroids)).entries)))
                for i in range(draw(st.integers(1, 4)))]
     fv = draw(feature_vectors(FEATURE_KEYS[:1]) | feature_vectors())
     return BehaviorModel(classes=classes), fv
@@ -506,7 +497,7 @@ def test_load_events_skips_blank_rows_and_strips_cells(newline):
     events = load_events(newline.join(lines) + newline)
     assert len(events) == 2 and users_in(events) == ["u1"]
     assert extract_features(events, "u1") == FeatureVector(
-        {"hold:cooking": 60.0}, {"hold:cooking": 1})
+        {"hold:cooking": 60.0})
 
 
 def test_disordered_in_process_stream_raises_among_other_users():
@@ -698,7 +689,7 @@ def test_extraction_leaves_the_folded_state_unchanged():
         assert list(holds) == keys
         assert_folded(first, moves, holds)
     fv = extract_features(log, "u1")  # runs of 60, 0 and the open 10
-    assert (fv.entries["hold:cooking"], fv.support["hold:cooking"]) == (70 / 3, 3)
+    assert fv.entries["hold:cooking"] == 70 / 3
 
 
 def test_load_and_extraction_build_no_sensor_event(monkeypatch):
@@ -730,7 +721,7 @@ def test_loading_copies_no_whole_text_and_keeps_nothing_per_row():
         tracemalloc.stop()
     assert len(log) == 40_000
     assert extract_features(log, "u1") == FeatureVector(
-        {"hold:cooking": 39_999.0}, {"hold:cooking": 1})
+        {"hold:cooking": 39_999.0})
     assert peak < len(text) // 2
     assert retained < 64 * 1024
 
@@ -814,3 +805,14 @@ def test_model_rejects_duplicate_class_ids():
     with pytest.raises(ValueError):
         BehaviorModel(classes=[BehaviorClass("c", FeatureVector()),
                                BehaviorClass("c", FeatureVector())])
+    # A checkpoint names the line of the repeated class.
+    with pytest.raises(ModelFormatError,
+                       match=r"\Aline 4: duplicate class id 'c'\Z"):
+        load_model("class c n=1\n  k = 1\n\nclass c n=2\n")
+
+
+@pytest.mark.parametrize("text", ["", "# no classes\n\n"])
+def test_a_model_checkpoint_with_no_class_is_refused(text):
+    with pytest.raises(ModelFormatError,
+                       match=r"\Aline 1: model has no classes\Z"):
+        load_model(text)

@@ -1,6 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
+from aalguard import cli
+from aalguard.config import ENV_VAR
 from conftest import DATA_DIR
 
 
@@ -205,3 +209,55 @@ def test_set_with_a_non_numeric_threshold_exits_one():
     assert result.returncode == 1
     assert "error" in result.stderr
     assert "scenario" not in result.stdout
+
+
+def run_main(monkeypatch, capsys, *args):
+    """``cli.main`` on ``args`` in process, with no config file:
+    ``(exit code, stdout, stderr)``."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("address", [
+    "127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:\u00b2",
+    "127.0.0.1:" + "9" * 5000], ids=["70000", "65536", "superscript-two",
+                                     "5000-digits"])
+def test_serve_refuses_a_listen_port_out_of_range(monkeypatch, capsys,
+                                                  address):
+    def no_socket(*args):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(cli, "make_server", no_socket)
+    assert run_main(monkeypatch, capsys, "serve", "--listen", address) == (
+        1, "", f"bad --listen address: {address!r}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("class c1 n=1\n  hold:cooking = 60\nclass c1 n=1\n",
+     "line 3: duplicate class id 'c1'"),
+    ("# no classes\n", "line 1: model has no classes")],
+    ids=["repeated-class", "no-class"])
+@pytest.mark.parametrize("command", [
+    ("classify", "--events", str(DATA_DIR / "interleaved_events.csv")),
+    ("serve", "--listen", "-")], ids=["classify", "serve"])
+def test_a_model_file_with_a_repeated_or_no_class_is_an_error_line(
+        monkeypatch, capsys, tmp_path, text, message, command):
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    assert run_main(monkeypatch, capsys, *command, "--model", str(model)) \
+        == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option", ["--facts", "--config"])
+def test_an_input_file_that_is_not_utf8_is_an_error_line(
+        monkeypatch, capsys, tmp_path, option):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"HasCapability(u1, \xff).\n")
+    args = (option, str(bad), "load") if option == "--config" \
+        else ("load", option, str(bad))
+    code, out, err = run_main(monkeypatch, capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "0xff" in err

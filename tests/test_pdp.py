@@ -38,16 +38,14 @@ RULES = load_fixture_rules()
 
 def seed_model():
     return BehaviorModel(classes=[
-        BehaviorClass("class1", FeatureVector({"hold:cooking": 600.0},
-                                              {"hold:cooking": 1})),
-        BehaviorClass("class2", FeatureVector({"hold:cooking": 1200.0},
-                                              {"hold:cooking": 1})),
+        BehaviorClass("class1", FeatureVector({"hold:cooking": 600.0})),
+        BehaviorClass("class2", FeatureVector({"hold:cooking": 1200.0})),
     ])
 
 
 def at_centroid(class_id):
     value = {"class1": 600.0, "class2": 1200.0}[class_id]
-    return FeatureVector({"hold:cooking": value}, {"hold:cooking": 1})
+    return FeatureVector({"hold:cooking": value})
 
 
 def make_credentials():
@@ -111,8 +109,7 @@ HasRecognizedBehavior(?u, class2) ^ HasCapability(?u, cognitive) -> BehaviorCapa
 # One centroid per class a test authenticates into.
 CLASSES = ["class1", "class2", "class3", "class9"]
 MEAN_MODEL = BehaviorModel(classes=[
-    BehaviorClass(name, FeatureVector({"hold:cooking": 600.0 * (i + 1)},
-                                      {"hold:cooking": 1}))
+    BehaviorClass(name, FeatureVector({"hold:cooking": 600.0 * (i + 1)}))
     for i, name in enumerate(CLASSES)])
 
 
@@ -128,8 +125,7 @@ def authn_mean(rules, behavior_class, capabilities, default_mean):
     else:
         cooking = 600.0 * (CLASSES.index(behavior_class) + 1)
     result = authenticate(
-        AuthnRequest("u1", None, FeatureVector({"hold:cooking": cooking},
-                                               {"hold:cooking": 1})),
+        AuthnRequest("u1", None, FeatureVector({"hold:cooking": cooking})),
         store, rules, MEAN_MODEL, make_credentials(),
         default_mean=default_mean)
     assert result.behavior_class == behavior_class
@@ -406,7 +402,7 @@ def test_password_user_at_centroid_authenticates():
 def test_low_trust_blocks_even_with_correct_password():
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
-    far = FeatureVector({"hold:cooking": 2.0}, {"hold:cooking": 1})
+    far = FeatureVector({"hold:cooking": 2.0})
     result = authenticate(
         AuthnRequest("u1", Credential("password", "open-sesame"), far),
         store, RULES, seed_model(), make_credentials(),
@@ -419,7 +415,7 @@ def test_low_trust_blocks_even_with_correct_password():
 def test_nan_trust_fails_closed():
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
-    nan = FeatureVector({"hold:cooking": float("nan")}, {"hold:cooking": 1})
+    nan = FeatureVector({"hold:cooking": float("nan")})
     result = authenticate(
         AuthnRequest("u1", Credential("password", "open-sesame"), nan),
         store, RULES, seed_model(), make_credentials())
@@ -822,9 +818,8 @@ STREAM_FACTS = [("HasCapability", Constant.string(value))
     ("Authenticated", Constant.symbol("yes")),
     ("Authenticated", Constant.symbol("no"))]
 VECTORS = {"class1": at_centroid("class1"), "class2": at_centroid("class2"),
-           "far": FeatureVector({"hold:cooking": 5000.0}, {"hold:cooking": 1}),
-           "none": FeatureVector({"hold:cooking": float("nan")},
-                                 {"hold:cooking": 1})}
+           "far": FeatureVector({"hold:cooking": 5000.0}),
+           "none": FeatureVector({"hold:cooking": float("nan")})}
 STREAM_STEPS = st.one_of(
     st.tuples(st.just("authn"), st.sampled_from(STREAM_USERS),
               st.sampled_from(sorted(VECTORS)), st.sampled_from(["pw", "no"])),
