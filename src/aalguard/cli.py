@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import signal
 import socketserver
 import sys
@@ -28,7 +29,7 @@ import threading
 from typing import List, Optional
 
 from . import behavior, engine, pdp, query, scenarios
-from .config import Config, ConfigError, apply_key, load_config
+from .config import ENV_VAR, Config, ConfigError, apply_key, load_config
 from .facts import (
     FactError,
     FactStore,
@@ -100,6 +101,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class InputFileError(ValueError):
+    """An input file is not UTF-8 text."""
+
+
+@contextlib.contextmanager
+def _reading(option: str, path):
+    """Name ``option`` and ``path`` in the error raised for an input file
+    that does not decode as UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise InputFileError(f"{option} {path}: {err}") from None
+
+
 def _load_rules(args, config: Config) -> list:
     paths: List[str] = []
     if getattr(args, "rules", None):
@@ -109,22 +124,25 @@ def _load_rules(args, config: Config) -> list:
         paths = list(config.rules)
     rules = []
     for path in paths:
-        rules.extend(load_ruleset_file(path))
+        with _reading("--rules", path):
+            rules.extend(load_ruleset_file(path))
     return rules
 
 
 def _load_store(args, config: Config) -> FactStore:
     path = getattr(args, "facts", None) or config.facts
     if path:
-        return load_facts_file(path)
+        with _reading("--facts", path):
+            return load_facts_file(path)
     return FactStore()
 
 
 def _load_model(args, config: Config) -> behavior.BehaviorModel:
     path = args.model or config.model
     if path:
-        return behavior.load_model_file(path,
-                                        distance_floor=config.distance_floor)
+        with _reading("--model", path):
+            return behavior.load_model_file(
+                path, distance_floor=config.distance_floor)
     return scenarios.load_fixture_model(config.distance_floor)
 
 
@@ -144,7 +162,8 @@ def cmd_load(args, config: Config) -> int:
         reported = True
     events_path = args.events or config.events
     if events_path:
-        events = behavior.load_events_file(events_path)
+        with _reading("--events", events_path):
+            events = behavior.load_events_file(events_path)
         print(f"events: {len(events)} ({len(behavior.users_in(events))} users)")
         reported = True
     if not reported:
@@ -203,7 +222,8 @@ def cmd_classify(args, config: Config) -> int:
         print("error: nothing to classify; pass --events or set events= "
               "in the config", file=sys.stderr)
         return EXIT_VALIDATION
-    events = behavior.load_events_file(events_path)
+    with _reading("--events", events_path):
+        events = behavior.load_events_file(events_path)
     model = _load_model(args, config)
     for user in behavior.users_in(events):
         features = behavior.extract_features(events, user)
@@ -455,7 +475,8 @@ def cmd_serve(args, config: Config) -> int:
     model = _load_model(args, config)
     credentials_path = args.credentials or config.credentials
     if credentials_path:
-        credentials = pdp.load_credentials_file(credentials_path)
+        with _reading("--credentials", credentials_path):
+            credentials = pdp.load_credentials_file(credentials_path)
     else:
         credentials = scenarios.load_fixture_credentials()
     audit_path = args.audit or config.audit
@@ -547,8 +568,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
-        return COMMANDS[args.command](args, config)
+        with _reading("--config", args.config or os.environ.get(ENV_VAR)):
+            config = load_config(args.config)
+        return COMMANDS[args.command](args, _apply_overrides(config, args))
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
@@ -556,7 +578,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             behavior.EventFormatError, behavior.ModelFormatError,
             behavior.OrderingError, behavior.NonFiniteError,
             query.QueryError, pdp.PdpError,
-            pdp.AuditError, UnicodeDecodeError) as err:
+            pdp.AuditError, InputFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

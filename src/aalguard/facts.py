@@ -87,6 +87,13 @@ class FactParseError(FactError):
         self.line = line
 
 
+def text_key(text: str) -> tuple:
+    """The key of the symbol or the string constant of ``text``: strings
+    and symbols compare by text alone, so a caller holding only the text
+    knows the key of either without building it."""
+    return ("text", text)
+
+
 @dataclass(frozen=True, eq=False)
 class Constant:
     """A ground term: bare symbol, quoted string, or decimal number."""
@@ -112,8 +119,8 @@ class Constant:
         return cls(NUMBER, value)
 
     def __post_init__(self) -> None:
-        # Strings and symbols compare by text alone; numbers stay separate.
-        key = (NUMBER, self.value) if self.kind == NUMBER else ("text", self.value)
+        key = (NUMBER, self.value) if self.kind == NUMBER \
+            else text_key(self.value)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -123,7 +130,7 @@ class Constant:
         ``text``, built without calling the dataclass's ``__init__`` and
         ``__post_init__``; ``kind`` is not checked."""
         constant = _new(cls)
-        key = ("text", text)
+        key = text_key(text)
         _set(constant, "kind", kind)
         _set(constant, "value", text)
         _set(constant, "_key", key)

@@ -28,7 +28,9 @@ outcome the store holds writes nothing.  :func:`authorize` keeps a memo per
 store and user, held weakly by the store: a user's slot stays while the
 policy and that same version stay, and holds one decision per set of the
 user's ``Authenticated`` facts and request facts some rule can read, valid
-while each group it read keeps its version.
+while each group it read keeps its version.  A request's facts are keyed
+from its text, so a hit reads keys and builds no fact, and the request
+history gains only the facts the store does not hold asserted.
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Obligations,
@@ -45,6 +47,7 @@ import hmac
 import math
 import os
 import re
+import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
@@ -55,7 +58,7 @@ from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_at, trust_score)
 from .engine import InvalidRuleError, Policy, infer_fixpoint
 from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Variable,
-                    coerce_constant, fact_key, ground)
+                    coerce_constant, fact_key, ground, text_key)
 from .rules import Rule
 
 PASSWORD_MEAN = "username/password"
@@ -152,9 +155,19 @@ class AuthzRequest:
     context: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for component in self.context:
+        # Text only: a request fact's key is computed from its text.
+        for name in ("user", "service"):
+            if not isinstance(getattr(self, name), str):
+                raise PdpError(f"{name} must be a string")
+        if not (self.device is None or isinstance(self.device, str)):
+            raise PdpError("device must be a string or None")
+        if not isinstance(self.context, dict):
+            raise PdpError("context must be a dict")
+        for component, value in self.context.items():
             if component not in _CONTEXT_COMPONENTS:
                 raise PdpError(f"unknown context component: {component!r}")
+            if not isinstance(value, str):
+                raise PdpError(f"context {component} must be a string")
         time_value = self.context.get("time")
         if time_value is not None and not _TIME_RE.fullmatch(time_value):
             raise PdpError("context time must be HH.MM from 00.00 to 23.59, "
@@ -186,6 +199,9 @@ class AuditEntry:
 
 def _escape(text: str) -> str:
     """Escape request text for one field: no separator, no line break."""
+    if "\\" not in text and "|" not in text and "\n" not in text \
+            and "\r" not in text:
+        return text
     return (text.replace("\\", "\\\\").replace("|", "\\|")
             .replace("\n", "\\n").replace("\r", "\\r"))
 
@@ -256,13 +272,15 @@ class AuditLog:
     The file is opened for appending at the first entry and stays open
     until :meth:`close`; each entry is written as one line and flushed, so
     the file reads the same as if it were opened for every entry, also
-    when several logs append to one path in turn.
+    when several logs append to one path in turn.  An entry's time is the
+    UTC clock to the second, formatted once per second it changes to.
     """
 
     def __init__(self, path=None, *, truncate: bool = False):
         self._path = path
         self._file = None
         self._seq = 0
+        self._second, self._time = None, ""  # last second seen, its text
         self._tail: Deque[AuditEntry] = deque(maxlen=AUDIT_TAIL)
         if path is not None:
             if truncate:
@@ -274,9 +292,13 @@ class AuditLog:
 
     def append(self, kind: str, subject: str, outcome: str,
                detail: str = "") -> AuditEntry:
+        second = int(time.time())
+        if second != self._second:
+            self._second, self._time = second, datetime.fromtimestamp(
+                second, timezone.utc).isoformat(timespec="seconds")
         entry = AuditEntry(
             seq=self._seq + 1,
-            time=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            time=self._time,
             kind=kind,
             subject=subject,
             detail=detail,
@@ -593,28 +615,36 @@ def groups_of(store: FactStore,
             if len(fact.args) == 2]
 
 
-def _request_facts(req: AuthzRequest,
-                   user: Optional[Constant] = None) -> List[Fact]:
-    """What ``req`` asserts about its user; ``user`` is ``req.user`` as a
-    constant, coerced here when the caller does not hold it."""
-    if user is None:
-        user = coerce_constant(req.user)
-    user_key = user.key()
-
-    def fact(part: str, value: Constant) -> Fact:
-        # Fixed predicates over two constants: nothing to check.
-        predicate, lowered = _REQUEST_FACT_PREDICATES[part]
-        return Fact._trusted(predicate, (user, value),
-                             (lowered, (user_key, value.key())))
-
-    facts = [fact("service", coerce_constant(req.service))]
+def _request_keys(req: AuthzRequest, user_key: tuple) -> List[tuple]:
+    """``(predicate, value, key)`` of each fact ``req`` asserts about the
+    user of ``user_key``, in request order: the service, the device, then
+    each context component under its own predicate and again as
+    ``HasContext``.  Each key is computed from the value's text, which
+    :class:`AuthzRequest` has checked is a ``str``; no fact is built."""
+    parts = [("service", req.service)]
     if req.device:
-        facts.append(fact("device", coerce_constant(req.device)))
+        parts.append(("device", req.device))
     for component, value in req.context.items():
-        value = coerce_constant(value)
-        facts.append(fact(component, value))
-        facts.append(fact("context", value))
-    return facts
+        parts += ((component, value), ("context", value))
+    keys = []
+    for part, value in parts:
+        predicate, lowered = _REQUEST_FACT_PREDICATES[part]
+        keys.append((predicate, value, (lowered, (user_key, text_key(value)))))
+    return keys
+
+
+def _request_fact(subject: Constant, entry: tuple, constants: dict) -> Fact:
+    """The request fact of ``entry``, one of :func:`_request_keys`: a
+    fixed predicate over two constants, so nothing is checked.
+    ``constants`` keeps the constant each value is coerced to, so the facts
+    built with one dict share a value's constant, and each fact's key
+    shares the constant's key, as a fact built from its constant does."""
+    predicate, value, (lowered, (user_key, _)) = entry
+    constant = constants.get(value)
+    if constant is None:
+        constant = constants[value] = coerce_constant(value)
+    return Fact._trusted(predicate, (subject, constant),
+                         (lowered, (user_key, constant.key())))
 
 
 def _priority_for(store: FactStore, user: Union[str, Constant],
@@ -677,10 +707,12 @@ def _collect(store: FactStore, subjects: set, policy: Policy):
 
 
 def _decide(store: FactStore, policy: Policy, subject: Constant,
-            request_facts: List[Fact]) -> tuple:
+            request: List[tuple]) -> tuple:
     """``(effect, obligations, recommendations, rationale)`` for the
-    request of ``request_facts`` by ``subject``, as :func:`authorize`
-    decides it, from the memo when nothing the decision read has changed.
+    request of ``request``, its :func:`_request_keys`, by ``subject``, as
+    :func:`authorize` decides it, from the memo when nothing the decision
+    read has changed.  The memo is looked up by keys alone: a hit builds
+    no fact.
 
     Inference runs over one working store: the subject's partition less
     request history, plus the request facts some body atom can match
@@ -695,20 +727,21 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     subject's ``Authenticated`` fact keys and readable request-fact keys
     holds while each group's version does.  A request that some atom reads
     through a variable is not memoized, so a slot holds at most one entry
-    per set of the policy's constants and ``Authenticated`` facts."""
+    per set of the policy's constants and ``Authenticated`` facts.  Only a
+    miss builds the readable request facts, for its working store."""
     memo = _memo_of(store)
     version = store.version(subject, _UNDERIVED_PREDICATES)
     slot = memo.decisions.get(subject.key())
     if slot is None or slot[0] is not policy or slot[1] != version:
         slot = memo.decisions[subject.key()] = (policy, version, {})
     readable, memoized = [], True
-    for fact in request_facts:
-        read = policy.reads(fact.key())
+    for entry in request:
+        read = policy.reads(entry[2])
         if read is not None:
-            readable.append(fact)
+            readable.append(entry)
             memoized = memoized and not read
     if memoized:
-        entry_key = frozenset([fact.key() for fact in readable] + [
+        entry_key = frozenset([key for _, _, key in readable] + [
             fact.key() for fact in
             store.probe("authenticated", ((0, subject.key()),))])
         entry = slot[2].get(entry_key)
@@ -718,9 +751,9 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
             return entry[1]
     memo.misses += 1
 
-    work = store.partition(subject, _HISTORY_PREDICATES)
-    for fact in readable:
-        work.assert_fact(fact)
+    work, constants = store.partition(subject, _HISTORY_PREDICATES), {}
+    for entry in readable:
+        work.assert_fact(_request_fact(subject, entry, constants))
     infer_fixpoint(work, policy)
     groups = groups_of(work, subject)
     size = len(work)
@@ -765,10 +798,14 @@ def authorize(req: AuthzRequest, store: FactStore,
     or one of the user's groups are combined deny-overrides with a deny
     default; lists come in policy order (:func:`_collect`).  A decision
     whose inputs have not changed since it was made is reused
-    (:func:`_decide`).  The live store gains only the request facts, as
-    history.  Only an asserted ``Authenticated`` passes the gate; the
-    gate, the priority, the audit entry and the history are done on every
-    request.  ``rules`` go through :func:`compile_policy` first.
+    (:func:`_decide`), looked up by the request facts' keys, which come
+    from the request's text, so a reused decision builds no fact.  The
+    live store gains only the request facts, as history: each one it does
+    not hold is built and asserted, and one it holds as inferred is
+    upgraded to asserted.  Only an asserted ``Authenticated`` passes the
+    gate; the gate, the priority, the audit entry and the history are
+    done on every request.  ``rules`` go through :func:`compile_policy`
+    first.
     """
     policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
@@ -783,15 +820,18 @@ def authorize(req: AuthzRequest, store: FactStore,
                              f"service={req.service} reason=not-authenticated")
         return decision
 
-    request_facts = _request_facts(req, subject)
+    request = _request_keys(req, subject.key())
     effect, obligations, recommendations, rationale = _decide(
-        store, policy, subject, request_facts)
+        store, policy, subject, request)
     decision = Decision(effect=effect, obligations=list(obligations),
                         recommendations=list(recommendations),
                         priority=priority, rationale=list(rationale))
 
-    for fact in request_facts:  # history for behavioral rules
-        store.assert_fact(fact)
+    constants = {}
+    for entry in request:  # history, asserted when new
+        held = store.by_key(entry[2])
+        if held is None or held.origin != ASSERTED:
+            store.assert_fact(_request_fact(subject, entry, constants))
     if audit_log is not None:
         audit_log.append("authz", req.user, effect,
                          f"service={req.service} rationale={','.join(rationale)}")

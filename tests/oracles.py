@@ -328,6 +328,29 @@ def facts_about(store, subject, without=()) -> tuple:
                  store.probe(predicate, ((0, key),)))
 
 
+# Each context component's own predicate; a component is asserted again as
+# HasContext.
+CONTEXT_PREDICATES = {"time": "HasTime", "location": "HasLocation",
+                      "activity": "HasActivity",
+                      "environment": "HasEnvironment"}
+REQUEST_PREDICATES = {"askedservice", "useddevice", "hascontext"} \
+    | {name.lower() for name in CONTEXT_PREDICATES.values()}
+
+
+def request_facts(req) -> list:
+    """The facts the authorization request ``req`` asserts about its user,
+    in request order, each built checked by ``ground``: the service, the
+    device when there is one, then each context component under its own
+    predicate and again as ``HasContext``."""
+    facts = [ground("AskedService", req.user, req.service)]
+    if req.device:
+        facts.append(ground("UsedDevice", req.user, req.device))
+    for component, value in req.context.items():
+        facts.append(ground(CONTEXT_PREDICATES[component], req.user, value))
+        facts.append(ground("HasContext", req.user, value))
+    return facts
+
+
 def whole_snapshot_decision(req, store, rules):
     """``(effect, obligations, recommendations, rationale)`` for ``req`` as
     ``pdp.authorize`` decided it while it inferred over the whole snapshot:
@@ -338,11 +361,10 @@ def whole_snapshot_decision(req, store, rules):
     Skips the authentication gate and leaves ``store`` unchanged."""
     working = store.snapshot()
     user = coerce_constant(req.user)
-    request = {name.lower() for name in pdp._REQUEST_PREDICATES.values()}
     for fact in facts_about(working, user):
-        if fact.key()[0] in request:
+        if fact.key()[0] in REQUEST_PREDICATES:
             working.retract_fact(fact.predicate, fact.args)
-    for fact in pdp._request_facts(req):
+    for fact in request_facts(req):
         working.assert_fact(fact)
     infer_fixpoint(working, rules)
     subjects = {user.key()} | {g.key() for g in pdp.groups_of(working, req.user)}

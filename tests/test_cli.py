@@ -1,11 +1,15 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import aalguard
 from aalguard import cli
 from aalguard.config import ENV_VAR
 from conftest import DATA_DIR
+
+FIXTURES = Path(aalguard.__file__).parent / "fixtures"
 
 
 def run_cli(*args, input_text=None):
@@ -250,14 +254,19 @@ def test_a_model_file_with_a_repeated_or_no_class_is_an_error_line(
         == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("option", ["--facts", "--config"])
+@pytest.mark.parametrize("option", ["--facts", "--rules", "--events",
+                                    "--model", "--credentials", "--config"])
 def test_an_input_file_that_is_not_utf8_is_an_error_line(
         monkeypatch, capsys, tmp_path, option):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"HasCapability(u1, \xff).\n")
-    args = (option, str(bad), "load") if option == "--config" \
-        else ("load", option, str(bad))
+    events = str(FIXTURES / "streams" / "events_u1.csv")
+    args = {"--config": (option, str(bad), "load"),
+            "--model": ("classify", "--events", events, option, str(bad)),
+            "--credentials": ("serve", option, str(bad))}.get(
+                option, ("load", option, str(bad)))
     code, out, err = run_main(monkeypatch, capsys, *args)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "0xff" in err
+    assert err.startswith(f"error: {option} {bad}: ")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.engine import InvalidRuleError
 from aalguard.facts import (Constant, Fact, FactStore, Variable,
-                            coerce_constant, ground, load_facts)
+                            coerce_constant, fact_key, ground, load_facts)
 from aalguard.pdp import (
     AuditError,
     AuditLog,
@@ -31,7 +31,8 @@ from aalguard.scenarios import load_fixture_rules
 from conftest import DATA_DIR
 from oracles import (HISTORY_POOL, assert_built_alike, facts_about,
                      hash_password, naive_fixpoint, random_guarded_instance,
-                     select_auth_mean, whole_snapshot_decision)
+                     request_facts, select_auth_mean,
+                     whole_snapshot_decision)
 
 RULES = load_fixture_rules()
 
@@ -1143,16 +1144,29 @@ REQUEST_TEXT = st.text(st.sampled_from('ab1 "\\.-_#'), min_size=1,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_request_facts_and_derived_heads_build_as_checked_facts(
         user, service, device, context, seed):
-    # Request facts and instantiated rule heads skip Fact's checks; each
-    # must equal the fact a checked build of the same parts gives.
+    # Request facts and instantiated rule heads skip Fact's checks.  Each
+    # key the request path computes from the request's text must be the key
+    # of the fact a checked build gives, and each fact built from that key
+    # must equal that fact.
     request = AuthzRequest(user, service, device=device, context=context)
-    request_facts = pdp._request_facts(request)
-    assert [f.predicate for f in request_facts[:1]] == ["AskedService"]
-    for fact in request_facts:
-        assert_built_alike(fact, Fact(fact.predicate, fact.args))
+    subject = coerce_constant(user)
+    keys = pdp._request_keys(request, subject.key())
+    checked = request_facts(request)
+    assert [key for _, _, key in keys] \
+        == [fact_key(fact.predicate, fact.args) for fact in checked]
+    constants = {}
+    built = [pdp._request_fact(subject, entry, constants) for entry in keys]
+    assert [f.predicate for f in built[:1]] == ["AskedService"]
+    for fact, checked_fact in zip(built, checked):
+        assert_built_alike(fact, checked_fact)
+        for arg in fact.args:
+            assert_built_alike(arg, Constant(arg.kind, arg.value))
+        # One constant per value, whose key the fact's key shares.
+        assert fact.args[1] is constants[fact.args[1].value]
+        assert fact.key()[1][1] is fact.args[1].key()
     facts, rules = random_guarded_instance(random.Random(seed))
     store = FactStore()
-    for fact in facts + request_facts:
+    for fact in facts + built:
         store.assert_fact(fact)
     for fact in engine.infer_fixpoint(store, rules).derived:
         assert_built_alike(fact, Fact(fact.predicate, fact.args,
@@ -1240,7 +1254,7 @@ def test_an_authorize_adds_only_its_new_request_facts_to_the_live_store():
     assert decision.effect == "deny" and "alzheimer-deny" in decision.rationale
     after = [(fact, fact.origin, fact.rule_id) for fact in store]
     held = {fact for fact, _, _ in before}
-    new = [fact for fact in pdp._request_facts(request) if fact not in held]
+    new = [fact for fact in request_facts(request) if fact not in held]
     assert [f.render() for f in new] == [
         "UsedDevice(u3, VisualAid)", "HasLocation(u3, hall)",
         "HasContext(u3, hall)"]
@@ -1248,6 +1262,65 @@ def test_an_authorize_adds_only_its_new_request_facts_to_the_live_store():
     for predicate in ("hasAccess", "Obligation", "Recommendation"):
         assert all(fact.origin == "asserted"
                    for fact in store.facts_for(predicate))
+
+
+def counting_builds(monkeypatch) -> list:
+    """A one-item list counting each fact built from here on, checked
+    (``Fact.__post_init__``) or not (``Fact._trusted``)."""
+    built = [0]
+    post_init, trusted = Fact.__post_init__, Fact._trusted.__func__
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    def counting_trusted(cls, *args):
+        built[0] += 1
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Fact, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Fact, "_trusted", classmethod(counting_trusted))
+    return built
+
+
+def test_an_authorize_builds_only_the_request_facts_it_needs(monkeypatch):
+    # A memo hit reads keys and builds only the request history the store
+    # lacks; a miss builds its readable request facts, that new history
+    # and what its fixpoints derive.
+    store = primed_store()
+    policy = pdp.compile_policy(RULES)
+    built, derived = counting_builds(monkeypatch), [0]
+    infer = pdp.infer_fixpoint
+
+    def counting_infer(*args):
+        report = infer(*args)
+        derived[0] += len(report.derived)
+        return report
+
+    monkeypatch.setattr(pdp, "infer_fixpoint", counting_infer)
+    seen = []
+    for request in [
+            AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
+            AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
+            AuthzRequest("u3", "OpenDoor",
+                         context={"time": "00.00", "location": "hall"}),
+            AuthzRequest("u3", "Heat", device="AudioAid",
+                         context={"time": "10.00"})]:
+        held = {fact.key() for fact in store if fact.origin == "asserted"}
+        facts = request_facts(request)
+        new = {fact.key() for fact in facts} - held
+        readable = [fact for fact in facts
+                    if policy.reads(fact.key()) is not None]
+        hits = pdp.memo_counts(store)["authorize_memo_hits"]
+        before = built[0], derived[0]
+        authorize(request, store, policy)
+        hit = pdp.memo_counts(store)["authorize_memo_hits"] > hits
+        builds, fixpoint = built[0] - before[0], derived[0] - before[1]
+        assert builds == len(new) + (0 if hit else len(readable) + fixpoint)
+        assert {fact.key() for fact in store
+                if fact.origin == "asserted"} == held | new
+        seen.append((hit, len(new), builds - fixpoint))
+    assert seen == [(False, 3, 5), (True, 0, 0), (True, 2, 2), (False, 4, 5)]
 
 
 def test_rederive_reads_neither_the_session_outcome_nor_history():
@@ -1343,6 +1416,19 @@ def test_request_facts_kept_as_history():
     assert store.holds("HasContext", "u3", Constant.string("00.00"))
 
 
+def test_request_history_held_as_inferred_is_asserted_again():
+    # A request fact the store holds only as inferred is history like a
+    # new one: the authorize asserts it, which upgrades the held fact.
+    store = group3_member()
+    store.assert_fact(Fact("HasContext", (Constant.symbol("u3"),
+                                          Constant.string("00.00")),
+                           origin="inferred", rule_id="clock"))
+    authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
+              store, RULES)
+    held = store.get("HasContext", ("u3", Constant.string("00.00")))
+    assert (held.origin, held.rule_id, held.premises) == ("asserted", None, ())
+
+
 def test_bad_time_format_rejected():
     with pytest.raises(PdpError):
         AuthzRequest("u1", "OpenDoor", context={"time": "0.0"})
@@ -1359,6 +1445,35 @@ def test_every_time_on_the_clock_is_accepted():
         time = f"{minute // 60:02d}.{minute % 60:02d}"
         assert AuthzRequest("u1", "OpenDoor",
                             context={"time": time}).context["time"] == time
+
+
+NOT_TEXT = [7, 7.5, True, ["u1"]]
+
+
+@pytest.mark.parametrize("value", NOT_TEXT)
+@pytest.mark.parametrize("field", ["user", "service", "device", "context"])
+def test_a_request_value_that_is_not_text_is_refused_before_the_gate(
+        field, value):
+    # Coerced, such a value would be a number or a symbol (True reads as
+    # yes), not the text the request facts' keys are computed from.
+    store, log = group3_member(), AuditLog()
+    parts = {"user": "u3", "service": "OpenDoor", "device": None,
+             "context": {}}
+    if field == "context":
+        parts["context"] = {"location": value}
+    else:
+        parts[field] = value
+    before = [(fact, fact.origin) for fact in store]
+    with pytest.raises(PdpError, match=field):
+        authorize(AuthzRequest(**parts), store, RULES, audit_log=log)
+    assert log.seq == 0
+    assert [(fact, fact.origin) for fact in store] == before
+
+
+@pytest.mark.parametrize("context", [["time"], "10.00"])
+def test_a_context_that_is_not_a_dict_is_refused(context):
+    with pytest.raises(PdpError, match="context must be a dict"):
+        AuthzRequest("u3", "OpenDoor", context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -1500,6 +1615,35 @@ def test_entry_roundtrip_with_newline_in_detail():
     log = AuditLog()
     entry = log.append("anomaly", "u1", "flagged", "line1\nline2")
     assert parse_entry(serialize_entry(entry)) == entry
+
+
+AUDIT_TEXT = st.text(st.sampled_from("\\|\n\rabZ\u00e9"), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.integers(1, 10 ** 6), subject=AUDIT_TEXT, detail=AUDIT_TEXT,
+       kind=st.sampled_from(["authn", "authz", "anomaly"]))
+def test_an_entry_reads_back_as_written(seq, subject, detail, kind):
+    entry = pdp.AuditEntry(seq=seq, time="2026-01-01T00:00:00+00:00",
+                           kind=kind, subject=subject, detail=detail,
+                           outcome="deny")
+    line = serialize_entry(entry)
+    assert "\n" not in line and "\r" not in line
+    assert parse_entry(line) == entry
+    if not set(subject + detail) & set("\\|\n\r"):  # nothing to escape
+        assert line.endswith(f"|{subject}|deny|{detail}")
+
+
+def test_an_entry_time_follows_the_clock_across_seconds(monkeypatch):
+    log = AuditLog()
+    shown = []
+    for now in (1699999999.2, 1699999999.9, 1700000000.0, 1700000000.999,
+                1700000061.5, 1699999999.5):
+        monkeypatch.setattr(pdp.time, "time", lambda now=now: now)
+        shown.append(log.append("authz", "u1", "deny").time)
+    assert shown == ["2023-11-14T22:13:19+00:00"] * 2 \
+        + ["2023-11-14T22:13:20+00:00"] * 2 \
+        + ["2023-11-14T22:14:21+00:00", "2023-11-14T22:13:19+00:00"]
 
 
 def test_authenticate_and_authorize_append_exactly_one_entry_each():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -13,10 +14,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aalguard import cli, engine, pdp, scenarios
 from aalguard.config import Config
-from aalguard.facts import Fact, FactStore, coerce_constant, load_facts
+from aalguard.facts import (Fact, FactStore, coerce_constant, load_facts,
+                            save_facts)
 from perfbench import gen, oracle
 
-from oracles import hash_password
+from conftest import DATA_DIR
+from oracles import hash_password, request_facts
 
 SCENARIO_REQUESTS = [
     {"op": "authorize", "user": "u1", "service": "ReadAlert",
@@ -285,11 +288,35 @@ def test_a_home_day_runs_a_fixpoint_only_when_what_it_reads_changed(
                 and reply["rationale"] != ["not-authenticated"]:
             authorized.append(ran)
             pairs.add((requests[-1].user, frozenset(
-                fact.key() for fact in pdp._request_facts(requests[-1])
+                fact.key() for fact in request_facts(requests[-1])
                 if state.policy.reads(fact.key()) is not None)))
     assert len(same_class) > 300 and set(same_class) == {0}
     assert len(authorized) > 1000
     assert sum(1 for ran in authorized if ran) <= len(pairs)
+
+
+def home_day_digest(seed: int) -> dict:
+    """What a whole home-day day leaves, in process: the SHA-256 of every
+    reply (JSON with sorted keys, one per line), of the saved store's
+    lines sorted, and the memo counts."""
+    inputs, state = home_day_state(seed)
+    replies = hashlib.sha256()
+    for request in inputs.prime + inputs.stream:
+        reply = cli.handle_message(state, json.dumps(request.msg))
+        replies.update(json.dumps(reply, sort_keys=True).encode() + b"\n")
+    lines = sorted(save_facts(state.store).splitlines())
+    return {"replies": replies.hexdigest(),
+            "store": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+            "memo_counts": pdp.memo_counts(state.store)}
+
+
+HOME_DAY_GOLDEN = json.loads(
+    (DATA_DIR / "home_day_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1801, 2701])
+def test_a_home_day_replies_and_leaves_the_store_as_recorded(seed):
+    assert home_day_digest(seed) == HOME_DAY_GOLDEN[str(seed)]
 
 
 def test_serve_looks_up_pdp_entry_points_at_call_time(monkeypatch):
@@ -441,7 +468,7 @@ def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
         per_op.setdefault(json.loads(line)["op"], []).append(
             {name: counts[name] - before[name] for name in counts})
     assert len(per_op["authorize"]) == 30 and len(per_op["query"]) == 6
-    assert max(c["facts"] for c in per_op["authorize"]) <= 15
+    assert max(c["facts"] for c in per_op["authorize"]) <= 11
     # Priming compiled a policy of its own, so the first authn of each
     # resident under the serving policy derives the user's facts again and
     # builds one per fact that fixpoint derives: a group, and for u3 the
