@@ -17,7 +17,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -69,30 +68,37 @@ class SensorEvent(NamedTuple):
     activity: str = IDLE_ACTIVITY
 
 
-@dataclass
 class FeatureVector:
-    """Mean durations per feature key."""
+    """Mean durations per feature key; vectors compare by their entries."""
 
-    entries: Dict[str, float] = field(default_factory=dict)
+    def __init__(self, entries: Optional[Dict[str, float]] = None):
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FeatureVector:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"FeatureVector(entries={self.entries!r})"
 
 
-@dataclass
 class BehaviorClass:
-    id: str
-    centroid: FeatureVector
-    n: int = 1
+    def __init__(self, id: str, centroid: FeatureVector, n: int = 1):
+        self.id = id
+        self.centroid = centroid
+        self.n = n
 
 
-@dataclass
 class BehaviorModel:
-    classes: List[BehaviorClass]
-    distance_floor: float = DEFAULT_DISTANCE_FLOOR
-
-    def __post_init__(self) -> None:
-        ids = [c.id for c in self.classes]
+    def __init__(self, classes: List[BehaviorClass],
+                 distance_floor: float = DEFAULT_DISTANCE_FLOOR):
+        self.classes = classes
+        self.distance_floor = distance_floor
+        ids = [c.id for c in classes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate class ids: {ids}")
-        if not 0 < self.distance_floor < math.inf:  # NaN fails too
+        if not 0 < distance_floor < math.inf:  # NaN fails too
             raise ValueError("distance_floor must be finite and positive")
 
     def get(self, class_id: str) -> BehaviorClass:

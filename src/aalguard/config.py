@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .behavior import DEFAULT_DISTANCE_FLOOR
@@ -28,20 +27,30 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class Config:
-    facts: Optional[str] = None
-    rules: List[str] = field(default_factory=list)
-    events: Optional[str] = None
-    credentials: Optional[str] = None
-    audit: Optional[str] = None
-    model: Optional[str] = None
-    trust_threshold: float = DEFAULT_TRUST_THRESHOLD
-    anomaly_threshold: float = DEFAULT_ANOMALY_THRESHOLD
-    distance_floor: float = DEFAULT_DISTANCE_FLOOR
-    default_auth_mean: str = DEFAULT_AUTH_MEAN
-    priority_table: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PRIORITY_TABLE))
+    def __init__(self, facts: Optional[str] = None,
+                 rules: Optional[List[str]] = None,
+                 events: Optional[str] = None,
+                 credentials: Optional[str] = None,
+                 audit: Optional[str] = None,
+                 model: Optional[str] = None,
+                 trust_threshold: float = DEFAULT_TRUST_THRESHOLD,
+                 anomaly_threshold: float = DEFAULT_ANOMALY_THRESHOLD,
+                 distance_floor: float = DEFAULT_DISTANCE_FLOOR,
+                 default_auth_mean: str = DEFAULT_AUTH_MEAN,
+                 priority_table: Optional[Dict[str, int]] = None):
+        self.facts = facts
+        self.rules = [] if rules is None else rules
+        self.events = events
+        self.credentials = credentials
+        self.audit = audit
+        self.model = model
+        self.trust_threshold = trust_threshold
+        self.anomaly_threshold = anomaly_threshold
+        self.distance_floor = distance_floor
+        self.default_auth_mean = default_auth_mean
+        self.priority_table = (dict(DEFAULT_PRIORITY_TABLE)
+                               if priority_table is None else priority_table)
 
     def validate(self) -> "Config":
         if not 0.0 <= self.trust_threshold <= 1.0:

@@ -22,7 +22,6 @@ derivation tree, and :func:`render_derivation` walks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Union
 
 from .facts import (
@@ -55,17 +54,17 @@ class FactNotFoundError(EngineError):
     """Asked to explain a fact the store does not contain."""
 
 
-@dataclass
 class InferenceReport:
     """Outcome of one fixpoint run."""
 
-    derived: List[Fact]
-    iterations: int
-    rule_firings: dict
+    def __init__(self, derived: List[Fact], iterations: int,
+                 rule_firings: dict):
+        self.derived = derived
+        self.iterations = iterations
+        self.rule_firings = rule_firings
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """Two facts that cannot both hold."""
 
     kind: str       # permit-deny | authenticated-contradiction

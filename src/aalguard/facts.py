@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/.\-]*\Z")
@@ -73,10 +72,21 @@ class ArityError(FactError):
     """Fact or pattern has zero arguments or more than three."""
 
 
-# A trusted build sets a frozen dataclass's fields as its __init__ does, so
-# they stay in the instance's inline attribute values: filling __dict__
-# instead makes every later attribute read slower.
+# An immutable record's __init__ and a trusted build set its fields through
+# object.__setattr__, so they stay in the instance's inline attribute values:
+# filling __dict__ instead makes every later attribute read slower.
 _new, _set = object.__new__, object.__setattr__
+
+
+class Immutable:
+    """Base of the records whose fields are set once, when the record is
+    built: assigning or deleting an attribute raises ``AttributeError``."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FactParseError(FactError):
@@ -94,12 +104,18 @@ def text_key(text: str) -> tuple:
     return ("text", text)
 
 
-@dataclass(frozen=True, eq=False)
-class Constant:
-    """A ground term: bare symbol, quoted string, or decimal number."""
+class Constant(Immutable):
+    """A ground term: bare symbol, quoted string, or decimal number.
 
-    kind: str
-    value: object  # str for symbol/string, float for number
+    ``kind`` is not checked: the class methods below check the value of
+    their kind."""
+
+    def __init__(self, kind: str, value: object):
+        key = (NUMBER, value) if kind == NUMBER else text_key(value)
+        _set(self, "kind", kind)
+        _set(self, "value", value)  # str for symbol/string, float for number
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     @classmethod
     def symbol(cls, text: str) -> "Constant":
@@ -117,25 +133,6 @@ class Constant:
         if not math.isfinite(value):
             raise FactError(f"number constant must be finite, got {value!r}")
         return cls(NUMBER, value)
-
-    def __post_init__(self) -> None:
-        key = (NUMBER, self.value) if self.kind == NUMBER \
-            else text_key(self.value)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    @classmethod
-    def _text(cls, kind: str, text: str) -> "Constant":
-        """The symbol or string constant ``Constant(kind, text)`` for a str
-        ``text``, built without calling the dataclass's ``__init__`` and
-        ``__post_init__``; ``kind`` is not checked."""
-        constant = _new(cls)
-        key = text_key(text)
-        _set(constant, "kind", kind)
-        _set(constant, "value", text)
-        _set(constant, "_key", key)
-        _set(constant, "_hash", hash(key))
-        return constant
 
     def key(self) -> tuple:
         return self._key
@@ -163,18 +160,28 @@ class Constant:
         return f"Constant({self.render()})"
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A ``?name`` placeholder inside a pattern or rule atom."""
+class Variable(Immutable):
+    """A ``?name`` placeholder inside a pattern or rule atom; variables
+    compare and hash by name."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if not VARIABLE_RE.fullmatch(self.name):
-            raise FactError(f"invalid variable name: {self.name!r}")
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        if not VARIABLE_RE.fullmatch(name):
+            raise FactError(f"invalid variable name: {name!r}")
 
     def render(self) -> str:
         return f"?{self.name}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __repr__(self) -> str:
+        return f"Variable(name={self.name!r})"
 
 
 def format_number(value: float) -> str:
@@ -196,8 +203,7 @@ def coerce_constant(value: object) -> Constant:
     if isinstance(value, (int, float)):
         return Constant.number(float(value))
     text = str(value)
-    return Constant._text(SYMBOL if SYMBOL_RE.fullmatch(text) else STRING,
-                          text)
+    return Constant(SYMBOL if SYMBOL_RE.fullmatch(text) else STRING, text)
 
 
 def fact_key(predicate: str, args: tuple) -> tuple:
@@ -217,8 +223,7 @@ def fact_key(predicate: str, args: tuple) -> tuple:
     return (predicate.lower(), tuple(a._key for a in args))
 
 
-@dataclass(frozen=True, eq=False)
-class Fact:
+class Fact(Immutable):
     """A ground predicate over 1-3 constants, asserted or inferred.
 
     An inferred fact names the rule that first derived it and carries the
@@ -226,32 +231,32 @@ class Fact:
     file has none.
     """
 
-    predicate: str
-    args: tuple
-    origin: str = ASSERTED
-    rule_id: Optional[str] = None
-    premises: tuple = ()
-
-    def __post_init__(self) -> None:
-        args = tuple(self.args)
-        key = fact_key(self.predicate, args)
-        object.__setattr__(self, "args", args)
-        if self.origin not in (ASSERTED, INFERRED):
-            raise FactError(f"unknown origin: {self.origin!r}")
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, predicate: str, args, origin: str = ASSERTED,
+                 rule_id: Optional[str] = None, premises: tuple = ()):
+        args = tuple(args)
+        key = fact_key(predicate, args)
+        if origin not in (ASSERTED, INFERRED):
+            raise FactError(f"unknown origin: {origin!r}")
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "origin", origin)
+        _set(self, "rule_id", rule_id)
+        _set(self, "premises", premises)
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     @classmethod
     def _trusted(cls, predicate: str, args: tuple, key: tuple,
                  origin: str = ASSERTED, rule_id: Optional[str] = None,
                  premises: tuple = ()) -> "Fact":
         """The fact ``Fact(predicate, args, origin, rule_id, premises)``
-        built with no check: the caller knows ``predicate`` scans as a
-        symbol, ``args`` is a tuple of one to ``MAX_ARITY`` constants,
-        ``key`` is ``fact_key(predicate, args)`` and ``origin`` is valid.
-        Request facts, rule heads a :class:`~aalguard.engine.Policy` has
-        checked and facts a store spells again are built here; parsed and
-        raw input goes through ``Fact(...)``."""
+        built with no check and no ``__init__``: the caller knows
+        ``predicate`` scans as a symbol, ``args`` is a tuple of one to
+        ``MAX_ARITY`` constants, ``key`` is ``fact_key(predicate, args)``
+        and ``origin`` is valid.  Request facts, rule heads a
+        :class:`~aalguard.engine.Policy` has checked and facts a store
+        spells again are built here; parsed and raw input goes through
+        ``Fact(...)``."""
         fact = _new(cls)
         _set(fact, "predicate", predicate)
         _set(fact, "args", args)

@@ -42,23 +42,20 @@ audit log.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import math
 import os
 import re
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_at, trust_score)
 from .engine import InvalidRuleError, Policy, infer_fixpoint
-from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Variable,
-                    coerce_constant, fact_key, ground, text_key)
+from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Immutable,
+                    Variable, _set, coerce_constant, fact_key, ground,
+                    text_key)
 from .rules import Rule
 
 PASSWORD_MEAN = "username/password"
@@ -119,76 +116,119 @@ class AuditError(RuntimeError):
     """Appending to the audit log failed; decisions are not rolled back."""
 
 
-@dataclass(frozen=True)
-class Credential:
-    kind: str    # password | tag
-    secret: str
+class Credential(Immutable):
+    """A presented secret; credentials compare and hash by kind and
+    secret."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("password", "tag"):
-            raise PdpError(f"unknown credential kind: {self.kind!r}")
-        if self.kind == "password" and not self.secret:
+    def __init__(self, kind: str, secret: str):  # kind: password | tag
+        _set(self, "kind", kind)
+        _set(self, "secret", secret)
+        if kind not in ("password", "tag"):
+            raise PdpError(f"unknown credential kind: {kind!r}")
+        if kind == "password" and not secret:
             raise PdpError("password credential must have a non-empty secret")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Credential:
+            return NotImplemented
+        return (self.kind, self.secret) == (other.kind, other.secret)
 
-@dataclass
+    def __hash__(self) -> int:
+        return hash((self.kind, self.secret))
+
+
 class AuthnRequest:
-    user: str
-    credential: Optional[Credential]
-    features: FeatureVector = field(default_factory=FeatureVector)
+    def __init__(self, user: str, credential: Optional[Credential],
+                 features: Optional[FeatureVector] = None):
+        self.user = user
+        self.credential = credential
+        self.features = FeatureVector() if features is None else features
 
 
-@dataclass
 class AuthnResult:
-    authenticated: str       # yes | no
-    mean_used: str
-    trust: float
-    behavior_class: Optional[str]  # None for a non-finite vector
-    reason: Optional[str] = None
+    def __init__(self, authenticated: str, mean_used: str, trust: float,
+                 behavior_class: Optional[str], reason: Optional[str] = None):
+        self.authenticated = authenticated  # yes | no
+        self.mean_used = mean_used
+        self.trust = trust
+        self.behavior_class = behavior_class  # None for a non-finite vector
+        self.reason = reason
+
+    def _astuple(self) -> tuple:
+        return (self.authenticated, self.mean_used, self.trust,
+                self.behavior_class, self.reason)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AuthnResult:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "AuthnResult(authenticated={!r}, mean_used={!r}, trust={!r}, " \
+            "behavior_class={!r}, reason={!r})".format(*self._astuple())
 
 
-@dataclass
 class AuthzRequest:
-    user: str
-    service: str
-    device: Optional[str] = None
-    context: Dict[str, str] = field(default_factory=dict)
+    """An access request; its parts are text, since a request fact's key is
+    computed from its text."""
 
-    def __post_init__(self) -> None:
-        # Text only: a request fact's key is computed from its text.
-        for name in ("user", "service"):
-            if not isinstance(getattr(self, name), str):
-                raise PdpError(f"{name} must be a string")
-        if not (self.device is None or isinstance(self.device, str)):
+    def __init__(self, user: str, service: str, device: Optional[str] = None,
+                 context: Optional[Dict[str, str]] = None):
+        if context is None:
+            context = {}
+        self.user = user
+        self.service = service
+        self.device = device
+        self.context = context
+        if not isinstance(user, str):
+            raise PdpError("user must be a string")
+        if not isinstance(service, str):
+            raise PdpError("service must be a string")
+        if not (device is None or isinstance(device, str)):
             raise PdpError("device must be a string or None")
-        if not isinstance(self.context, dict):
+        if not isinstance(context, dict):
             raise PdpError("context must be a dict")
-        for component, value in self.context.items():
+        for component, value in context.items():
             if component not in _CONTEXT_COMPONENTS:
                 raise PdpError(f"unknown context component: {component!r}")
             if not isinstance(value, str):
                 raise PdpError(f"context {component} must be a string")
-        time_value = self.context.get("time")
+        time_value = context.get("time")
         if time_value is not None and not _TIME_RE.fullmatch(time_value):
             raise PdpError("context time must be HH.MM from 00.00 to 23.59, "
                            f"got {time_value!r}")
 
 
-@dataclass
 class Decision:
-    effect: str                 # permit | deny
-    obligations: List[str] = field(default_factory=list)
-    recommendations: List[str] = field(default_factory=list)
-    priority: int = 0
-    rationale: List[str] = field(default_factory=list)
+    def __init__(self, effect: str, obligations: Optional[List[str]] = None,
+                 recommendations: Optional[List[str]] = None,
+                 priority: int = 0, rationale: Optional[List[str]] = None):
+        self.effect = effect  # permit | deny
+        self.obligations = [] if obligations is None else obligations
+        self.recommendations = ([] if recommendations is None
+                                else recommendations)
+        self.priority = priority
+        self.rationale = [] if rationale is None else rationale
+
+    def _astuple(self) -> tuple:
+        return (self.effect, self.obligations, self.recommendations,
+                self.priority, self.rationale)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Decision:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "Decision(effect={!r}, obligations={!r}, recommendations={!r}, " \
+            "priority={!r}, rationale={!r})".format(*self._astuple())
 
 
 # ---------------------------------------------------------------------------
 # Audit log: `seq|iso-time|kind|subject|outcome|detail`, one entry per line.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     seq: int
     time: str
     kind: str        # authn | authz | anomaly
@@ -294,8 +334,8 @@ class AuditLog:
                detail: str = "") -> AuditEntry:
         second = int(time.time())
         if second != self._second:
-            self._second, self._time = second, datetime.fromtimestamp(
-                second, timezone.utc).isoformat(timespec="seconds")
+            self._second, self._time = second, time.strftime(
+                "%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(second))
         entry = AuditEntry(
             seq=self._seq + 1,
             time=self._time,
@@ -350,6 +390,8 @@ class AuditLog:
 # ---------------------------------------------------------------------------
 
 def verify_password(secret: str, record: str) -> bool:
+    import hashlib
+    import hmac
     salt, _, digest = record.partition("$")
     if not digest:
         return False
@@ -450,6 +492,7 @@ def _verify_credential(mean: str, credential: Optional[Credential],
         if verify_password(credential.secret, record):
             return True, None
         return False, "password mismatch"
+    import hmac
     if hmac.compare_digest(credential.secret, record):
         return True, None
     return False, "tag mismatch"
@@ -707,7 +750,7 @@ def _collect(store: FactStore, subjects: set, policy: Policy):
 
 
 def _decide(store: FactStore, policy: Policy, subject: Constant,
-            request: List[tuple]) -> tuple:
+            request: List[tuple], constants: dict, built: dict) -> tuple:
     """``(effect, obligations, recommendations, rationale)`` for the
     request of ``request``, its :func:`_request_keys`, by ``subject``, as
     :func:`authorize` decides it, from the memo when nothing the decision
@@ -728,7 +771,9 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     holds while each group's version does.  A request that some atom reads
     through a variable is not memoized, so a slot holds at most one entry
     per set of the policy's constants and ``Authenticated`` facts.  Only a
-    miss builds the readable request facts, for its working store."""
+    miss builds the readable request facts, for its working store, with
+    ``constants`` (:func:`_request_fact`), and files each in ``built`` by
+    key, so the caller builds none again."""
     memo = _memo_of(store)
     version = store.version(subject, _UNDERIVED_PREDICATES)
     slot = memo.decisions.get(subject.key())
@@ -751,9 +796,10 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
             return entry[1]
     memo.misses += 1
 
-    work, constants = store.partition(subject, _HISTORY_PREDICATES), {}
+    work = store.partition(subject, _HISTORY_PREDICATES)
     for entry in readable:
-        work.assert_fact(_request_fact(subject, entry, constants))
+        fact = built[entry[2]] = _request_fact(subject, entry, constants)
+        work.assert_fact(fact)
     infer_fixpoint(work, policy)
     groups = groups_of(work, subject)
     size = len(work)
@@ -801,8 +847,8 @@ def authorize(req: AuthzRequest, store: FactStore,
     (:func:`_decide`), looked up by the request facts' keys, which come
     from the request's text, so a reused decision builds no fact.  The
     live store gains only the request facts, as history: each one it does
-    not hold is built and asserted, and one it holds as inferred is
-    upgraded to asserted.  Only an asserted ``Authenticated`` passes the
+    not hold is asserted, built unless the decision built it already, and
+    one it holds as inferred is upgraded to asserted.  Only an asserted ``Authenticated`` passes the
     gate; the gate, the priority, the audit entry and the history are
     done on every request.  ``rules`` go through :func:`compile_policy`
     first.
@@ -821,17 +867,19 @@ def authorize(req: AuthzRequest, store: FactStore,
         return decision
 
     request = _request_keys(req, subject.key())
+    constants, built = {}, {}  # this request's coerced values, built facts
     effect, obligations, recommendations, rationale = _decide(
-        store, policy, subject, request)
+        store, policy, subject, request, constants, built)
     decision = Decision(effect=effect, obligations=list(obligations),
                         recommendations=list(recommendations),
                         priority=priority, rationale=list(rationale))
 
-    constants = {}
     for entry in request:  # history, asserted when new
         held = store.by_key(entry[2])
         if held is None or held.origin != ASSERTED:
-            store.assert_fact(_request_fact(subject, entry, constants))
+            fact = built.get(entry[2])
+            store.assert_fact(fact if fact is not None
+                              else _request_fact(subject, entry, constants))
     if audit_log is not None:
         audit_log.append("authz", req.user, effect,
                          f"service={req.service} rationale={','.join(rationale)}")

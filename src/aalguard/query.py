@@ -14,7 +14,6 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .engine import compile_body, join
@@ -29,11 +28,12 @@ class QueryError(ValueError):
     pass
 
 
-@dataclass
 class ConjunctiveQuery:
-    select: List[str]
-    where: List[Atom]
-    limit: Optional[int] = None
+    def __init__(self, select: List[str], where: List[Atom],
+                 limit: Optional[int] = None):
+        self.select = select
+        self.where = where
+        self.limit = limit
 
     def where_variables(self) -> set:
         out = set()

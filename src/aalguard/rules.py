@@ -25,14 +25,15 @@ arities and reserved built-in predicates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .facts import (
     _DEFAULT_CANON,
     MAX_ARITY,
     Constant,
+    Immutable,
     Variable,
+    _set,
     split_comment,
 )
 
@@ -65,15 +66,12 @@ class RuleSyntaxError(ValueError):
         return RuleSyntaxError(self.raw_message, self.offset, self.expected, line)
 
 
-@dataclass(frozen=True, eq=False)
-class Atom:
+class Atom(Immutable):
     """A predicate applied to 1-3 variable or constant terms."""
 
-    predicate: str
-    terms: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, predicate: str, terms):
+        _set(self, "predicate", predicate)
+        _set(self, "terms", tuple(terms))
 
     def variables(self) -> set:
         return {t.name for t in self.terms if isinstance(t, Variable)}
@@ -94,13 +92,13 @@ class Atom:
         return f"Atom({self.render()})"
 
 
-@dataclass(eq=False)
 class Rule:
     """``body -> head`` over atoms; every head variable must occur in the body."""
 
-    body: list
-    head: list
-    id: Optional[str] = None
+    def __init__(self, body: list, head: list, id: Optional[str] = None):
+        self.body = body
+        self.head = head
+        self.id = id
 
     def variables(self) -> set:
         out = set()
@@ -118,8 +116,7 @@ class Rule:
         return f"Rule({format_rule(self)!r})"
 
 
-@dataclass(frozen=True)
-class RuleViolation:
+class RuleViolation(NamedTuple):
     """One problem found by :func:`validate_rule`."""
 
     kind: str     # unsafe-variable | zero-arity | excess-arity | unsupported-builtin

@@ -14,9 +14,8 @@ Reports are deterministic: same fixtures, same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import behavior, pdp
 from .config import Config
@@ -35,8 +34,7 @@ FIXTURE_SECRETS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioFixture:
+class ScenarioFixture(NamedTuple):
     name: str
     user: str
     service: str
@@ -92,18 +90,21 @@ def load_fixture_credentials() -> Dict[str, Tuple[str, str]]:
     return pdp.load_credentials(fixture_text("credentials.txt"))
 
 
-@dataclass
 class ScenarioRun:
     """Everything a scenario run produced, for reporting and inspection."""
 
-    name: str
-    passed: bool
-    lines: List[str]
-    store: FactStore
-    authn: pdp.AuthnResult
-    decision: pdp.Decision
-    anomaly_flagged: bool
-    audit_log: pdp.AuditLog
+    def __init__(self, name: str, passed: bool, lines: List[str],
+                 store: FactStore, authn: pdp.AuthnResult,
+                 decision: pdp.Decision, anomaly_flagged: bool,
+                 audit_log: pdp.AuditLog):
+        self.name = name
+        self.passed = passed
+        self.lines = lines
+        self.store = store
+        self.authn = authn
+        self.decision = decision
+        self.anomaly_flagged = anomaly_flagged
+        self.audit_log = audit_log
 
 
 def _scenario_events(name: str) -> behavior.EventLog:

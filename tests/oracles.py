@@ -300,7 +300,7 @@ def random_guarded_instance(rng: random.Random, *, max_facts=20, max_rules=6,
 
 def assert_built_alike(built, checked) -> None:
     """``built``, a fact or constant built without checks, equals
-    ``checked``, the same parts built through the dataclass constructor, in
+    ``checked``, the same parts built through the checking constructor, in
     every part a reader sees: key, hash, equality, rendering and fields."""
     assert type(built) is type(checked)
     assert built.key() == checked.key()

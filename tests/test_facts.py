@@ -642,8 +642,9 @@ RAW_VALUES = st.one_of(
        spelling=st.sampled_from([str.upper, str.lower, str.title]))
 def test_trusted_builds_equal_checked_builds(predicate, values, origin,
                                              rule_id, spelling):
-    # coerce_constant and Fact._trusted skip the dataclass path and the
-    # checks; each result must equal its checked build.
+    # coerce_constant picks a kind with no Constant.symbol check, and
+    # Fact._trusted skips __init__ and its checks; each result must equal
+    # its checked build.
     args = tuple(coerce_constant(v) for v in values)
     for value, arg in zip(values, args):
         if isinstance(value, str):

@@ -1,7 +1,8 @@
 import random
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aalguard.behavior import BehaviorClass, BehaviorModel, FeatureVector
 from aalguard.engine import InvalidRuleError
@@ -1266,27 +1267,27 @@ def test_an_authorize_adds_only_its_new_request_facts_to_the_live_store():
 
 def counting_builds(monkeypatch) -> list:
     """A one-item list counting each fact built from here on, checked
-    (``Fact.__post_init__``) or not (``Fact._trusted``)."""
+    (``Fact.__init__``) or not (``Fact._trusted``)."""
     built = [0]
-    post_init, trusted = Fact.__post_init__, Fact._trusted.__func__
+    init, trusted = Fact.__init__, Fact._trusted.__func__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         built[0] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
     def counting_trusted(cls, *args):
         built[0] += 1
         return trusted(cls, *args)
 
-    monkeypatch.setattr(Fact, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Fact, "__init__", counting_init)
     monkeypatch.setattr(Fact, "_trusted", classmethod(counting_trusted))
     return built
 
 
 def test_an_authorize_builds_only_the_request_facts_it_needs(monkeypatch):
     # A memo hit reads keys and builds only the request history the store
-    # lacks; a miss builds its readable request facts, that new history
-    # and what its fixpoints derive.
+    # lacks; a miss builds its readable request facts, the new history it
+    # has not built, and what its fixpoints derive: no fact twice.
     store = primed_store()
     policy = pdp.compile_policy(RULES)
     built, derived = counting_builds(monkeypatch), [0]
@@ -1309,18 +1310,18 @@ def test_an_authorize_builds_only_the_request_facts_it_needs(monkeypatch):
         held = {fact.key() for fact in store if fact.origin == "asserted"}
         facts = request_facts(request)
         new = {fact.key() for fact in facts} - held
-        readable = [fact for fact in facts
-                    if policy.reads(fact.key()) is not None]
+        readable = {fact.key() for fact in facts
+                    if policy.reads(fact.key()) is not None}
         hits = pdp.memo_counts(store)["authorize_memo_hits"]
         before = built[0], derived[0]
         authorize(request, store, policy)
         hit = pdp.memo_counts(store)["authorize_memo_hits"] > hits
         builds, fixpoint = built[0] - before[0], derived[0] - before[1]
-        assert builds == len(new) + (0 if hit else len(readable) + fixpoint)
+        assert builds == (len(new) if hit else len(new | readable) + fixpoint)
         assert {fact.key() for fact in store
                 if fact.origin == "asserted"} == held | new
         seen.append((hit, len(new), builds - fixpoint))
-    assert seen == [(False, 3, 5), (True, 0, 0), (True, 2, 2), (False, 4, 5)]
+    assert seen == [(False, 3, 3), (True, 0, 0), (True, 2, 2), (False, 4, 4)]
 
 
 def test_rederive_reads_neither_the_session_outcome_nor_history():
@@ -1634,16 +1635,24 @@ def test_an_entry_reads_back_as_written(seq, subject, detail, kind):
         assert line.endswith(f"|{subject}|deny|{detail}")
 
 
-def test_an_entry_time_follows_the_clock_across_seconds(monkeypatch):
+# The function-scoped monkeypatch sets the clock anew in every example.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(second=st.integers(0, 253402300799))
+def test_an_entry_time_follows_the_clock_across_seconds(monkeypatch, second):
+    # Up to 9999-12-31T23:59:59, an entry's time reads as datetime's ISO
+    # form of its UTC second.
     log = AuditLog()
     shown = []
     for now in (1699999999.2, 1699999999.9, 1700000000.0, 1700000000.999,
-                1700000061.5, 1699999999.5):
+                1700000061.5, 1699999999.5, second + 0.5, second):
         monkeypatch.setattr(pdp.time, "time", lambda now=now: now)
         shown.append(log.append("authz", "u1", "deny").time)
-    assert shown == ["2023-11-14T22:13:19+00:00"] * 2 \
+    assert shown[:6] == ["2023-11-14T22:13:19+00:00"] * 2 \
         + ["2023-11-14T22:13:20+00:00"] * 2 \
         + ["2023-11-14T22:14:21+00:00", "2023-11-14T22:13:19+00:00"]
+    assert shown[6:] == [datetime.fromtimestamp(
+        second, timezone.utc).isoformat(timespec="seconds")] * 2
 
 
 def test_authenticate_and_authorize_append_exactly_one_entry_each():

@@ -1,6 +1,10 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and loads
+no module at start-up that only a rare path uses."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +32,28 @@ def test_the_package_imports_only_the_standard_library():
             if module != "aalguard" and module not in sys.stdlib_module_names:
                 foreign.append(f"{path.name}:{lineno}: {module}")
     assert foreign == []
+
+
+# Modules whose import costs start-up time: dataclasses pulls in inspect
+# (and with it ast, dis and tokenize); the audit time needs no datetime,
+# and only a credential check needs hashlib and hmac.
+SLOW_TO_IMPORT = {"dataclasses", "inspect", "datetime", "hashlib", "hmac"}
+
+_ADDED_BY_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import {module}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_no_slow_module():
+    # Only what the import adds counts: site may load some of these first.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for module in ("aalguard", "aalguard.cli"):
+        result = subprocess.run(
+            [sys.executable, "-c", _ADDED_BY_IMPORT.format(module=module)],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        added = set(json.loads(result.stdout))
+        assert module in added
+        assert added & SLOW_TO_IMPORT == set(), module
