@@ -368,11 +368,6 @@ def _event(row: List[str], shared: Dict[str, str], lineno: int
     return shared[row[1]], timestamp, shared[row[2]], shared[row[3]]
 
 
-def load_events_file(path) -> EventLog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_events(fh.read())
-
-
 def users_in(events) -> List[str]:
     return list(_log(events)._folds)
 
@@ -419,9 +414,3 @@ def load_model(text: str,
     if not classes:
         raise ModelFormatError("model has no classes", 1)
     return BehaviorModel(classes=classes, distance_floor=distance_floor)
-
-
-def load_model_file(path,
-                    distance_floor: float = DEFAULT_DISTANCE_FLOOR) -> BehaviorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read(), distance_floor=distance_floor)

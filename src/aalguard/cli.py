@@ -28,16 +28,10 @@ import sys
 import threading
 from typing import List, Optional
 
-from . import behavior, engine, pdp, query, scenarios
+from . import behavior, engine, pdp, query, rules, scenarios
 from .config import ENV_VAR, Config, ConfigError, apply_key, load_config
-from .facts import (
-    FactError,
-    FactStore,
-    load_facts_file,
-    parse_fact,
-    save_facts_file,
-)
-from .rules import RuleSyntaxError, load_ruleset_file
+from .facts import FactError, FactStore, load_facts, parse_fact, save_facts
+from .rules import RuleSyntaxError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -105,44 +99,39 @@ class InputFileError(ValueError):
     """An input file is not UTF-8 text."""
 
 
-@contextlib.contextmanager
-def _reading(option: str, path):
-    """Name ``option`` and ``path`` in the error raised for an input file
-    that does not decode as UTF-8."""
+def _read_text(option: str, path) -> str:
+    """The text of the input file ``path`` given by ``option``; a file that
+    does not decode as UTF-8 is an :class:`InputFileError` naming both."""
     try:
-        yield
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as err:
         raise InputFileError(f"{option} {path}: {err}") from None
 
 
 def _load_rules(args, config: Config) -> list:
     paths: List[str] = []
-    if getattr(args, "rules", None):
+    if args.rules:
         for chunk in args.rules:
             paths.extend(part.strip() for part in chunk.split(",") if part.strip())
     else:
         paths = list(config.rules)
-    rules = []
+    loaded = []
     for path in paths:
-        with _reading("--rules", path):
-            rules.extend(load_ruleset_file(path))
-    return rules
+        loaded.extend(rules.parse_ruleset(_read_text("--rules", path)))
+    return loaded
 
 
 def _load_store(args, config: Config) -> FactStore:
-    path = getattr(args, "facts", None) or config.facts
-    if path:
-        with _reading("--facts", path):
-            return load_facts_file(path)
-    return FactStore()
+    path = args.facts or config.facts
+    return load_facts(_read_text("--facts", path)) if path else FactStore()
 
 
 def _load_model(args, config: Config) -> behavior.BehaviorModel:
     path = args.model or config.model
     if path:
-        with _reading("--model", path):
-            return behavior.load_model_file(
-                path, distance_floor=config.distance_floor)
+        return behavior.load_model(_read_text("--model", path),
+                                   distance_floor=config.distance_floor)
     return scenarios.load_fixture_model(config.distance_floor)
 
 
@@ -162,8 +151,7 @@ def cmd_load(args, config: Config) -> int:
         reported = True
     events_path = args.events or config.events
     if events_path:
-        with _reading("--events", events_path):
-            events = behavior.load_events_file(events_path)
+        events = behavior.load_events(_read_text("--events", events_path))
         print(f"events: {len(events)} ({len(behavior.users_in(events))} users)")
         reported = True
     if not reported:
@@ -189,7 +177,8 @@ def cmd_infer(args, config: Config) -> int:
         a, b = conflict.facts
         print(f"conflict ({conflict.kind}): {a.render()} vs {b.render()}")
     if args.save:
-        save_facts_file(store, args.save)
+        with open(args.save, "w", encoding="utf-8") as fh:
+            fh.write(save_facts(store))
     return EXIT_OK
 
 
@@ -222,8 +211,7 @@ def cmd_classify(args, config: Config) -> int:
         print("error: nothing to classify; pass --events or set events= "
               "in the config", file=sys.stderr)
         return EXIT_VALIDATION
-    with _reading("--events", events_path):
-        events = behavior.load_events_file(events_path)
+    events = behavior.load_events(_read_text("--events", events_path))
     model = _load_model(args, config)
     for user in behavior.users_in(events):
         features = behavior.extract_features(events, user)
@@ -285,25 +273,6 @@ def _features_from_message(msg: dict) -> behavior.FeatureVector:
     return fv
 
 
-def _text_field(msg: dict, name: str, optional: bool = False):
-    """Field ``name`` of ``msg``, a JSON string; an optional field may also
-    be absent or null, read as None."""
-    value = msg.get(name) if optional else msg[name]
-    if not (isinstance(value, str) or optional and value is None):
-        raise ValueError(f"{name} must be a string")
-    return value
-
-
-def _context_from_message(msg: dict) -> dict:
-    context = msg.get("context")
-    if context is None:
-        return {}
-    if not isinstance(context, dict):
-        raise ValueError("context must be a JSON object")
-    return {component: _text_field(context, component)
-            for component in context}
-
-
 _STATUS_FIELDS = {"VmHWM": "vm_hwm_kb", "VmRSS": "vm_rss_kb"}
 
 
@@ -339,16 +308,15 @@ def handle_message(state: ServeState, line: str) -> dict:
         if op == "ping":
             return {"ok": True}
         if op == "authn":
-            credential = None
-            password = _text_field(msg, "password", optional=True)
-            tag = _text_field(msg, "tag", optional=True)
-            if password is not None:
-                credential = pdp.Credential("password", password)
-            elif tag is not None:
-                credential = pdp.Credential("tag", tag)
-            request = pdp.AuthnRequest(user=_text_field(msg, "user"),
-                                       credential=credential,
-                                       features=_features_from_message(msg))
+            # Both kinds are checked when given; a password is presented
+            # before a tag.
+            credentials = [pdp.Credential(kind, msg[kind])
+                           for kind in ("password", "tag")
+                           if msg.get(kind) is not None]
+            request = pdp.AuthnRequest(
+                user=msg["user"],
+                credential=credentials[0] if credentials else None,
+                features=_features_from_message(msg))
             with state.lock:
                 result = pdp.authenticate(
                     request, state.store, state.policy, state.model,
@@ -364,10 +332,8 @@ def handle_message(state: ServeState, line: str) -> dict:
                     **({"reason": result.reason} if result.reason else {})}
         if op == "authorize":
             request = pdp.AuthzRequest(
-                user=_text_field(msg, "user"),
-                service=_text_field(msg, "service"),
-                device=_text_field(msg, "device", optional=True),
-                context=_context_from_message(msg))
+                user=msg["user"], service=msg["service"],
+                device=msg.get("device"), context=msg.get("context"))
             with state.lock:
                 decision = pdp.authorize(
                     request, state.store, state.policy,
@@ -379,7 +345,10 @@ def handle_message(state: ServeState, line: str) -> dict:
                     "priority": decision.priority,
                     "rationale": decision.rationale}
         if op == "query":
-            parsed = query.parse_query(_text_field(msg, "q"))
+            text = msg["q"]
+            if not isinstance(text, str):
+                raise ValueError("q must be a string")
+            parsed = query.parse_query(text)
             with state.lock:
                 rows = query.eval_query(state.store, parsed)
             return {"ok": True,
@@ -394,8 +363,8 @@ def handle_message(state: ServeState, line: str) -> dict:
         return {"ok": False, "error": f"unknown op: {op!r}"}
     except KeyError as err:
         return {"ok": False, "error": f"missing field: {err.args[0]!r}"}
-    except (FactError, RuleSyntaxError, query.QueryError, pdp.PdpError,
-            ValueError, TypeError, OverflowError) as err:
+    except (ValueError, TypeError, OverflowError) as err:
+        # FactError, RuleSyntaxError, QueryError and PdpError are ValueErrors.
         return {"ok": False, "error": str(err)}
 
 
@@ -475,8 +444,8 @@ def cmd_serve(args, config: Config) -> int:
     model = _load_model(args, config)
     credentials_path = args.credentials or config.credentials
     if credentials_path:
-        with _reading("--credentials", credentials_path):
-            credentials = pdp.load_credentials_file(credentials_path)
+        credentials = pdp.load_credentials(
+            _read_text("--credentials", credentials_path))
     else:
         credentials = scenarios.load_fixture_credentials()
     audit_path = args.audit or config.audit
@@ -568,8 +537,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _reading("--config", args.config or os.environ.get(ENV_VAR)):
+        try:
             config = load_config(args.config)
+        except UnicodeDecodeError as err:
+            path = args.config or os.environ.get(ENV_VAR)
+            raise InputFileError(f"--config {path}: {err}") from None
         return COMMANDS[args.command](args, _apply_overrides(config, args))
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -588,11 +588,6 @@ def load_facts(text: str, store: Optional[FactStore] = None) -> FactStore:
     return store
 
 
-def load_facts_file(path) -> FactStore:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_facts(fh.read())
-
-
 def save_facts(store: FactStore) -> str:
     """Canonical text form; inferred facts carry an ``# inferred`` marker."""
     lines = []
@@ -604,8 +599,3 @@ def save_facts(store: FactStore) -> str:
                 line += f" rule={fact.rule_id}"
         lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_facts_file(store: FactStore, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_facts(store))

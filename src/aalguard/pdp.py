@@ -125,6 +125,8 @@ class Credential(Immutable):
         _set(self, "secret", secret)
         if kind not in ("password", "tag"):
             raise PdpError(f"unknown credential kind: {kind!r}")
+        if not isinstance(secret, str):
+            raise PdpError(f"{kind} must be a string")
         if kind == "password" and not secret:
             raise PdpError("password credential must have a non-empty secret")
 
@@ -143,29 +145,16 @@ class AuthnRequest:
         self.user = user
         self.credential = credential
         self.features = FeatureVector() if features is None else features
+        if not isinstance(user, str):
+            raise PdpError("user must be a string")
 
 
-class AuthnResult:
-    def __init__(self, authenticated: str, mean_used: str, trust: float,
-                 behavior_class: Optional[str], reason: Optional[str] = None):
-        self.authenticated = authenticated  # yes | no
-        self.mean_used = mean_used
-        self.trust = trust
-        self.behavior_class = behavior_class  # None for a non-finite vector
-        self.reason = reason
-
-    def _astuple(self) -> tuple:
-        return (self.authenticated, self.mean_used, self.trust,
-                self.behavior_class, self.reason)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AuthnResult:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "AuthnResult(authenticated={!r}, mean_used={!r}, trust={!r}, " \
-            "behavior_class={!r}, reason={!r})".format(*self._astuple())
+class AuthnResult(NamedTuple):
+    authenticated: str  # yes | no
+    mean_used: str
+    trust: float
+    behavior_class: Optional[str]  # None for a non-finite vector
+    reason: Optional[str] = None
 
 
 class AuthzRequest:
@@ -247,21 +236,11 @@ def _escape(text: str) -> str:
 
 
 _UNESCAPED = {"n": "\n", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append(_UNESCAPED.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED.get(m[1], m[1]), text)
 
 
 # seq|time|kind|subject|outcome|detail; subject and detail are escaped.
@@ -395,8 +374,11 @@ def verify_password(secret: str, record: str) -> bool:
     salt, _, digest = record.partition("$")
     if not digest:
         return False
-    probe = hashlib.sha256(f"{salt}:{secret}".encode("utf-8")).hexdigest()
-    return hmac.compare_digest(probe, digest)
+    # Bytes, so non-ASCII text compares too; a lone surrogate a JSON
+    # escape can give encodes as it is.
+    probe = hashlib.sha256(
+        f"{salt}:{secret}".encode("utf-8", "surrogatepass")).hexdigest()
+    return hmac.compare_digest(probe.encode(), digest.encode("utf-8"))
 
 
 def load_credentials(text: str) -> Dict[str, Tuple[str, str]]:
@@ -411,11 +393,6 @@ def load_credentials(text: str) -> Dict[str, Tuple[str, str]]:
         user, kind, record = parts
         out[user] = (kind, record)
     return out
-
-
-def load_credentials_file(path) -> Dict[str, Tuple[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_credentials(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +470,8 @@ def _verify_credential(mean: str, credential: Optional[Credential],
             return True, None
         return False, "password mismatch"
     import hmac
-    if hmac.compare_digest(credential.secret, record):
+    if hmac.compare_digest(credential.secret.encode("utf-8", "surrogatepass"),
+                           record.encode("utf-8")):
         return True, None
     return False, "tag mismatch"
 

@@ -438,8 +438,3 @@ def parse_ruleset(text: str) -> list:
             raise RuleSyntaxError(f"duplicate rule id {rule.id!r}", 0)
         seen[rule.id] = rule
     return rules
-
-
-def load_ruleset_file(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ruleset(fh.read())

@@ -15,9 +15,8 @@ from aalguard.engine import (
 )
 from aalguard.facts import (Constant, Fact, FactError, FactStore, Variable,
                             coerce_constant, ground, load_facts,
-                            load_facts_file, unify_against_fact)
-from aalguard.rules import (Atom, Rule, load_ruleset_file, parse_rule,
-                            parse_ruleset)
+                            unify_against_fact)
+from aalguard.rules import Atom, Rule, parse_rule, parse_ruleset
 from aalguard.scenarios import (SCENARIO_NAMES, fixture_text,
                                 load_fixture_rules, run_scenario)
 
@@ -508,8 +507,8 @@ def _explain_all() -> str:
     the premises of the partitions they were derived in), each
     materialized."""
     stores = [("behavioral.kb under behavioral.swl",
-               load_facts_file(DATA_DIR / "behavioral.kb"),
-               load_ruleset_file(DATA_DIR / "behavioral.swl"))]
+               load_facts((DATA_DIR / "behavioral.kb").read_text("utf-8")),
+               parse_ruleset((DATA_DIR / "behavioral.swl").read_text("utf-8")))]
     for name in SCENARIO_NAMES:
         stores.append((f"scenarios/{name}/facts.kb under the fixture rules",
                        load_facts(fixture_text("scenarios", name, "facts.kb")),

@@ -1616,6 +1616,9 @@ def test_entry_roundtrip_with_newline_in_detail():
     log = AuditLog()
     entry = log.append("anomaly", "u1", "flagged", "line1\nline2")
     assert parse_entry(serialize_entry(entry)) == entry
+    # A lone trailing backslash, which no written entry ends with, reads
+    # as it is.
+    assert parse_entry("1|t|authz|u1|deny|a\\").detail == "a\\"
 
 
 AUDIT_TEXT = st.text(st.sampled_from("\\|\n\rabZ\u00e9"), max_size=8)
@@ -1738,6 +1741,14 @@ def test_password_hash_verify_roundtrip():
     record = hash_password("secret-9")
     assert verify_password("secret-9", record)
     assert not verify_password("secret-8", record)
+
+
+def test_non_ascii_password_text_is_compared_not_an_error():
+    # A record's digest with non-ASCII text matches no password.
+    assert not verify_password("secret-9", "salt$\u00e9")
+    record = hash_password("s\u00e9same")
+    assert verify_password("s\u00e9same", record)
+    assert not verify_password("\ud800", record)  # a lone surrogate
 
 
 def test_load_credentials_parses_lines():

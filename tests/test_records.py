@@ -8,7 +8,8 @@ from aalguard.config import Config
 from aalguard.engine import Conflict
 from aalguard.facts import Constant, Fact, FactError, Variable, ground
 from aalguard.pdp import (DEFAULT_PRIORITY_TABLE, AuditLog, AuthnRequest,
-                          AuthzRequest, Credential, Decision, PdpError)
+                          AuthnResult, AuthzRequest, Credential, Decision,
+                          PdpError)
 from aalguard.rules import Atom, RuleViolation
 from aalguard.scenarios import SCENARIOS
 
@@ -105,11 +106,26 @@ def test_variables_credentials_and_conflicts_compare_by_their_fields():
      "context location must be a string"),
     (lambda: AuthzRequest("u1", "s", context={"time": "24.00"}), PdpError,
      "context time must be HH.MM from 00.00 to 23.59, got '24.00'"),
+    pytest.param(lambda: AuthnRequest(1, None), PdpError,
+                 "user must be a string", id="authn-user-must-be-a-string"),
+    (lambda: Credential("password", 7), PdpError,
+     "password must be a string"),
+    (lambda: Credential("tag", ["t"]), PdpError, "tag must be a string"),
 ])
 def test_records_refuse_bad_input_as_before(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_an_authn_result_keeps_its_fields_default_and_text():
+    result = AuthnResult("no", "tag-mean", 0.5, None)
+    assert result.reason is None
+    assert result == AuthnResult(authenticated="no", mean_used="tag-mean",
+                                 trust=0.5, behavior_class=None, reason=None)
+    assert repr(result) == (
+        "AuthnResult(authenticated='no', mean_used='tag-mean', trust=0.5, "
+        "behavior_class=None, reason=None)")
 
 
 def test_a_tag_credential_may_be_empty():

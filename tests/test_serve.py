@@ -142,6 +142,18 @@ def test_bad_input_fails_closed_and_keeps_serving(message):
     assert responses[3] == {"ok": True}
 
 
+@pytest.mark.parametrize("fields", [
+    {"device": True}, {"context": "10.00"},
+    {"context": {"location": ["hall"]}}, {"user": 1}])
+def test_a_bad_authorize_field_is_answered_as_the_record_refuses_it(fields):
+    request = {"user": "u1", "service": "ReadAlert", **fields}
+    with pytest.raises(pdp.PdpError) as refused:
+        pdp.AuthzRequest(**request)
+    reply = cli.handle_message(primed_state(),
+                               json.dumps({"op": "authorize", **request}))
+    assert reply == {"ok": False, "error": str(refused.value)}
+
+
 def test_a_query_that_is_not_a_string_is_refused_by_name():
     state = primed_state()
     for q in (None, ["SELECT ?u WHERE { Authenticated(?u, yes) }"], 7):
@@ -389,6 +401,24 @@ def test_reauthentication_in_the_same_class_keeps_the_groups():
         {"op": "authn", "user": "u2", "password": "braille-lane-9",
          "features": CLASS2_CENTROID}))
     assert [g.text() for g in pdp.groups_of(state.store, "u2")] == ["Group2"]
+
+
+@pytest.mark.parametrize("tag", ["\u00e9", "\ud800"])
+def test_a_wrong_non_ascii_tag_is_audited_and_ends_the_session(tag):
+    state = primed_state()
+    good = {"op": "authn", "user": "u3", "tag": "tag-u3-0042",
+            "features": CLASS2_CENTROID}
+    assert cli.handle_message(state, json.dumps(good))["authenticated"] \
+        == "yes"
+    seq = state.audit_log.seq
+    reply = cli.handle_message(state, json.dumps({**good, "tag": tag}))
+    assert (reply["ok"], reply["authenticated"], reply["reason"]) \
+        == (True, "no", "tag mismatch")
+    assert state.audit_log.seq == seq + 1
+    entry = state.audit_log.entries()[-1]
+    assert (entry.kind, entry.subject, entry.outcome) == ("authn", "u3", "no")
+    assert state.store.holds("Authenticated", "u3", "no")
+    assert not state.store.holds("Authenticated", "u3", "yes")
 
 
 def test_a_user_whose_name_is_not_a_symbol_is_served():
