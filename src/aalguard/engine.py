@@ -14,8 +14,9 @@ The fixpoint is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): every
 round joins each rule whose first body atom has facts, whole, over the
 store the rounds before it built, and a round that derives nothing ends it.
 
-The engine also hosts the built-in consistency checks (permit/deny clashes
-and contradictory authentication outcomes) and derivation explanations: a
+The engine also reads what a ``hasAccess`` fact decides (:func:`effect_of`)
+and hosts the built-in consistency check (permit/deny clashes and
+contradictory authentication outcomes) and derivation explanations: a
 derived fact carries its rule id and premises, so it is the root of its own
 derivation tree, and :func:`render_derivation` walks it.
 """
@@ -54,14 +55,12 @@ class FactNotFoundError(EngineError):
     """Asked to explain a fact the store does not contain."""
 
 
-class InferenceReport:
+class InferenceReport(NamedTuple):
     """Outcome of one fixpoint run."""
 
-    def __init__(self, derived: List[Fact], iterations: int,
-                 rule_firings: dict):
-        self.derived = derived
-        self.iterations = iterations
-        self.rule_firings = rule_firings
+    derived: List[Fact]
+    iterations: int
+    rule_firings: dict
 
 
 class Conflict(NamedTuple):
@@ -315,57 +314,45 @@ def infer_fixpoint(store: FactStore,
 # Consistency checking
 # ---------------------------------------------------------------------------
 
-def _effect_of(fact: Fact) -> Optional[str]:
+PERMIT = "permit"
+DENY = "deny"
+
+
+def effect_of(fact: Fact) -> Optional[str]:
+    """What the ``hasAccess`` fact ``fact`` decides: ``permit`` or
+    ``deny`` when it has two or more arguments and its last one reads so in
+    any case (the corpus writes both ``permit`` and ``"Deny"``), else None.
+    The one reader of an access effect, for decisions and clashes alike."""
+    if len(fact.args) < 2:
+        return None
     value = fact.args[-1].text().lower()
-    if value in ("permit", "deny"):
-        return value
-    return None
-
-
-def check_permit_deny(store: FactStore) -> list:
-    """Subjects granted and denied the same thing at once.
-
-    Handles both ``hasAccess(subject, effect)`` and the three-place
-    ``hasAccess(subject, service, effect)`` shape; effect values compare
-    case-insensitively (the corpus writes both ``permit`` and ``"Deny"``).
-    """
-    buckets: dict = {}
-    for fact in store.facts_for("hasAccess"):
-        effect = _effect_of(fact)
-        if effect is None or len(fact.args) < 2:
-            continue
-        scope = tuple(a.key() for a in fact.args[:-1])
-        buckets.setdefault(scope, {}).setdefault(effect, fact)
-    conflicts = []
-    for scope, by_effect in buckets.items():
-        if "permit" in by_effect and "deny" in by_effect:
-            permit, deny = by_effect["permit"], by_effect["deny"]
-            conflicts.append(Conflict("permit-deny", (permit, deny),
-                                      permit.args[0]))
-    return conflicts
-
-
-def check_authenticated(store: FactStore) -> list:
-    """Users simultaneously authenticated and not."""
-    by_subject: dict = {}
-    for fact in store.facts_for("Authenticated"):
-        if len(fact.args) != 2:
-            continue
-        answer = fact.args[1].text().lower()
-        if answer in ("yes", "no"):
-            by_subject.setdefault(fact.args[0].key(), {}).setdefault(answer, fact)
-    conflicts = []
-    for answers in by_subject.values():
-        if "yes" in answers and "no" in answers:
-            yes, no = answers["yes"], answers["no"]
-            conflicts.append(Conflict("authenticated-contradiction",
-                                      (yes, no), yes.args[0]))
-    return conflicts
+    return value if value in (PERMIT, DENY) else None
 
 
 def check_consistency(store: FactStore) -> list:
-    """Run the built-in consistency checks over a materialized store."""
-    return check_permit_deny(store) + check_authenticated(store)
+    """The facts of a materialized store that cannot both hold, by one
+    clash scan run twice: ``hasAccess`` permit and deny (:func:`effect_of`)
+    scoped by every argument but the last, then two-place
+    ``Authenticated`` yes and no scoped by the subject.  Each scope holding
+    both values gives one :class:`Conflict`: the first fact with each, in
+    that order, about the first one's subject; scopes come in the order a
+    fact with either value first names them."""
+    conflicts = []
+    for kind, predicate, (pro, con), value_of in (
+            ("permit-deny", "hasAccess", (PERMIT, DENY), effect_of),
+            ("authenticated-contradiction", "Authenticated", ("yes", "no"),
+             lambda fact: fact.args[1].text().lower()
+             if len(fact.args) == 2 else None)):
+        scopes: dict = {}
+        for fact in store.facts_for(predicate):
+            value = value_of(fact)
+            if value == pro or value == con:
+                scope = tuple([arg.key() for arg in fact.args[:-1]])
+                scopes.setdefault(scope, {}).setdefault(value, fact)
+        conflicts += [Conflict(kind, (first[pro], first[con]),
+                               first[pro].args[0])
+                      for first in scopes.values() if len(first) == 2]
+    return conflicts
 
 
 # ---------------------------------------------------------------------------

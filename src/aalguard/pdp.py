@@ -52,7 +52,8 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_at, trust_score)
-from .engine import InvalidRuleError, Policy, infer_fixpoint
+from .engine import (DENY, PERMIT, InvalidRuleError, Policy, effect_of,
+                     infer_fixpoint)
 from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Immutable,
                     Variable, _set, coerce_constant, fact_key, ground,
                     text_key)
@@ -78,9 +79,6 @@ DEFAULT_PRIORITY_TABLE = {
 
 COGNITIVE_GROUP = "Group3"
 EMERGENCY_OBLIGATION = "signal-emergency"
-
-PERMIT = "permit"
-DENY = "deny"
 
 _TIME_RE = re.compile(r"([01]\d|2[0-3])\.[0-5]\d\Z")
 
@@ -139,14 +137,26 @@ class Credential(Immutable):
         return hash((self.kind, self.secret))
 
 
+def _check_text(name: str, value, expected: str = "a string") -> None:
+    """Refuse ``value`` unless it is a ``str`` that encodes as UTF-8: one
+    holding a lone surrogate, as a JSON ``\\ud800`` escape gives, could
+    not be written to a UTF-8 file, the audit log or a saved store."""
+    if not isinstance(value, str):
+        raise PdpError(f"{name} must be {expected}")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise PdpError(f"{name} must be valid Unicode text") from None
+
+
 class AuthnRequest:
     def __init__(self, user: str, credential: Optional[Credential],
                  features: Optional[FeatureVector] = None):
         self.user = user
         self.credential = credential
         self.features = FeatureVector() if features is None else features
-        if not isinstance(user, str):
-            raise PdpError("user must be a string")
+        _check_text("user", user)
 
 
 class AuthnResult(NamedTuple):
@@ -169,19 +179,16 @@ class AuthzRequest:
         self.service = service
         self.device = device
         self.context = context
-        if not isinstance(user, str):
-            raise PdpError("user must be a string")
-        if not isinstance(service, str):
-            raise PdpError("service must be a string")
-        if not (device is None or isinstance(device, str)):
-            raise PdpError("device must be a string or None")
+        _check_text("user", user)
+        _check_text("service", service)
+        if device is not None:
+            _check_text("device", device, "a string or None")
         if not isinstance(context, dict):
             raise PdpError("context must be a dict")
         for component, value in context.items():
             if component not in _CONTEXT_COMPONENTS:
                 raise PdpError(f"unknown context component: {component!r}")
-            if not isinstance(value, str):
-                raise PdpError(f"context {component} must be a string")
+            _check_text(f"context {component}", value)
         time_value = context.get("time")
         if time_value is not None and not _TIME_RE.fullmatch(time_value):
             raise PdpError("context time must be HH.MM from 00.00 to 23.59, "
@@ -448,12 +455,6 @@ def _facts_about(store: FactStore, predicate: str,
                        ((0, coerce_constant(user).key()),))
 
 
-def _capabilities_of(store: FactStore,
-                     user: Union[str, Constant]) -> List[Constant]:
-    return [fact.args[1] for fact in _facts_about(store, "HasCapability", user)
-            if len(fact.args) == 2]
-
-
 def _verify_credential(mean: str, credential: Optional[Credential],
                        entry: Optional[Tuple[str, str]]):
     if entry is None:
@@ -670,18 +671,23 @@ def _request_fact(subject: Constant, entry: tuple, constants: dict) -> Fact:
 
 def _priority_for(store: FactStore, user: Union[str, Constant],
                   table: Dict[str, int]) -> int:
-    priorities = [table.get(value.text().lower(), 0)
-                  for value in _capabilities_of(store, user)]
-    return max(priorities, default=0)
+    """The highest priority ``table`` gives one of the user's two-place
+    ``HasCapability`` values, lower-cased; 0 when it gives none."""
+    return max([table.get(fact.args[1].text().lower(), 0)
+                for fact in _facts_about(store, "HasCapability", user)
+                if len(fact.args) == 2], default=0)
 
 
 _DECISION_PREDICATES = ("hasaccess", "obligation", "recommendation")
 
 
-def _collect(store: FactStore, subjects: set, policy: Policy):
-    """The decision facts naming one of ``subjects``, the keys of the user
-    and their groups: each subject's ``hasAccess``, ``Obligation`` and
-    ``Recommendation`` buckets of ``store``.  Each list is in policy order:
+def _collect(store: FactStore, subjects: set, policy: Policy) -> tuple:
+    """``(effect, obligations, recommendations, rationale)`` from the
+    decision facts naming one of ``subjects``, the keys of the user and
+    their groups: each subject's ``hasAccess``, ``Obligation`` and
+    ``Recommendation`` buckets of ``store``.  Any deny wins over any permit
+    (:func:`effect_of`), and with neither the request is denied under
+    ``default-deny``.  Actions and rule labels are read in policy order:
     asserted facts first, then inferred ones by the index of their rule in
     ``policy`` (a rule it does not hold last), ties broken by fact key, so
     the order does not depend on the store's history."""
@@ -696,7 +702,7 @@ def _collect(store: FactStore, subjects: set, policy: Policy):
             return -1, fact.key()
         return rank.get(fact.rule_id, unranked), fact.key()
 
-    permits, denies = [], []
+    effects = set()
     obligations: List[str] = []
     recommendations: List[str] = []
     rationale: List[str] = []
@@ -707,14 +713,9 @@ def _collect(store: FactStore, subjects: set, policy: Policy):
             rationale.append(label)
 
     for fact in sorted(found["hasaccess"], key=policy_order):
-        if len(fact.args) < 2:
-            continue
-        effect = fact.args[-1].text().lower()
-        if effect == PERMIT:
-            permits.append(fact)
-            note_rationale(fact)
-        elif effect == DENY:
-            denies.append(fact)
+        effect = effect_of(fact)
+        if effect is not None:
+            effects.add(effect)
             note_rationale(fact)
     for predicate, sink in (("obligation", obligations),
                             ("recommendation", recommendations)):
@@ -724,34 +725,39 @@ def _collect(store: FactStore, subjects: set, policy: Policy):
                 if action not in sink:
                     sink.append(action)
                 note_rationale(fact)
-    return permits, denies, obligations, recommendations, rationale
+    if not effects:
+        rationale = ["default-deny"]
+    return (PERMIT if effects == {PERMIT} else DENY, tuple(obligations),
+            tuple(recommendations), tuple(rationale))
 
 
 def _decide(store: FactStore, policy: Policy, subject: Constant,
             request: List[tuple], constants: dict, built: dict) -> tuple:
     """``(effect, obligations, recommendations, rationale)`` for the
-    request of ``request``, its :func:`_request_keys`, by ``subject``, as
-    :func:`authorize` decides it, from the memo when nothing the decision
-    read has changed.  The memo is looked up by keys alone: a hit builds
-    no fact.
+    request of ``request``, its :func:`_request_keys`, by ``subject``, from
+    the memo when nothing the decision read has changed.  The memo is
+    looked up by keys alone: a hit builds no fact.
 
     Inference runs over one working store: the subject's partition less
     request history, plus the request facts some body atom can match
-    (:meth:`Policy.reads`; no rule reads the others, and none is a
-    decision or group fact); then again, when that adds facts, after each
-    of the subject's groups is copied in.  So the decision is a function
-    of the policy, the subject's facts less history, the readable request
-    facts and the groups' facts, and the memo keys it by those: the
-    subject's slot is kept while the policy and the subject's version less
-    history and ``Authenticated`` (:meth:`FactStore.version`, the one
-    :func:`rederive` records) stay, and its entry for the set of the
-    subject's ``Authenticated`` fact keys and readable request-fact keys
-    holds while each group's version does.  A request that some atom reads
-    through a variable is not memoized, so a slot holds at most one entry
-    per set of the policy's constants and ``Authenticated`` facts.  Only a
-    miss builds the readable request facts, for its working store, with
-    ``constants`` (:func:`_request_fact`), and files each in ``built`` by
-    key, so the caller builds none again."""
+    (:meth:`Policy.reads`; no rule reads the others, and none is a decision
+    or group fact); then again, when that adds facts, after each of the
+    subject's groups is copied in.  Under :func:`compile_policy`'s guard
+    that derives what a fixpoint over the whole store, with the subject's
+    history replaced by the request, derives; :func:`_collect` combines its
+    decision facts.  So the decision is a function of the policy, the
+    subject's facts less history, the readable request facts and the
+    groups' facts, and the memo keys it by those: the subject's slot is
+    kept while the policy and the subject's version less history and
+    ``Authenticated`` (:meth:`FactStore.version`, the one :func:`rederive`
+    records) stay, and its entry for the set of the subject's
+    ``Authenticated`` fact keys and readable request-fact keys holds while
+    each group's version does.  A request that some atom reads through a
+    variable is not memoized, so a slot holds at most one entry per set of
+    the policy's constants and ``Authenticated`` facts.  Only a miss builds
+    the readable request facts, for its working store, with ``constants``
+    (:func:`_request_fact`), and files each in ``built`` by key, so the
+    caller builds none again."""
     memo = _memo_of(store)
     version = store.version(subject, _UNDERIVED_PREDICATES)
     slot = memo.decisions.get(subject.key())
@@ -787,18 +793,8 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     if len(work) > size:  # a group with no facts derives nothing
         infer_fixpoint(work, policy)
 
-    subjects = {subject.key()} | {g.key() for g in groups}
-    permits, denies, obligations, recommendations, rationale = _collect(
-        work, subjects, policy)
-    if denies:
-        effect = DENY
-    elif permits:
-        effect = PERMIT
-    else:
-        effect = DENY
-        rationale = ["default-deny"]
-    decided = (effect, tuple(obligations), tuple(recommendations),
-               tuple(rationale))
+    decided = _collect(work, {subject.key()} | {g.key() for g in groups},
+                       policy)
     if memoized:
         slot[2][entry_key] = (
             tuple([(group, store.version(group)) for group in others]),
@@ -812,24 +808,13 @@ def authorize(req: AuthzRequest, store: FactStore,
               audit_log: Optional[AuditLog] = None) -> Decision:
     """Evaluate an access request against the policy rules.
 
-    Inference runs over the user's partition (:meth:`FactStore.partition`),
-    their facts less their earlier request facts (which are never read)
-    plus this request's, so the newest request is what rules see; then
-    again, when that adds facts, after each of the user's groups is copied
-    into the same store.  Under :func:`compile_policy`'s guard that derives
-    what a fixpoint over the whole store, with the user's history replaced
-    by the request, derives.  That store's decision facts naming the user
-    or one of the user's groups are combined deny-overrides with a deny
-    default; lists come in policy order (:func:`_collect`).  A decision
-    whose inputs have not changed since it was made is reused
-    (:func:`_decide`), looked up by the request facts' keys, which come
-    from the request's text, so a reused decision builds no fact.  The
-    live store gains only the request facts, as history: each one it does
-    not hold is asserted, built unless the decision built it already, and
-    one it holds as inferred is upgraded to asserted.  Only an asserted ``Authenticated`` passes the
-    gate; the gate, the priority, the audit entry and the history are
-    done on every request.  ``rules`` go through :func:`compile_policy`
-    first.
+    Only an asserted ``Authenticated(user, yes)`` passes the gate; a user
+    it stops is denied as ``not-authenticated``.  Past it, the decision is
+    :func:`_decide`'s.  The live store gains only the request facts, as
+    history: each one it does not hold asserted is asserted, built unless
+    the decision built it already.  The gate, the priority, the audit entry
+    and the history are done on every request.  ``rules`` go through
+    :func:`compile_policy` first.
     """
     policy = compile_policy(rules)
     table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE

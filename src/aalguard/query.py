@@ -14,7 +14,7 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .engine import compile_body, join
 from .facts import Constant, FactStore
@@ -28,12 +28,10 @@ class QueryError(ValueError):
     pass
 
 
-class ConjunctiveQuery:
-    def __init__(self, select: List[str], where: List[Atom],
-                 limit: Optional[int] = None):
-        self.select = select
-        self.where = where
-        self.limit = limit
+class ConjunctiveQuery(NamedTuple):
+    select: List[str]
+    where: List[Atom]
+    limit: Optional[int] = None
 
     def where_variables(self) -> set:
         out = set()

@@ -90,21 +90,17 @@ def load_fixture_credentials() -> Dict[str, Tuple[str, str]]:
     return pdp.load_credentials(fixture_text("credentials.txt"))
 
 
-class ScenarioRun:
+class ScenarioRun(NamedTuple):
     """Everything a scenario run produced, for reporting and inspection."""
 
-    def __init__(self, name: str, passed: bool, lines: List[str],
-                 store: FactStore, authn: pdp.AuthnResult,
-                 decision: pdp.Decision, anomaly_flagged: bool,
-                 audit_log: pdp.AuditLog):
-        self.name = name
-        self.passed = passed
-        self.lines = lines
-        self.store = store
-        self.authn = authn
-        self.decision = decision
-        self.anomaly_flagged = anomaly_flagged
-        self.audit_log = audit_log
+    name: str
+    passed: bool
+    lines: List[str]
+    store: FactStore
+    authn: pdp.AuthnResult
+    decision: pdp.Decision
+    anomaly_flagged: bool
+    audit_log: pdp.AuditLog
 
 
 def _scenario_events(name: str) -> behavior.EventLog:

@@ -5,9 +5,9 @@ unification, its own distance computation, its own mean.  None of it calls
 into the code paths under test, so agreement is meaningful.  The
 exceptions say so: ``match`` reads a store through its candidate lookup,
 ``select_auth_mean`` runs the engine's fixpoint over profile facts alone,
-``whole_snapshot_decision`` runs it over a whole snapshot and collects with
-``pdp``'s own code, and the text writers at the end render numbers, atoms
-and credential records as the program reads them.
+``whole_snapshot_decision`` runs it over a whole snapshot, and the text
+writers at the end render numbers, atoms and credential records as the
+program reads them.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import re
 from aalguard.behavior import (IDLE_ACTIVITY, EventFormatError, NonFiniteError,
                                OrderingError)
 from aalguard.engine import Policy, infer_fixpoint
-from aalguard.facts import (MAX_ARITY, ArityError, Constant, Fact, FactError,
-                            FactStore, Variable, coerce_constant,
+from aalguard.facts import (ASSERTED, MAX_ARITY, ArityError, Constant, Fact,
+                            FactError, FactStore, Variable, coerce_constant,
                             format_number, ground, unify_against_fact)
-from aalguard import pdp
 from aalguard.pdp import DEFAULT_AUTH_MEAN
 from aalguard.rules import Atom, Rule
 
@@ -97,6 +96,50 @@ def _all_bindings(body, facts):
 
 def store_keys(store) -> set:
     return {fact.key() for fact in store}
+
+
+# (kind, lower-cased predicate, the two clashing values, whether an arity
+# can clash) of each consistency check, in the order they are reported.
+_CLASHES = (
+    ("permit-deny", "hasaccess", ("permit", "deny"), lambda n: n >= 2),
+    ("authenticated-contradiction", "authenticated", ("yes", "no"),
+     lambda n: n == 2),
+)
+
+
+def naive_conflicts(store) -> list:
+    """``(kind, facts, subject)`` of each consistency conflict in
+    ``store``, by a scan of every fact it holds.  ``hasAccess`` facts of two
+    or more arguments clash on ``permit`` and ``deny`` in their last
+    argument, scoped by the arguments before it; two-place
+    ``Authenticated`` facts clash on ``yes`` and ``no``, scoped by their
+    subject; values compare case-insensitively.  A scope with both values
+    gives one conflict: the first fact with each value, in that order, and
+    the first one's subject.  Scopes come in the order a fact with either
+    value first names them.  The reference for
+    ``engine.check_consistency``."""
+    out = []
+    for kind, predicate, values, clashes in _CLASHES:
+        seen = []  # (scope, value, fact) in store order
+        for fact in store.facts():
+            if fact.predicate.lower() != predicate \
+                    or not clashes(len(fact.args)):
+                continue
+            value = fact.args[len(fact.args) - 1].text().lower()
+            if value in values:
+                seen.append((tuple(a.key() for a in fact.args[:-1]), value,
+                             fact))
+        scopes = []
+        for scope, _, _ in seen:
+            if scope not in scopes:
+                scopes.append(scope)
+        for scope in scopes:
+            firsts = [next((fact for where, value, fact in seen
+                            if where == scope and value == wanted), None)
+                      for wanted in values]
+            if None not in firsts:
+                out.append((kind, tuple(firsts), firsts[0].args[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +398,11 @@ def whole_snapshot_decision(req, store, rules):
     """``(effect, obligations, recommendations, rationale)`` for ``req`` as
     ``pdp.authorize`` decided it while it inferred over the whole snapshot:
     the request context replaces the user's in a snapshot of ``store``, the
-    fixpoint runs with every fact as its first delta, and ``pdp``'s own
-    collection reads the decision facts of the user and their groups, in
-    the order of ``rules``.
+    fixpoint runs with every fact as its first delta, and the decision
+    facts about the user and the user's ``BehaviorCapability`` groups are
+    combined, each predicate's facts in the order of ``rules``: asserted
+    first, then by the first index of their rule id (an unknown id last),
+    ties by key.  Any deny wins, nothing at all is a ``default-deny``.
     Skips the authentication gate and leaves ``store`` unchanged."""
     working = store.snapshot()
     user = coerce_constant(req.user)
@@ -367,13 +412,45 @@ def whole_snapshot_decision(req, store, rules):
     for fact in request_facts(req):
         working.assert_fact(fact)
     infer_fixpoint(working, rules)
-    subjects = {user.key()} | {g.key() for g in pdp.groups_of(working, req.user)}
-    permits, denies, obligations, recommendations, rationale = pdp._collect(
-        working, subjects, Policy.of(rules))
-    if not permits and not denies:
+    subjects = {user.key(): user}
+    for fact in facts_about(working, user):
+        if fact.predicate.lower() == "behaviorcapability" \
+                and len(fact.args) == 2:
+            subjects.setdefault(fact.args[1].key(), fact.args[1])
+    rule_ids = list(Policy.of(rules).rule_ids)
+
+    def rank(fact):
+        if fact.origin == ASSERTED:
+            return -1, fact.key()
+        if fact.rule_id in rule_ids:
+            return rule_ids.index(fact.rule_id), fact.key()
+        return len(rule_ids), fact.key()
+
+    effects, rationale = set(), []
+    actions = {"obligation": [], "recommendation": []}
+    for predicate in ("hasaccess", "obligation", "recommendation"):
+        decisive = sorted((fact for subject in subjects.values()
+                           for fact in facts_about(working, subject)
+                           if fact.predicate.lower() == predicate), key=rank)
+        for fact in decisive:
+            value = fact.args[-1].text()
+            if predicate == "hasaccess":
+                if len(fact.args) < 2 \
+                        or value.lower() not in ("permit", "deny"):
+                    continue
+                effects.add(value.lower())
+            elif len(fact.args) != 2:
+                continue
+            elif value not in actions[predicate]:
+                actions[predicate].append(value)
+            label = fact.rule_id or "asserted"
+            if label not in rationale:
+                rationale.append(label)
+    if not effects:
         rationale = ["default-deny"]
-    effect = "permit" if permits and not denies else "deny"
-    return effect, obligations, recommendations, rationale
+    effect = "deny" if "deny" in effects or not effects else "permit"
+    return (effect, actions["obligation"], actions["recommendation"],
+            rationale)
 
 
 # ---------------------------------------------------------------------------

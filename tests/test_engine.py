@@ -21,8 +21,9 @@ from aalguard.scenarios import (SCENARIO_NAMES, fixture_text,
                                 load_fixture_rules, run_scenario)
 
 from conftest import DATA_DIR
-from oracles import (facts_about, naive_fixpoint, naive_unify,
-                     random_guarded_instance, random_instance, store_keys)
+from oracles import (facts_about, naive_conflicts, naive_fixpoint,
+                     naive_unify, random_guarded_instance, random_instance,
+                     store_keys)
 
 
 BEHAVIORAL_RULE = parse_rule(
@@ -425,6 +426,43 @@ def test_authenticated_contradiction_detected():
 
 def test_empty_store_is_consistent():
     assert check_consistency(FactStore()) == []
+
+
+_CLASH_PREDICATES = ["hasAccess", "HasAccess", "Authenticated",
+                     "authenticated", "Other"]
+_CLASH_TERMS = [Constant.symbol("u1"), Constant.string("u1"),
+                Constant.symbol("u2"), Constant.symbol("Group3"),
+                Constant.string("Read")]
+_CLASH_VALUES = [Constant.symbol("permit"), Constant.string("Deny"),
+                 Constant.symbol("PERMIT"), Constant.symbol("deny"),
+                 Constant.symbol("YES"), Constant.string("yes"),
+                 Constant.symbol("no"), Constant.string("No"),
+                 Constant.symbol("maybe"), Constant.number(1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_consistency_equals_a_naive_scan(seed):
+    """Over random stores of one- to three-place ``hasAccess`` and
+    ``Authenticated`` facts about several subjects and scopes, with symbol,
+    string and number values in any case, some dropped and asserted again,
+    the conflicts are the naive scan's: kinds, fact pairs, subjects and
+    their order."""
+    rng = random.Random(seed)
+    store = FactStore()
+    for _ in range(rng.randint(0, 60)):
+        head = [rng.choice(_CLASH_TERMS[:rng.randint(1, 5)])
+                for _ in range(rng.randint(0, 2))]
+        fact = Fact(rng.choice(_CLASH_PREDICATES),
+                    tuple(head) + (rng.choice(_CLASH_VALUES),))
+        if fact in store and rng.random() < 0.3:
+            store.drop(fact.key())
+        else:
+            store.assert_fact(fact)
+    got = [(c.kind, tuple(f.key() for f in c.facts), c.subject.key())
+           for c in check_consistency(store)]
+    assert got == [(kind, tuple(f.key() for f in facts), subject.key())
+                   for kind, facts, subject in naive_conflicts(store)]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,17 @@ def test_variables_credentials_and_conflicts_compare_by_their_fields():
     (lambda: Credential("password", 7), PdpError,
      "password must be a string"),
     (lambda: Credential("tag", ["t"]), PdpError, "tag must be a string"),
+    pytest.param(lambda: AuthnRequest("u\ud800", None), PdpError,
+                 "user must be valid Unicode text",
+                 id="authn-user-must-be-valid-unicode-text"),
+    (lambda: AuthzRequest("u\ud800", "s"), PdpError,
+     "user must be valid Unicode text"),
+    (lambda: AuthzRequest("u1", "Read\ud800"), PdpError,
+     "service must be valid Unicode text"),
+    (lambda: AuthzRequest("u1", "s", device="V\udc00"), PdpError,
+     "device must be valid Unicode text"),
+    (lambda: AuthzRequest("u1", "s", context={"location": "hall\ud800"}),
+     PdpError, "context location must be valid Unicode text"),
 ])
 def test_records_refuse_bad_input_as_before(build, error, message):
     with pytest.raises(error) as caught:

@@ -421,6 +421,32 @@ def test_a_wrong_non_ascii_tag_is_audited_and_ends_the_session(tag):
     assert not state.store.holds("Authenticated", "u3", "yes")
 
 
+@pytest.mark.parametrize("message, error", [
+    ({"op": "authn", "user": "u\ud800", "password": "x"},
+     "user must be valid Unicode text"),
+    ({"op": "authorize", "user": "u1", "service": "Read\ud800"},
+     "service must be valid Unicode text"),
+    ({"op": "authorize", "user": "u1", "service": "ReadAlert",
+      "device": "V\ud800"}, "device must be valid Unicode text"),
+], ids=["authn-user", "authorize-service", "authorize-device"])
+def test_a_lone_surrogate_is_refused_before_the_store_changes(
+        tmp_path, message, error):
+    # A JSON \ud800 escape reads as a lone surrogate, which no UTF-8 file
+    # can hold: the request is refused as its record refuses it, with no
+    # audit entry and no fact written.
+    state = primed_state()
+    state.audit_log = pdp.AuditLog(tmp_path / "audit.log")
+    facts = len(state.store)
+    assert cli.handle_message(state, json.dumps(message)) \
+        == {"ok": False, "error": error}
+    assert state.audit_log.seq == 0
+    assert len(state.store) == facts
+    valid = {name: value.replace("\ud800", "\u00e9")
+             for name, value in message.items()}
+    assert cli.handle_message(state, json.dumps(valid))["ok"]
+    state.audit_log.close()
+
+
 def test_a_user_whose_name_is_not_a_symbol_is_served():
     state = primed_state()
     state.credentials = {**state.credentials,
