@@ -41,6 +41,7 @@ from .pdp import (
     AuthzRequest,
     Credential,
     Decision,
+    DecisionPoint,
     authenticate,
     authorize,
     flag_anomaly,

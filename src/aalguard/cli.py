@@ -239,23 +239,6 @@ def cmd_scenario(args, config: Config) -> int:
 # Serve mode
 # ---------------------------------------------------------------------------
 
-class ServeState:
-    """Shared serving state; decision evaluation is single-writer.
-
-    The rules are compiled once here, behind the subject guard, into the
-    policy ``authenticate`` and ``authorize`` run.
-    """
-
-    def __init__(self, store, rules, model, credentials, config, audit_log):
-        self.store = store
-        self.policy = pdp.compile_policy(rules)
-        self.model = model
-        self.credentials = credentials
-        self.config = config
-        self.audit_log = audit_log
-        self.lock = threading.Lock()
-
-
 def _features_from_message(msg: dict) -> behavior.FeatureVector:
     features = msg.get("features")
     if features is None:
@@ -296,7 +279,7 @@ def _memory_kb() -> dict:
     return out
 
 
-def handle_message(state: ServeState, line: str) -> dict:
+def handle_message(point: pdp.DecisionPoint, line: str) -> dict:
     try:
         msg = json.loads(line)
         if not isinstance(msg, dict):
@@ -317,13 +300,8 @@ def handle_message(state: ServeState, line: str) -> dict:
                 user=msg["user"],
                 credential=credentials[0] if credentials else None,
                 features=_features_from_message(msg))
-            with state.lock:
-                result = pdp.authenticate(
-                    request, state.store, state.policy, state.model,
-                    state.credentials,
-                    trust_threshold=state.config.trust_threshold,
-                    default_mean=state.config.default_auth_mean,
-                    audit_log=state.audit_log)
+            with point.lock:
+                result = pdp.authenticate(request, point)
             trust = result.trust  # NaN when the vector has no class
             return {"ok": True, "authenticated": result.authenticated,
                     "mean": result.mean_used,
@@ -334,11 +312,8 @@ def handle_message(state: ServeState, line: str) -> dict:
             request = pdp.AuthzRequest(
                 user=msg["user"], service=msg["service"],
                 device=msg.get("device"), context=msg.get("context"))
-            with state.lock:
-                decision = pdp.authorize(
-                    request, state.store, state.policy,
-                    priority_table=state.config.priority_table,
-                    audit_log=state.audit_log)
+            with point.lock:
+                decision = pdp.authorize(request, point)
             return {"ok": True, "effect": decision.effect,
                     "obligations": decision.obligations,
                     "recommendations": decision.recommendations,
@@ -349,15 +324,15 @@ def handle_message(state: ServeState, line: str) -> dict:
             if not isinstance(text, str):
                 raise ValueError("q must be a string")
             parsed = query.parse_query(text)
-            with state.lock:
-                rows = query.eval_query(state.store, parsed)
+            with point.lock:
+                rows = query.eval_query(point.store, parsed)
             return {"ok": True,
                     "rows": [{name: row[name].text() for name in parsed.select}
                              for row in rows]}
         if op == "stats":
-            with state.lock:
-                facts, audit_seq = len(state.store), state.audit_log.seq
-                memo = pdp.memo_counts(state.store)
+            with point.lock:
+                facts, audit_seq = len(point.store), point.audit_log.seq
+                memo = point.counts()
             return {"ok": True, **_memory_kb(), "facts": facts,
                     "audit_seq": audit_seq, **memo}
         return {"ok": False, "error": f"unknown op: {op!r}"}
@@ -368,7 +343,7 @@ def handle_message(state: ServeState, line: str) -> dict:
         return {"ok": False, "error": str(err)}
 
 
-def _serve_lines(state: ServeState, rfile, wfile) -> None:
+def _serve_lines(point: pdp.DecisionPoint, rfile, wfile) -> None:
     """Answer each request line of the binary stream ``rfile`` on ``wfile``.
 
     A line longer than ``MAX_LINE_BYTES`` is skipped in bounded reads and
@@ -388,7 +363,7 @@ def _serve_lines(state: ServeState, rfile, wfile) -> None:
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
-            response = handle_message(state, line)
+            response = handle_message(point, line)
         try:
             reply = json.dumps(response, allow_nan=False)
         except ValueError as err:  # NaN or infinity has no JSON form
@@ -397,7 +372,7 @@ def _serve_lines(state: ServeState, rfile, wfile) -> None:
         wfile.flush()
 
 
-def make_server(state: ServeState, host: str,
+def make_server(point: pdp.DecisionPoint, host: str,
                 port: int) -> socketserver.ThreadingTCPServer:
     """A TCP server that answers each connection with ``_serve_lines``.
 
@@ -411,7 +386,7 @@ def make_server(state: ServeState, host: str,
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            _serve_lines(state, self.rfile, self.wfile)
+            _serve_lines(point, self.rfile, self.wfile)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True
@@ -448,24 +423,22 @@ def cmd_serve(args, config: Config) -> int:
             _read_text("--credentials", credentials_path))
     else:
         credentials = scenarios.load_fixture_credentials()
-    audit_path = args.audit or config.audit
-    audit_log = pdp.AuditLog(audit_path) if audit_path else pdp.AuditLog()
-    state = ServeState(store, rules, model, credentials, config, audit_log)
+    audit_log = pdp.AuditLog(args.audit or config.audit)
+    point = pdp.DecisionPoint(store, rules, model, credentials, config)
     # Derive what the --facts residents' own facts imply, as authn would.
     for subject in dict.fromkeys(fact.args[0] for fact in store):
-        pdp.rederive(store, state.policy, subject)
-
+        pdp.rederive(point, subject)
     if args.prime_scenarios:
-        scenarios.prime_store(state.store, state.policy, state.model,
-                              state.credentials, audit_log=None, config=config)
+        scenarios.prime_store(point)
+    point.audit_log = audit_log  # neither of those writes an audit entry
 
     try:
         with _stop_signals():
-            return _listen(state, args.listen)
+            return _listen(point, args.listen)
     except KeyboardInterrupt:  # SIGINT or SIGTERM
         return EXIT_OK
     finally:
-        with state.lock:  # an entry being appended is written whole first
+        with point.lock:  # an entry being appended is written whole first
             audit_log.close()
 
 
@@ -492,9 +465,9 @@ def _stop_signals():
                 signal.signal(sig, handler)
 
 
-def _listen(state: ServeState, listen: str) -> int:
+def _listen(point: pdp.DecisionPoint, listen: str) -> int:
     if listen == "-":
-        _serve_lines(state, sys.stdin.buffer, sys.stdout.buffer)
+        _serve_lines(point, sys.stdin.buffer, sys.stdout.buffer)
         return EXIT_OK
 
     host, _, port = listen.rpartition(":")
@@ -503,7 +476,7 @@ def _listen(state: ServeState, listen: str) -> int:
         print(f"bad --listen address: {listen!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    with make_server(state, host, int(port)) as server:
+    with make_server(point, host, int(port)) as server:
         actual_host, actual_port = server.server_address[:2]
         print(f"listening on {actual_host}:{actual_port}", flush=True)
         server.serve_forever()

@@ -13,14 +13,23 @@ import os
 from typing import Dict, List, Optional
 
 from .behavior import DEFAULT_DISTANCE_FLOOR
-from .pdp import (
-    DEFAULT_ANOMALY_THRESHOLD,
-    DEFAULT_AUTH_MEAN,
-    DEFAULT_PRIORITY_TABLE,
-    DEFAULT_TRUST_THRESHOLD,
-)
 
 ENV_VAR = "AALGUARD_CONFIG"
+
+DEFAULT_TRUST_THRESHOLD = 0.5
+DEFAULT_ANOMALY_THRESHOLD = 0.5
+DEFAULT_AUTH_MEAN = "username/password"  # pdp.PASSWORD_MEAN
+
+# Capability severity -> assistance priority.  Configurable; these defaults
+# rank cognitive impairment highest.
+DEFAULT_PRIORITY_TABLE = {
+    "cognitive": 3,
+    "visual": 2,
+    "hearing": 2,
+    "physical": 1,
+    "no": 0,
+    "none": 0,
+}
 
 
 class ConfigError(ValueError):

@@ -19,14 +19,16 @@ Maier, Sagiv and Ullman, PODS 1986), with no help from the engine.  Facts
 about different subjects never join, so one store of several subjects'
 partitions derives what their separate fixpoints do.
 
-A decision is re-made only when something it read changed.  The store
-stamps each change to a subject's facts (:meth:`FactStore.version`).
-:func:`rederive` skips its fixpoint while the user's version, less request
-history and ``Authenticated``, is the one it recorded after its last run
-under the same policy, and an authentication that recognizes the class and
-outcome the store holds writes nothing.  :func:`authorize` keeps a memo per
-store and user, held weakly by the store: a user's slot stays while the
-policy and that same version stay, and holds one decision per set of the
+One :class:`DecisionPoint` owns what the decisions read and remember: its
+store, the policy compiled once behind the guard, the model, credentials,
+config and audit log, and the memos.  A decision is re-made only when
+something it read changed.  The store stamps each change to a subject's
+facts (:meth:`FactStore.version`).  :func:`rederive` skips its fixpoint
+while the user's version, less request history and ``Authenticated``, is
+the one the point recorded after its last run, and an authentication that
+recognizes the class and outcome the store holds writes nothing.
+:func:`authorize` keeps one memo slot per user in the point: it stays
+while that same version stays, and holds one decision per set of the
 user's ``Authenticated`` facts and request facts some rule can read, valid
 while each group it read keeps its version.  A request's facts are keyed
 from its text, so a hit reads keys and builds no fact, and the request
@@ -45,13 +47,14 @@ from __future__ import annotations
 import math
 import os
 import re
+import threading
 import time
-import weakref
 from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .behavior import (BehaviorModel, FeatureVector, NonFiniteError, classify,
                        trust_at, trust_score)
+from .config import Config
 from .engine import (DENY, PERMIT, InvalidRuleError, Policy, effect_of,
                      infer_fixpoint)
 from .facts import (ASSERTED, INFERRED, Constant, Fact, FactStore, Immutable,
@@ -61,21 +64,6 @@ from .rules import Rule
 
 PASSWORD_MEAN = "username/password"
 TAG_MEAN = "tag-mean"
-
-DEFAULT_TRUST_THRESHOLD = 0.5
-DEFAULT_ANOMALY_THRESHOLD = 0.5
-DEFAULT_AUTH_MEAN = PASSWORD_MEAN
-
-# Capability severity -> assistance priority.  Configurable; these defaults
-# rank cognitive impairment highest.
-DEFAULT_PRIORITY_TABLE = {
-    "cognitive": 3,
-    "visual": 2,
-    "hearing": 2,
-    "physical": 1,
-    "no": 0,
-    "none": 0,
-}
 
 COGNITIVE_GROUP = "Group3"
 EMERGENCY_OBLIGATION = "signal-emergency"
@@ -336,7 +324,8 @@ class AuditLog:
                     self._file = open(self._path, "a", encoding="utf-8")
                 self._file.write(serialize_entry(entry) + "\n")
                 self._file.flush()
-            except OSError as err:
+            except (OSError, UnicodeEncodeError) as err:
+                # A lone surrogate fails to encode before a byte is written.
                 try:  # drop the buffer, so a failed line is not written later
                     self.close()
                 except OSError:
@@ -406,12 +395,9 @@ def load_credentials(text: str) -> Dict[str, Tuple[str, str]]:
 # Authentication
 # ---------------------------------------------------------------------------
 
-_GUARDED = weakref.WeakSet()  # the policies that passed the subject guard
-
-
 def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     """Compile ``rules`` behind the subject guard; ``rules`` itself when
-    already compiled, checked the first time it is passed.
+    already compiled.
 
     Every atom of a rule must take one subject variable first, so the
     fixpoint splits into one part per subject
@@ -421,8 +407,6 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
     read it.  A refusal is an :class:`InvalidRuleError` naming the rule.
     """
     policy = Policy.of(rules)
-    if policy in _GUARDED:
-        return policy
     for rule, rule_id in zip(policy.rules, policy.rule_ids):
         if any(atom.predicate.lower() == "authentication"
                for atom in rule.body):
@@ -443,7 +427,6 @@ def compile_policy(rules: Union[Policy, List[Rule]]) -> Policy:
                 or not all(isinstance(term, Variable) for term in subjects):
             raise InvalidRuleError(f"rule {rule_id}: every atom must "
                                    "take the rule's subject variable first")
-    _GUARDED.add(policy)
     return policy
 
 
@@ -477,43 +460,44 @@ def _verify_credential(mean: str, credential: Optional[Credential],
     return False, "tag mismatch"
 
 
-class _Memo:
-    """What :func:`rederive` and :func:`authorize` keep about one store, by
-    subject key, with the counts :func:`memo_counts` answers.
+class DecisionPoint:
+    """One decision point: a store, the policy its rules compile to once
+    (:func:`compile_policy`), the behavior model, the credentials, a
+    :class:`Config` and an optional audit log, which :func:`authenticate`,
+    :func:`authorize`, :func:`rederive` and :func:`flag_anomaly` read; and
+    what those remember about the store, by subject key.
 
-    Both key a subject by its version less request history and
-    ``Authenticated``.  ``derived`` holds the ``(policy, version, mean)``
-    of the subject's last rederive, the version read after it.
-    ``decisions`` holds one slot per subject, ``(policy, version,
-    entries)``: the policy and version its entries were decided under,
-    and by the set of the subject's ``Authenticated`` fact keys and
-    readable request-fact keys, the ``(group versions, decision)`` of
-    each request decided since."""
+    Both memos key a subject by its version less request history and
+    ``Authenticated``.  ``derived`` holds the ``(version, mean)`` of the
+    subject's last rederive, the version read after it.  ``decisions``
+    holds one slot per subject, ``(version, entries)``: the version its
+    entries were decided under, and by the set of the subject's
+    ``Authenticated`` fact keys and readable request-fact keys, the
+    ``(group versions, decision)`` of each request decided since.
+    ``lock`` is held by serve around each request that reads the store."""
 
-    def __init__(self):
+    def __init__(self, store: FactStore, rules: Union[Policy, List[Rule]],
+                 model: BehaviorModel,
+                 credentials: Dict[str, Tuple[str, str]],
+                 config: Optional[Config] = None,
+                 audit_log: Optional[AuditLog] = None):
+        self.store = store
+        self.policy = compile_policy(rules)
+        self.model = model
+        self.credentials = credentials
+        self.config = Config() if config is None else config
+        self.audit_log = audit_log
         self.derived: dict = {}
         self.decisions: dict = {}
         self.hits = self.misses = self.skips = 0
+        self.lock = threading.Lock()
 
-
-_MEMOS = weakref.WeakKeyDictionary()  # store -> its _Memo
-
-
-def _memo_of(store: FactStore) -> _Memo:
-    memo = _MEMOS.get(store)
-    if memo is None:
-        memo = _MEMOS[store] = _Memo()
-    return memo
-
-
-def memo_counts(store: FactStore) -> Dict[str, int]:
-    """How many decisions :func:`authorize` reused from the memo and
-    computed on ``store``, and how many fixpoints :func:`rederive`
-    skipped, in this process."""
-    memo = _memo_of(store)
-    return {"authorize_memo_hits": memo.hits,
-            "authorize_memo_misses": memo.misses,
-            "rederive_skips": memo.skips}
+    def counts(self) -> Dict[str, int]:
+        """How many decisions :func:`authorize` reused from the memo and
+        computed, and how many fixpoints :func:`rederive` skipped."""
+        return {"authorize_memo_hits": self.hits,
+                "authorize_memo_misses": self.misses,
+                "rederive_skips": self.skips}
 
 
 def _keep_only(store: FactStore, predicate: str, user: Constant,
@@ -533,35 +517,33 @@ def _keep_only(store: FactStore, predicate: str, user: Constant,
         store.assert_fact(Fact._trusted(predicate, (user, value), key))
 
 
-def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
-             user: Union[str, Constant]) -> Optional[str]:
-    """Replace the facts inferred about ``user`` with what the fixpoint
-    derives from the user's asserted facts less request history and
-    ``Authenticated`` (never read): the whole-store fixpoint restricted to
-    the user, run over the user's partition less its inferred facts.
-    Returns the mean of the first ``Authentication`` fact derived, or None;
-    that fact and derived facts of the unread predicates stay out of the
-    store.  The facts asserted carry their premises from that fixpoint.
+def rederive(point: DecisionPoint, user: Union[str, Constant]) -> Optional[str]:
+    """Replace the facts inferred about ``user`` in the point's store with
+    what the fixpoint derives from the user's asserted facts less request
+    history and ``Authenticated`` (never read): the whole-store fixpoint
+    restricted to the user, run over the user's partition less its
+    inferred facts.  Returns the mean of the first ``Authentication`` fact
+    derived, or None; that fact and derived facts of the unread predicates
+    stay out of the store.  The facts asserted carry their premises from
+    that fixpoint.
 
     When the user's version less those predicates
-    (:meth:`FactStore.version`) is the one read after the last rederive
-    under the same policy, nothing it read has changed: the store holds
-    what it derived, and the mean it found is returned with no fixpoint.
-    ``policy`` goes through :func:`compile_policy` first."""
-    policy = compile_policy(policy)
+    (:meth:`FactStore.version`) is the one read after the point's last
+    rederive of the user, nothing it read has changed: the store holds
+    what it derived, and the mean it found is returned with no fixpoint."""
+    store = point.store
     subject = coerce_constant(user)
-    memo = _memo_of(store)
-    record = memo.derived.get(subject.key())
-    if record is not None and record[0] is policy \
-            and record[1] == store.version(subject, _UNDERIVED_PREDICATES):
-        memo.skips += 1
-        return record[2]
+    record = point.derived.get(subject.key())
+    if record is not None \
+            and record[0] == store.version(subject, _UNDERIVED_PREDICATES):
+        point.skips += 1
+        return record[1]
     own = store.partition(subject, _UNDERIVED_PREDICATES)
     for key in [fact.key() for fact in own if fact.origin == INFERRED]:
         own.drop(key)
         store.drop(key)
     mean = None
-    for fact in infer_fixpoint(own, policy).derived:
+    for fact in infer_fixpoint(own, point.policy).derived:
         predicate = fact.key()[0]
         if predicate == "authentication":
             if mean is None:
@@ -569,59 +551,55 @@ def rederive(store: FactStore, policy: Union[Policy, List[Rule]],
         elif fact.args[0] == subject \
                 and predicate not in _UNDERIVED_PREDICATES:
             store.assert_fact(fact)
-    memo.derived[subject.key()] = (
-        policy, store.version(subject, _UNDERIVED_PREDICATES), mean)
+    point.derived[subject.key()] = (
+        store.version(subject, _UNDERIVED_PREDICATES), mean)
     return mean
 
 
-def authenticate(req: AuthnRequest, store: FactStore,
-                 policy: Union[Policy, List[Rule]],
-                 model: BehaviorModel, credentials: Dict[str, Tuple[str, str]],
-                 *, trust_threshold: float = DEFAULT_TRUST_THRESHOLD,
-                 default_mean: str = DEFAULT_AUTH_MEAN,
-                 audit_log: Optional[AuditLog] = None) -> AuthnResult:
+def authenticate(req: AuthnRequest, point: DecisionPoint) -> AuthnResult:
     """Authenticate a user from behavior plus credential.
 
     The user's earlier ``HasRecognizedBehavior`` facts give way to the
     class recognized now, and the facts inferred about the user are
     derived again (:func:`rederive`, which skips the fixpoint when nothing
-    it reads changed); the mean is the one that fixpoint derives, or
-    ``default_mean``.  Yes requires both gates: a verified credential
-    under that mean and trust at or above the threshold.  The outcome is
-    asserted as ``Authenticated(user, yes|no)``, in place of the earlier
-    ones.  A class or an outcome the store already holds, asserted and
-    alone, is left as it is.  A vector at a non-finite distance has no
-    class and fails the trust gate.  ``policy`` is compiled by
-    :func:`compile_policy` when it is a rule list.
+    it reads changed); the mean is the one that fixpoint derives, or the
+    config's ``default_auth_mean``.  Yes requires both gates: a verified
+    credential under that mean and trust at or above the config's
+    ``trust_threshold``.  The outcome is asserted as
+    ``Authenticated(user, yes|no)``, in place of the earlier ones.  A
+    class or an outcome the store already holds, asserted and alone, is
+    left as it is.  A vector at a non-finite distance has no class and
+    fails the trust gate.
     """
-    policy = compile_policy(policy)
     try:
-        behavior_class, d = classify(model, req.features)
-        trust = trust_at(model, d)
+        behavior_class, d = classify(point.model, req.features)
+        trust = trust_at(point.model, d)
     except NonFiniteError:  # no class and no trust
         behavior_class, trust = None, math.nan
 
+    store, config = point.store, point.config
     subject = coerce_constant(req.user)
     _keep_only(store, "HasRecognizedBehavior", subject,
                None if behavior_class is None
                else coerce_constant(behavior_class))
-    mean = rederive(store, policy, subject)
+    mean = rederive(point, subject)
     if mean is None:
-        mean = default_mean
+        mean = config.default_auth_mean
 
     verified, reason = _verify_credential(mean, req.credential,
-                                          credentials.get(req.user))
-    if verified and not trust >= trust_threshold:  # NaN fails closed
+                                          point.credentials.get(req.user))
+    threshold = config.trust_threshold
+    if verified and not trust >= threshold:  # NaN fails closed
         verified = False
-        reason = f"trust {trust:.3f} below threshold {trust_threshold}"
+        reason = f"trust {trust:.3f} below threshold {threshold}"
     answer = "yes" if verified else "no"
     _keep_only(store, "Authenticated", subject, _YES if verified else _NO)
 
-    if audit_log is not None:
+    if point.audit_log is not None:
         detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"
         if reason:
             detail += f" reason={reason}"
-        audit_log.append("authn", req.user, answer, detail)
+        point.audit_log.append("authn", req.user, answer, detail)
     return AuthnResult(authenticated=answer, mean_used=mean, trust=trust,
                        behavior_class=behavior_class, reason=reason)
 
@@ -731,12 +709,12 @@ def _collect(store: FactStore, subjects: set, policy: Policy) -> tuple:
             tuple(recommendations), tuple(rationale))
 
 
-def _decide(store: FactStore, policy: Policy, subject: Constant,
-            request: List[tuple], constants: dict, built: dict) -> tuple:
+def _decide(point: DecisionPoint, subject: Constant, request: List[tuple],
+            constants: dict, built: dict) -> tuple:
     """``(effect, obligations, recommendations, rationale)`` for the
     request of ``request``, its :func:`_request_keys`, by ``subject``, from
-    the memo when nothing the decision read has changed.  The memo is
-    looked up by keys alone: a hit builds no fact.
+    the point's memo when nothing the decision read has changed.  The memo
+    is looked up by keys alone: a hit builds no fact.
 
     Inference runs over one working store: the subject's partition less
     request history, plus the request facts some body atom can match
@@ -745,24 +723,24 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     subject's groups is copied in.  Under :func:`compile_policy`'s guard
     that derives what a fixpoint over the whole store, with the subject's
     history replaced by the request, derives; :func:`_collect` combines its
-    decision facts.  So the decision is a function of the policy, the
-    subject's facts less history, the readable request facts and the
+    decision facts.  So the decision is a function of the point's policy,
+    the subject's facts less history, the readable request facts and the
     groups' facts, and the memo keys it by those: the subject's slot is
-    kept while the policy and the subject's version less history and
-    ``Authenticated`` (:meth:`FactStore.version`, the one :func:`rederive`
-    records) stay, and its entry for the set of the subject's
-    ``Authenticated`` fact keys and readable request-fact keys holds while
-    each group's version does.  A request that some atom reads through a
-    variable is not memoized, so a slot holds at most one entry per set of
-    the policy's constants and ``Authenticated`` facts.  Only a miss builds
-    the readable request facts, for its working store, with ``constants``
+    kept while the subject's version less history and ``Authenticated``
+    (:meth:`FactStore.version`, the one :func:`rederive` records) stays,
+    and its entry for the set of the subject's ``Authenticated`` fact keys
+    and readable request-fact keys holds while each group's version does.
+    A request that some atom reads through a variable is not memoized, so
+    a slot holds at most one entry per set of the policy's constants and
+    ``Authenticated`` facts.  Only a miss builds the readable request
+    facts, for its working store, with ``constants``
     (:func:`_request_fact`), and files each in ``built`` by key, so the
     caller builds none again."""
-    memo = _memo_of(store)
+    store, policy = point.store, point.policy
     version = store.version(subject, _UNDERIVED_PREDICATES)
-    slot = memo.decisions.get(subject.key())
-    if slot is None or slot[0] is not policy or slot[1] != version:
-        slot = memo.decisions[subject.key()] = (policy, version, {})
+    slot = point.decisions.get(subject.key())
+    if slot is None or slot[0] != version:
+        slot = point.decisions[subject.key()] = (version, {})
     readable, memoized = [], True
     for entry in request:
         read = policy.reads(entry[2])
@@ -773,12 +751,12 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
         entry_key = frozenset([key for _, _, key in readable] + [
             fact.key() for fact in
             store.probe("authenticated", ((0, subject.key()),))])
-        entry = slot[2].get(entry_key)
+        entry = slot[1].get(entry_key)
         if entry is not None and all(store.version(group) == stamp
                                      for group, stamp in entry[0]):
-            memo.hits += 1
+            point.hits += 1
             return entry[1]
-    memo.misses += 1
+    point.misses += 1
 
     work = store.partition(subject, _HISTORY_PREDICATES)
     for entry in readable:
@@ -796,30 +774,26 @@ def _decide(store: FactStore, policy: Policy, subject: Constant,
     decided = _collect(work, {subject.key()} | {g.key() for g in groups},
                        policy)
     if memoized:
-        slot[2][entry_key] = (
+        slot[1][entry_key] = (
             tuple([(group, store.version(group)) for group in others]),
             decided)
     return decided
 
 
-def authorize(req: AuthzRequest, store: FactStore,
-              rules: Union[Policy, List[Rule]],
-              *, priority_table: Optional[Dict[str, int]] = None,
-              audit_log: Optional[AuditLog] = None) -> Decision:
-    """Evaluate an access request against the policy rules.
+def authorize(req: AuthzRequest, point: DecisionPoint) -> Decision:
+    """Evaluate an access request against the point's policy.
 
     Only an asserted ``Authenticated(user, yes)`` passes the gate; a user
     it stops is denied as ``not-authenticated``.  Past it, the decision is
     :func:`_decide`'s.  The live store gains only the request facts, as
     history: each one it does not hold asserted is asserted, built unless
-    the decision built it already.  The gate, the priority, the audit entry
-    and the history are done on every request.  ``rules`` go through
-    :func:`compile_policy` first.
+    the decision built it already.  The gate, the priority (from the
+    config's ``priority_table``), the audit entry and the history are done
+    on every request.
     """
-    policy = compile_policy(rules)
-    table = priority_table if priority_table is not None else DEFAULT_PRIORITY_TABLE
+    store, audit_log = point.store, point.audit_log
     subject = coerce_constant(req.user)
-    priority = _priority_for(store, subject, table)
+    priority = _priority_for(store, subject, point.config.priority_table)
     gate = store.by_key(("authenticated", (subject.key(), _YES_KEY)))
     if gate is None or gate.origin != ASSERTED:
         decision = Decision(effect=DENY, priority=priority,
@@ -832,7 +806,7 @@ def authorize(req: AuthzRequest, store: FactStore,
     request = _request_keys(req, subject.key())
     constants, built = {}, {}  # this request's coerced values, built facts
     effect, obligations, recommendations, rationale = _decide(
-        store, policy, subject, request, constants, built)
+        point, subject, request, constants, built)
     decision = Decision(effect=effect, obligations=list(obligations),
                         recommendations=list(recommendations),
                         priority=priority, rationale=list(rationale))
@@ -853,24 +827,23 @@ def authorize(req: AuthzRequest, store: FactStore,
 # Anomaly detection
 # ---------------------------------------------------------------------------
 
-def flag_anomaly(store: FactStore, model: BehaviorModel, user: str,
-                 class_id: str, recent: FeatureVector,
-                 threshold: float = DEFAULT_ANOMALY_THRESHOLD,
-                 audit_log: Optional[AuditLog] = None) -> bool:
+def flag_anomaly(point: DecisionPoint, user: str, class_id: str,
+                 recent: FeatureVector) -> bool:
     """Run anomaly detection and record the consequences.
 
-    A flagged event appends one ``anomaly`` audit entry; for users in the
-    cognitive-impairment group it additionally asserts an
-    ``Obligation(user, signal-emergency)`` fact so the next authorization
-    carries the emergency obligation.
+    ``recent`` is flagged when its trust in ``class_id`` is below the
+    config's ``anomaly_threshold``.  A flagged event appends one
+    ``anomaly`` audit entry; for users in the cognitive-impairment group it
+    additionally asserts an ``Obligation(user, signal-emergency)`` fact so
+    the next authorization carries the emergency obligation.
     """
-    trust = trust_score(model, class_id, recent)
-    if trust >= threshold:
+    trust = trust_score(point.model, class_id, recent)
+    if trust >= point.config.anomaly_threshold:
         return False
-    if audit_log is not None:
-        audit_log.append("anomaly", user, "flagged",
-                         f"class={class_id} trust={trust:.3f}")
-    cognitive = any(g.text() == COGNITIVE_GROUP for g in groups_of(store, user))
-    if cognitive:
-        store.assert_fact(ground("Obligation", user, EMERGENCY_OBLIGATION))
+    if point.audit_log is not None:
+        point.audit_log.append("anomaly", user, "flagged",
+                               f"class={class_id} trust={trust:.3f}")
+    if any(g.text() == COGNITIVE_GROUP for g in groups_of(point.store, user)):
+        point.store.assert_fact(
+            ground("Obligation", user, EMERGENCY_OBLIGATION))
     return True

@@ -14,12 +14,11 @@ Reports are deterministic: same fixtures, same bytes.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import behavior, pdp
 from .config import Config
-from .engine import Policy
 from .facts import FactStore, load_facts
 from .rules import parse_ruleset
 
@@ -69,11 +68,12 @@ SCENARIOS = {
 }
 
 
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
 def fixture_text(*parts: str) -> str:
-    node = resources.files("aalguard").joinpath("fixtures")
-    for part in parts:
-        node = node.joinpath(part)
-    return node.read_text(encoding="utf-8")
+    with open(os.path.join(_FIXTURES, *parts), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_fixture_rules() -> list:
@@ -114,31 +114,25 @@ def _recent_events(name: str) -> behavior.EventLog:
     return _scenario_events(name)
 
 
-def _admit(name: str, store: FactStore, policy: Policy, model,
-           credentials, config: Config,
-           audit_log) -> Tuple[pdp.AuthnResult, bool]:
+def _admit(name: str,
+           point: pdp.DecisionPoint) -> Tuple[pdp.AuthnResult, bool]:
     """Take one fixture resident through the pipeline up to authorization.
 
-    Loads the resident's profile facts into ``store``, authenticates them
-    from their fixture stream, which derives their groups under the
-    compiled policy, and runs the anomaly check on the recent stream
-    against the class authentication recognized.
+    Loads the resident's profile facts into the point's store,
+    authenticates them from their fixture stream, which derives their
+    groups under the point's policy, and runs the anomaly check on the
+    recent stream against the class authentication recognized.
     """
     fixture = SCENARIOS[name]
-    load_facts(fixture_text("scenarios", name, "facts.kb"), store)
+    load_facts(fixture_text("scenarios", name, "facts.kb"), point.store)
     features = behavior.extract_features(_scenario_events(name), fixture.user)
     authn = pdp.authenticate(
         pdp.AuthnRequest(user=fixture.user,
                          credential=FIXTURE_SECRETS.get(fixture.user),
-                         features=features),
-        store, policy, model, credentials,
-        trust_threshold=config.trust_threshold,
-        default_mean=config.default_auth_mean,
-        audit_log=audit_log)
+                         features=features), point)
     recent = behavior.extract_features(_recent_events(name), fixture.user)
-    flagged = pdp.flag_anomaly(store, model, fixture.user, authn.behavior_class,
-                               recent, threshold=config.anomaly_threshold,
-                               audit_log=audit_log)
+    flagged = pdp.flag_anomaly(point, fixture.user, authn.behavior_class,
+                               recent)
     return authn, flagged
 
 
@@ -150,23 +144,19 @@ def run_scenario(name: str, audit_path=None,
     fixture = SCENARIOS[name]
     config = config or Config()
 
-    store = FactStore()
-    policy = pdp.compile_policy(load_fixture_rules())
-    model = load_fixture_model(config.distance_floor)
-    credentials = load_fixture_credentials()
-    audit_log = pdp.AuditLog(audit_path, truncate=True) if audit_path \
-        else pdp.AuditLog()
+    point = pdp.DecisionPoint(FactStore(), load_fixture_rules(),
+                              load_fixture_model(config.distance_floor),
+                              load_fixture_credentials(), config,
+                              pdp.AuditLog(audit_path, truncate=True))
+    audit_log, store = point.audit_log, point.store
     try:
-        authn, flagged = _admit(name, store, policy, model, credentials,
-                                config, audit_log)
+        authn, flagged = _admit(name, point)
         groups = [g.text() for g in pdp.groups_of(store, fixture.user)]
 
         decision = pdp.authorize(
             pdp.AuthzRequest(user=fixture.user, service=fixture.service,
                              device=fixture.device,
-                             context=dict(fixture.context)),
-            store, policy, priority_table=config.priority_table,
-            audit_log=audit_log)
+                             context=dict(fixture.context)), point)
     finally:
         audit_log.close()
 
@@ -202,16 +192,12 @@ def run_scenario(name: str, audit_path=None,
                        audit_log=audit_log)
 
 
-def prime_store(store: FactStore, rules, model, credentials, audit_log=None,
-                config: Optional[Config] = None) -> None:
-    """Warm a shared store with the three fixture residents.
+def prime_store(point: pdp.DecisionPoint) -> None:
+    """Warm the point's store with the three fixture residents.
 
     Admits each resident in turn (profile facts, authentication, groups and
     the anomaly check), so a serving process can answer the scenario
-    authorization requests straight away.  ``rules`` is a rule list or a
-    policy compiled by :func:`pdp.compile_policy`.
+    authorization requests straight away.
     """
-    config = config or Config()
-    policy = pdp.compile_policy(rules)
     for name in SCENARIO_NAMES:
-        _admit(name, store, policy, model, credentials, config, audit_log)
+        _admit(name, point)

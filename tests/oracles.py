@@ -22,11 +22,11 @@ import re
 
 from aalguard.behavior import (IDLE_ACTIVITY, EventFormatError, NonFiniteError,
                                OrderingError)
+from aalguard.config import DEFAULT_AUTH_MEAN
 from aalguard.engine import Policy, infer_fixpoint
 from aalguard.facts import (ASSERTED, MAX_ARITY, ArityError, Constant, Fact,
                             FactError, FactStore, Variable, coerce_constant,
                             format_number, ground, unify_against_fact)
-from aalguard.pdp import DEFAULT_AUTH_MEAN
 from aalguard.rules import Atom, Rule
 
 

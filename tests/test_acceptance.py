@@ -34,7 +34,8 @@ from aalguard.behavior import (
 )
 from aalguard.engine import infer_fixpoint
 from aalguard.facts import Constant, FactStore, ground
-from aalguard.pdp import AuditLog, AuthzRequest, authorize, serialize_entry
+from aalguard.pdp import (AuditLog, AuthzRequest, DecisionPoint, authorize,
+                          serialize_entry)
 from aalguard.rules import _split_statements, format_rule, parse_rules, parse_ruleset
 from aalguard.scenarios import SCENARIO_NAMES, run_scenario
 
@@ -177,14 +178,15 @@ def test_criterion_6_pdp_invariants():
         store.assert_fact(ground("Authenticated", user, "yes"))
         decision = authorize(
             AuthzRequest(user, rng.choice(["OpenDoor", "ReadAlert", "Heat"])),
-            store, [])
+            DecisionPoint(store, [], None, {}))
         assert decision.effect == "deny"
 
     store = FactStore()  # deny overrides permit
     store.assert_fact(ground("Authenticated", "u1", "yes"))
     store.assert_fact(ground("hasAccess", "u1", "permit"))
     store.assert_fact(ground("hasAccess", "u1", Constant.string("Deny")))
-    assert authorize(AuthzRequest("u1", "OpenDoor"), store, []).effect == "deny"
+    assert authorize(AuthzRequest("u1", "OpenDoor"),
+                     DecisionPoint(store, [], None, {})).effect == "deny"
 
     permissive = parse_ruleset(
         "@id: anything\nAskedService(?u, ?s) -> hasAccess(?u, permit)\n")
@@ -195,7 +197,7 @@ def test_criterion_6_pdp_invariants():
             store.assert_fact(ground("Authenticated", user, "no"))
         decision = authorize(
             AuthzRequest(user, rng.choice(["OpenDoor", "ReadAlert"])),
-            store, permissive)
+            DecisionPoint(store, permissive, None, {}))
         assert decision.effect == "deny"
         assert decision.rationale == ["not-authenticated"]
     report("6 pdp-invariants")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from datetime import datetime, timezone
 
 import pytest
@@ -55,6 +57,16 @@ def make_credentials():
         "u1": ("password", hash_password("open-sesame", salt="00aa11bb")),
         "u2": ("tag", "tag-0042"),
     }
+
+
+def make_point(store, rules=RULES, model=None, credentials=None,
+               audit_log=None, **settings) -> pdp.DecisionPoint:
+    """A decision point over ``store`` under ``rules``: the seed model and
+    credentials unless given, and a :class:`Config` of ``settings``."""
+    return pdp.DecisionPoint(
+        store, rules, seed_model() if model is None else model,
+        make_credentials() if credentials is None else credentials,
+        Config(**settings), audit_log)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +140,7 @@ def authn_mean(rules, behavior_class, capabilities, default_mean):
         cooking = 600.0 * (CLASSES.index(behavior_class) + 1)
     result = authenticate(
         AuthnRequest("u1", None, FeatureVector({"hold:cooking": cooking})),
-        store, rules, MEAN_MODEL, make_credentials(),
-        default_mean=default_mean)
+        make_point(store, rules, MEAN_MODEL, default_auth_mean=default_mean))
     assert result.behavior_class == behavior_class
     return result.mean_used
 
@@ -225,17 +236,9 @@ def test_a_policy_built_directly_is_refused_naming_the_rule():
         "@id: mean-use\nAuthentication(?m) -> MeanInUse(?m, yes)"))
     store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "no").\n')
     before = sorted(f.render() for f in store)
-    request = AuthnRequest("u1", Credential("password", "open-sesame"),
-                           at_centroid("class1"))
-    for run in (
-            lambda: authenticate(request, store, policy, seed_model(),
-                                 make_credentials()),
-            lambda: pdp.rederive(store, policy, "u1"),
-            lambda: scenarios.prime_store(store, policy, seed_model(),
-                                          make_credentials())):
-        with pytest.raises(InvalidRuleError, match="^rule mean-use: "):
-            run()
-        assert sorted(f.render() for f in store) == before
+    with pytest.raises(InvalidRuleError, match="^rule mean-use: "):
+        make_point(store, policy)
+    assert sorted(f.render() for f in store) == before
 
 
 def test_mean_table_accepts_class_rules_that_profile_facts_cannot_fire():
@@ -280,9 +283,9 @@ def test_a_rule_not_guarded_by_one_subject_is_refused(text):
 def test_rederived_store_equals_the_naive_fixpoint_of_its_base_facts(seed):
     rng = random.Random(seed)
     facts, rules = random_guarded_instance(rng)
-    policy = pdp.compile_policy(rules)  # the rules pass the subject guard
-    history = {name.lower() for name in HISTORY_POOL}
     store = FactStore()
+    point = make_point(store, rules)  # the rules pass the subject guard
+    history = {name.lower() for name in HISTORY_POOL}
     for _ in range(rng.randint(1, 20)):
         asserted = [f for f in store if f.origin == "asserted"]
         if asserted and rng.random() < 0.3:
@@ -291,7 +294,7 @@ def test_rederived_store_equals_the_naive_fixpoint_of_its_base_facts(seed):
         else:
             changed = rng.choice(facts)
             store.assert_fact(changed)
-        pdp.rederive(store, policy, changed.args[0].text())
+        pdp.rederive(point, changed.args[0].text())
         base = [(f.predicate, f.args) for f in store
                 if f.origin == "asserted" and f.key()[0] not in history]
         want = naive_fixpoint(base, rules) - {
@@ -321,33 +324,33 @@ def test_each_authn_runs_one_fixpoint_over_the_users_own_facts(monkeypatch):
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
     store.assert_fact(ground("HasCapability", "u2", Constant.string("no")))
+    point = make_point(store, policy)
     own = ['HasCapability(u1, "no")', "HasRecognizedBehavior(u1, class1)"]
     authn = AuthnRequest("u1", Credential("password", "open-sesame"),
                          at_centroid("class1"))
-    assert authenticate(authn, store, policy, seed_model(),
-                        make_credentials()).authenticated == "yes"
+    assert authenticate(authn, point).authenticated == "yes"
     assert calls == {"infer_fixpoint": 1, "validate_rule": 0}
-    authorize(AuthzRequest("u1", "ReadAlert"), store, policy)
+    authorize(AuthzRequest("u1", "ReadAlert"), point)
     assert calls == {"infer_fixpoint": 2, "validate_rule": 0}
     assert store.holds("AskedService", "u1", "ReadAlert")
     # An authn that keeps the class and the user's facts derives nothing
     # again: neither the outcome of the last authn nor the request history
     # is read.
-    authenticate(authn, store, policy, seed_model(), make_credentials())
+    authenticate(authn, point)
     assert calls == {"infer_fixpoint": 2, "validate_rule": 0}
     reclassified = AuthnRequest("u1", authn.credential, at_centroid("class2"))
-    authenticate(reclassified, store, policy, seed_model(), make_credentials())
+    authenticate(reclassified, point)
     assert calls == {"infer_fixpoint": 3, "validate_rule": 0}
     # A changed asserted fact derives again, in the same class.
     store.assert_fact(ground("HasCapability", "u1", Constant.string("hearing")))
-    authenticate(reclassified, store, policy, seed_model(), make_credentials())
+    authenticate(reclassified, point)
     assert calls == {"infer_fixpoint": 4, "validate_rule": 0}
     assert fixpoint_inputs == [
         own, fixpoint_inputs[1],
         [own[0], "HasRecognizedBehavior(u1, class2)"],
         ['HasCapability(u1, "hearing")', own[0],
          "HasRecognizedBehavior(u1, class2)"]]
-    authorize(AuthzRequest("u1", "ReadAlert"), store, RULES)
+    authorize(AuthzRequest("u1", "ReadAlert"), make_point(store))
     assert calls == {"infer_fixpoint": 5, "validate_rule": len(RULES)}
 
 
@@ -393,7 +396,7 @@ def test_password_user_at_centroid_authenticates():
     result = authenticate(
         AuthnRequest("u1", Credential("password", "open-sesame"),
                      at_centroid("class1")),
-        store, RULES, seed_model(), make_credentials())
+        make_point(store))
     assert result.authenticated == "yes"
     assert result.mean_used == "username/password"
     assert result.trust == 1.0
@@ -408,8 +411,7 @@ def test_low_trust_blocks_even_with_correct_password():
     far = FeatureVector({"hold:cooking": 2.0})
     result = authenticate(
         AuthnRequest("u1", Credential("password", "open-sesame"), far),
-        store, RULES, seed_model(), make_credentials(),
-        trust_threshold=0.5)
+        make_point(store, trust_threshold=0.5))
     assert result.authenticated == "no"
     assert "trust" in result.reason
     assert store.holds("Authenticated", "u1", "no")
@@ -421,7 +423,7 @@ def test_nan_trust_fails_closed():
     nan = FeatureVector({"hold:cooking": float("nan")})
     result = authenticate(
         AuthnRequest("u1", Credential("password", "open-sesame"), nan),
-        store, RULES, seed_model(), make_credentials())
+        make_point(store))
     assert result.authenticated == "no"
     assert "trust" in result.reason
 
@@ -431,7 +433,7 @@ def test_tag_user_authenticates_via_tag_mean():
     store.assert_fact(ground("HasCapability", "u2", Constant.string("physical")))
     result = authenticate(
         AuthnRequest("u2", Credential("tag", "tag-0042"), at_centroid("class2")),
-        store, RULES, seed_model(), make_credentials())
+        make_point(store))
     assert result.authenticated == "yes"
     assert result.mean_used == "tag-mean"
 
@@ -441,7 +443,7 @@ def test_wrong_password_fails():
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
     result = authenticate(
         AuthnRequest("u1", Credential("password", "wrong"), at_centroid("class1")),
-        store, RULES, seed_model(), make_credentials())
+        make_point(store))
     assert result.authenticated == "no"
     assert result.reason == "password mismatch"
 
@@ -451,7 +453,7 @@ def test_unknown_user_is_denied_not_an_exception():
     store.assert_fact(ground("HasCapability", "ghost", Constant.string("no")))
     result = authenticate(
         AuthnRequest("ghost", Credential("password", "x"), at_centroid("class1")),
-        store, RULES, seed_model(), make_credentials())
+        make_point(store))
     assert result.authenticated == "no"
     assert "unknown user" in result.reason
 
@@ -461,10 +463,10 @@ def test_reauthentication_replaces_outcome():
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
     authenticate(AuthnRequest("u1", Credential("password", "wrong"),
                               at_centroid("class1")),
-                 store, RULES, seed_model(), make_credentials())
+                 make_point(store))
     authenticate(AuthnRequest("u1", Credential("password", "open-sesame"),
                               at_centroid("class1")),
-                 store, RULES, seed_model(), make_credentials())
+                 make_point(store))
     assert store.holds("Authenticated", "u1", "yes")
     assert not store.holds("Authenticated", "u1", "no")
 
@@ -497,7 +499,7 @@ def test_reclassification_reads_only_the_facts_that_name_the_user():
     # group) reads the facts whose first argument is u1, and no other.
     authenticate(AuthnRequest("u1", Credential("password", "open-sesame"),
                               at_centroid("class1")),
-                 store, RULES, seed_model(), make_credentials())
+                 make_point(store))
     assert sorted(examined) == sorted(f.key() for f in own)
     assert [f.render() for f in facts_about(store, Constant.symbol("u1"))] \
         == ['HasCapability(u1, "no")', "HasRecognizedBehavior(u1, class1)",
@@ -523,8 +525,8 @@ def test_password_credential_requires_secret():
 def test_group_assignment(class_id, capability, group):
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u", Constant.string(capability)))
-    authenticate(AuthnRequest("u", None, at_centroid(class_id)), store, RULES,
-                 seed_model(), make_credentials())
+    authenticate(AuthnRequest("u", None, at_centroid(class_id)),
+                 make_point(store))
     derived = [f for f in store if f.origin == "inferred"]
     assert [(f.render(), f.rule_id) for f in derived] == [
         (f"BehaviorCapability(u, {group})", f"{group.lower()}-assign")]
@@ -547,30 +549,30 @@ def test_group3_open_door_at_midnight_denied():
     store = group3_member()
     decision = authorize(
         AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-        store, RULES)
+        make_point(store))
     assert decision.effect == "deny"
     assert "alzheimer-deny" in decision.rationale
     assert decision.priority == 3
 
 
-def primed_store(rules=RULES) -> FactStore:
-    """The fixture residents u1, u2 and u3, primed and authenticated under
-    ``rules``, a rule list or a compiled policy."""
-    config = Config()
-    store = FactStore()
-    scenarios.prime_store(store, rules,
-                          scenarios.load_fixture_model(config.distance_floor),
-                          scenarios.load_fixture_credentials(), config=config)
-    return store
+def primed_point(rules=RULES) -> pdp.DecisionPoint:
+    """A point whose store holds the fixture residents u1, u2 and u3,
+    primed and authenticated under ``rules``, a rule list or a compiled
+    policy."""
+    point = make_point(FactStore(), rules,
+                       scenarios.load_fixture_model(Config().distance_floor),
+                       scenarios.load_fixture_credentials())
+    scenarios.prime_store(point)
+    return point
 
 
 def test_midnight_deny_for_one_resident_does_not_leak_to_another():
-    store = primed_store()
+    point = primed_point()
     u1_day = AuthzRequest("u1", "OpenDoor", context={"time": "10.00"})
-    before = authorize(u1_day, store, RULES)
+    before = authorize(u1_day, point)
     u3_night = authorize(AuthzRequest("u3", "OpenDoor",
-                                      context={"time": "00.00"}), store, RULES)
-    after = authorize(u1_day, store, RULES)
+                                      context={"time": "00.00"}), point)
+    after = authorize(u1_day, point)
     assert u3_night.effect == "deny"
     assert "alzheimer-deny" in u3_night.rationale
     assert before.rationale == after.rationale == ["default-deny"]
@@ -584,7 +586,7 @@ def test_group1_alert_permitted_with_visual_recommendation():
     decision = authorize(
         AuthzRequest("u1", "ReadAlert", device="VisualAid",
                      context={"time": "10.00"}),
-        store, RULES)
+        make_point(store))
     assert decision.effect == "permit"
     assert decision.recommendations == ["visual-alert"]
     assert decision.priority == 2
@@ -598,7 +600,7 @@ def test_group2_alert_permitted_with_audible_recommendation():
     decision = authorize(
         AuthzRequest("u2", "ReadAlert", device="AudioAid",
                      context={"time": "10.00"}),
-        store, RULES)
+        make_point(store))
     assert decision.effect == "permit"
     assert decision.recommendations == ["audible-alert"]
 
@@ -611,16 +613,17 @@ def test_a_failed_authn_derives_no_authenticated_fact():
     # The fixture rule password-check derives Authenticated(u9, yes) from
     # the Username and Password facts; the re-derivation at u9's first
     # classification must not let that past the gate.
-    store = load_facts(U9_FACTS)
+    point = make_point(load_facts(U9_FACTS))
+    store = point.store
     result = authenticate(
         AuthnRequest("u9", Credential("password", "hhhh"), at_centroid("class1")),
-        store, RULES, seed_model(), make_credentials())
+        point)
     assert result.authenticated == "no" and result.behavior_class == "class1"
     assert [g.text() for g in pdp.groups_of(store, "u9")] == ["Group1"]
     assert [f.render() for f in store.facts_for("Authenticated")] == [
         "Authenticated(u9, no)"]
     decision = authorize(AuthzRequest("u9", "ReadAlert", device="VisualAid"),
-                         store, RULES)
+                         point)
     assert decision.rationale == ["not-authenticated"]
 
 
@@ -628,9 +631,10 @@ def test_the_gate_passes_only_an_asserted_authenticated_fact():
     store = load_facts("Authenticated(u1, yes).  # inferred rule=password-check\n"
                        "BehaviorCapability(u1, Group1).\n")
     request = AuthzRequest("u1", "ReadAlert", device="VisualAid")
-    assert authorize(request, store, RULES).rationale == ["not-authenticated"]
+    point = make_point(store)
+    assert authorize(request, point).rationale == ["not-authenticated"]
     store.assert_fact(ground("Authenticated", "u1", "yes"))
-    assert authorize(request, store, RULES).effect == "permit"
+    assert authorize(request, point).effect == "permit"
 
 
 DECISION_HEADS = [("hasAccess", "permit"), ("hasAccess", "Deny"),
@@ -659,20 +663,21 @@ def decision_instance(rng):
     return facts, rules
 
 
-def decision_store(rng, facts, policy) -> FactStore:
-    """The facts, every user authenticated, ``g1`` and some users derived.
+def decision_point(rng, facts, rules, credentials=None) -> pdp.DecisionPoint:
+    """A point over the facts, every user authenticated, ``g1`` and some
+    users derived.
 
     ``g1`` is derived as ``serve`` derives each loaded resident: a group's
     facts derived only at authorize follow the user's in the decision lists,
     where the whole snapshot's fixpoint interleaves them pass by pass."""
-    store = FactStore()
+    point = make_point(FactStore(), rules, credentials=credentials)
     for fact in facts:
-        store.assert_fact(fact)
+        point.store.assert_fact(fact)
     for user in USERS:
-        store.assert_fact(ground("Authenticated", user, "yes"))
+        point.store.assert_fact(ground("Authenticated", user, "yes"))
     for subject in [GROUP] + [u for u in USERS if rng.random() < 0.5]:
-        pdp.rederive(store, policy, subject)
-    return store
+        pdp.rederive(point, subject)
+    return point
 
 
 def random_request(rng, user) -> AuthzRequest:
@@ -692,12 +697,11 @@ def decided(decision):
 def test_authorize_decides_as_the_whole_snapshot_fixpoint(seed):
     rng = random.Random(seed)
     facts, rules = decision_instance(rng)
-    policy = pdp.compile_policy(rules)
-    store = decision_store(rng, facts, policy)
+    point = decision_point(rng, facts, rules)
     for _ in range(rng.randint(1, 6)):  # each request leaves history
         request = random_request(rng, rng.choice(USERS))
-        want = whole_snapshot_decision(request, store, rules)
-        assert decided(authorize(request, store, policy)) == want
+        want = whole_snapshot_decision(request, point.store, rules)
+        assert decided(authorize(request, point)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -705,13 +709,12 @@ def test_authorize_decides_as_the_whole_snapshot_fixpoint(seed):
 def test_a_decision_does_not_change_under_other_users_requests(seed):
     rng = random.Random(seed)
     facts, rules = decision_instance(rng)
-    policy = pdp.compile_policy(rules)
-    store = decision_store(rng, facts, policy)
     credentials = {user: ("password", hash_password("pw", salt="ab"))
                    for user in USERS}
+    point = decision_point(rng, facts, rules, credentials)
     user, others = USERS[0], USERS[1:]
     request = random_request(rng, user)
-    first = authorize(request, store, policy)
+    first = authorize(request, point)
     for _ in range(rng.randint(1, 8)):
         other = rng.choice(others)
         if rng.random() < 0.5:
@@ -719,10 +722,10 @@ def test_a_decision_does_not_change_under_other_users_requests(seed):
                                       Credential("password",
                                                  rng.choice(["pw", "no"])),
                                       at_centroid(rng.choice(["class1", "class2"]))),
-                         store, policy, seed_model(), credentials)
+                         point)
         else:
-            authorize(random_request(rng, other), store, policy)
-        assert authorize(request, store, policy) == first
+            authorize(random_request(rng, other), point)
+        assert authorize(request, point) == first
 
 
 def test_a_group_decision_is_derived_for_its_members():
@@ -734,7 +737,8 @@ def test_a_group_decision_is_derived_for_its_members():
         "@id: group-open\nOpenHours(?g, day) -> hasAccess(?g, permit)\n")
     store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "hearing").\n'
                        "OpenHours(Group1, day).\n")
-    decision = authorize(AuthzRequest("u1", "OpenDoor"), store, rules)
+    decision = authorize(AuthzRequest("u1", "OpenDoor"),
+                         make_point(store, rules))
     assert decided(decision) == ("permit", [], [], ["group-open"])
     assert not store.holds("hasAccess", "Group1", "permit")
 
@@ -748,11 +752,11 @@ def test_a_group_that_is_the_user_reads_none_of_the_users_history():
         '@id: old-ask\nAskedService(?u, OpenDoor) -> hasAccess(?u, Deny)\n\n'
         "@id: ask\nAskedService(?u, ReadAlert) -> hasAccess(?u, permit)\n")
     store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "hearing").\n')
-    assert authorize(AuthzRequest("u1", "OpenDoor"), store, rules).effect \
-        == "deny"
+    point = make_point(store, rules)
+    assert authorize(AuthzRequest("u1", "OpenDoor"), point).effect == "deny"
     request = AuthzRequest("u1", "ReadAlert")
     want = whole_snapshot_decision(request, store, rules)
-    assert decided(authorize(request, store, rules)) == want \
+    assert decided(authorize(request, point)) == want \
         == ("permit", [], [], ["ask"])
 
 
@@ -765,10 +769,11 @@ def test_a_group_that_is_another_user_shows_that_users_history():
         "@id: asked-door\nAskedService(?u, OpenDoor) -> hasAccess(?u, Deny)\n")
     store = load_facts("Authenticated(u1, yes).\nAuthenticated(u2, yes).\n"
                        'HasCapability(u1, "hearing").\n')
-    authorize(AuthzRequest("u2", "OpenDoor"), store, rules)
+    point = make_point(store, rules)
+    authorize(AuthzRequest("u2", "OpenDoor"), point)
     request = AuthzRequest("u1", "ReadAlert")
     want = whole_snapshot_decision(request, store, rules)
-    assert decided(authorize(request, store, rules)) == want \
+    assert decided(authorize(request, point)) == want \
         == ("deny", [], [], ["asked-door"])
 
 
@@ -860,22 +865,21 @@ def test_a_long_lived_store_decides_as_the_whole_snapshot_fixpoint(derived,
     # history and Authenticated derive nothing the store lacks but facts of
     # those predicates.  After every step each user sends three fixed
     # requests, so most of them are read from the memo.
-    policy = pdp.compile_policy(STREAM_RULES)
-    model = seed_model()
     credentials = {user: ("password", hash_password("pw", salt="ab"))
                    for user in STREAM_USERS}
-    store = load_facts('HasCapability(u1, "hearing").\n'
-                       'HasCapability(u2, "hearing").\n'
-                       'HasCapability(u3, "cognitive").\n')
+    point = make_point(load_facts('HasCapability(u1, "hearing").\n'
+                                  'HasCapability(u2, "hearing").\n'
+                                  'HasCapability(u3, "cognitive").\n'),
+                       STREAM_RULES, credentials=credentials)
+    store, policy = point.store, point.policy
     for user in derived:
-        pdp.rederive(store, policy, user)
+        pdp.rederive(point, user)
     for step in steps:
         kind, subject = step[:2]
         if kind == "authn":
             vector, secret = step[2:]
             authenticate(AuthnRequest(subject, Credential("password", secret),
-                                      VECTORS[vector]),
-                         store, policy, model, credentials)
+                                      VECTORS[vector]), point)
             part = store.partition(Constant.symbol(subject),
                                    pdp._UNDERIVED_PREDICATES)
             assert [f.render() for f in engine.infer_fixpoint(
@@ -889,9 +893,9 @@ def test_a_long_lived_store_decides_as_the_whole_snapshot_fixpoint(derived,
                                    context=context)
             for _ in range(2):  # the second is read from the memo if it can
                 want = expected_decision(request, store, policy)
-                assert decided(authorize(request, store, policy)) == want
+                assert decided(authorize(request, point)) == want
         elif kind == "flag":
-            flag_anomaly(store, model, subject, "class1", VECTORS["far"])
+            flag_anomaly(point, subject, "class1", VECTORS["far"])
         elif kind == "assert":
             predicate, value = STREAM_FACTS[step[2]]
             store.assert_fact(Fact(predicate, (coerce_constant(subject),
@@ -905,22 +909,20 @@ def test_a_long_lived_store_decides_as_the_whole_snapshot_fixpoint(derived,
                             AuthzRequest(user, "Heat"),
                             AuthzRequest(user, "Nap")):
                 want = expected_decision(request, store, policy)
-                assert decided(authorize(request, store, policy)) == want
+                assert decided(authorize(request, point)) == want
 
 
 def test_a_policy_that_reads_any_service_memoizes_no_decision():
     # AskedService(?u, ?s) reads every service through a variable, so no
     # request of this user is memoized, however many services it names.
-    policy = pdp.compile_policy(RULES + parse_ruleset(
+    point = primed_point(RULES + parse_ruleset(
         "@id: any-service\nAskedService(?u, ?s) ^ "
         "BehaviorCapability(?u, Group3) -> Recommendation(?u, escort)\n"))
-    store = primed_store(policy)
     for i in range(1000):
-        decision = authorize(AuthzRequest("u3", f"service{i}"), store, policy)
+        decision = authorize(AuthzRequest("u3", f"service{i}"), point)
         assert decision.recommendations == ["escort"]
-    memo = pdp._MEMOS[store]
-    assert [len(entries) for _, _, entries in memo.decisions.values()] == [0]
-    assert (memo.hits, memo.misses) == (0, 1000)
+    assert [len(entries) for _, entries in point.decisions.values()] == [0]
+    assert (point.hits, point.misses) == (0, 1000)
 
 
 def test_a_stream_of_fresh_values_holds_a_constant_memo():
@@ -928,57 +930,82 @@ def test_a_stream_of_fresh_values_holds_a_constant_memo():
     # location and time.  None of the fixture rules reads them, but for
     # the time 00.00, so the memo holds one entry per set of the readable
     # ones (none, and HasContext(u1, "00.00")) while the store grows.
-    policy = pdp.compile_policy(RULES)
-    store = primed_store(policy)
-    memo = pdp._MEMOS[store]
+    point = primed_point()
+    store = point.store
     sizes = []
     for i in range(20000):
         authorize(AuthzRequest("u1", f"service{i}", device=f"device{i}",
                                context={"time": f"{i // 60 % 24:02d}."
                                                 f"{i % 60:02d}",
                                         "location": f"room{i}"}),
-                  store, policy)
+                  point)
         if i % 1000 == 999:
-            sizes.append(sum(len(entries) for _, _, entries
-                             in memo.decisions.values()))
+            sizes.append(sum(len(entries) for _, entries
+                             in point.decisions.values()))
     assert len(store) > 80000
     assert sizes == [2] * 20
-    assert memo.misses == 2
+    assert point.misses == 2
 
 
 def test_a_failed_authn_and_the_next_good_one_keep_the_users_decisions():
     # The wrong secret writes Authenticated(u1, no) and the good one writes
     # yes back, so u1 holds what the decision was made from again.
-    policy = pdp.compile_policy(RULES)
-    store = primed_store(policy)
-    model = scenarios.load_fixture_model(Config().distance_floor)
-    credentials = scenarios.load_fixture_credentials()
-    held = pdp._facts_about(store, "HasRecognizedBehavior", "u1")[0].args[1]
-    features = next(c.centroid for c in model.classes if c.id == held.text())
+    point = primed_point()
+    held = pdp._facts_about(point.store, "HasRecognizedBehavior",
+                            "u1")[0].args[1]
+    features = next(c.centroid for c in point.model.classes
+                    if c.id == held.text())
     request = AuthzRequest("u1", "ReadAlert", device="VisualAid")
-    first = decided(authorize(request, store, policy))
-    assert decided(authorize(request, store, policy)) == first
-    assert pdp.memo_counts(store)["authorize_memo_misses"] == 1
+    first = decided(authorize(request, point))
+    assert decided(authorize(request, point)) == first
+    assert point.counts()["authorize_memo_misses"] == 1
     for secret, answer in (("wrong-secret", "no"), ("door-chime-7", "yes")):
         result = authenticate(AuthnRequest("u1", Credential("password", secret),
-                                           features),
-                              store, policy, model, credentials)
+                                           features), point)
         assert result.authenticated == answer
-    assert decided(authorize(request, store, policy)) == first
-    assert pdp.memo_counts(store) == {"authorize_memo_hits": 2,
-                                      "authorize_memo_misses": 1,
-                                      "rederive_skips": 2}
+    assert decided(authorize(request, point)) == first
+    assert point.counts() == {"authorize_memo_hits": 2,
+                              "authorize_memo_misses": 1,
+                              "rederive_skips": 2}
 
 
 def test_a_new_rule_list_per_authorize_keeps_one_memo_slot_per_user():
-    store = primed_store()
-    memo = pdp._memo_of(store)
+    # A fresh point per call over one store: each decides as the first
+    # did, and holds one slot, for the user it decided for.
+    store = primed_point().store
+    first = {}
     for i in range(50):
         for user in ("u1", "u2", "u3"):
-            authorize(AuthzRequest(user, "ReadAlert", device="VisualAid"),
-                      store, load_fixture_rules())
-        assert len(memo.decisions) == 3
-    assert memo.hits == 0
+            point = make_point(store, load_fixture_rules())
+            decision = authorize(
+                AuthzRequest(user, "ReadAlert", device="VisualAid"), point)
+            assert decision == first.setdefault(user, decision)
+            assert list(point.decisions) == [coerce_constant(user).key()]
+            assert point.hits == 0
+
+
+def test_two_points_over_one_store_decide_alike_and_count_apart():
+    # A point's memo and counters are its own, and nothing outside it
+    # keeps it alive once it is dropped.
+    store = primed_point().store
+    first, second = make_point(store), make_point(store)
+    requests = [AuthzRequest(user, "ReadAlert", device="VisualAid")
+                for user in ("u1", "u2", "u3")] \
+        + [AuthzRequest("u3", "OpenDoor", context={"time": "00.00"})]
+    for request in requests * 2:
+        assert authorize(request, first) == authorize(request, second)
+    for request in requests:
+        authorize(request, first)
+    assert first.counts() == {"authorize_memo_hits": 8,
+                              "authorize_memo_misses": 4,
+                              "rederive_skips": 0}
+    assert second.counts() == {"authorize_memo_hits": 4,
+                               "authorize_memo_misses": 4,
+                               "rederive_skips": 0}
+    dropped = weakref.ref(first)
+    del first
+    gc.collect()
+    assert dropped() is None
 
 
 def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
@@ -997,7 +1024,8 @@ def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
     monkeypatch.setattr(FactStore, "probe", counted)
     reads = []
     for residents in (4, 400):
-        store = FactStore()
+        point = make_point(FactStore(), policy)
+        store = point.store
         for i in range(residents):
             user = f"r{i:04d}"
             store.assert_fact(ground("Authenticated", user, "yes"))
@@ -1013,12 +1041,12 @@ def test_an_authorize_reads_as_much_at_400_residents_as_at_4(monkeypatch):
                                          ("HasTime", time),
                                          ("HasContext", time)):
                     store.assert_fact(ground(predicate, user, value))
-            pdp.rederive(store, policy, user)
+            pdp.rederive(point, user)
         calls.clear()
         decision = authorize(AuthzRequest("r0001", "ReadAlert",
                                           device="AudioAid",
                                           context={"time": "10.00"}),
-                             store, policy)
+                             point)
         assert decision.effect == "permit"  # r0001 is visual, class2: Group2
         reads.append(len(calls))
     assert 0 < reads[1] <= reads[0]
@@ -1035,7 +1063,8 @@ def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
     policy = pdp.compile_policy(RULES)
     reads, decisions = [], []
     for residents in (4, 400):
-        store = FactStore()
+        point = make_point(FactStore(), policy)
+        store = point.store
         for i in range(residents):
             user = f"r{i:04d}"
             store.assert_fact(ground("Authenticated", user, "yes"))
@@ -1045,7 +1074,7 @@ def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
                                      ("class1", "class2")[i % 2]))
             store.assert_fact(ground("Obligation", user, "check-in"))
             store.assert_fact(ground("Recommendation", user, "hydrate"))
-            pdp.rederive(store, policy, user)
+            pdp.rederive(point, user)
         counts = []
         for name in ("probe", "facts_for", "partition", "snapshot"):
             read = getattr(store, name, None)
@@ -1060,7 +1089,7 @@ def test_an_authorize_reads_as_many_decision_facts_at_400_residents_as_at_4():
             setattr(store, name, counted)
         decisions.append(decided(authorize(
             AuthzRequest("r0001", "ReadAlert", device="AudioAid"),
-            store, policy)))
+            point)))
         reads.append(sum(counts))
     # r0001 is visual, class2: Group2.
     assert decisions[0] == ("permit", ["check-in"],
@@ -1075,7 +1104,8 @@ def test_an_authorize_whose_group_holds_no_facts_infers_over_one_partition(
         monkeypatch):
     # u1's group, Group1, is a constant the live store holds no fact
     # about: copying it adds nothing, so no second fixpoint runs.
-    store = primed_store()
+    point = primed_point()
+    store = point.store
     assert pdp.groups_of(store, "u1") == [Constant.symbol("Group1")]
     assert not facts_about(store, Constant.symbol("Group1"))
     calls = {"stores": 0, "infer_fixpoint": 0}
@@ -1092,7 +1122,7 @@ def test_an_authorize_whose_group_holds_no_facts_infers_over_one_partition(
     monkeypatch.setattr(FactStore, "__init__", counting_init)
     monkeypatch.setattr(pdp, "infer_fixpoint", counting_infer)
     decision = authorize(AuthzRequest("u1", "ReadAlert", device="VisualAid"),
-                         store, RULES)
+                         point)
     assert decided(decision) == ("permit", [], ["visual-alert"],
                                  ["deaf-permit", "deaf-visual-alert"])
     assert calls == {"stores": 1, "infer_fixpoint": 1}
@@ -1104,9 +1134,9 @@ def test_an_authorize_whose_group_holds_facts_infers_over_one_store(
     # over, and one more fixpoint there derives the group's part: one
     # FactStore and two fixpoints, and the group's asserted and derived
     # decision facts reach the decision.
-    store = primed_store()
+    store = primed_point().store
     store.assert_fact(ground("hasAccess", "Group1", "permit"))
-    policy = pdp.compile_policy(RULES + parse_ruleset(
+    point = make_point(store, RULES + parse_ruleset(
         "@id: group-note\n"
         "hasAccess(?g, permit) -> Recommendation(?g, group-note)\n"))
     calls = {"stores": 0, "infer_fixpoint": 0}
@@ -1123,14 +1153,14 @@ def test_an_authorize_whose_group_holds_facts_infers_over_one_store(
     monkeypatch.setattr(FactStore, "__init__", counting_init)
     monkeypatch.setattr(pdp, "infer_fixpoint", counting_infer)
     request = AuthzRequest("u1", "ReadAlert", device="VisualAid")
-    decision = authorize(request, store, policy)
+    decision = authorize(request, point)
     assert decided(decision) == (
         "permit", [], ["visual-alert", "group-note"],
         ["asserted", "deaf-permit", "deaf-visual-alert", "group-note"])
     assert calls == {"stores": 1, "infer_fixpoint": 2}
     monkeypatch.undo()
     assert decided(decision)[:3] == whole_snapshot_decision(
-        request, store, policy)[:3]
+        request, store, point.policy)[:3]
 
 
 REQUEST_TEXT = st.text(st.sampled_from('ab1 "\\.-_#'), min_size=1,
@@ -1189,12 +1219,13 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
         "@id: any-time\nHasTime(?u, ?t) -> Recommendation(?u, timed)\n"))
     reads, decisions = [], []
     for served in (10, 1000):
-        store = primed_store()
+        point = make_point(primed_point().store, policy)
+        store = point.store
         for i in range(served):
             service, device = HISTORY_REQUESTS[i % 3]
             authorize(AuthzRequest("u3", service, device=device, context={
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
-                store, policy)
+                point)
         counts = []
         for name in ("probe", "facts_for", "snapshot", "partition"):
             def counted(*args, _read=getattr(store, name), **kwargs):
@@ -1204,7 +1235,7 @@ def test_an_authorize_reads_as_much_after_1000_requests_as_after_10():
             setattr(store, name, counted)
         decisions.append(decided(authorize(
             AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-            store, policy)))
+            point)))
         reads.append(sum(counts))
     assert len(store) > 2000
     assert 0 < reads[1] == reads[0]
@@ -1221,12 +1252,14 @@ def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
     [centroid] = [c.centroid for c in model.classes if c.id == "class2"]
     reads, results = [], []
     for served in (10, 1000):
-        store = primed_store()
+        point = make_point(primed_point().store, policy, model,
+                           scenarios.load_fixture_credentials())
+        store = point.store
         for i in range(served):
             service, device = HISTORY_REQUESTS[i % 3]
             authorize(AuthzRequest("u3", service, device=device, context={
                 "time": f"{i // 60:02d}.{i % 60:02d}", "location": "hall"}),
-                store, policy)
+                point)
         counts = []
         for name in ("probe", "facts_for", "snapshot", "partition"):
             def counted(*args, _read=getattr(store, name)):
@@ -1236,7 +1269,7 @@ def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
             setattr(store, name, counted)
         results.append(authenticate(
             AuthnRequest("u3", scenarios.FIXTURE_SECRETS["u3"], centroid),
-            store, policy, model, scenarios.load_fixture_credentials()))
+            point))
         reads.append(sum(counts))
     assert len(store) > 2000
     assert 0 < reads[1] == reads[0]
@@ -1245,14 +1278,14 @@ def test_an_authn_reads_as_much_after_1000_requests_as_after_10():
 
 
 def test_an_authorize_adds_only_its_new_request_facts_to_the_live_store():
-    store = primed_store()
-    policy = pdp.compile_policy(RULES)
+    point = primed_point()
+    store = point.store
     authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-              store, policy)
+              point)
     before = [(fact, fact.origin, fact.rule_id) for fact in store]
     request = AuthzRequest("u3", "OpenDoor", device="VisualAid",
                            context={"time": "00.00", "location": "hall"})
-    decision = authorize(request, store, policy)
+    decision = authorize(request, point)
     assert decision.effect == "deny" and "alzheimer-deny" in decision.rationale
     after = [(fact, fact.origin, fact.rule_id) for fact in store]
     held = {fact for fact, _, _ in before}
@@ -1289,8 +1322,8 @@ def test_an_authorize_builds_only_the_request_facts_it_needs(monkeypatch):
     # A memo hit reads keys and builds only the request history the store
     # lacks; a miss builds its readable request facts, the new history it
     # has not built, and what its fixpoints derive: no fact twice.
-    store = primed_store()
-    policy = pdp.compile_policy(RULES)
+    point = primed_point()
+    store, policy = point.store, point.policy
     built, derived = counting_builds(monkeypatch), [0]
     infer = pdp.infer_fixpoint
 
@@ -1313,10 +1346,10 @@ def test_an_authorize_builds_only_the_request_facts_it_needs(monkeypatch):
         new = {fact.key() for fact in facts} - held
         readable = {fact.key() for fact in facts
                     if policy.reads(fact.key()) is not None}
-        hits = pdp.memo_counts(store)["authorize_memo_hits"]
+        hits = point.hits
         before = built[0], derived[0]
-        authorize(request, store, policy)
-        hit = pdp.memo_counts(store)["authorize_memo_hits"] > hits
+        authorize(request, point)
+        hit = point.hits > hits
         builds, fixpoint = built[0] - before[0], derived[0] - before[1]
         assert builds == (len(new) if hit else len(new | readable) + fixpoint)
         assert {fact.key() for fact in store
@@ -1328,7 +1361,7 @@ def test_an_authorize_builds_only_the_request_facts_it_needs(monkeypatch):
 def test_rederive_reads_neither_the_session_outcome_nor_history():
     store = load_facts('Authenticated(u1, yes).\nHasCapability(u1, "no").\n'
                        "AskedService(u1, ReadAlert).\n")
-    policy = pdp.compile_policy(parse_ruleset(
+    point = make_point(store, parse_ruleset(
         "@id: trusted\nAuthenticated(?u, yes) -> Trusted(?u, yes)\n\n"
         "@id: asked\nAskedService(?u, ?s) -> Asked(?u, ?s)\n\n"
         '@id: plain\nHasCapability(?u, "no") -> Plain(?u, yes)\n\n'
@@ -1336,7 +1369,7 @@ def test_rederive_reads_neither_the_session_outcome_nor_history():
         # Authenticated does: rederive skips their buckets, so it would
         # never drop them again.
         '@id: derived-time\nHasCapability(?u, "no") -> HasTime(?u, "08.00")\n'))
-    pdp.rederive(store, policy, "u1")
+    pdp.rederive(point, "u1")
     assert [f.render() for f in store if f.origin == "inferred"] \
         == ["Plain(u1, yes)"]
 
@@ -1344,7 +1377,7 @@ def test_rederive_reads_neither_the_session_outcome_nor_history():
 def test_unauthenticated_user_denied_with_reason():
     store = FactStore()
     store.assert_fact(ground("BehaviorCapability", "u9", "Group1"))
-    decision = authorize(AuthzRequest("u9", "ReadAlert"), store, RULES)
+    decision = authorize(AuthzRequest("u9", "ReadAlert"), make_point(store))
     assert decision.effect == "deny"
     assert decision.rationale == ["not-authenticated"]
 
@@ -1357,7 +1390,7 @@ def test_default_deny_with_empty_ruleset():
         store.assert_fact(ground("Authenticated", user, "yes"))
         decision = authorize(
             AuthzRequest(user, rng.choice(["OpenDoor", "ReadAlert", "Heat"])),
-            store, [])
+            make_point(store, []))
         assert decision.effect == "deny"
         assert decision.rationale == ["default-deny"]
 
@@ -1367,7 +1400,7 @@ def test_deny_overrides_permit():
     store.assert_fact(ground("Authenticated", "u1", "yes"))
     store.assert_fact(ground("hasAccess", "u1", "permit"))
     store.assert_fact(ground("hasAccess", "u1", Constant.string("Deny")))
-    decision = authorize(AuthzRequest("u1", "OpenDoor"), store, [])
+    decision = authorize(AuthzRequest("u1", "OpenDoor"), make_point(store, []))
     assert decision.effect == "deny"
 
 
@@ -1377,7 +1410,8 @@ def test_deny_overrides_when_both_rules_fire():
         "@id: take\nAskedService(?u, OpenDoor) -> hasAccess(?u, \"Deny\")\n")
     store = FactStore()
     store.assert_fact(ground("Authenticated", "u1", "yes"))
-    decision = authorize(AuthzRequest("u1", "OpenDoor"), store, rules)
+    decision = authorize(AuthzRequest("u1", "OpenDoor"),
+                         make_point(store, rules))
     assert decision.effect == "deny"
     assert set(decision.rationale) == {"give", "take"}
 
@@ -1393,19 +1427,19 @@ def test_authentication_gate_never_permits():
             store.assert_fact(ground("Authenticated", user, "no"))
         decision = authorize(
             AuthzRequest(user, rng.choice(["OpenDoor", "ReadAlert"])),
-            store, permissive)
+            make_point(store, permissive))
         assert decision.effect == "deny"
         assert decision.rationale == ["not-authenticated"]
 
 
 def test_latest_context_wins_for_request_evaluation():
-    store = group3_member()
+    point = make_point(group3_member())
     deny = authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-                     store, RULES)
+                     point)
     assert deny.effect == "deny"
     # same store, new daytime request: the midnight context must not linger
     later = authorize(AuthzRequest("u3", "OpenDoor", context={"time": "10.00"}),
-                      store, RULES)
+                      point)
     assert later.effect == "deny"  # closed world: nothing permits OpenDoor
     assert later.rationale == ["default-deny"]
 
@@ -1413,7 +1447,7 @@ def test_latest_context_wins_for_request_evaluation():
 def test_request_facts_kept_as_history():
     store = group3_member()
     authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-              store, RULES)
+              make_point(store))
     assert store.holds("AskedService", "u3", "OpenDoor")
     assert store.holds("HasContext", "u3", Constant.string("00.00"))
 
@@ -1426,7 +1460,7 @@ def test_request_history_held_as_inferred_is_asserted_again():
                                           Constant.string("00.00")),
                            origin="inferred", rule_id="clock"))
     authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-              store, RULES)
+              make_point(store))
     held = store.get("HasContext", ("u3", Constant.string("00.00")))
     assert (held.origin, held.rule_id, held.premises) == ("asserted", None, ())
 
@@ -1467,7 +1501,7 @@ def test_a_request_value_that_is_not_text_is_refused_before_the_gate(
         parts[field] = value
     before = [(fact, fact.origin) for fact in store]
     with pytest.raises(PdpError, match=field):
-        authorize(AuthzRequest(**parts), store, RULES, audit_log=log)
+        authorize(AuthzRequest(**parts), make_point(store, audit_log=log))
     assert log.seq == 0
     assert [(fact, fact.origin) for fact in store] == before
 
@@ -1613,6 +1647,20 @@ def test_reopening_continues_the_sequence_after_close(tmp_path):
     assert AuditLog(path).seq == 2
 
 
+def test_text_that_is_not_utf8_is_an_audit_error_and_writes_nothing(
+        tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog(path)
+    for subject, detail in (("\ud800", ""), ("u1", "class=\udfff")):
+        with pytest.raises(AuditError, match="audit append failed"):
+            log.append("anomaly", subject, "flagged", detail)
+        assert log.seq == 0 and log.entries() == ()
+        assert not path.exists() or path.read_bytes() == b""
+    assert log.append("anomaly", "u1", "flagged").seq == 1
+    log.close()
+    assert [e.seq for e in AuditLog.load(path)] == [1]
+
+
 def test_entry_roundtrip_with_newline_in_detail():
     log = AuditLog()
     entry = log.append("anomaly", "u1", "flagged", "line1\nline2")
@@ -1663,11 +1711,11 @@ def test_authenticate_and_authorize_append_exactly_one_entry_each():
     store = FactStore()
     store.assert_fact(ground("HasCapability", "u1", Constant.string("no")))
     log = AuditLog()
+    point = make_point(store, audit_log=log)
     authenticate(AuthnRequest("u1", Credential("password", "open-sesame"),
-                              at_centroid("class1")),
-                 store, RULES, seed_model(), make_credentials(), audit_log=log)
+                              at_centroid("class1")), point)
     assert [e.kind for e in log.entries()] == ["authn"]
-    authorize(AuthzRequest("u1", "ReadAlert"), store, RULES, audit_log=log)
+    authorize(AuthzRequest("u1", "ReadAlert"), point)
     assert [e.kind for e in log.entries()] == ["authn", "authz"]
     assert [e.seq for e in log.entries()] == [1, 2]
 
@@ -1677,19 +1725,20 @@ def test_authenticate_and_authorize_append_exactly_one_entry_each():
 # ---------------------------------------------------------------------------
 
 def test_recent_at_centroid_not_flagged():
-    assert not flag_anomaly(FactStore(), seed_model(), "u1", "class1",
-                            at_centroid("class1"), 0.5)
+    assert not flag_anomaly(make_point(FactStore(), anomaly_threshold=0.5),
+                            "u1", "class1", at_centroid("class1"))
 
 
 def test_wandering_recent_vector_flagged():
     far = FeatureVector({"move:bedroom->kitchen": 300.0})
-    assert flag_anomaly(FactStore(), seed_model(), "u1", "class2", far, 0.5)
+    assert flag_anomaly(make_point(FactStore(), anomaly_threshold=0.5),
+                        "u1", "class2", far)
 
 
 def test_threshold_zero_never_flags():
     far = FeatureVector({"move:bedroom->kitchen": 1e6})
-    assert not flag_anomaly(FactStore(), seed_model(), "u1", "class2", far,
-                            0.0)
+    assert not flag_anomaly(make_point(FactStore(), anomaly_threshold=0.0),
+                            "u1", "class2", far)
 
 
 def test_nan_recent_vector_is_not_passed_as_normal():
@@ -1698,7 +1747,7 @@ def test_nan_recent_vector_is_not_passed_as_normal():
     log = AuditLog()
     recent = FeatureVector({"move:bedroom->kitchen": float("nan")})
     with pytest.raises(ValueError):
-        flag_anomaly(store, seed_model(), "u3", "class2", recent, audit_log=log)
+        flag_anomaly(make_point(store, audit_log=log), "u3", "class2", recent)
     assert log.entries() == ()
 
 
@@ -1706,13 +1755,13 @@ def test_flagged_cognitive_user_gets_emergency_obligation():
     store = group3_member()
     log = AuditLog()
     far = FeatureVector({"move:bedroom->kitchen": 300.0})
-    flagged = flag_anomaly(store, seed_model(), "u3", "class2", far,
-                           audit_log=log)
+    point = make_point(store, audit_log=log)
+    flagged = flag_anomaly(point, "u3", "class2", far)
     assert flagged
     assert store.holds("Obligation", "u3", "signal-emergency")
     assert [e.kind for e in log.entries()] == ["anomaly"]
     decision = authorize(AuthzRequest("u3", "OpenDoor", context={"time": "00.00"}),
-                         store, RULES, audit_log=log)
+                         point)
     assert decision.effect == "deny"
     assert decision.obligations == ["signal-emergency"]
 
@@ -1720,8 +1769,8 @@ def test_flagged_cognitive_user_gets_emergency_obligation():
 def test_unflagged_check_writes_no_audit_entry():
     store = group3_member()
     log = AuditLog()
-    flagged = flag_anomaly(store, seed_model(), "u3", "class2",
-                           at_centroid("class2"), audit_log=log)
+    flagged = flag_anomaly(make_point(store, audit_log=log), "u3", "class2",
+                           at_centroid("class2"))
     assert not flagged
     assert log.entries() == ()
 
@@ -1730,7 +1779,7 @@ def test_non_cognitive_user_gets_no_obligation():
     store = FactStore()
     store.assert_fact(ground("BehaviorCapability", "u1", "Group1"))
     far = FeatureVector({"move:bedroom->kitchen": 300.0})
-    assert flag_anomaly(store, seed_model(), "u1", "class1", far)
+    assert flag_anomaly(make_point(store), "u1", "class1", far)
     assert not store.holds("Obligation", "u1", "signal-emergency")
 
 

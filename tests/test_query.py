@@ -234,8 +234,8 @@ def test_authn_query_delegates():
     request = pdp.AuthnRequest(user="u1",
                                credential=pdp.Credential("password", "pw"),
                                features=FeatureVector({"hold:cooking": 600.0}))
-    result = pdp.authenticate(request, store, load_fixture_rules(), _model(),
-                              credentials)
+    result = pdp.authenticate(request, pdp.DecisionPoint(
+        store, load_fixture_rules(), _model(), credentials))
     assert result.authenticated == "yes"
     assert store.holds("Authenticated", "u1", "yes")
 
@@ -247,5 +247,5 @@ def test_authz_query_delegates():
     decision = pdp.authorize(
         pdp.AuthzRequest(user="u3", service="OpenDoor",
                          context={"time": "00.00"}),
-        store, load_fixture_rules())
+        pdp.DecisionPoint(store, load_fixture_rules(), _model(), {}))
     assert decision.effect == "deny"

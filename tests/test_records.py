@@ -4,12 +4,11 @@ checks their constructors make."""
 import pytest
 
 from aalguard.behavior import FeatureVector
-from aalguard.config import Config
+from aalguard.config import DEFAULT_PRIORITY_TABLE, Config
 from aalguard.engine import Conflict
 from aalguard.facts import Constant, Fact, FactError, Variable, ground
-from aalguard.pdp import (DEFAULT_PRIORITY_TABLE, AuditLog, AuthnRequest,
-                          AuthnResult, AuthzRequest, Credential, Decision,
-                          PdpError)
+from aalguard.pdp import (AuditLog, AuthnRequest, AuthnResult, AuthzRequest,
+                          Credential, Decision, PdpError)
 from aalguard.rules import Atom, RuleViolation
 from aalguard.scenarios import SCENARIOS
 

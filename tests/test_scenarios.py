@@ -3,7 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from aalguard import behavior, scenarios
+from aalguard import behavior, pdp, scenarios
 from aalguard.config import Config
 from aalguard.facts import FactStore, save_facts
 from aalguard.pdp import AuditLog, serialize_entry
@@ -105,9 +105,10 @@ PRIMED_FACTS = sorted([
 
 def _primed_store():
     store = FactStore()
-    scenarios.prime_store(store, scenarios.load_fixture_rules(),
-                          scenarios.load_fixture_model(Config().distance_floor),
-                          scenarios.load_fixture_credentials())
+    scenarios.prime_store(pdp.DecisionPoint(
+        store, scenarios.load_fixture_rules(),
+        scenarios.load_fixture_model(Config().distance_floor),
+        scenarios.load_fixture_credentials()))
     return store
 
 

@@ -208,15 +208,15 @@ def test_a_vector_at_a_distance_beyond_float_range_fails_closed():
     assert [e.kind for e in state.audit_log.entries()] == ["authn"]
 
 
-def primed_state() -> cli.ServeState:
+def primed_state() -> pdp.DecisionPoint:
     config = Config()
-    rules = scenarios.load_fixture_rules()
-    model = scenarios.load_fixture_model(config.distance_floor)
-    credentials = scenarios.load_fixture_credentials()
-    store = FactStore()
-    scenarios.prime_store(store, rules, model, credentials, config=config)
-    return cli.ServeState(store, rules, model, credentials, config,
-                          pdp.AuditLog())
+    point = pdp.DecisionPoint(
+        FactStore(), scenarios.load_fixture_rules(),
+        scenarios.load_fixture_model(config.distance_floor),
+        scenarios.load_fixture_credentials(), config)
+    scenarios.prime_store(point)
+    point.audit_log = pdp.AuditLog()
+    return point
 
 
 def home_day_state(seed: int):
@@ -225,12 +225,12 @@ def home_day_state(seed: int):
     inputs = gen.home_day(seed)
     config = Config()
     store = load_facts(inputs.facts_text)
-    state = cli.ServeState(store, scenarios.load_fixture_rules(),
-                           scenarios.load_fixture_model(config.distance_floor),
-                           pdp.load_credentials(inputs.credentials_text),
-                           config, pdp.AuditLog())
+    state = pdp.DecisionPoint(
+        store, scenarios.load_fixture_rules(),
+        scenarios.load_fixture_model(config.distance_floor),
+        pdp.load_credentials(inputs.credentials_text), config, pdp.AuditLog())
     for subject in dict.fromkeys(fact.args[0] for fact in store):
-        pdp.rederive(store, state.policy, subject)  # as serve does at start
+        pdp.rederive(state, subject)  # as serve does at start
     return inputs, state
 
 
@@ -319,7 +319,7 @@ def home_day_digest(seed: int) -> dict:
     lines = sorted(save_facts(state.store).splitlines())
     return {"replies": replies.hexdigest(),
             "store": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
-            "memo_counts": pdp.memo_counts(state.store)}
+            "memo_counts": state.counts()}
 
 
 HOME_DAY_GOLDEN = json.loads(
@@ -525,12 +525,13 @@ def test_serve_builds_few_facts_per_request_and_queries_the_live_store(
             {name: counts[name] - before[name] for name in counts})
     assert len(per_op["authorize"]) == 30 and len(per_op["query"]) == 6
     assert max(c["facts"] for c in per_op["authorize"]) <= 8
-    # Priming compiled a policy of its own, so the first authn of each
-    # resident under the serving policy derives the user's facts again and
-    # builds one per fact that fixpoint derives: a group, and for u3 the
-    # mean tag-mean as well.  Every authn keeps the class and outcome the
-    # store holds, so it builds neither, and a later one derives nothing.
-    assert [c["facts"] for c in per_op["authn"]] == [1, 1, 2] + [0] * 6
+    # Every authn keeps the class and outcome the store holds, so it builds
+    # neither.  Priming ran under the serving point, so u1's and u2's facts
+    # are derived already; u3's changed since (priming's anomaly check
+    # asserted an obligation), so its first authn derives them again and
+    # builds one per fact that fixpoint derives: its group and the mean
+    # tag-mean.  A later authn derives nothing.
+    assert [c["facts"] for c in per_op["authn"]] == [0, 0, 2] + [0] * 6
     assert [c["snapshots"] for c in per_op["query"]] == [0] * 6
     assert [c["snapshots"] for c in per_op["authorize"]] == [0] * 30
 
