@@ -29,7 +29,7 @@ import threading
 from typing import List, Optional
 
 from . import behavior, engine, pdp, query, rules, scenarios
-from .config import ENV_VAR, Config, ConfigError, apply_key, load_config
+from .config import ENV_VAR, Config, ConfigError, apply_key, parse_config
 from .facts import FactError, FactStore, load_facts, parse_fact, save_facts
 from .rules import RuleSyntaxError
 
@@ -109,28 +109,20 @@ def _read_text(option: str, path) -> str:
         raise InputFileError(f"{option} {path}: {err}") from None
 
 
-def _load_rules(args, config: Config) -> list:
-    paths: List[str] = []
-    if args.rules:
-        for chunk in args.rules:
-            paths.extend(part.strip() for part in chunk.split(",") if part.strip())
-    else:
-        paths = list(config.rules)
-    loaded = []
-    for path in paths:
-        loaded.extend(rules.parse_ruleset(_read_text("--rules", path)))
-    return loaded
+def _load_rules(config: Config) -> list:
+    return [rule for path in config.rules
+            for rule in rules.parse_ruleset(_read_text("--rules", path))]
 
 
-def _load_store(args, config: Config) -> FactStore:
-    path = args.facts or config.facts
-    return load_facts(_read_text("--facts", path)) if path else FactStore()
+def _load_store(config: Config) -> FactStore:
+    if config.facts:
+        return load_facts(_read_text("--facts", config.facts))
+    return FactStore()
 
 
-def _load_model(args, config: Config) -> behavior.BehaviorModel:
-    path = args.model or config.model
-    if path:
-        return behavior.load_model(_read_text("--model", path),
+def _load_model(config: Config) -> behavior.BehaviorModel:
+    if config.model:
+        return behavior.load_model(_read_text("--model", config.model),
                                    distance_floor=config.distance_floor)
     return scenarios.load_fixture_model(config.distance_floor)
 
@@ -141,17 +133,16 @@ def _load_model(args, config: Config) -> behavior.BehaviorModel:
 
 def cmd_load(args, config: Config) -> int:
     reported = False
-    if args.facts or config.facts:
-        store = _load_store(args, config)
+    if config.facts:
+        store = _load_store(config)
         print(f"facts: {len(store)}")
         reported = True
-    rules = _load_rules(args, config)
+    rules = _load_rules(config)
     if rules:
         print(f"rules: {len(rules)}")
         reported = True
-    events_path = args.events or config.events
-    if events_path:
-        events = behavior.load_events(_read_text("--events", events_path))
+    if config.events:
+        events = behavior.load_events(_read_text("--events", config.events))
         print(f"events: {len(events)} ({len(behavior.users_in(events))} users)")
         reported = True
     if not reported:
@@ -162,8 +153,8 @@ def cmd_load(args, config: Config) -> int:
 
 
 def cmd_infer(args, config: Config) -> int:
-    store = _load_store(args, config)
-    rules = _load_rules(args, config)
+    store = _load_store(config)
+    rules = _load_rules(config)
     report = engine.infer_fixpoint(store, rules)
     for fact in report.derived:
         print(f"+ {fact.render()}  [{fact.rule_id}]")
@@ -182,21 +173,21 @@ def cmd_infer(args, config: Config) -> int:
     return EXIT_OK
 
 
-def _materialized_store(args, config: Config) -> FactStore:
-    store = _load_store(args, config)
-    engine.infer_fixpoint(store, _load_rules(args, config))
+def _materialized_store(config: Config) -> FactStore:
+    store = _load_store(config)
+    engine.infer_fixpoint(store, _load_rules(config))
     return store
 
 
 def cmd_explain(args, config: Config) -> int:
-    store = _materialized_store(args, config)
+    store = _materialized_store(config)
     target = parse_fact(args.fact, require_period=False)
     print(engine.render_derivation(engine.explain(store, target)))
     return EXIT_OK
 
 
 def cmd_query(args, config: Config) -> int:
-    store = _materialized_store(args, config)
+    store = _materialized_store(config)
     parsed = query.parse_query(args.query)
     rows = query.eval_query(store, parsed)
     for row in rows:
@@ -206,13 +197,12 @@ def cmd_query(args, config: Config) -> int:
 
 
 def cmd_classify(args, config: Config) -> int:
-    events_path = args.events or config.events
-    if not events_path:
+    if not config.events:
         print("error: nothing to classify; pass --events or set events= "
               "in the config", file=sys.stderr)
         return EXIT_VALIDATION
-    events = behavior.load_events(_read_text("--events", events_path))
-    model = _load_model(args, config)
+    events = behavior.load_events(_read_text("--events", config.events))
+    model = _load_model(config)
     for user in behavior.users_in(events):
         features = behavior.extract_features(events, user)
         class_id, dist = behavior.classify(model, features)
@@ -412,18 +402,17 @@ def make_server(point: pdp.DecisionPoint, host: str,
 
 
 def cmd_serve(args, config: Config) -> int:
-    store = _load_store(args, config)
-    rules = _load_rules(args, config)
-    if not rules and (args.prime_scenarios or not args.rules):
+    store = _load_store(config)
+    rules = _load_rules(config)
+    if not rules and (args.prime_scenarios or not config.rules):
         rules = scenarios.load_fixture_rules()
-    model = _load_model(args, config)
-    credentials_path = args.credentials or config.credentials
-    if credentials_path:
+    model = _load_model(config)
+    if config.credentials:
         credentials = pdp.load_credentials(
-            _read_text("--credentials", credentials_path))
+            _read_text("--credentials", config.credentials))
     else:
         credentials = scenarios.load_fixture_credentials()
-    audit_log = pdp.AuditLog(args.audit or config.audit)
+    audit_log = pdp.AuditLog(config.audit)
     point = pdp.DecisionPoint(store, rules, model, credentials, config)
     # Derive what the --facts residents' own facts imply, as authn would.
     for subject in dict.fromkeys(fact.args[0] for fact in store):
@@ -494,7 +483,16 @@ COMMANDS = {
 }
 
 
-def _apply_overrides(config: Config, args) -> Config:
+_INPUT_KEYS = ("facts", "rules", "events", "model", "credentials", "audit")
+
+
+def _settings(args) -> Config:
+    """The run's config: the config file (``--config``, else the
+    ``AALGUARD_CONFIG`` environment variable), then each ``--set KEY=VALUE``,
+    then each input flag given, applied as the key of its name."""
+    path = args.config if args.config is not None else os.environ.get(ENV_VAR)
+    config = Config() if path is None else parse_config(
+        _read_text("--config", path))
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:
@@ -503,6 +501,12 @@ def _apply_overrides(config: Config, args) -> Config:
             apply_key(config, key.strip(), value.strip())
         except ValueError as err:
             raise ConfigError(str(err)) from None
+    for key in _INPUT_KEYS:
+        value = getattr(args, key, None)
+        if key == "rules" and value:
+            value = ",".join(value).strip(", ")  # "" when it names no file
+        if value:
+            apply_key(config, key, value)
     return config.validate()
 
 
@@ -510,12 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            config = load_config(args.config)
-        except UnicodeDecodeError as err:
-            path = args.config or os.environ.get(ENV_VAR)
-            raise InputFileError(f"--config {path}: {err}") from None
-        return COMMANDS[args.command](args, _apply_overrides(config, args))
+        return COMMANDS[args.command](args, _settings(args))
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

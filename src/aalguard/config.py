@@ -1,15 +1,16 @@
 """Flat key=value configuration for the CLI and serving mode.
 
-Lookup order: explicit ``--config`` flag, the ``AALGUARD_CONFIG`` environment
-variable, then built-in defaults.  Individual keys can be overridden per
-invocation with ``--set KEY=VALUE``.  Priority-table entries use dotted keys
-(``priority.cognitive=3``).
+``cli.main`` builds one :class:`Config` per run.  A setting comes from, in
+order of precedence: its input flag (``--facts``, ``--rules``, ``--events``,
+``--model``, ``--credentials``, ``--audit``, each setting the key of its
+name), then ``--set KEY=VALUE``, then the config file (``--config``, else the
+``AALGUARD_CONFIG`` environment variable), then the built-in defaults.
+Priority-table entries use dotted keys (``priority.cognitive=3``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional
 
 from .behavior import DEFAULT_DISTANCE_FLOOR
@@ -108,15 +109,3 @@ def apply_key(config: Config, key: str, value: str) -> None:
     else:
         raise ValueError(f"unknown configuration key {key!r}")
 
-
-def load_config(path: Optional[str] = None) -> Config:
-    """Load configuration from a file, the environment, or defaults."""
-    if path is None:
-        path = os.environ.get(ENV_VAR)
-    if path is None:
-        return Config().validate()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err

@@ -68,7 +68,7 @@ TAG_MEAN = "tag-mean"
 COGNITIVE_GROUP = "Group3"
 EMERGENCY_OBLIGATION = "signal-emergency"
 
-_TIME_RE = re.compile(r"([01]\d|2[0-3])\.[0-5]\d\Z")
+_TIME_RE = re.compile(r"([01][0-9]|2[0-3])\.[0-5][0-9]\Z")
 
 # What a request asserts about its user, by the part of the request it
 # comes from; each context component is asserted under its own predicate and
@@ -387,6 +387,8 @@ def load_credentials(text: str) -> Dict[str, Tuple[str, str]]:
         if len(parts) != 3:
             raise PdpError(f"credentials line {lineno}: expected user:kind:record")
         user, kind, record = parts
+        if not record:
+            raise PdpError(f"credentials line {lineno}: empty record")
         out[user] = (kind, record)
     return out
 

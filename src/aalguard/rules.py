@@ -100,12 +100,6 @@ class Rule:
         self.head = head
         self.id = id
 
-    def variables(self) -> set:
-        out = set()
-        for atom in self.body + self.head:
-            out |= atom.variables()
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Rule)
                 and self.id == other.id

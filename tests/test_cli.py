@@ -270,3 +270,40 @@ def test_an_input_file_that_is_not_utf8_is_an_error_line(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "0xff" in err
     assert err.startswith(f"error: {option} {bad}: ")
+
+
+def test_a_flag_beats_set_and_set_beats_the_config_file(monkeypatch, capsys,
+                                                       tmp_path):
+    paths = []
+    for count in (1, 2, 3):
+        path = tmp_path / f"{count}.kb"
+        path.write_text("".join(f"HasCapability(u{i}, no).\n"
+                                for i in range(count)))
+        paths.append(str(path))
+    config = tmp_path / "guard.conf"
+    config.write_text(f"facts={paths[0]}\n")
+    options = ("--config", str(config))
+    overridden = (*options, "--set", f"facts={paths[1]}")
+    assert run_main(monkeypatch, capsys, *options, "load") \
+        == (0, "facts: 1\n", "")
+    assert run_main(monkeypatch, capsys, *overridden, "load") \
+        == (0, "facts: 2\n", "")
+    assert run_main(monkeypatch, capsys, *overridden, "load",
+                    "--facts", paths[2]) == (0, "facts: 3\n", "")
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_scenario_leaves_the_configured_audit_log_alone(monkeypatch, capsys,
+                                                        tmp_path, source):
+    # A scenario truncates its log, so it writes only where its own --audit
+    # says.
+    log = tmp_path / "serve.log"
+    log.write_text("kept\n")
+    config = tmp_path / "guard.conf"
+    config.write_text(f"audit={log}\n")
+    options = {"config": ("--config", str(config)),
+               "set": ("--set", f"audit={log}")}[source]
+    code, out, err = run_main(monkeypatch, capsys, *options, "scenario", "deaf")
+    assert (code, err) == (0, "")
+    assert log.read_text() == "kept\n"
+

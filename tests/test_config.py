@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
-from aalguard.config import Config, ConfigError, ENV_VAR, load_config, parse_config
+from aalguard import cli
+from aalguard.config import Config, ConfigError, ENV_VAR, parse_config
 
 
 def test_defaults_are_valid():
@@ -56,14 +59,22 @@ def test_negative_priority_rejected():
         parse_config("priority.visual=-1\n")
 
 
-def test_env_var_selects_config(tmp_path, monkeypatch):
+def test_env_var_selects_config(tmp_path, monkeypatch, capsys):
+    events = Path(cli.__file__).parent / "fixtures" / "streams" / "events_u1.csv"
     path = tmp_path / "guard.conf"
-    path.write_text("trust_threshold=0.25\n")
+    path.write_text(f"events={events}\ntrust_threshold=0.25\n")
     monkeypatch.setenv(ENV_VAR, str(path))
-    assert load_config().trust_threshold == 0.25
+    assert cli._settings(cli.build_parser().parse_args(
+        ["classify"])).trust_threshold == 0.25
+    assert cli.main(["classify"]) == 0
+    assert capsys.readouterr().out.startswith("u1: class=")
 
 
-def test_missing_config_file_is_error(monkeypatch):
+def test_missing_config_file_is_error(monkeypatch, capsys):
+    # An unreadable config is an I/O error, as every other input file is.
     monkeypatch.delenv(ENV_VAR, raising=False)
-    with pytest.raises(ConfigError):
-        load_config("no/such/file.conf")
+    assert cli.main(["--config", "no/such/file.conf", "scenario", "deaf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no/such/file.conf" in err

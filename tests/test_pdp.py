@@ -1809,3 +1809,10 @@ def test_load_credentials_parses_lines():
 def test_load_credentials_rejects_bad_line():
     with pytest.raises(PdpError):
         load_credentials("u1=password\n")
+
+
+def test_load_credentials_refuses_an_empty_record():
+    # An empty tag record would accept an empty presented tag.
+    with pytest.raises(PdpError) as caught:
+        load_credentials("u1:password:salt$abc\nu3:tag:\n")
+    assert str(caught.value) == "credentials line 2: empty record"

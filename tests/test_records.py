@@ -105,6 +105,16 @@ def test_variables_credentials_and_conflicts_compare_by_their_fields():
      "context location must be a string"),
     (lambda: AuthzRequest("u1", "s", context={"time": "24.00"}), PdpError,
      "context time must be HH.MM from 00.00 to 23.59, got '24.00'"),
+    # HH.MM digits are ASCII; other Unicode digits are not a time.
+    pytest.param(lambda: AuthzRequest("u1", "s", context={"time": "1\u0669.00"}),
+                 PdpError, "context time must be HH.MM from 00.00 to 23.59, "
+                 "got '1\u0669.00'", id="time-arabic-indic-digit"),
+    pytest.param(lambda: AuthzRequest("u1", "s", context={"time": "1\uff12.00"}),
+                 PdpError, "context time must be HH.MM from 00.00 to 23.59, "
+                 "got '1\uff12.00'", id="time-fullwidth-digit"),
+    pytest.param(lambda: AuthzRequest("u1", "s", context={"time": "10.5\u0967"}),
+                 PdpError, "context time must be HH.MM from 00.00 to 23.59, "
+                 "got '10.5\u0967'", id="time-devanagari-minute-digit"),
     pytest.param(lambda: AuthnRequest(1, None), PdpError,
                  "user must be a string", id="authn-user-must-be-a-string"),
     (lambda: Credential("password", 7), PdpError,

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aalguard import cli, engine, pdp, scenarios
-from aalguard.config import Config
+from aalguard.config import ENV_VAR, Config
 from aalguard.facts import (Fact, FactStore, coerce_constant, load_facts,
                             save_facts)
 from perfbench import gen, oracle
@@ -659,17 +660,47 @@ def test_priming_lets_no_derived_authenticated_past_the_gate(tmp_path,
     assert authenticated["rows"] == []
 
 
-def serve_main(monkeypatch, args, requests) -> list:
-    """The replies of ``serve --listen -`` with ``args`` to ``requests``."""
+def serve_main(monkeypatch, args, requests, options=()) -> list:
+    """The replies of ``serve --listen -`` with ``args`` to ``requests``;
+    ``options`` go before the command."""
     out = io.BytesIO()
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
         "".join(json.dumps(r) + "\n" for r in requests).encode("utf-8"))))
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
-    assert cli.main(["serve", "--listen", "-", *args]) == cli.EXIT_OK
+    assert cli.main([*options, "serve", "--listen", "-", *args]) \
+        == cli.EXIT_OK
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 HELD_FACTS = 'HasCapability(u1, "hearing").\nHasRecognizedBehavior(u1, class1).\n'
+
+
+@pytest.mark.parametrize("options, args, groups", [
+    ([], ["--rules", "{empty}"], []),
+    (["--set", "rules={empty}"], [], []),
+    (["--config", "{config}"], [], []),
+    ([], ["--rules", ""], [{"g": "Group1"}]),
+    ([], [], [{"g": "Group1"}])],
+    ids=["flag", "set", "config", "flag-naming-no-file", "no-rules"])
+def test_a_named_rule_file_is_served_however_it_is_named(
+        tmp_path, monkeypatch, options, args, groups):
+    # A rule file with no rules serves no rules whether the flag, --set or
+    # the config file names it; the fixture policy stands in only when no
+    # rule file is named.
+    deaf = Path(cli.__file__).parent / "fixtures" / "scenarios" / "deaf"
+    facts = tmp_path / "f.kb"
+    facts.write_text((deaf / "facts.kb").read_text(encoding="utf-8")
+                     + "HasRecognizedBehavior(u1, class1).\n", encoding="utf-8")
+    empty = tmp_path / "empty.swl"
+    empty.write_text("# no rules\n", encoding="utf-8")
+    config = tmp_path / "guard.conf"
+    config.write_text(f"rules={empty}\n", encoding="utf-8")
+    options, args = ([a.format(empty=empty, config=config) for a in argv]
+                     for argv in (options, args))
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    query = {"op": "query", "q": "SELECT ?g WHERE { BehaviorCapability(u1, ?g) }"}
+    assert serve_main(monkeypatch, ["--facts", str(facts), *args], [query],
+                      options=options) == [{"ok": True, "rows": groups}]
 
 
 @pytest.mark.parametrize("facts, authn", [
