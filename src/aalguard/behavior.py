@@ -18,7 +18,9 @@ import io
 import math
 import sys
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 IDLE_ACTIVITY = "none"
 
@@ -117,9 +119,11 @@ class EventLog:
     ``[sum, count]`` per key, the sum added up in stream order.  The features
     read that state, so no stream is walked twice and the state does not
     grow with the events read; beyond it the log keeps only the count of
-    events folded.  ``EventLog(events)`` folds any iterable of events and
-    raises ``OrderingError`` when one user's timestamps go backwards, and
-    ``OverflowError`` when one lies over ``MAX_GAP`` after its run's start.
+    events folded.  ``EventLog(events)`` folds any iterable of events, each
+    timestamp read through ``int``, in the loop :func:`load_events` folds
+    CSV rows in, and raises ``OrderingError`` when one user's timestamps go
+    backwards, and ``OverflowError`` when one lies over ``MAX_GAP`` after
+    its run's start.
     """
 
     __slots__ = ("_folds", "_rows")
@@ -127,57 +131,81 @@ class EventLog:
     def __init__(self, events: Iterable[SensorEvent] = ()):
         self._folds: Dict[str, list] = {}
         self._rows = 0
-        backwards = self._fold(events)
+        backwards = self._fold(map(itemgetter(1, 0, 2, 3), events), tuple)
         if backwards is not None:
             user, timestamp, last = backwards
             raise OrderingError(f"{user}: timestamp {timestamp} after {last}")
 
-    def _fold(self, rows: Iterable[Tuple[str, int, str, str]]
+    def _fold(self, rows: Iterable, clean: Callable
               ) -> Optional[Tuple[str, int, int]]:
-        """Fold ``(user, timestamp, location, activity)`` rows in order.
+        """Fold ``(timestamp, user, location, activity)`` rows in order.
 
-        Stops at the first row that goes back in time in its user's stream
-        and returns ``(user, timestamp, last)`` for it; None when all fold.
+        A row's state is found by its raw user cell, and a location or
+        activity cell that differs from the state's is looked up in
+        ``shared``, so a padded repeat is no change.  A row with a text not
+        seen before, or that does not read as it stands, goes to ``clean``
+        for its clean cells (None skips it), each text then mapped to one
+        object per clean text.  Returns ``(user, timestamp, last)`` for the
+        first row that goes back in time in its user's stream, else None.
         A room change adds its duration to ``moves[(from, to)]``; the end of
-        a run of one non-idle activity adds the run's length to
-        ``holds[activity]``.  The run still open stays in the state.  A sum
-        starts as the float of its first duration and adds the later ones
-        as ints, which rounds as adding their floats does (``MAX_GAP``
-        keeps each in float range).
+        a run of one non-idle activity adds its length to ``holds[activity]``
+        and the open run stays in the state.  A sum starts as the float of
+        its first duration and adds the later ones as ints, which rounds as
+        adding their floats does (``MAX_GAP`` keeps each in float range).
         """
         folds = self._folds
+        states: Dict[str, list] = {}  # each user cell text -> its state
+        shared: Dict[str, str] = {}  # each cell text -> its clean text
         count = 0
-        for count, (user, timestamp, location, activity) in enumerate(rows, 1):
-            state = folds.get(user)
-            if state is None:
+        for row in rows:
+            try:
+                raw_ts, user, location, activity = row
+                timestamp = int(raw_ts)
+                state = states[user]
+                room, current = state[1], state[2]
+                location = room if location == room else shared[location]
+                activity = current if activity == current else shared[activity]
+            except (ValueError, KeyError):  # a new cell text, or a bad row
+                cells = clean(row)
+                if cells is None:
+                    continue
+                timestamp = int(cells[0])
+                for raw, cell in zip(row[1:], cells[1:]):
+                    shared[raw] = shared.setdefault(cell, cell)
+                user, location, activity = map(shared.get, cells[1:])
                 # [last, room, current, start, moves, holds]
-                folds[user] = [timestamp, location, activity, timestamp, {}, {}]
-            else:
-                last, room, current, start, moves, holds = state
-                if timestamp < last:
-                    return user, timestamp, last
-                if timestamp - start > MAX_GAP:
-                    raise OverflowError(
-                        f"events for {user} span a gap beyond float range")
-                if location != room:
-                    total = moves.get((room, location))
+                state = folds.setdefault(user, [timestamp, location, activity,
+                                                timestamp, {}, {}])
+                states[row[1]] = state
+                room, current = state[1], state[2]
+            last = state[0]
+            if timestamp < last:
+                return shared[user], timestamp, last
+            if timestamp - state[3] > MAX_GAP:
+                raise OverflowError(
+                    f"events for {shared[user]} span a gap beyond float range")
+            if location is not room:
+                moves = state[4]
+                total = moves.get((room, location))
+                if total is None:
+                    moves[room, location] = [float(timestamp - last), 1]
+                else:
+                    total[0] += timestamp - last
+                    total[1] += 1
+                state[1] = location
+            if activity is not current:
+                if current != IDLE_ACTIVITY:
+                    start, holds = state[3], state[5]
+                    total = holds.get(current)
                     if total is None:
-                        moves[room, location] = [float(timestamp - last), 1]
+                        holds[current] = [float(last - start), 1]
                     else:
-                        total[0] += timestamp - last
+                        total[0] += last - start
                         total[1] += 1
-                    state[1] = location
-                if activity != current:
-                    if current != IDLE_ACTIVITY:
-                        total = holds.get(current)
-                        if total is None:
-                            holds[current] = [float(last - start), 1]
-                        else:
-                            total[0] += last - start
-                            total[1] += 1
-                    state[2] = activity
-                    state[3] = timestamp
-                state[0] = timestamp
+                state[2] = activity
+                state[3] = timestamp
+            state[0] = timestamp
+            count += 1
         self._rows = count
         return None
 
@@ -299,9 +327,10 @@ def _event_slices(text: str) -> Iterator[str]:
 def load_events(text: str) -> EventLog:
     """Read event CSV text into an :class:`EventLog`, folding as it reads.
 
-    Each row goes into its user's running state as it is parsed, with no
-    ``SensorEvent`` and nothing else kept per row; the user, location and
-    activity cells share one string object per distinct text.  The CSV
+    One loop folds each row the CSV reader yields straight into its user's
+    running state (:meth:`EventLog._fold`), with no ``SensorEvent``, no
+    per-row tuple and nothing kept per row; the user, location and activity
+    cells share one string object per distinct stripped text.  The CSV
     reader sees the text one bounded slice at a time (:func:`_event_slices`).
     Blank rows are skipped and cells are stripped.  A bad header, a row that
     is not four fields, a timestamp that is not an integer, a user whose
@@ -312,23 +341,6 @@ def load_events(text: str) -> EventLog:
     """
     reader = csv.reader(chain.from_iterable(map(io.StringIO,
                                                 _event_slices(text))))
-
-    def rows() -> Iterator[Tuple[str, int, str, str]]:
-        # Each cell text, raw or stripped, maps to its stripped text: one
-        # string object per distinct stripped text.  ``int`` ignores the
-        # padding a timestamp may carry.
-        shared: Dict[str, str] = {}
-        for row in reader:
-            try:
-                raw_ts, user, location, activity = row
-                event = (shared[user], int(raw_ts), shared[location],
-                         shared[activity])
-            except (ValueError, KeyError):  # a new cell text, or a bad row
-                event = _event(row, shared, reader.line_num)
-                if event is None:
-                    continue
-            yield event
-
     try:
         header = next(reader, None)
         if header is None:
@@ -339,7 +351,7 @@ def load_events(text: str) -> EventLog:
                 f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}",
                 1)
         log = EventLog()
-        backwards = log._fold(rows())
+        backwards = log._fold(reader, lambda r: _cells(r, reader.line_num))
     except (csv.Error, OverflowError) as err:
         raise EventFormatError(str(err), reader.line_num) from None
     if backwards is not None:
@@ -350,22 +362,18 @@ def load_events(text: str) -> EventLog:
     return log
 
 
-def _event(row: List[str], shared: Dict[str, str], lineno: int
-           ) -> Optional[Tuple[str, int, str, str]]:
-    """A row's event with its cells stripped and shared; None if all blank."""
+def _cells(row: List[str], lineno: int) -> Optional[List[str]]:
+    """A row's stripped cells, its timestamp checked; None if all blank."""
     cells = [cell.strip() for cell in row]
     if not any(cells):
         return None
     if len(cells) != 4:
         raise EventFormatError(f"expected 4 fields, got {len(cells)}", lineno)
-    raw_ts = cells[0]
     try:
-        timestamp = int(raw_ts)
+        int(cells[0])
     except ValueError:
-        raise EventFormatError(f"bad timestamp {raw_ts!r}", lineno) from None
-    for raw, cell in zip(row[1:], cells[1:]):
-        shared[raw] = shared.setdefault(cell, cell)
-    return shared[row[1]], timestamp, shared[row[2]], shared[row[3]]
+        raise EventFormatError(f"bad timestamp {cells[0]!r}", lineno) from None
+    return cells
 
 
 def users_in(events) -> List[str]:

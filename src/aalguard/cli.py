@@ -490,9 +490,10 @@ def _settings(args) -> Config:
     """The run's config: the config file (``--config``, else the
     ``AALGUARD_CONFIG`` environment variable), then each ``--set KEY=VALUE``,
     then each input flag given, applied as the key of its name."""
-    path = args.config if args.config is not None else os.environ.get(ENV_VAR)
+    option, path = (("--config", args.config) if args.config is not None
+                    else (ENV_VAR, os.environ.get(ENV_VAR)))
     config = Config() if path is None else parse_config(
-        _read_text("--config", path))
+        _read_text(option, path))
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -531,6 +532,54 @@ def test_loaded_events_share_one_string_per_distinct_cell_text():
         cells += list(holds)
     # Three users, two rooms, and three activities with the idle one.
     assert len({id(cell) for cell in cells}) == len(set(cells)) == 8
+
+
+def test_a_padded_cell_is_its_stripped_text_wherever_it_is_first_seen():
+    # " u1 " and "kitchen " repeat u1's user and room cells in another raw
+    # text: the same resident and no room change.  "u2 " and " u2" are new
+    # raw texts of a user already known: they join u2's state.
+    text = HEADER + ("0,u1,kitchen,cooking\n5,u2,hall,none\n"
+                     "10, u1 ,kitchen ,cooking\n20,u1,bath,none\n"
+                     "30,u2 ,hall,tv\n40, u2,bath , tv\n")
+    log = load_events(text)
+    _, streams = reference_load_events(text)
+    assert len(log) == 6 and users_in(log) == list(streams) == ["u1", "u2"]
+    for user, entries in (("u1", {"move:kitchen->bath": 10.0,
+                                  "hold:cooking": 10.0}),
+                          ("u2", {"move:hall->bath": 10.0, "hold:tv": 10.0})):
+        assert extract_features(log, user) == FeatureVector(entries)
+        assert_folded(extract_features(log, user),
+                      *reference_durations(streams[user]))
+
+
+def _python_calls_to_load(text):
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        load_events(text)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_loading_makes_no_python_call_per_row(monkeypatch):
+    # The same three users, rooms and activities at both sizes, each first
+    # seen in the same rows.  One event slice holds either text, so the
+    # slice generator resumes as often at both.
+    def text(rows):
+        return HEADER + "".join(f"{t},u{t % 3},{ROOMS[t // 3 % 3]},"
+                                f"{ACTIVITIES[t // 2 % 3]}\n"
+                                for t in range(rows))
+
+    monkeypatch.setattr(behavior, "EVENT_SLICE", 1 << 20)
+    small, large = text(1_000), text(10_000)
+    assert len(large) < behavior.EVENT_SLICE
+    assert _python_calls_to_load(small) == _python_calls_to_load(large)
 
 
 # ---------------------------------------------------------------------------

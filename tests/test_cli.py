@@ -272,6 +272,18 @@ def test_an_input_file_that_is_not_utf8_is_an_error_line(
     assert err.startswith(f"error: {option} {bad}: ")
 
 
+def test_a_config_file_the_environment_names_is_reported_by_its_variable(
+        monkeypatch, capsys, tmp_path):
+    bad = tmp_path / "bad.conf"
+    bad.write_bytes(b"trust_threshold = 0.5\n\xff\n")
+    monkeypatch.setenv(ENV_VAR, str(bad))
+    code = cli.main(["load"])
+    out, err = capsys.readouterr()
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"error: {ENV_VAR} {bad}: 'utf-8' codec ")
+    assert "--config" not in err
+
+
 def test_a_flag_beats_set_and_set_beats_the_config_file(monkeypatch, capsys,
                                                        tmp_path):
     paths = []
