@@ -17,7 +17,7 @@ import csv
 import io
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
@@ -311,6 +311,11 @@ def trust_at(model: BehaviorModel, d: float) -> float:
 
 EVENT_SLICE = 1 << 16  # characters of event text read at a time
 
+# A text holding none of these characters splits into the cells the CSV
+# reader gives by cutting it at each "\n" and then at each ",".  The reader
+# before Python 3.11 refuses a NUL.
+_CSV_ONLY = '"\r' if sys.version_info >= (3, 11) else '"\r\0'
+
 
 def _event_slices(text: str) -> Iterator[str]:
     """``text`` in pieces of about ``EVENT_SLICE`` characters, each cut just
@@ -324,25 +329,52 @@ def _event_slices(text: str) -> Iterator[str]:
         start = stop
 
 
+def _split_rows(piece: str) -> Iterator[List[str]]:
+    """The rows of a piece of text holding none of ``_CSV_ONLY``, each line
+    split at ",".  Raises ``csv.Error`` where a line is longer than
+    ``csv.field_size_limit()``: it may hold a cell the CSV reader refuses."""
+    lines = piece.split("\n")
+    limit = csv.field_size_limit()
+    if len(piece) > limit and max(map(len, lines)) > limit:
+        raise csv.Error(f"field larger than field limit ({limit})")
+    return map(str.split, lines, repeat(","))
+
+
 def load_events(text: str) -> EventLog:
     """Read event CSV text into an :class:`EventLog`, folding as it reads.
 
-    One loop folds each row the CSV reader yields straight into its user's
-    running state (:meth:`EventLog._fold`), with no ``SensorEvent``, no
-    per-row tuple and nothing kept per row; the user, location and activity
-    cells share one string object per distinct stripped text.  The CSV
-    reader sees the text one bounded slice at a time (:func:`_event_slices`).
-    Blank rows are skipped and cells are stripped.  A bad header, a row that
-    is not four fields, a timestamp that is not an integer, a user whose
-    timestamps go backwards, or text the CSV reader refuses (such as a bare
-    carriage return inside an unquoted cell) raises ``EventFormatError``
-    with the last physical line of its row, as does a row more than
-    ``MAX_GAP`` after its user's run start.
+    One loop folds each row straight into its user's running state
+    (:meth:`EventLog._fold`), with no ``SensorEvent``, no per-row tuple and
+    nothing kept per row; the user, location and activity cells share one
+    string object per distinct stripped text.  The rows come from one
+    bounded slice of the text at a time (:func:`_event_slices`).  A text
+    with none of ``_CSV_ONLY`` (no quote and no carriage return) is cut
+    into rows by ``str.split``, which gives the CSV reader's cells.  The CSV
+    reader reads any other text, and reads again a text whose split rows
+    fail, so it reports every error.  Blank rows are skipped and cells are
+    stripped.  A bad header, a row that is not four fields, a timestamp that
+    is not an integer, a user whose timestamps go backwards, or text the CSV
+    reader refuses (such as a bare carriage return inside an unquoted cell)
+    raises ``EventFormatError`` with the last physical line of its row, as
+    does a row more than ``MAX_GAP`` after its user's run start.
     """
+    if not any(map(text.__contains__, _CSV_ONLY)):
+        rows = chain.from_iterable(map(_split_rows, _event_slices(text)))
+        try:
+            return _fold_events(rows, lambda: 0)
+        except EventFormatError:  # read again below, to report at its line
+            pass
     reader = csv.reader(chain.from_iterable(map(io.StringIO,
                                                 _event_slices(text))))
+    return _fold_events(reader, lambda: reader.line_num)
+
+
+def _fold_events(rows: Iterator[List[str]], line: Callable[[], int]
+                 ) -> EventLog:
+    """Check the header row of ``rows`` and fold the rest into a new log;
+    ``line()`` is the line an error is reported at."""
     try:
-        header = next(reader, None)
+        header = next(rows, None)
         if header is None:
             raise EventFormatError("missing header", 1)
         header = [cell.strip() for cell in header]
@@ -351,14 +383,13 @@ def load_events(text: str) -> EventLog:
                 f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}",
                 1)
         log = EventLog()
-        backwards = log._fold(reader, lambda r: _cells(r, reader.line_num))
+        backwards = log._fold(rows, lambda r: _cells(r, line()))
     except (csv.Error, OverflowError) as err:
-        raise EventFormatError(str(err), reader.line_num) from None
+        raise EventFormatError(str(err), line()) from None
     if backwards is not None:
         user, timestamp, _ = backwards
         raise EventFormatError(
-            f"events for {user} not sorted (timestamp {timestamp})",
-            reader.line_num)
+            f"events for {user} not sorted (timestamp {timestamp})", line())
     return log
 
 

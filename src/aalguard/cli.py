@@ -100,10 +100,11 @@ class InputFileError(ValueError):
 
 
 def _read_text(option: str, path) -> str:
-    """The text of the input file ``path`` given by ``option``; a file that
-    does not decode as UTF-8 is an :class:`InputFileError` naming both."""
+    """The text of the input file ``path`` given by ``option``, less a
+    leading byte-order mark; a file that does not decode as UTF-8 is an
+    :class:`InputFileError` naming both."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as err:
         raise InputFileError(f"{option} {path}: {err}") from None

@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 import random
 import sys
@@ -594,11 +595,22 @@ def _padded(draw, text):
 
 @st.composite
 def event_csv_texts(draw):
-    """Event CSV text with padding, blank and sparse rows, quoted cells (some
-    spanning lines), bad rows, and cells the CSV reader refuses."""
-    ordered, faults = draw(st.booleans()), draw(st.booleans())
-    kinds = ["event"] * 8 + ["sparse"] + (["short", "long", "timestamp",
-                                           "return"] if faults else [])
+    """Event CSV text with padding, blank and sparse rows, NUL and quoted
+    cells (some spanning lines), bad rows, and cells the CSV reader refuses.
+    A plain text holds no quote and no carriage return, so every fault but
+    the bare carriage return meets the split reader as well."""
+    ordered, faults, plain = (draw(st.booleans()) for _ in range(3))
+    kinds = ["event"] * 8 + ["sparse"] + (["short", "long", "timestamp"]
+                                          if faults else [])
+    if faults and not plain:
+        kinds.append("return")
+    rooms = ROOMS + ["kit\0chen"]
+    activities = ACTIVITIES + ["  "]
+    extras = ["extra", ""]
+    if not plain:
+        rooms += ['" living room "', '"hall,east"', '"living\nroom"']
+        activities += ['"tv, news"', '""', '"tv\r\nnews\n"']
+        extras.append('"a,b"')
     clock = {}
     lines = [_padded(draw, "timestamp") + "," + _padded(draw, "user") +
              ",location," + _padded(draw, "activity")]
@@ -617,20 +629,17 @@ def event_csv_texts(draw):
             raw_ts = str(draw(st.integers(0, 60)))
         if kind == "timestamp":
             raw_ts = draw(st.sampled_from(["1.5", "x", "", "1e3", "0x10"]))
-        cells = [raw_ts, user,
-                 draw(st.sampled_from(ROOMS + ['" living room "', '"hall,east"',
-                                               '"living\nroom"'])),
-                 draw(st.sampled_from(ACTIVITIES + ['"tv, news"', '""', "  ",
-                                                    '"tv\r\nnews\n"']))]
+        cells = [raw_ts, user, draw(st.sampled_from(rooms)),
+                 draw(st.sampled_from(activities))]
         if kind == "return":  # a bare carriage return in an unquoted cell
             cells[draw(st.integers(1, 3))] = draw(st.sampled_from(
                 ["kit\rchen", "\rhall", "u1\r"]))
         elif kind == "short":
             del cells[draw(st.integers(0, 3))]
         elif kind == "long":
-            cells.append(draw(st.sampled_from(["extra", "", '"a,b"'])))
+            cells.append(draw(st.sampled_from(extras)))
         lines.append(",".join(_padded(draw, cell) for cell in cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
@@ -657,6 +666,58 @@ def test_loader_matches_the_row_list_oracle(text, size):
         for user in streams:
             assert extract_features(got, user) == extract_features(
                 [SensorEvent(*row) for row in streams[user]], user)
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_csv_texts(), st.integers(1, 40),
+       st.integers(0, 40) | st.just(behavior.EVENT_SLICE))
+def test_a_cell_over_the_field_size_limit_is_refused_as_the_oracle_does(
+        text, limit, size):
+    # Most texts have a line over a limit this low.  The CSV reader refuses
+    # a text where a cell of it is over too, and loads one where none is.
+    old = csv.field_size_limit(limit)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(behavior, "EVENT_SLICE", size)
+            got, got_error = _outcome(load_events, text)
+        want, want_error = _outcome(reference_load_events, text)
+    finally:
+        csv.field_size_limit(old)
+    assert got_error == want_error
+    if want is not None:
+        assert len(got) == len(want[0]) and users_in(got) == list(want[1])
+
+
+@pytest.mark.parametrize("text, readers, line", [
+    (HEADER + "100,u1,kitchen,none\n\n110,u2,hall,tv", 0, None),
+    (HEADER + '100,"u1",kitchen,none\n', 1, None),
+    (HEADER.replace("\n", "\r\n") + "100,u1,kitchen,none\r\n", 1, None),
+    (HEADER + "100,u1,kitchen,none\n110,u1,hall\n", 1, 3),
+    (HEADER + "100,u1,kitchen,none\n\nx1,u1,hall,none\n", 1, 4),
+    (HEADER + "100,u1,kitchen,none\n50,u2,hall,none\n90,u1,hall,none\n", 1,
+     4),
+    ("timestamp,user,place,activity\n100,u1,kitchen,none\n", 1, 1),
+], ids=["plain", "quote", "crlf", "short-row", "bad-timestamp", "backwards",
+        "bad-header"])
+def test_the_csv_reader_reads_only_quoted_text_and_refused_rows(
+        text, readers, line):
+    # A refused row is read again by the CSV reader, which reports it.
+    made, reader = [0], csv.reader
+
+    def counting(*args):
+        made[0] += 1
+        return reader(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csv, "reader", counting)
+        got, got_error = _outcome(load_events, text)
+    assert made[0] == readers
+    want, want_error = _outcome(reference_load_events, text)
+    assert got_error == want_error
+    if line is None:
+        assert want_error is None and len(got) == len(want[0])
+    else:
+        assert want_error[2] == line
 
 
 # ---------------------------------------------------------------------------

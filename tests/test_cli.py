@@ -272,6 +272,21 @@ def test_an_input_file_that_is_not_utf8_is_an_error_line(
     assert err.startswith(f"error: {option} {bad}: ")
 
 
+@pytest.mark.parametrize("command, option, path", [
+    ("classify", "--events", FIXTURES / "streams" / "events_u1.csv"),
+    ("load", "--facts", DATA_DIR / "behavioral.kb"),
+], ids=["events", "facts"])
+def test_an_input_file_with_a_byte_order_mark_reads_as_without_one(
+        monkeypatch, capsys, tmp_path, command, option, path):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark in front.
+    marked = tmp_path / path.name
+    marked.write_text("\ufeff" + path.read_text(encoding="utf-8"),
+                      encoding="utf-8")
+    plain = run_main(monkeypatch, capsys, command, option, str(path))
+    assert plain[0] == 0 and plain[1]
+    assert run_main(monkeypatch, capsys, command, option, str(marked)) == plain
+
+
 def test_a_config_file_the_environment_names_is_reported_by_its_variable(
         monkeypatch, capsys, tmp_path):
     bad = tmp_path / "bad.conf"
