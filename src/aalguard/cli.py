@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class InputFileError(ValueError):
-    """An input file is not UTF-8 text."""
+    """An input file is not UTF-8 text, or repeats a rule id of another."""
 
 
 def _read_text(option: str, path) -> str:
@@ -111,8 +111,18 @@ def _read_text(option: str, path) -> str:
 
 
 def _load_rules(config: Config) -> list:
-    return [rule for path in config.rules
-            for rule in rules.parse_ruleset(_read_text("--rules", path))]
+    """The rules of each ``--rules`` file in turn.  A rule id an earlier
+    file holds is refused, as a file's own repeated id is: a rationale
+    names a rule by its id."""
+    loaded, files = [], {}
+    for path in config.rules:
+        for rule in rules.parse_ruleset(_read_text("--rules", path)):
+            if rule.id in files:
+                raise InputFileError(f"--rules {path}: rule id {rule.id!r} "
+                                     f"is also in {files[rule.id]}")
+            files[rule.id] = path
+            loaded.append(rule)
+    return loaded
 
 
 def _load_store(config: Config) -> FactStore:
@@ -420,7 +430,7 @@ def cmd_serve(args, config: Config) -> int:
         pdp.rederive(point, subject)
     if args.prime_scenarios:
         scenarios.prime_store(point)
-    point.audit_log = audit_log  # neither of those writes an audit entry
+    point.audit_log = audit_log  # so neither of those writes to it
 
     try:
         with _stop_signals():

@@ -31,15 +31,16 @@ recognizes the class and outcome the store holds writes nothing.
 while that same version stays, and holds one decision per set of the
 user's ``Authenticated`` facts and request facts some rule can read, valid
 while each group it read keeps its version.  A request's facts are keyed
-from its text, so a hit reads keys and builds no fact, and the request
-history gains only the facts the store does not hold asserted.
+from its text; the request history gains only the facts the store does not
+hold asserted, before the decision, so a hit reads keys and a miss reads
+the request facts from the store by key: neither builds one.
 
 Decision combining is conservative: any deny wins over any permit, and a
 request nothing rules on is denied (closed world).  Obligations,
 recommendations and rationale come in policy order: asserted facts first,
 then by the rule that derived them.  Every authentication and
-authorization, and every flagged anomaly, appends one entry to an append-only
-audit log.
+authorization, and every flagged anomaly, appends one entry to the point's
+append-only audit log, a memory-only one unless the point is given another.
 """
 
 from __future__ import annotations
@@ -389,6 +390,8 @@ def load_credentials(text: str) -> Dict[str, Tuple[str, str]]:
         user, kind, record = parts
         if not record:
             raise PdpError(f"credentials line {lineno}: empty record")
+        if user in out:
+            raise PdpError(f"credentials line {lineno}: duplicate user {user!r}")
         out[user] = (kind, record)
     return out
 
@@ -465,7 +468,8 @@ def _verify_credential(mean: str, credential: Optional[Credential],
 class DecisionPoint:
     """One decision point: a store, the policy its rules compile to once
     (:func:`compile_policy`), the behavior model, the credentials, a
-    :class:`Config` and an optional audit log, which :func:`authenticate`,
+    :class:`Config` and an audit log (a memory-only :class:`AuditLog`
+    when none is given), which :func:`authenticate`,
     :func:`authorize`, :func:`rederive` and :func:`flag_anomaly` read; and
     what those remember about the store, by subject key.
 
@@ -488,7 +492,7 @@ class DecisionPoint:
         self.model = model
         self.credentials = credentials
         self.config = Config() if config is None else config
-        self.audit_log = audit_log
+        self.audit_log = AuditLog() if audit_log is None else audit_log
         self.derived: dict = {}
         self.decisions: dict = {}
         self.hits = self.misses = self.skips = 0
@@ -597,11 +601,10 @@ def authenticate(req: AuthnRequest, point: DecisionPoint) -> AuthnResult:
     answer = "yes" if verified else "no"
     _keep_only(store, "Authenticated", subject, _YES if verified else _NO)
 
-    if point.audit_log is not None:
-        detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"
-        if reason:
-            detail += f" reason={reason}"
-        point.audit_log.append("authn", req.user, answer, detail)
+    detail = f"mean={mean} class={behavior_class} trust={trust:.3f}"
+    if reason:
+        detail += f" reason={reason}"
+    point.audit_log.append("authn", req.user, answer, detail)
     return AuthnResult(authenticated=answer, mean_used=mean, trust=trust,
                        behavior_class=behavior_class, reason=reason)
 
@@ -711,12 +714,13 @@ def _collect(store: FactStore, subjects: set, policy: Policy) -> tuple:
             tuple(recommendations), tuple(rationale))
 
 
-def _decide(point: DecisionPoint, subject: Constant, request: List[tuple],
-            constants: dict, built: dict) -> tuple:
+def _decide(point: DecisionPoint, subject: Constant,
+            request: List[tuple]) -> tuple:
     """``(effect, obligations, recommendations, rationale)`` for the
     request of ``request``, its :func:`_request_keys`, by ``subject``, from
-    the point's memo when nothing the decision read has changed.  The memo
-    is looked up by keys alone: a hit builds no fact.
+    the point's memo when nothing the decision read has changed.  The
+    request's facts are in the store already, as history (:func:`authorize`
+    files them first), so the decision reads them by key and builds none.
 
     Inference runs over one working store: the subject's partition less
     request history, plus the request facts some body atom can match
@@ -732,25 +736,22 @@ def _decide(point: DecisionPoint, subject: Constant, request: List[tuple],
     (:meth:`FactStore.version`, the one :func:`rederive` records) stays,
     and its entry for the set of the subject's ``Authenticated`` fact keys
     and readable request-fact keys holds while each group's version does.
-    A request that some atom reads through a variable is not memoized, so
-    a slot holds at most one entry per set of the policy's constants and
-    ``Authenticated`` facts.  Only a miss builds the readable request
-    facts, for its working store, with ``constants``
-    (:func:`_request_fact`), and files each in ``built`` by key, so the
-    caller builds none again."""
+    Filing history moves none of those versions.  A request that some atom
+    reads through a variable is not memoized, so a slot holds at most one
+    entry per set of the policy's constants and ``Authenticated`` facts."""
     store, policy = point.store, point.policy
     version = store.version(subject, _UNDERIVED_PREDICATES)
     slot = point.decisions.get(subject.key())
     if slot is None or slot[0] != version:
         slot = point.decisions[subject.key()] = (version, {})
     readable, memoized = [], True
-    for entry in request:
-        read = policy.reads(entry[2])
+    for _, _, key in request:
+        read = policy.reads(key)
         if read is not None:
-            readable.append(entry)
+            readable.append(key)
             memoized = memoized and not read
     if memoized:
-        entry_key = frozenset([key for _, _, key in readable] + [
+        entry_key = frozenset(readable + [
             fact.key() for fact in
             store.probe("authenticated", ((0, subject.key()),))])
         entry = slot[1].get(entry_key)
@@ -761,9 +762,8 @@ def _decide(point: DecisionPoint, subject: Constant, request: List[tuple],
     point.misses += 1
 
     work = store.partition(subject, _HISTORY_PREDICATES)
-    for entry in readable:
-        fact = built[entry[2]] = _request_fact(subject, entry, constants)
-        work.assert_fact(fact)
+    for key in readable:
+        work.assert_fact(store.by_key(key))
     infer_fixpoint(work, policy)
     groups = groups_of(work, subject)
     size = len(work)
@@ -785,44 +785,38 @@ def _decide(point: DecisionPoint, subject: Constant, request: List[tuple],
 def authorize(req: AuthzRequest, point: DecisionPoint) -> Decision:
     """Evaluate an access request against the point's policy.
 
-    Only an asserted ``Authenticated(user, yes)`` passes the gate; a user
-    it stops is denied as ``not-authenticated``.  Past it, the decision is
-    :func:`_decide`'s.  The live store gains only the request facts, as
-    history: each one it does not hold asserted is asserted, built unless
-    the decision built it already.  The gate, the priority (from the
-    config's ``priority_table``), the audit entry and the history are done
-    on every request.
+    One path to one exit: the gate, then the history, then the decision,
+    then one audit entry.  Only an asserted ``Authenticated(user, yes)``
+    passes the gate; a user it stops is denied as ``not-authenticated``,
+    and the store is left as it is.  Past it, the live store gains the
+    request facts as history, each one it does not hold asserted, and the
+    decision is :func:`_decide`'s, which reads them there.  The priority
+    comes from the config's ``priority_table`` on every request.
     """
-    store, audit_log = point.store, point.audit_log
+    store = point.store
     subject = coerce_constant(req.user)
-    priority = _priority_for(store, subject, point.config.priority_table)
     gate = store.by_key(("authenticated", (subject.key(), _YES_KEY)))
     if gate is None or gate.origin != ASSERTED:
-        decision = Decision(effect=DENY, priority=priority,
-                            rationale=["not-authenticated"])
-        if audit_log is not None:
-            audit_log.append("authz", req.user, DENY,
-                             f"service={req.service} reason=not-authenticated")
-        return decision
-
-    request = _request_keys(req, subject.key())
-    constants, built = {}, {}  # this request's coerced values, built facts
-    effect, obligations, recommendations, rationale = _decide(
-        point, subject, request, constants, built)
-    decision = Decision(effect=effect, obligations=list(obligations),
-                        recommendations=list(recommendations),
-                        priority=priority, rationale=list(rationale))
-
-    for entry in request:  # history, asserted when new
-        held = store.by_key(entry[2])
-        if held is None or held.origin != ASSERTED:
-            fact = built.get(entry[2])
-            store.assert_fact(fact if fact is not None
-                              else _request_fact(subject, entry, constants))
-    if audit_log is not None:
-        audit_log.append("authz", req.user, effect,
-                         f"service={req.service} rationale={','.join(rationale)}")
-    return decision
+        effect, obligations, recommendations = DENY, (), ()
+        rationale = ("not-authenticated",)
+        detail = "reason=not-authenticated"
+    else:
+        request = _request_keys(req, subject.key())
+        constants = {}  # this request's coerced values
+        for entry in request:  # history, asserted when new
+            held = store.by_key(entry[2])
+            if held is None or held.origin != ASSERTED:
+                store.assert_fact(_request_fact(subject, entry, constants))
+        effect, obligations, recommendations, rationale = _decide(
+            point, subject, request)
+        detail = f"rationale={','.join(rationale)}"
+    point.audit_log.append("authz", req.user, effect,
+                           f"service={req.service} {detail}")
+    return Decision(effect=effect, obligations=list(obligations),
+                    recommendations=list(recommendations),
+                    priority=_priority_for(store, subject,
+                                           point.config.priority_table),
+                    rationale=list(rationale))
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +836,8 @@ def flag_anomaly(point: DecisionPoint, user: str, class_id: str,
     trust = trust_score(point.model, class_id, recent)
     if trust >= point.config.anomaly_threshold:
         return False
-    if point.audit_log is not None:
-        point.audit_log.append("anomaly", user, "flagged",
-                               f"class={class_id} trust={trust:.3f}")
+    point.audit_log.append("anomaly", user, "flagged",
+                           f"class={class_id} trust={trust:.3f}")
     if any(g.text() == COGNITIVE_GROUP for g in groups_of(point.store, user)):
         point.store.assert_fact(
             ground("Obligation", user, EMERGENCY_OBLIGATION))

@@ -272,6 +272,20 @@ def test_an_input_file_that_is_not_utf8_is_an_error_line(
     assert err.startswith(f"error: {option} {bad}: ")
 
 
+def test_a_rule_id_two_rules_files_share_is_an_error_line(
+        monkeypatch, capsys, tmp_path):
+    # Each file's one unlabeled rule is rule1: a rationale could not tell
+    # them apart, nor order their facts apart.
+    first, second = tmp_path / "a.swl", tmp_path / "b.swl"
+    first.write_text("HasCapability(?u, ?c) -> Seen(?u, ?c)\n")
+    second.write_text("HasCapability(?u, ?c) -> Noted(?u, ?c)\n")
+    assert run_main(monkeypatch, capsys, "infer",
+                    "--facts", str(DATA_DIR / "behavioral.kb"),
+                    "--rules", str(first), "--rules", str(second)) \
+        == (1, "", f"error: --rules {second}: rule id 'rule1' "
+            f"is also in {first}\n")
+
+
 @pytest.mark.parametrize("command, option, path", [
     ("classify", "--events", FIXTURES / "streams" / "events_u1.csv"),
     ("load", "--facts", DATA_DIR / "behavioral.kb"),

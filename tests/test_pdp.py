@@ -1720,6 +1720,34 @@ def test_authenticate_and_authorize_append_exactly_one_entry_each():
     assert [e.seq for e in log.entries()] == [1, 2]
 
 
+def test_each_decision_appends_one_entry_with_its_detail():
+    # Priming authenticates u1, u2 and u3 and flags u3's wandering; then u1
+    # is permitted, fails a password check, and is stopped at the gate.
+    point = make_point(FactStore(), RULES,
+                       scenarios.load_fixture_model(Config().distance_floor),
+                       scenarios.load_fixture_credentials(),
+                       audit_log=AuditLog())
+    scenarios.prime_store(point)
+    request = AuthzRequest("u1", "ReadAlert", "VisualAid", {"time": "10.00"})
+    authorize(request, point)
+    authenticate(AuthnRequest("u1", Credential("password", "guess")), point)
+    authorize(request, point)
+    assert [(e.seq, e.kind, e.subject, e.outcome, e.detail)
+            for e in point.audit_log.entries()] == [
+        (1, "authn", "u1", "yes",
+         "mean=username/password class=class1 trust=1.000"),
+        (2, "authn", "u2", "yes",
+         "mean=username/password class=class2 trust=1.000"),
+        (3, "authn", "u3", "yes", "mean=tag-mean class=class2 trust=1.000"),
+        (4, "anomaly", "u3", "flagged", "class=class2 trust=0.013"),
+        (5, "authz", "u1", "permit",
+         "service=ReadAlert rationale=deaf-permit,deaf-visual-alert"),
+        (6, "authn", "u1", "no", "mean=username/password class=class3 "
+         "trust=0.075 reason=password mismatch"),
+        (7, "authz", "u1", "deny", "service=ReadAlert reason=not-authenticated"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Anomaly detection
 # ---------------------------------------------------------------------------
@@ -1816,3 +1844,10 @@ def test_load_credentials_refuses_an_empty_record():
     with pytest.raises(PdpError) as caught:
         load_credentials("u1:password:salt$abc\nu3:tag:\n")
     assert str(caught.value) == "credentials line 2: empty record"
+
+
+def test_load_credentials_refuses_a_user_listed_twice():
+    # A line appended later must not silently replace a credential.
+    with pytest.raises(PdpError) as caught:
+        load_credentials("u1:password:9f2c1a77$6e87\nu1:tag:t-1\n")
+    assert str(caught.value) == "credentials line 2: duplicate user 'u1'"

@@ -551,6 +551,23 @@ def test_stats_reports_the_servers_own_memory_and_sizes():
     assert cli.handle_message(state, '{"op": "ping"}') == {"ok": True}
 
 
+def test_a_point_built_with_no_audit_log_keeps_one_in_memory():
+    config = Config()
+    point = pdp.DecisionPoint(
+        FactStore(), scenarios.load_fixture_rules(),
+        scenarios.load_fixture_model(config.distance_floor),
+        scenarios.load_fixture_credentials(), config)
+    cli.handle_message(point, json.dumps(
+        {"op": "authn", "user": "u1", "password": "door-chime-7"}))
+    cli.handle_message(point, json.dumps(SCENARIO_REQUESTS[0]))
+    stats = cli.handle_message(point, '{"op": "stats"}')
+    assert stats["ok"] is True and stats["audit_seq"] == 2
+    assert point.audit_log.path is None
+    assert [(e.seq, e.kind, e.subject)
+            for e in point.audit_log.entries()] == [(1, "authn", "u1"),
+                                                    (2, "authz", "u1")]
+
+
 def test_stats_counts_the_decisions_and_derivations_reused():
     state = primed_state()
     authz = json.dumps(SCENARIO_REQUESTS[0])

@@ -57,3 +57,13 @@ def test_importing_the_package_loads_no_slow_module():
         added = set(json.loads(result.stdout))
         assert module in added
         assert added & SLOW_TO_IMPORT == set(), module
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # Each command imports the modules it runs; the package itself is its
+    # docstring alone.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", _ADDED_BY_IMPORT.format(module="aalguard")],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert json.loads(result.stdout) == ["aalguard"]
