@@ -30,8 +30,7 @@ from typing import List, Optional
 
 from . import behavior, engine, pdp, query, rules, scenarios
 from .config import ENV_VAR, Config, ConfigError, apply_key, parse_config
-from .facts import FactError, FactStore, load_facts, parse_fact, save_facts
-from .rules import RuleSyntaxError
+from .facts import FactStore, load_facts, parse_fact, save_facts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -515,9 +514,9 @@ def _settings(args) -> Config:
             raise ConfigError(str(err)) from None
     for key in _INPUT_KEYS:
         value = getattr(args, key, None)
-        if key == "rules" and value:
-            value = ",".join(value).strip(", ")  # "" when it names no file
-        if value:
+        if key == "rules" and value:  # each --rules value is one whole path
+            config.rules = [path for path in value if path] or config.rules
+        elif value:
             apply_key(config, key, value)
     return config.validate()
 
@@ -530,11 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (FactError, RuleSyntaxError, ConfigError, engine.EngineError,
-            behavior.EventFormatError, behavior.ModelFormatError,
-            behavior.OrderingError, behavior.NonFiniteError,
-            query.QueryError, pdp.PdpError,
-            pdp.AuditError, InputFileError) as err:
+    except (ValueError, pdp.AuditError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

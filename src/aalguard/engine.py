@@ -6,9 +6,9 @@ predicate and arity, its constant argument keys, the positions of the
 variables earlier atoms bind, the variables it binds first and its repeated
 variables, so a join matches candidate facts by key and analyses no atom
 per binding.  Each head atom becomes a plan that gives a derived fact's key
-before any fact is built.  The policy validates every rule, head predicates
-included, so the fixpoint builds a derived fact unchecked, once, and only
-when no stored or pending fact has its key.
+before any fact is built.  The policy checks each rule (:func:`check_rule`),
+its id and its head predicates, so the fixpoint builds a derived fact
+unchecked, once, and only when no stored or pending fact has its key.
 
 The fixpoint is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): every
 round joins each rule whose first body atom has facts, whole, over the
@@ -27,6 +27,7 @@ from typing import Iterable, List, NamedTuple, Optional, Union
 
 from .facts import (
     ASSERTED,
+    MAX_ARITY,
     Constant,
     Fact,
     FactError,
@@ -36,7 +37,12 @@ from .facts import (
     Variable,
     unify_against_fact,  # not called here; perfbench/spans.py wraps it
 )
-from .rules import Rule, format_rule, validate_rule
+from .rules import Rule, format_rule
+
+# The comparison built-ins of SWRL (Horrocks et al., 2004), reserved: the
+# corpus never uses them and the engine has no semantics for them yet.
+RESERVED_BUILTINS = frozenset({"lessthan", "lessthanorequal", "greaterthan",
+                               "greaterthanorequal", "equal", "notequal"})
 
 
 class EngineError(ValueError):
@@ -44,7 +50,7 @@ class EngineError(ValueError):
 
 
 class InvalidRuleError(EngineError):
-    """A rule failed validation (unsafe variable, bad arity)."""
+    """A rule cannot run (unsafe variable, bad arity, repeated id)."""
 
 
 class UnsupportedBuiltinError(EngineError):
@@ -129,6 +135,34 @@ def compile_body(atoms) -> tuple:
     return tuple(plans)
 
 
+def check_rule(rule: Rule) -> None:
+    """Refuse ``rule`` on its first problem, in this order: a head variable
+    the body does not bind, then for each body and head atom in turn no
+    arguments, more than ``MAX_ARITY`` or a reserved built-in predicate
+    (an :class:`UnsupportedBuiltinError`), then an empty body or head.
+    Every other refusal is an :class:`InvalidRuleError` naming the rule by
+    its id, else by its text."""
+    def invalid(message: str) -> InvalidRuleError:
+        return InvalidRuleError(f"rule {rule.id or format_rule(rule)}: {message}")
+    body_vars = set().union(*[atom.variables() for atom in rule.body])
+    for atom in rule.head:
+        for name in sorted(atom.variables() - body_vars):
+            raise invalid(f"head variable ?{name} does not occur in the body")
+    for atom in list(rule.body) + list(rule.head):
+        if len(atom.terms) == 0:
+            raise invalid(f"{atom.predicate}: atom has no arguments")
+        if len(atom.terms) > MAX_ARITY:
+            raise invalid(f"{atom.predicate}: arity {len(atom.terms)} "
+                          f"exceeds {MAX_ARITY}")
+        if atom.predicate.lower() in RESERVED_BUILTINS:
+            raise UnsupportedBuiltinError(
+                f"unsupported built-in: {atom.predicate}")
+    if not rule.body:
+        raise invalid("rule has an empty body")
+    if not rule.head:
+        raise invalid("rule has an empty head")
+
+
 def _compile_head(atom, rule_id: str) -> HeadPlan:
     if not SYMBOL_RE.fullmatch(atom.predicate):
         raise InvalidRuleError(
@@ -147,29 +181,27 @@ def _compile_head(atom, rule_id: str) -> HeadPlan:
 class Policy:
     """A rule list compiled once for repeated evaluation.
 
-    Each rule is validated here, so a fixpoint over a policy pays no
-    validation and builds its facts unchecked: every head predicate scans
-    as a symbol, every head term is a constant or a variable the body
-    binds, and every arity is in range.  The policy keeps each rule's id
-    (``rule<n>`` when it has none) and, by id, the index of the first rule
-    with it (``rule_index``); the join plan of each rule body
-    (:func:`compile_body`); the plan of each head atom; and, by predicate
+    Each rule is checked here (:func:`check_rule`), so a fixpoint over a
+    policy pays no validation and builds its facts unchecked: every head
+    predicate scans as a symbol, every head term is a constant or a
+    variable the body binds, and every arity is in range.  The policy keeps
+    each rule's id (``rule<n>`` when it has none), which no two rules
+    share, and by id its index (``rule_index``); the join plan of each rule
+    body (:func:`compile_body`); the plan of each head atom; and, by predicate
     and arity, what the body atoms fix of a fact they read (:meth:`reads`).
     """
 
     def __init__(self, rules: Iterable[Rule]):
         self.rules = tuple(rules)
         for rule in self.rules:
-            for violation in validate_rule(rule):
-                if violation.kind == "unsupported-builtin":
-                    raise UnsupportedBuiltinError(violation.message)
-                raise InvalidRuleError(
-                    f"rule {rule.id or format_rule(rule)}: {violation.message}")
+            check_rule(rule)
         self.rule_ids = tuple(rule.id or f"rule{i + 1}"
                               for i, rule in enumerate(self.rules))
-        self.rule_index: dict = {}
+        self.rule_index = {rule_id: index
+                           for index, rule_id in enumerate(self.rule_ids)}
         for index, rule_id in enumerate(self.rule_ids):
-            self.rule_index.setdefault(rule_id, index)
+            if self.rule_index[rule_id] != index:
+                raise InvalidRuleError(f"rule {rule_id}: the id of two rules")
         self.plans = tuple(compile_body(rule.body) for rule in self.rules)
         self.heads = tuple(
             tuple(_compile_head(atom, rule_id) for atom in rule.head)

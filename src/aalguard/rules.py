@@ -17,9 +17,9 @@ A statement with several arrows is a chain and splits into multiple rules:
 at the first head atom after its arrow; the remaining atoms start the next
 rule's body).
 
-Parsing and validation are separate: the parser accepts any well-formed
-syntax, while :func:`validate_rule` reports unsafe head variables, bad
-arities and reserved built-in predicates.
+This module is syntax only: the parser accepts any well-formed rule, and
+:class:`aalguard.engine.Policy` refuses one that cannot run (an unsafe head
+variable, a bad arity, a reserved built-in, an empty side, a repeated id).
 """
 
 from __future__ import annotations
@@ -36,17 +36,6 @@ from .facts import (
     _set,
     split_comment,
 )
-
-# Comparison built-ins reserved for a future version; the corpus never uses
-# them and the engine has no semantics for them yet.
-RESERVED_BUILTINS = frozenset({
-    "lessthan",
-    "lessthanorequal",
-    "greaterthan",
-    "greaterthanorequal",
-    "equal",
-    "notequal",
-})
 
 
 class RuleSyntaxError(ValueError):
@@ -108,13 +97,6 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"Rule({format_rule(self)!r})"
-
-
-class RuleViolation(NamedTuple):
-    """One problem found by :func:`validate_rule`."""
-
-    kind: str     # unsafe-variable | zero-arity | excess-arity | unsupported-builtin
-    message: str
 
 
 # ---------------------------------------------------------------------------
@@ -318,40 +300,6 @@ def parse_rule(text: str) -> Rule:
         raise RuleSyntaxError(
             f"statement is a chain of {len(rules)} rules; use parse_rules", 0)
     return rules[0]
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate_rule(rule: Rule) -> list:
-    """Return the list of violations (empty means the rule is safe)."""
-    violations = []
-    body_vars = set()
-    for atom in rule.body:
-        body_vars |= atom.variables()
-    for atom in rule.head:
-        for name in sorted(atom.variables() - body_vars):
-            violations.append(RuleViolation(
-                "unsafe-variable",
-                f"head variable ?{name} does not occur in the body"))
-    for atom in list(rule.body) + list(rule.head):
-        if len(atom.terms) == 0:
-            violations.append(RuleViolation(
-                "zero-arity", f"{atom.predicate}: atom has no arguments"))
-        elif len(atom.terms) > MAX_ARITY:
-            violations.append(RuleViolation(
-                "excess-arity",
-                f"{atom.predicate}: arity {len(atom.terms)} exceeds {MAX_ARITY}"))
-        if atom.predicate.lower() in RESERVED_BUILTINS:
-            violations.append(RuleViolation(
-                "unsupported-builtin",
-                f"unsupported built-in: {atom.predicate}"))
-    if not rule.body:
-        violations.append(RuleViolation("zero-arity", "rule has an empty body"))
-    if not rule.head:
-        violations.append(RuleViolation("zero-arity", "rule has an empty head"))
-    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,19 @@ def test_a_rule_id_two_rules_files_share_is_an_error_line(
             f"is also in {first}\n")
 
 
+@pytest.mark.parametrize("name", ["a,b.swl", " lead.swl"])
+def test_a_rules_flag_value_is_one_whole_path(monkeypatch, capsys, tmp_path,
+                                              name):
+    # A comma or a leading space is part of the file name; only --set and
+    # the config file's rules= list several files, split on commas.
+    (tmp_path / name).write_text(
+        (DATA_DIR / "behavioral.swl").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_main(monkeypatch, capsys, "load", "--rules", name) \
+        == (0, "rules: 1\n", "")
+
+
 @pytest.mark.parametrize("command, option, path", [
     ("classify", "--events", FIXTURES / "streams" / "events_u1.csv"),
     ("load", "--facts", DATA_DIR / "behavioral.kb"),

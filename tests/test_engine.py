@@ -102,6 +102,60 @@ def test_builtin_rule_rejected_before_firing():
     assert store_keys(store) == before
 
 
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+U1 = Constant.symbol("u1")
+
+
+@pytest.mark.parametrize("rule, error, message", [
+    (parse_rule("P(?x) -> Q(?x, ?y)"), InvalidRuleError,
+     "rule P(?x) -> Q(?x, ?y): head variable ?y does not occur in the body"),
+    (Rule([Atom("P", (X,)), Atom("Flag", ())], [Atom("Q", (X,))], id="r"),
+     InvalidRuleError, "rule r: Flag: atom has no arguments"),
+    (Rule([Atom("P", (X, Y, Z, U1))], [Atom("Q", (X,))], id="r"),
+     InvalidRuleError, "rule r: P: arity 4 exceeds 3"),
+    (parse_rule("@id: r\nP(?x, ?y) ^ greaterThan(?x, ?y) -> Q(?x)"),
+     UnsupportedBuiltinError, "unsupported built-in: greaterThan"),
+    (Rule([], [Atom("Q", (U1,))], id="r"),
+     InvalidRuleError, "rule r: rule has an empty body"),
+    (Rule([Atom("P", (X,))], [], id="r"),
+     InvalidRuleError, "rule r: rule has an empty head"),
+    # The first problem wins: an unsafe head variable before a built-in,
+    # an atom's arity before its reserved name, atoms in order.
+    (parse_rule("lessThan(?x, ?y) -> Q(?z)"), InvalidRuleError,
+     "rule lessThan(?x, ?y) -> Q(?z): head variable ?z does not occur in "
+     "the body"),
+    (Rule([Atom("equal", (X, Y, Z, U1))], [Atom("Q", (X,))], id="r"),
+     InvalidRuleError, "rule r: equal: arity 4 exceeds 3"),
+    (Rule([Atom("equal", (X, Y)), Atom("P", ())], [Atom("Q", (X,))]),
+     UnsupportedBuiltinError, "unsupported built-in: equal"),
+    (Rule([Atom("P", (X,))], [Atom("Q", (X,)), Atom("R", ())]),
+     InvalidRuleError, "rule P(?x) -> Q(?x) ^ R(): R: atom has no arguments"),
+], ids=["unsafe", "no-arguments", "over-arity", "builtin", "empty-body",
+        "empty-head", "unsafe-before-builtin", "arity-before-builtin",
+        "atoms-in-order", "head-atom"])
+def test_each_rule_refusal_has_its_class_and_text(rule, error, message):
+    with pytest.raises(error) as raised:
+        engine.Policy([parse_rule("P(?x) -> Q(?x)"), rule])
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_a_rule_id_two_rules_share_is_refused():
+    # Two files' unlabeled rules are each rule1: their derived facts would
+    # carry one label, and rule_index would order them as one rule.
+    rules = (parse_ruleset("Seen0(?u, ?v) -> Seen(?u, ?v)\n")
+             + parse_ruleset("Seen0(?u, ?v) -> Noted(?u, ?v)\n"))
+    with pytest.raises(InvalidRuleError,
+                       match="^rule rule1: the id of two rules$"):
+        infer_fixpoint(behavioral_store(), rules)
+    named = parse_ruleset("@id: a\nP(?x) -> Q(?x)\n\n@id: b\nP(?x) -> R(?x)\n")
+    with pytest.raises(InvalidRuleError, match="^rule b: the id of two rules$"):
+        engine.Policy(named + named[1:])
+    # A bad rule is reported before a repeated id.
+    with pytest.raises(InvalidRuleError, match="head variable"):
+        engine.Policy(named + named[1:] + [parse_rule("P(?x) -> Q(?y)")])
+    assert engine.Policy(named).rule_index == {"a": 0, "b": 1}
+
+
 # ---------------------------------------------------------------------------
 # Oracle equivalence and algebraic properties on random instances
 # ---------------------------------------------------------------------------
@@ -199,12 +253,12 @@ def test_a_policy_refuses_a_head_a_fact_would_reject():
 
 def test_compiled_policy_is_validated_once(monkeypatch):
     calls = []
-    validate = engine.validate_rule
+    check = engine.check_rule
 
     def counting(rule):
         calls.append(rule)
-        return validate(rule)
-    monkeypatch.setattr(engine, "validate_rule", counting)
+        return check(rule)
+    monkeypatch.setattr(engine, "check_rule", counting)
     rules = load_fixture_rules()
     policy = engine.Policy(rules)
     assert len(calls) == len(rules)

@@ -9,7 +9,7 @@ from aalguard.engine import Conflict
 from aalguard.facts import Constant, Fact, FactError, Variable, ground
 from aalguard.pdp import (AuditLog, AuthnRequest, AuthnResult, AuthzRequest,
                           Credential, Decision, PdpError)
-from aalguard.rules import Atom, RuleViolation
+from aalguard.rules import Atom
 from aalguard.scenarios import SCENARIOS
 
 
@@ -44,7 +44,6 @@ def _immutable_records():
     yield Credential("tag", "t-1"), "secret"
     yield Conflict("permit-deny", (fact,), fact.args[0]), "kind"
     yield AuditLog().append("authz", "u1", "deny"), "outcome"
-    yield RuleViolation("zero-arity", "empty"), "message"
     yield SCENARIOS["deaf"], "user"
 
 

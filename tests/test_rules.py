@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aalguard.engine import InvalidRuleError, UnsupportedBuiltinError, check_rule
 from aalguard.facts import Constant, Variable
 from aalguard.rules import (
     Atom,
@@ -11,7 +12,6 @@ from aalguard.rules import (
     parse_rule,
     parse_rules,
     parse_ruleset,
-    validate_rule,
 )
 
 
@@ -91,25 +91,25 @@ def test_validate_accepts_corpus_rule():
     rule = parse_rule(
         'HasRecognizedBehavior(?y, class2) ^ HasCapability(?y, "physical") '
         "-> Authentication(tag-mean)")
-    assert validate_rule(rule) == []
+    assert check_rule(rule) is None
 
 
 def test_validate_reports_unsafe_head_variable():
     rule = parse_rule("P(?x) -> Q(?y)")
-    violations = validate_rule(rule)
-    assert [v.kind for v in violations] == ["unsafe-variable"]
-    assert "?y" in violations[0].message
+    with pytest.raises(InvalidRuleError,
+                       match=r"^rule P\(\?x\) -> Q\(\?y\): head variable \?y "):
+        check_rule(rule)
 
 
 def test_validate_accepts_shared_variable():
     rule = parse_rule("P(?x) -> Q(?x)")
-    assert validate_rule(rule) == []
+    assert check_rule(rule) is None
 
 
 def test_validate_flags_reserved_builtin():
     rule = parse_rule("lessThan(?x, ?y) -> Q(?x)")
-    kinds = [v.kind for v in validate_rule(rule)]
-    assert "unsupported-builtin" in kinds
+    with pytest.raises(UnsupportedBuiltinError):
+        check_rule(rule)
 
 
 def test_validate_safety_iff_head_vars_subset_of_body_vars():
@@ -121,7 +121,11 @@ def test_validate_safety_iff_head_vars_subset_of_body_vars():
             body=[Atom("P", tuple(Variable(v) for v in body_vars[:2]) or
                        (Variable(body_vars[0]),))],
             head=[Atom("Q", (Variable(head_var),))])
-        unsafe = [v for v in validate_rule(rule) if v.kind == "unsafe-variable"]
+        try:
+            check_rule(rule)
+            unsafe = False
+        except InvalidRuleError as err:
+            unsafe = "head variable" in str(err)
         body_names = set()
         for atom in rule.body:
             body_names |= atom.variables()
