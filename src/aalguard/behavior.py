@@ -120,10 +120,10 @@ class EventLog:
     read that state, so no stream is walked twice and the state does not
     grow with the events read; beyond it the log keeps only the count of
     events folded.  ``EventLog(events)`` folds any iterable of events, each
-    timestamp read through ``int``, in the loop :func:`load_events` folds
-    CSV rows in, and raises ``OrderingError`` when one user's timestamps go
-    backwards, and ``OverflowError`` when one lies over ``MAX_GAP`` after
-    its run's start.
+    timestamp read through ``int`` and each row keyed by its user, location
+    and activity, in the loop :func:`load_events` folds CSV rows in, and
+    raises ``OrderingError`` when one user's timestamps go backwards, and
+    ``OverflowError`` when one lies over ``MAX_GAP`` after its run's start.
     """
 
     __slots__ = ("_folds", "_rows")
@@ -131,59 +131,61 @@ class EventLog:
     def __init__(self, events: Iterable[SensorEvent] = ()):
         self._folds: Dict[str, list] = {}
         self._rows = 0
-        backwards = self._fold(map(itemgetter(1, 0, 2, 3), events), tuple)
+        rows = ((event[1], None, (event[0], event[2], event[3]))
+                for event in events)
+        backwards = self._fold(rows, lambda row: (row[0], *row[2]))
         if backwards is not None:
             user, timestamp, last = backwards
             raise OrderingError(f"{user}: timestamp {timestamp} after {last}")
 
     def _fold(self, rows: Iterable, clean: Callable
               ) -> Optional[Tuple[str, int, int]]:
-        """Fold ``(timestamp, user, location, activity)`` rows in order.
+        """Fold rows of three items in order: a timestamp, one the fold
+        does not read (a split line's comma), and a key that stands for the
+        row's user, location and activity cells, such as the text after the
+        first comma of its line or the tuple of those cells.
 
-        A row's state is found by its raw user cell, and a location or
-        activity cell that differs from the state's is looked up in
-        ``shared``, so a padded repeat is no change.  A row with a text not
-        seen before, or that does not read as it stands, goes to ``clean``
-        for its clean cells (None skips it), each text then mapped to one
-        object per clean text.  Returns ``(user, timestamp, last)`` for the
-        first row that goes back in time in its user's stream, else None.
-        A room change adds its duration to ``moves[(from, to)]``; the end of
-        a run of one non-idle activity adds its length to ``holds[activity]``
-        and the open run stays in the state.  A sum starts as the float of
-        its first duration and adds the later ones as ints, which rounds as
-        adding their floats does (``MAX_GAP`` keeps each in float range).
+        One lookup of the key in ``known``, which lives as long as the call,
+        gives the row's user state and its clean location, activity and
+        user.  A row whose key was not seen before, or whose timestamp does
+        not read as it stands, goes to ``clean`` for its clean cells (None
+        skips it), each text then mapped to one object per clean text.
+        Returns ``(user, timestamp, last)`` for the first row that goes back
+        in time in its user's stream, else None.  A room change adds its
+        duration to ``moves[(from, to)]``; the end of a run of one non-idle
+        activity adds its length to ``holds[activity]`` and the open run
+        stays in the state.  A sum starts as the float of its first duration
+        and adds the later ones as ints, which rounds as adding their floats
+        does (``MAX_GAP`` keeps each in float range).
         """
         folds = self._folds
-        states: Dict[str, list] = {}  # each user cell text -> its state
-        shared: Dict[str, str] = {}  # each cell text -> its clean text
+        # each row key -> (state, location, activity, user)
+        known: Dict[object, tuple] = {}
+        shared: Dict[str, str] = {}  # each clean cell text -> itself
         count = 0
         for row in rows:
             try:
-                raw_ts, user, location, activity = row
+                raw_ts, _, key = row
                 timestamp = int(raw_ts)
-                state = states[user]
-                room, current = state[1], state[2]
-                location = room if location == room else shared[location]
-                activity = current if activity == current else shared[activity]
-            except (ValueError, KeyError):  # a new cell text, or a bad row
+                state, location, activity, user = known[key]
+            except (ValueError, KeyError):  # a new key, or a bad row
                 cells = clean(row)
                 if cells is None:
                     continue
                 timestamp = int(cells[0])
-                for raw, cell in zip(row[1:], cells[1:]):
-                    shared[raw] = shared.setdefault(cell, cell)
-                user, location, activity = map(shared.get, cells[1:])
+                user, location, activity = [shared.setdefault(cell, cell)
+                                            for cell in cells[1:]]
                 # [last, room, current, start, moves, holds]
                 state = folds.setdefault(user, [timestamp, location, activity,
                                                 timestamp, {}, {}])
-                states[row[1]] = state
-                room, current = state[1], state[2]
+                known[key] = state, location, activity, user
             last = state[0]
             if timestamp < last:
-                return shared[user], timestamp, last
+                return user, timestamp, last
             if timestamp - state[3] > MAX_GAP:
                 raise OverflowError(
-                    f"events for {shared[user]} span a gap beyond float range")
+                    f"events for {user} span a gap beyond float range")
+            room = state[1]
             if location is not room:
                 moves = state[4]
                 total = moves.get((room, location))
@@ -193,6 +195,7 @@ class EventLog:
                     total[0] += timestamp - last
                     total[1] += 1
                 state[1] = location
+            current = state[2]
             if activity is not current:
                 if current != IDLE_ACTIVITY:
                     start, holds = state[3], state[5]
@@ -329,61 +332,76 @@ def _event_slices(text: str) -> Iterator[str]:
         start = stop
 
 
-def _split_rows(piece: str) -> Iterator[List[str]]:
+def _split_rows(piece: str) -> Iterator[Tuple[str, str, str]]:
     """The rows of a piece of text holding none of ``_CSV_ONLY``, each line
-    split at ",".  Raises ``csv.Error`` where a line is longer than
+    partitioned at its first ",": its timestamp cell, the comma and the
+    text of its other cells, which keys the row (a line with no comma is
+    one cell).  Raises ``csv.Error`` where a line is longer than
     ``csv.field_size_limit()``: it may hold a cell the CSV reader refuses."""
     lines = piece.split("\n")
     limit = csv.field_size_limit()
     if len(piece) > limit and max(map(len, lines)) > limit:
         raise csv.Error(f"field larger than field limit ({limit})")
-    return map(str.split, lines, repeat(","))
+    return map(str.partition, lines, repeat(","))
+
+
+def _keyed_rows(reader) -> Iterator[Tuple[str, list, tuple]]:
+    """The rows of a CSV reader in the form the fold reads: each row's
+    first cell, the row's cells, and the tuple of its other cells, which
+    keys the row."""
+    for row in reader:
+        yield (row[0] if row else "", row, tuple(row[1:]))
 
 
 def load_events(text: str) -> EventLog:
     """Read event CSV text into an :class:`EventLog`, folding as it reads.
 
     One loop folds each row straight into its user's running state
-    (:meth:`EventLog._fold`), with no ``SensorEvent``, no per-row tuple and
-    nothing kept per row; the user, location and activity cells share one
-    string object per distinct stripped text.  The rows come from one
-    bounded slice of the text at a time (:func:`_event_slices`).  A text
-    with none of ``_CSV_ONLY`` (no quote and no carriage return) is cut
-    into rows by ``str.split``, which gives the CSV reader's cells.  The CSV
-    reader reads any other text, and reads again a text whose split rows
-    fail, so it reports every error.  Blank rows are skipped and cells are
-    stripped.  A bad header, a row that is not four fields, a timestamp that
-    is not an integer, a user whose timestamps go backwards, or text the CSV
-    reader refuses (such as a bare carriage return inside an unquoted cell)
-    raises ``EventFormatError`` with the last physical line of its row, as
-    does a row more than ``MAX_GAP`` after its user's run start.
+    (:meth:`EventLog._fold`), with no ``SensorEvent`` and nothing kept per
+    row: the row is keyed by the text of its user, location and activity
+    cells, and one lookup of that key gives its state and its clean cells,
+    which share one string object per distinct stripped text.  The rows
+    come from one bounded slice of the text at a time
+    (:func:`_event_slices`).  A text with none of ``_CSV_ONLY`` (no quote
+    and no carriage return) is cut into rows by ``str.split`` and
+    ``str.partition``, which give the CSV reader's cells.  The CSV reader
+    reads any other text, and reads again a text whose split rows fail, so
+    it reports every error.  Blank rows are skipped and cells are stripped.
+    A bad header, a row that is not four fields, a timestamp that is not an
+    integer, a user whose timestamps go backwards, or text the CSV reader
+    refuses (such as a bare carriage return inside an unquoted cell) raises
+    ``EventFormatError`` with the last physical line of its row, as does a
+    row more than ``MAX_GAP`` after its user's run start.
     """
     if not any(map(text.__contains__, _CSV_ONLY)):
         rows = chain.from_iterable(map(_split_rows, _event_slices(text)))
         try:
-            return _fold_events(rows, lambda: 0)
+            return _fold_events(rows, lambda row: "".join(row).split(","),
+                                lambda: 0)
         except EventFormatError:  # read again below, to report at its line
             pass
     reader = csv.reader(chain.from_iterable(map(io.StringIO,
                                                 _event_slices(text))))
-    return _fold_events(reader, lambda: reader.line_num)
+    return _fold_events(_keyed_rows(reader), itemgetter(1),
+                        lambda: reader.line_num)
 
 
-def _fold_events(rows: Iterator[List[str]], line: Callable[[], int]
-                 ) -> EventLog:
+def _fold_events(rows: Iterator[tuple], cells: Callable[[tuple], List[str]],
+                 line: Callable[[], int]) -> EventLog:
     """Check the header row of ``rows`` and fold the rest into a new log;
-    ``line()`` is the line an error is reported at."""
+    ``cells(row)`` is a row's cells and ``line()`` the line an error is
+    reported at."""
     try:
         header = next(rows, None)
         if header is None:
             raise EventFormatError("missing header", 1)
-        header = [cell.strip() for cell in header]
+        header = [cell.strip() for cell in cells(header)]
         if header != EVENT_HEADER:
             raise EventFormatError(
                 f"expected header {','.join(EVENT_HEADER)}, got {','.join(header)}",
                 1)
         log = EventLog()
-        backwards = log._fold(rows, lambda r: _cells(r, line()))
+        backwards = log._fold(rows, lambda row: _cells(cells(row), line()))
     except (csv.Error, OverflowError) as err:
         raise EventFormatError(str(err), line()) from None
     if backwards is not None:

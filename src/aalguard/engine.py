@@ -10,9 +10,13 @@ before any fact is built.  The policy checks each rule (:func:`check_rule`),
 its id and its head predicates, so the fixpoint builds a derived fact
 unchecked, once, and only when no stored or pending fact has its key.
 
-The fixpoint is naive (Bancilhon and Ramakrishnan, SIGMOD 1986): every
-round joins each rule whose first body atom has facts, whole, over the
-store the rounds before it built, and a round that derives nothing ends it.
+The fixpoint is semi-naive at rule granularity (Bancilhon and
+Ramakrishnan, SIGMOD 1986): every round joins, whole, over the store the
+rounds before it built, each rule whose body predicates all have facts
+and one of which gained a fact in the round before (every predicate is new
+to the first round); a round that derives nothing ends it.  A rule whose
+body gained nothing would match only what it matched the round before, so
+the rounds derive what naive rounds, joining every rule, derive.
 
 The engine also reads what a ``hasAccess`` fact decides (:func:`effect_of`)
 and hosts the built-in consistency check (permit/deny clashes and
@@ -187,7 +191,8 @@ class Policy:
     variable the body binds, and every arity is in range.  The policy keeps
     each rule's id (``rule<n>`` when it has none), which no two rules
     share, and by id its index (``rule_index``); the join plan of each rule
-    body (:func:`compile_body`); the plan of each head atom; and, by predicate
+    body (:func:`compile_body`) and the set of its lower-cased predicates
+    (``body_predicates``); the plan of each head atom; and, by predicate
     and arity, what the body atoms fix of a fact they read (:meth:`reads`).
     """
 
@@ -203,6 +208,8 @@ class Policy:
             if self.rule_index[rule_id] != index:
                 raise InvalidRuleError(f"rule {rule_id}: the id of two rules")
         self.plans = tuple(compile_body(rule.body) for rule in self.rules)
+        self.body_predicates = tuple(
+            frozenset(atom.predicate for atom in plan) for plan in self.plans)
         self.heads = tuple(
             tuple(_compile_head(atom, rule_id) for atom in rule.head)
             for rule, rule_id in zip(self.rules, self.rule_ids))
@@ -304,26 +311,29 @@ def infer_fixpoint(store: FactStore,
     any firing.  Each derived fact carries the id of the rule that first
     produced it and the facts that rule's body matched, for explanation.
 
-    Every round joins, in rule order, each rule whose first body atom has
-    stored facts, whole; the facts it derives are stored when it ends, and
-    a round that derives nothing ends the fixpoint.  A head is instantiated
-    as its key first, and a fact is built, unchecked, only when no stored
-    or pending fact has that key.
+    Every round joins, in rule order, each rule whose body predicates all
+    have stored facts and one of which gained a fact in the round before,
+    whole; the first round counts every stored predicate as gained.  The
+    facts a round derives are stored when it ends, and a round that derives
+    nothing ends the fixpoint.  A head is instantiated as its key first,
+    and a fact is built, unchecked, only when no stored or pending fact has
+    that key.
     """
     policy = Policy.of(rules)
     firings = {rid: 0 for rid in policy.rule_ids}
     derived: List[Fact] = []
     by_key = store.by_key
+    held = store.predicates()
+    gained = set(held)
     iterations = 0
     while True:
         iterations += 1
-        held = store.predicates()
         pending: dict = {}  # key -> fact
-        for index, plan in enumerate(policy.plans):
-            if plan[0].predicate not in held:
+        for index, body in enumerate(policy.body_predicates):
+            if gained.isdisjoint(body) or not held >= body:
                 continue
             rule_id = policy.rule_ids[index]
-            for binding, premises in join(store, plan):
+            for binding, premises in join(store, policy.plans[index]):
                 for predicate, lowered, terms in policy.heads[index]:
                     args = tuple([binding[name] if name else constant
                                   for constant, name in terms])
@@ -335,6 +345,7 @@ def infer_fixpoint(store: FactStore,
                     firings[rule_id] += 1
         if not pending:
             break
+        gained = {key[0] for key in pending}
         for key, new_fact in pending.items():
             store.assert_fact(new_fact)
             derived.append(by_key(key))

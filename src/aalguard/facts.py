@@ -10,13 +10,14 @@ case-insensitively (the source rule corpus spells the same relation several
 ways), and quoted strings compare equal to bare symbols with the same text
 (``class2`` and ``"class2"`` name the same behavior class).
 
-Input is checked once, where it enters: ``Fact(...)``, :func:`ground`,
-:func:`parse_fact` and :meth:`Constant.number` check every part.  Facts
-whose parts are known valid (request facts, rule heads a compiled policy
-checked, facts a store spells again) are built by ``Fact._trusted`` with no
-check.  A store's tables are written only where a fact is filed or
-dropped: a copy of a subject's facts (:meth:`FactStore.partition`) too
-asserts them one by one.
+Input is checked once, where it enters: ``Fact(...)``, :func:`ground` and
+:meth:`Constant.number` check every part, and the rule parser checks every
+part of a fact it reads (:func:`parse_fact`, :func:`load_facts`).  Facts
+whose parts are known valid (parsed facts, request facts, rule heads a
+compiled policy checked, facts a store spells again) are built by
+``Fact._trusted`` with no check.  A store's tables are written only where
+a fact is filed or dropped: a copy of a subject's facts
+(:meth:`FactStore.partition`) too asserts them one by one.
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ class Fact(Immutable):
         built with no check and no ``__init__``: the caller knows
         ``predicate`` scans as a symbol, ``args`` is a tuple of one to
         ``MAX_ARITY`` constants, ``key`` is ``fact_key(predicate, args)``
-        and ``origin`` is valid.  Request facts, rule heads a
-        :class:`~aalguard.engine.Policy` has checked and facts a store
-        spells again are built here; parsed and raw input goes through
+        and ``origin`` is valid.  Parsed facts, request facts, rule heads
+        a :class:`~aalguard.engine.Policy` has checked and facts a store
+        spells again are built here; raw input goes through
         ``Fact(...)``."""
         fact = _new(cls)
         _set(fact, "predicate", predicate)
@@ -547,26 +548,33 @@ def split_comment(line: str) -> tuple:
     return line, None
 
 
-def _read_atom(text: str, line: int, require_period: bool) -> tuple:
-    """``(predicate, args)`` of one fact line, read by the rule parser."""
-    from .rules import DOT, EOF, RuleSyntaxError, _Parser, tokenize
+def _read_fact(text: str, line: int, require_period: bool,
+               origin: str = ASSERTED, rule_id: Optional[str] = None) -> Fact:
+    """The fact of one line, read by the rule parser's atom reader.
+
+    The parser has checked every part a fact needs: the predicate is
+    identifiers joined, so it scans as a symbol, there are one to
+    ``MAX_ARITY`` terms, and each is a constant once variables are refused.
+    So the fact is built unchecked."""
     try:
-        parser = _Parser(tokenize(text))
+        parser = rules._Parser(rules.tokenize(text))
         atom = parser.parse_atom()
-        if require_period or parser.peek().kind == DOT:
-            parser.expect(DOT)
-        parser.expect(EOF)
-    except (RuleSyntaxError, FactError) as err:
+        if require_period or parser.peek().kind == rules.DOT:
+            parser.expect(rules.DOT)
+        parser.expect(rules.EOF)
+    except (rules.RuleSyntaxError, FactError) as err:
         raise FactParseError(str(err), line) from None
-    for term in atom.terms:
+    args = atom.terms
+    for term in args:
         if isinstance(term, Variable):
             raise FactParseError(f"variable {term.render()} in a fact", line)
-    return atom.predicate, atom.terms
+    key = (atom.predicate.lower(), tuple([arg._key for arg in args]))
+    return Fact._trusted(atom.predicate, args, key, origin, rule_id)
 
 
 def parse_fact(text: str, line: int = 1, *, require_period: bool = True) -> Fact:
     """Parse one ``Predicate(arg, ...)`` with optional trailing period."""
-    return Fact(*_read_atom(text, line, require_period))
+    return _read_fact(text, line, require_period)
 
 
 def load_facts(text: str, store: Optional[FactStore] = None) -> FactStore:
@@ -583,8 +591,7 @@ def load_facts(text: str, store: Optional[FactStore] = None) -> FactStore:
             if marked:
                 origin = INFERRED
                 rule_id = marked.group("rule")
-        predicate, args = _read_atom(code, lineno, True)
-        store.assert_fact(Fact(predicate, args, origin=origin, rule_id=rule_id))
+        store.assert_fact(_read_fact(code, lineno, True, origin, rule_id))
     return store
 
 
@@ -599,3 +606,8 @@ def save_facts(store: FactStore) -> str:
                 line += f" rule={fact.rule_id}"
         lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# The fact reader is the rule parser's; the parser's module imports this one
+# first, so it is imported last, and read when a fact is.
+from . import rules  # noqa: E402

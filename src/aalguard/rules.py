@@ -1,4 +1,4 @@
-"""Parser, AST, validator and formatter for the positive Horn rule DSL.
+"""Lexer, parser, AST and formatter for the positive Horn rule DSL.
 
 Rules look like ``HasActivity(?u, cooking) ^ HasLocation(?u, kitchen) ->
 HasRecognizedBehavior(?u, class1)``: a conjunction of body atoms implying one
@@ -30,6 +30,8 @@ from typing import Iterable, NamedTuple, Optional
 from .facts import (
     _DEFAULT_CANON,
     MAX_ARITY,
+    STRING as QUOTED,
+    SYMBOL,
     Constant,
     Immutable,
     Variable,
@@ -121,25 +123,32 @@ class Token(NamedTuple):
     offset: int
 
 
-_PUNCTUATION = {"^": CARET, "(": LPAREN, ")": RPAREN, "{": LBRACE,
-                "}": RBRACE, ",": COMMA, ".": DOT}
-
-# One alternative per token kind, named after it; whitespace and comments
-# match unnamed.  Symbols and ``?variables`` use the ASCII charsets of
-# ``facts.SYMBOL_RE`` and ``facts.VARIABLE_RE``; a symbol or label never
-# swallows the '-' of '->'.  In a string a backslash takes the next
-# character literally.
+# One match per token: the whitespace and comments before it (group 1, so
+# a token starts where it ends), then one alternative per token kind, named
+# after it.  The alternatives start with distinct characters, the most
+# frequent first, but for '->', tried before a number that starts with '-'.
+# A character no token starts with matches ERROR, last, and the end of the
+# text EOF, so the pattern matches at every offset and never gives back
+# the whitespace and comments it skipped.  Symbols and ``?variables`` use
+# the ASCII charsets of ``facts.SYMBOL_RE`` and ``facts.VARIABLE_RE``; a
+# symbol or label never swallows the '-' of '->'.  In a string a backslash
+# takes the next character literally.
 _TOKEN = re.compile(r"""
-    \s+ | \#[^\n]*
-  | (?P<ARROW> -> | → )
-  | (?P<PUNCT> [\^(){},.] )
-  | (?P<NUM> -?\d+ (?:\.\d+)? (?:[eE][+-]?\d+)? )
-  | (?P<IDENT> [A-Za-z_][A-Za-z0-9_/.]* (?:-(?!>)[A-Za-z0-9_/.]*)* )
-  | \? (?P<VAR> [A-Za-z_][A-Za-z0-9_]* )
-  | " (?P<STRING> (?:[^"\\] | \\.)* ) "
-  | @id: [ \t]* (?P<ATID> (?:[A-Za-z0-9_/.] | -(?!>))+ )
+    ( (?: \s+ | \#[^\n]* )* )
+    (?: (?P<IDENT> [A-Za-z_][A-Za-z0-9_/.]* (?:-(?!>)[A-Za-z0-9_/.]*)* )
+      | (?P<LPAREN> \( ) | (?P<COMMA> , ) | (?P<RPAREN> \) ) | (?P<DOT> \. )
+      | " (?P<STRING> (?:[^"\\] | \\.)* ) "
+      | \? (?P<VAR> [A-Za-z_][A-Za-z0-9_]* )
+      | (?P<CARET> \^ ) | (?P<ARROW> -> | → )
+      | (?P<NUM> -?\d+ (?:\.\d+)? (?:[eE][+-]?\d+)? )
+      | (?P<LBRACE> \{ ) | (?P<RBRACE> \} )
+      | @id: [ \t]* (?P<ATID> (?:[A-Za-z0-9_/.] | -(?!>))+ )
+      | (?P<EOF> \Z )
+      | (?P<ERROR> . ) )
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ERROR = "ERROR"
+_new_token = tuple.__new__
 
 
 def _scan_error(text: str, i: int) -> RuleSyntaxError:
@@ -159,23 +168,26 @@ def _scan_error(text: str, i: int) -> RuleSyntaxError:
 
 
 def tokenize(text: str) -> list:
+    """The tokens of ``text``, each taken by one match, ending with EOF at
+    ``len(text)``; raises a ``RuleSyntaxError`` at the first offset past
+    whitespace and comments where no token starts."""
     tokens = []
-    i = 0
-    n = len(text)
+    append = tokens.append
+    match = _TOKEN.match
+    i, n = 0, len(text)
     while i < n:
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise _scan_error(text, i)
+        m = match(text, i)
         kind = m.lastgroup
-        if kind is not None:
-            value = m.group(kind)
-            if kind == "PUNCT":
-                kind = _PUNCTUATION[value]
-            elif kind == STRING and "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-            tokens.append(Token(kind, value, i))
+        value = m[kind]
+        if kind == _ERROR:
+            raise _scan_error(text, m.end(1))
+        if kind == STRING and "\\" in value:
+            value = _ESCAPE.sub(r"\1", value)
+        append(_new_token(Token, (kind, value, m.end(1))))
+        if kind == EOF:
+            return tokens
         i = m.end()
-    tokens.append(Token(EOF, "", n))
+    append(_new_token(Token, (EOF, "", n)))
     return tokens
 
 
@@ -201,40 +213,42 @@ class _Parser:
                                expected=[_PRETTY.get(e, e) for e in expected])
 
     def expect(self, kind: str) -> Token:
-        if self.peek().kind != kind:
-            found = _PRETTY.get(self.peek().kind, self.peek().kind)
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            found = _PRETTY.get(token[0], token[0])
             raise self.error(f"found {found}", expected=(kind,))
-        return self.advance()
+        self.pos += 1
+        return token
 
     def parse_term(self):
-        token = self.peek()
-        if token.kind == VAR:
-            self.advance()
-            return Variable(token.value)
-        if token.kind == IDENT:
-            self.advance()
-            return Constant.symbol(token.value)
-        if token.kind == STRING:
-            self.advance()
-            return Constant.string(token.value)
-        if token.kind == NUM:
-            self.advance()
-            return Constant.number(float(token.value))
-        found = _PRETTY.get(token.kind, token.kind)
-        raise self.error(f"found {found}", expected=(VAR, IDENT, STRING, NUM))
+        kind, value, _ = self.tokens[self.pos]
+        if kind == IDENT:
+            term = Constant(SYMBOL, value)  # an identifier scans as a symbol
+        elif kind == STRING:
+            term = Constant(QUOTED, value)
+        elif kind == VAR:
+            term = Variable(value)
+        elif kind == NUM:
+            term = Constant.number(float(value))
+        else:
+            raise self.error(f"found {_PRETTY.get(kind, kind)}",
+                             expected=(VAR, IDENT, STRING, NUM))
+        self.pos += 1
+        return term
 
     def parse_atom(self) -> Atom:
+        tokens = self.tokens
         first = self.expect(IDENT)
-        parts = [first.value]
+        predicate = first.value
         # Adjacent bare words before '(' fuse into one predicate name
         # ("has Access" -> "hasAccess").
-        while self.peek().kind == IDENT:
-            parts.append(self.advance().value)
-        predicate = "".join(parts)
+        while tokens[self.pos][0] == IDENT:
+            predicate += tokens[self.pos][1]
+            self.pos += 1
         self.expect(LPAREN)
         terms = [self.parse_term()]
-        while self.peek().kind == COMMA:
-            self.advance()
+        while tokens[self.pos][0] == COMMA:
+            self.pos += 1
             terms.append(self.parse_term())
         if len(terms) > MAX_ARITY:
             raise RuleSyntaxError(

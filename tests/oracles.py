@@ -5,9 +5,11 @@ unification, its own distance computation, its own mean.  None of it calls
 into the code paths under test, so agreement is meaningful.  The
 exceptions say so: ``match`` reads a store through its candidate lookup,
 ``select_auth_mean`` runs the engine's fixpoint over profile facts alone,
-``whole_snapshot_decision`` runs it over a whole snapshot, and the text
-writers at the end render numbers, atoms and credential records as the
-program reads them.
+``whole_snapshot_decision`` runs it over a whole snapshot,
+``reference_fixpoint`` runs the engine's join in naive rounds,
+``reference_tokenize`` builds the lexer's tokens, and the text writers at
+the end render numbers, atoms and credential records as the program reads
+them.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import re
 from aalguard.behavior import (IDLE_ACTIVITY, EventFormatError, NonFiniteError,
                                OrderingError)
 from aalguard.config import DEFAULT_AUTH_MEAN
-from aalguard.engine import Policy, infer_fixpoint
-from aalguard.facts import (ASSERTED, MAX_ARITY, ArityError, Constant, Fact,
-                            FactError, FactStore, Variable, coerce_constant,
-                            format_number, ground, unify_against_fact)
-from aalguard.rules import Atom, Rule
+from aalguard.engine import InferenceReport, Policy, infer_fixpoint, join
+from aalguard.facts import (ASSERTED, INFERRED, MAX_ARITY, ArityError,
+                            Constant, Fact, FactError, FactStore, Variable,
+                            coerce_constant, format_number, ground,
+                            unify_against_fact)
+from aalguard.rules import EOF, Atom, Rule, RuleSyntaxError, Token
 
 
 def naive_unify(atom: Atom, fact_tuple, binding: dict):
@@ -244,6 +247,99 @@ def select_auth_mean(capabilities, behavior_class, rules,
         if fact.predicate.lower() == "authentication" and len(fact.args) == 1:
             return fact.args[0].text()
     return default_mean
+
+
+def reference_fixpoint(store, rules):
+    """``engine.infer_fixpoint`` by naive rounds: every round joins, in
+    rule order, each rule whose first body atom has stored facts, whole,
+    over the store the rounds before it built; the facts it derives are
+    stored when it ends, and a round that derives nothing ends the
+    fixpoint.  Returns the same :class:`InferenceReport`, so the engine's
+    rounds, which join again only the rules whose body gained a fact, must
+    give the same derived facts in the same order, with the same rule ids,
+    premises, firings and round count."""
+    policy = Policy.of(rules)
+    firings = {rid: 0 for rid in policy.rule_ids}
+    derived = []
+    iterations = 0
+    while True:
+        iterations += 1
+        held = store.predicates()
+        pending = {}
+        for index, plan in enumerate(policy.plans):
+            if plan[0].predicate not in held:
+                continue
+            rule_id = policy.rule_ids[index]
+            for binding, premises in join(store, plan):
+                for predicate, lowered, terms in policy.heads[index]:
+                    args = tuple([binding[name] if name else constant
+                                  for constant, name in terms])
+                    key = (lowered, tuple([arg.key() for arg in args]))
+                    if key in pending or store.by_key(key) is not None:
+                        continue
+                    pending[key] = Fact._trusted(predicate, args, key,
+                                                 INFERRED, rule_id, premises)
+                    firings[rule_id] += 1
+        if not pending:
+            break
+        for key, new_fact in pending.items():
+            store.assert_fact(new_fact)
+            derived.append(store.by_key(key))
+    return InferenceReport(derived=derived, iterations=iterations,
+                           rule_firings=firings)
+
+
+# ---------------------------------------------------------------------------
+# The rule lexer: one match per token or per run of whitespace or comment
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN = re.compile(r"""
+    \s+ | \#[^\n]*
+  | (?P<ARROW> -> | → )
+  | (?P<PUNCT> [\^(){},.] )
+  | (?P<NUM> -?\d+ (?:\.\d+)? (?:[eE][+-]?\d+)? )
+  | (?P<IDENT> [A-Za-z_][A-Za-z0-9_/.]* (?:-(?!>)[A-Za-z0-9_/.]*)* )
+  | \? (?P<VAR> [A-Za-z_][A-Za-z0-9_]* )
+  | " (?P<STRING> (?:[^"\\] | \\.)* ) "
+  | @id: [ \t]* (?P<ATID> (?:[A-Za-z0-9_/.] | -(?!>))+ )
+""", re.VERBOSE | re.DOTALL)
+_REFERENCE_PUNCTUATION = {"^": "CARET", "(": "LPAREN", ")": "RPAREN",
+                          "{": "LBRACE", "}": "RBRACE", ",": "COMMA",
+                          ".": "DOT"}
+
+
+def reference_tokenize(text):
+    """The tokens of ``text`` as ``rules.tokenize`` gives them, each
+    whitespace run and comment matched on its own; raises the
+    ``RuleSyntaxError`` it raises, at the offset where no token starts."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        m = _REFERENCE_TOKEN.match(text, i)
+        if m is None:
+            if text.startswith("@id:", i):
+                j = i + 4
+                while j < len(text) and text[j] in " \t":
+                    j += 1
+                raise RuleSyntaxError("missing label after '@id:'", j,
+                                      expected=("identifier",))
+            if text[i] == "?":
+                raise RuleSyntaxError("missing variable name after '?'", i,
+                                      expected=("identifier",))
+            if text[i] == '"':
+                raise RuleSyntaxError("unterminated string", i)
+            raise RuleSyntaxError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup
+        if kind is not None:
+            value = m.group(kind)
+            if kind == "PUNCT":
+                kind = _REFERENCE_PUNCTUATION[value]
+            elif kind == "STRING":
+                value = re.sub(r"\\(.)", r"\1", value, flags=re.DOTALL)
+            tokens.append(Token(kind, value, i))
+        i = m.end()
+    tokens.append(Token(EOF, "", len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from aalguard.scenarios import (SCENARIO_NAMES, fixture_text,
 from conftest import DATA_DIR
 from oracles import (facts_about, naive_conflicts, naive_fixpoint,
                      naive_unify, random_guarded_instance, random_instance,
-                     store_keys)
+                     reference_fixpoint, store_keys)
 
 
 BEHAVIORAL_RULE = parse_rule(
@@ -325,6 +325,70 @@ def test_fixture_fixpoint_reads_flat_per_resident_with_requests(monkeypatch):
     # the draft's alzheimer-deny.
     assert per_resident[1] <= per_resident[0] * 1.1
     assert per_resident[1] < 20
+
+
+def _report(report):
+    """What a fixpoint report tells: each derived fact's key, spelling, rule
+    id and premises in order, the firings per rule and the round count."""
+    return ([(f.key(), f.predicate, f.rule_id, [p.key() for p in f.premises])
+             for f in report.derived], report.rule_firings, report.iterations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), guarded=st.booleans(),
+       variant=st.booleans())
+def test_the_rounds_derive_what_naive_rounds_derive(seed, guarded, variant):
+    # After the first round only rules whose body gained a fact join again;
+    # the naive rounds join every rule.  Re-cased predicates and quoted
+    # twins spell the same facts and rules another way.
+    rng = random.Random(seed)
+    draw = random_guarded_instance if guarded else random_instance
+    facts, rules = draw(rng)
+    if variant:
+        facts = [Fact(_recase(f.predicate, rng),
+                      tuple(_twin(a, rng) for a in f.args)) for f in facts]
+        rules = [Rule(body=[Atom(_recase(a.predicate, rng),
+                                 tuple(_twin(t, rng) for t in a.terms))
+                            for a in rule.body],
+                      head=[Atom(_recase(a.predicate, rng), a.terms)
+                            for a in rule.head],
+                      id=rule.id)
+                 for rule in rules]
+    reference, store = FactStore(), FactStore()
+    for fact in facts:
+        reference.assert_fact(fact)
+        store.assert_fact(fact)
+    expected = reference_fixpoint(reference, rules)
+    assert _report(infer_fixpoint(store, rules)) == _report(expected)
+    assert [(f.key(), f.predicate, f.origin) for f in store] == [
+        (f.key(), f.predicate, f.origin) for f in reference]
+
+
+def test_the_fixture_fixpoint_joins_only_rules_whose_body_gained(monkeypatch):
+    # The fixture store of 400 residents: the first round joins the five
+    # rules over behavior and capability; the second gains group and
+    # authentication-mean facts, but every rule that reads a group also
+    # reads requests, which the store has none of, so nothing joins again.
+    # Naive rounds join 5 and then 10 rules.
+    capabilities = ("hearing", "visual", "cognitive", "physical", "no")
+    store = FactStore()
+    for i in range(400):
+        user = f"r{i:04d}"
+        store.assert_fact(ground("HasCapability", user,
+                                 Constant.string(capabilities[i % 5])))
+        store.assert_fact(ground("HasRecognizedBehavior", user,
+                                 ("class1", "class2")[i % 2]))
+    joined = []
+    join = engine.join
+
+    def counted(store, plan):
+        joined.append(plan)
+        return join(store, plan)
+
+    monkeypatch.setattr(engine, "join", counted)
+    report = infer_fixpoint(store, load_fixture_rules())
+    assert (report.iterations, len(report.derived)) == (2, 122)
+    assert len(joined) == 5
 
 
 @settings(max_examples=150, deadline=None)

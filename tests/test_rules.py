@@ -1,18 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalguard.engine import InvalidRuleError, UnsupportedBuiltinError, check_rule
-from aalguard.facts import Constant, Variable
+from aalguard.facts import SYMBOL_RE, Constant, Variable
 from aalguard.rules import (
+    IDENT,
     Atom,
     Rule,
     RuleSyntaxError,
+    Token,
     format_rule,
     parse_rule,
     parse_rules,
     parse_ruleset,
+    tokenize,
 )
+
+from oracles import reference_tokenize
 
 
 def test_parse_behavioral_rule_with_irregular_spacing_and_arrow():
@@ -253,3 +259,51 @@ def test_chain_statement_in_ruleset_gets_suffixed_ids():
     text = "@id: groups\nA(?x) -> B(?x) ^ C(?x) ^ D(?x) -> E(?x)\n"
     rules = parse_ruleset(text)
     assert [r.id for r in rules] == ["groups.1", "groups.2"]
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the one-match-per-run reference
+# ---------------------------------------------------------------------------
+
+# Pieces of the rule language and of what is not in it: both arrows and
+# their halves, labels with and without a name, quotes and escapes,
+# comments, a bare '?', numbers and their signs and exponents, Unicode
+# digits and spaces, and stray characters.
+LEXER_PIECES = ["->", "→", "-", ">", "@id:", "@id: ", "@", "@id:x-y", '"',
+                '\\"', "\\", "#", "# note", "?", "?v", "?_1", "x", "A1",
+                "_", "/", ".", "x-y", "e", "E+", "1", "-2", "3.5", "4e-7",
+                "١", " ", "\t", "\n", "\r", "\u00a0", "(", ")", ",", "^",
+                "{", "}", "!", "$", "é", "SELECT"]
+
+lexer_texts = st.lists(st.sampled_from(LEXER_PIECES), max_size=14).map("".join)
+
+
+def _lexed(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except RuleSyntaxError as err:
+        return str(err), err.offset
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=lexer_texts)
+def test_the_lexer_gives_the_reference_tokens_or_error(text):
+    tokens = _lexed(tokenize, text)
+    assert tokens == _lexed(reference_tokenize, text)
+    if isinstance(tokens, list):
+        assert all(type(token) is Token for token in tokens)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=lexer_texts)
+def test_every_identifier_scans_as_a_symbol(text):
+    # The parser builds an identifier's constant with no symbol check.
+    try:
+        tokens = tokenize(text)
+    except RuleSyntaxError:
+        return
+    for kind, value, _ in tokens:
+        if kind == IDENT:
+            assert SYMBOL_RE.fullmatch(value)
+            assert parse_rule(f"P({value}) -> Q(a)").body[0].terms == (
+                Constant.symbol(value),)
